@@ -7,12 +7,10 @@ from .circuit import (
     Gate,
     GateCounts,
     GateKind,
-    compose,
     concat,
     depth,
     gate_counts,
     inverse,
-    merge_rotations,
     to_qasm,
 )
 from .statevector import (
@@ -51,12 +49,10 @@ __all__ = [
     "Gate",
     "GateCounts",
     "GateKind",
-    "compose",
     "concat",
     "depth",
     "gate_counts",
     "inverse",
-    "merge_rotations",
     "to_qasm",
     "QuantumState",
     "SampleCounts",

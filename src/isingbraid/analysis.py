@@ -144,6 +144,16 @@ def adiabatic_margin(params: "ProtocolParams") -> float:
     return (2.0 * params.J * params.T / params.dh) / params.dt
 
 
+def bound_values(params: "ProtocolParams") -> dict[str, float]:
+    """The closed-form values every report carries, keyed as in a run
+    report's ``bound_values``."""
+    return {
+        "per_step": per_step_error_bound(params),
+        "total": total_error_bound(params),
+        "adiabatic_margin": adiabatic_margin(params),
+    }
+
+
 STEP_DEPTH = 12  # layered depth of one full step, independent of system size
 
 
@@ -181,12 +191,12 @@ def depth_upper_bound(params: "ProtocolParams") -> DepthBound:
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    """Analytic bounds and (optionally) exact norms of the three non-zero
-    summand commutators."""
+    """Analytic bounds and exact norms of the three non-zero summand
+    commutators."""
 
     bounds: dict[str, float]
-    exact: dict[str, float] | None
-    max_vanishing_norm: float | None
+    exact: dict[str, float]
+    max_vanishing_norm: float
 
 
 def commutator_bounds(cfg: ChainConfig) -> dict[str, float]:
@@ -204,15 +214,12 @@ def commutator_bounds(cfg: ChainConfig) -> dict[str, float]:
     }
 
 
-def commutator_norms(cfg: ChainConfig, exact: bool = True) -> CommutatorReport:
+def commutator_norms(cfg: ChainConfig) -> CommutatorReport:
     """Analytic bounds plus dense spectral norms on small registers.
 
     ``max_vanishing_norm`` is the largest norm among the summand pairs that
     should commute exactly (all ZZ/coupler combinations).
     """
-    bounds = commutator_bounds(cfg)
-    if not exact:
-        return CommutatorReport(bounds=bounds, exact=None, max_vanishing_norm=None)
     if cfg.n_qubits > MAX_DENSE_QUBITS:
         raise ValueError("exact commutator norms limited to small registers")
     parts = dense_summands(cfg)
@@ -231,7 +238,7 @@ def commutator_norms(cfg: ChainConfig, exact: bool = True) -> CommutatorReport:
         comm("zz_second", "coupler"),
     )
     return CommutatorReport(
-        bounds=bounds, exact=exact_norms, max_vanishing_norm=vanishing
+        bounds=commutator_bounds(cfg), exact=exact_norms, max_vanishing_norm=vanishing
     )
 
 
@@ -243,22 +250,15 @@ def exact_evolve(
     schedule: "FieldSchedule",
     params: "ProtocolParams",
     initial: "QuantumState",
-    refine: int = 1,
 ) -> "QuantumState":
     """Trotter-free reference: piecewise-constant exact evolution.
 
-    Applies exp(-i H(t_j) dt) as a dense matrix exponential for every
-    Trotter interval of the compiled schedule. ``refine`` subdivides each
-    interval (dt/refine) for adiabaticity studies.
+    Applies exp(-i H(f) dt) as a dense matrix exponential for every Trotter
+    step of the compiled schedule, walking it as ``build_protocol_circuit``
+    does; a ``stepped`` hold builds its exponential once.
     """
     from .circuit import Gate, GateKind
-    from .protocol import (
-        RotateCoupler,
-        SetFields,
-        chain_config,
-        initial_fields,
-        steps_per_hold,
-    )
+    from .protocol import RotateCoupler, chain_config, walk_schedule
     from .statevector import QuantumState, apply_gate_inplace
 
     if params.N_s + 1 > MAX_DENSE_QUBITS:
@@ -269,28 +269,14 @@ def exact_evolve(
     state = initial.copy()
     amps = state.amplitudes
     n = state.n_qubits
-    prev_fields = initial_fields(params)
-    sub_dt = params.dt / refine
-    for event in schedule.events:
-        if isinstance(event, RotateCoupler):
+    for item in walk_schedule(params, schedule):
+        if isinstance(item, RotateCoupler):
             apply_gate_inplace(
-                amps, n, Gate(GateKind.RY, (params.coupler_qubit,), event.angle)
+                amps, n, Gate(GateKind.RY, (params.coupler_qubit,), item.angle)
             )
             continue
-        n_steps = steps_per_hold(params, event.hold)
-        if params.update_mode == "linear":
-            prev = np.asarray(prev_fields, dtype=float)
-            target = np.asarray(event.fields, dtype=float)
-            for m in range(1, n_steps * refine + 1):
-                f = prev + (m / (n_steps * refine)) * (target - prev)
-                u = expm_hermitian(
-                    dense_hamiltonian(chain_config(params, f)), sub_dt
-                )
-                amps[:] = u @ amps
-        else:
-            cfg = chain_config(params, event.fields)
-            u = expm_hermitian(dense_hamiltonian(cfg), sub_dt)
-            for _ in range(n_steps * refine):
-                amps[:] = u @ amps
-        prev_fields = event.fields
+        fields, repeats = item
+        u = expm_hermitian(dense_hamiltonian(chain_config(params, fields)), params.dt)
+        for _ in range(repeats):
+            amps[:] = u @ amps
     return QuantumState(n, amps)

@@ -1,4 +1,4 @@
-"""Gate-level circuit IR: construction, composition, inversion, depth layering, export.
+"""Gate-level circuit IR: construction, concatenation, inversion, depth layering, export.
 
 Rotation conventions use half-angle generators:
     RX(t) = exp(-i t X / 2),  RY(t) = exp(-i t Y / 2),  RZ(t) = exp(-i t Z / 2).
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class CircuitError(ValueError):
@@ -103,24 +103,6 @@ def empty(n_qubits: int) -> Circuit:
     return Circuit(n_qubits, ())
 
 
-def append(circuit: Circuit, gate: Gate) -> Circuit:
-    """Return ``circuit`` with ``gate`` appended at the end."""
-    if max(gate.qubits) >= circuit.n_qubits:
-        raise CircuitError(
-            f"gate on {gate.qubits} out of range for {circuit.n_qubits} qubits"
-        )
-    return Circuit(circuit.n_qubits, circuit.gates + (gate,))
-
-
-def compose(a: Circuit, b: Circuit) -> Circuit:
-    """Concatenate: acting on a state equals running ``a`` then ``b``."""
-    if a.n_qubits != b.n_qubits:
-        raise CircuitError(
-            f"register size mismatch: {a.n_qubits} vs {b.n_qubits}"
-        )
-    return Circuit(a.n_qubits, a.gates + b.gates)
-
-
 def concat(circuits: Sequence[Circuit]) -> Circuit:
     """Concatenate many circuits at once (avoids quadratic tuple copying)."""
     if not circuits:
@@ -159,27 +141,6 @@ def depth(circuit: Circuit) -> int:
 def gate_counts(circuit: Circuit) -> GateCounts:
     one = sum(1 for g in circuit.gates if g.arity == 1)
     return GateCounts(one_qubit=one, two_qubit=len(circuit.gates) - one)
-
-
-def merge_rotations(circuit: Circuit) -> Circuit:
-    """Optional pass: merge adjacent same-axis rotations on one qubit.
-
-    Two rotations merge only when no intervening gate touches their qubit,
-    so the unitary is unchanged. Off the default compilation path.
-    """
-    out: list[Gate] = []
-    last_on_qubit: dict[int, int] = {}
-    for g in circuit.gates:
-        if g.arity == 1 and g.kind in ROTATION_KINDS:
-            q = g.qubits[0]
-            k = last_on_qubit.get(q)
-            if k is not None and out[k].kind is g.kind and out[k].qubits == g.qubits:
-                out[k] = Gate(g.kind, g.qubits, out[k].angle + g.angle)
-                continue
-        for q in g.qubits:
-            last_on_qubit[q] = len(out)
-        out.append(g)
-    return Circuit(circuit.n_qubits, tuple(out))
 
 
 def to_qasm(circuit: Circuit) -> str:

@@ -4,8 +4,9 @@ and OpenQASM export.
 Config files are flat ``key = value`` text. Keys match ProtocolParams field
 names, plus ``scenario``/``init`` and, for sweeps, ``axis``/``values``.
 Angle values accept ``pi`` fractions like ``pi/3`` or ``2pi/3``. Unknown
-keys are rejected (exit code 2); every emitted report echoes the fully
-resolved parameter set so defaults are never silent.
+keys, non-integer values of integer keys and registers too large to simulate
+are rejected (exit code 2); every emitted report echoes the fully resolved
+parameter set so defaults are never silent.
 """
 from __future__ import annotations
 
@@ -19,19 +20,17 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis
-from .circuit import concat, depth, gate_counts, to_qasm
+from .circuit import to_qasm
 from .protocol import (
     SCENARIOS,
     LogicalLabel,
     ProtocolParams,
-    build_field_schedule,
-    build_protocol_circuit,
     chain_config,
-    count_trotter_steps,
+    compile_scenario,
     initial_fields,
-    resolve_scenario,
     run_scenario,
 )
+from .statevector import RegisterSizeError
 
 
 class ConfigError(ValueError):
@@ -85,11 +84,19 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def parse_int(text: str) -> int:
+    """Parse an integer literal; anything else is a ConfigError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text.strip()!r}") from None
+
+
 def build_params(cfg: dict[str, str], seed_override: int | None = None) -> ProtocolParams:
     kwargs: dict = {}
     for key, value in cfg.items():
         if key in _INT_KEYS:
-            kwargs[key] = int(value)
+            kwargs[key] = parse_int(value)
         elif key in _FLOAT_KEYS:
             kwargs[key] = parse_number(value)
         elif key in _STR_KEYS:
@@ -128,24 +135,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _full_pipeline(params: ProtocolParams, scenario: str, init: LogicalLabel):
-    """Compile init + evolution + readout without simulating."""
-    from .protocol import (
-        domain_amplitudes,
-        initialization_circuit,
-        target_prep_circuit,
-    )
-    from .circuit import inverse
-
-    eff, prep_coupler, rotate, theta_applied = resolve_scenario(params, scenario)
-    schedule = build_field_schedule(eff, include_rotation=rotate)
-    evo = build_protocol_circuit(eff, schedule)
-    init_c = initialization_circuit(eff, init, include_coupler_prep=prep_coupler)
-    a, b = domain_amplitudes(init, theta_applied)
-    readout = inverse(target_prep_circuit(eff, a, b))
-    return eff, schedule, concat([init_c, evo, readout]), evo
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -158,28 +147,29 @@ def _write_out(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _write_json(report, out_path: str | None) -> None:
+    """Dataclasses in ``report`` (params, gate counts, bounds) are written
+    as objects of their fields."""
+    text = json.dumps(report, indent=2, sort_keys=True, default=dataclasses.asdict)
+    _write_out(text + "\n", out_path)
+
+
 def cmd_run(cfg: dict[str, str], out_path: str | None, seed: int | None,
             depth_only: bool) -> int:
     params = build_params(cfg, seed)
     scenario, init = resolve_scenario_init(cfg)
     if depth_only:
-        eff, schedule, full, evo = _full_pipeline(params, scenario, init)
-        counts = gate_counts(full)
+        compiled = compile_scenario(params, scenario, init)
         report = {
             "scenario": scenario,
             "init": init.value,
-            "depth_total": depth(full),
-            "depth_evolution_only": depth(evo),
-            "gate_counts": {"one_qubit": counts.one_qubit,
-                            "two_qubit": counts.two_qubit},
-            "trotter_steps": count_trotter_steps(eff, schedule),
-            "depth_bound": dataclasses.asdict(analysis.depth_upper_bound(eff)),
-            "params": {f.name: getattr(eff, f.name)
-                       for f in dataclasses.fields(eff)},
+            **compiled.structure(),
+            "depth_bound": analysis.depth_upper_bound(compiled.params),
+            "params": compiled.params,
         }
     else:
-        report = run_scenario(params, scenario, init).to_dict()
-    _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
+        report = run_scenario(params, scenario, init)
+    _write_json(report, out_path)
     return 0
 
 
@@ -197,25 +187,18 @@ def _sweep_point(args) -> str:
     params = build_params(point, row_seed)
     init = LogicalLabel(init_name)
     if depth_only:
-        eff, schedule, full, evo = _full_pipeline(params, scenario, init)
-        exact = sampled = stderr = float("nan")
-        d_total, d_evo = depth(full), depth(evo)
-        steps = count_trotter_steps(eff, schedule)
-        bounds = {
-            "per_step": analysis.per_step_error_bound(eff),
-            "total": analysis.total_error_bound(eff),
-            "adiabatic_margin": analysis.adiabatic_margin(eff),
-        }
+        compiled = compile_scenario(params, scenario, init)
+        nan = float("nan")
+        rep = dict(compiled.structure(), exact_fidelity=nan, sampled_fidelity=nan,
+                   sampled_stderr=nan, bound_values=analysis.bound_values(compiled.params))
     else:
-        rep = run_scenario(params, scenario, init)
-        exact, sampled, stderr = (rep.exact_fidelity, rep.sampled_fidelity,
-                                  rep.sampled_stderr)
-        d_total, d_evo = rep.depth_total, rep.depth_evolution_only
-        steps, bounds = rep.trotter_steps, rep.bound_values
+        rep = run_scenario(params, scenario, init).to_dict()
+    bounds = rep["bound_values"]
     return ",".join([
-        _fmt(value), scenario, init.value, _fmt(exact), _fmt(sampled),
-        _fmt(stderr), str(d_total), str(d_evo), str(steps),
-        _fmt(bounds["per_step"]), _fmt(bounds["total"]),
+        _fmt(value), scenario, init.value, _fmt(rep["exact_fidelity"]),
+        _fmt(rep["sampled_fidelity"]), _fmt(rep["sampled_stderr"]),
+        str(rep["depth_total"]), str(rep["depth_evolution_only"]),
+        str(rep["trotter_steps"]), _fmt(bounds["per_step"]), _fmt(bounds["total"]),
         _fmt(bounds["adiabatic_margin"]), str(row_seed),
     ])
 
@@ -229,13 +212,12 @@ def cmd_sweep(cfg: dict[str, str], out_path: str | None, seed: int | None,
     axis = cfg["axis"]
     if axis not in _PARAM_KEYS - _STR_KEYS:
         raise ConfigError(f"axis must be a numeric parameter, got {axis!r}")
-    values = [parse_number(v) for v in cfg["values"].split(",") if v.strip()]
+    parse = parse_int if axis in _INT_KEYS else parse_number
+    values = [parse(v) for v in cfg["values"].split(",") if v.strip()]
     if not values:
         raise ConfigError("values list is empty")
-    if axis in _INT_KEYS:
-        values = [int(v) for v in values]
     scenario, init = resolve_scenario_init(cfg)
-    master = seed if seed is not None else int(cfg.get("seed", 1))
+    master = seed if seed is not None else parse_int(cfg.get("seed", "1"))
     base = {k: v for k, v in cfg.items()
             if k in _PARAM_KEYS and k != axis}
     work = [
@@ -254,17 +236,18 @@ def cmd_sweep(cfg: dict[str, str], out_path: str | None, seed: int | None,
 
 def cmd_bounds(cfg: dict[str, str], out_path: str | None, seed: int | None) -> int:
     params = build_params(cfg, seed)
+    bounds = analysis.bound_values(params)
     report: dict = {
-        "per_step_bound": analysis.per_step_error_bound(params),
-        "total_bound": analysis.total_error_bound(params),
-        "adiabatic_margin": analysis.adiabatic_margin(params),
+        "per_step_bound": bounds["per_step"],
+        "total_bound": bounds["total"],
+        "adiabatic_margin": bounds["adiabatic_margin"],
     }
     cfg_start = chain_config(params, initial_fields(params))
-    bounds = analysis.commutator_bounds(cfg_start)
+    comm = analysis.commutator_bounds(cfg_start)
     report["commutator_norm_bounds"] = {
-        "JZ_even": bounds["zz_first_zeeman"],
-        "JZ_odd": bounds["zz_second_zeeman"],
-        "Z_CI": bounds["zeeman_coupler"],
+        "JZ_even": comm["zz_first_zeeman"],
+        "JZ_odd": comm["zz_second_zeeman"],
+        "Z_CI": comm["zeeman_coupler"],
     }
     if params.n_qubits <= 10:
         rep = analysis.commutator_norms(cfg_start)
@@ -277,17 +260,15 @@ def cmd_bounds(cfg: dict[str, str], out_path: str | None, seed: int | None) -> i
     else:
         report["exact_commutator_norms"] = None
         report["note"] = "exact norms omitted: register exceeds 10 qubits"
-    report["params"] = {f.name: getattr(params, f.name)
-                        for f in dataclasses.fields(params)}
-    _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
+    report["params"] = params
+    _write_json(report, out_path)
     return 0
 
 
 def cmd_export(cfg: dict[str, str], out_path: str | None, seed: int | None) -> int:
     params = build_params(cfg, seed)
     scenario, init = resolve_scenario_init(cfg)
-    _, _, full, _ = _full_pipeline(params, scenario, init)
-    _write_out(to_qasm(full), out_path)
+    _write_out(to_qasm(compile_scenario(params, scenario, init).full_circuit), out_path)
     return 0
 
 
@@ -311,9 +292,11 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to key=value config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (sweep)")
-        p.add_argument("--depth-only", action="store_true",
-                       help="compile and report depth without simulating")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        if name in ("run", "sweep"):
+            p.add_argument("--depth-only", action="store_true",
+                           help="compile and report depth without simulating")
     return parser
 
 
@@ -336,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bounds":
             return cmd_bounds(cfg, args.out, args.seed)
         return cmd_export(cfg, args.out, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, RegisterSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

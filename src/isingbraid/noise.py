@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, concat
+from .circuit import Circuit, Gate, GateKind
 from .protocol import (
     LogicalLabel,
     ProtocolParams,
@@ -24,6 +24,7 @@ from .statevector import (
     QuantumState,
     SampleCounts,
     apply_gate_inplace,
+    check_register,
     run,
     zero_state,
 )
@@ -110,10 +111,12 @@ def noisy_fidelity(
     seed: int | None = None,
 ) -> tuple[float, float]:
     """Mean and standard error of the exact scenario fidelity over noise
-    trajectories. Trajectory seeds derive from (master seed, index)."""
+    trajectories. Trajectory seeds derive from (master seed, index). A
+    register too large to simulate is rejected before anything is compiled."""
+    check_register(params.n_qubits)
     run_ = compile_scenario(params, scenario, init)
     eff = run_.params
-    full = concat([run_.init_circuit, run_.evolution_circuit])
+    full = run_.prepared_circuit
     initial = zero_state(eff.n_qubits)
     master = params.seed if seed is None else seed
     values = np.empty(model.trajectories)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .circuit import (
 from .statevector import (
     QuantumState,
     SampleCounts,
+    check_register,
     run,
     sample,
     zero_state,
@@ -247,37 +249,50 @@ def count_trotter_steps(params: ProtocolParams, schedule: FieldSchedule) -> int:
     )
 
 
-def build_protocol_circuit(
-    params: ProtocolParams, schedule: FieldSchedule
-) -> Circuit:
-    """Compile the schedule into the full evolution circuit (no init/readout).
+def walk_schedule(params: ProtocolParams, schedule: FieldSchedule):
+    """Yield each coupler rotation as is and each hold as
+    (step fields, repeat count).
 
-    Each hold emits its Trotter steps at the event's fields (``stepped``
-    mode) or at linearly interpolated fields (``linear`` mode); coupler
-    rotation events emit a single RY on the coupler qubit.
+    A ``stepped`` hold is one entry at the event's fields, repeated for every
+    Trotter step of the hold; a ``linear`` hold is one entry per step, at
+    fields interpolated from the previous hold's towards the event's.
     """
-    n = params.n_qubits
-    parts: list[Circuit] = []
     prev_fields = initial_fields(params)
     for event in schedule.events:
         if isinstance(event, RotateCoupler):
-            parts.append(
-                Circuit(n, (Gate(GateKind.RY, (params.coupler_qubit,), event.angle),))
-            )
+            yield event
             continue
         n_steps = steps_per_hold(params, event.hold)
         if params.update_mode == "linear":
             prev = np.asarray(prev_fields, dtype=float)
             target = np.asarray(event.fields, dtype=float)
             for m in range(1, n_steps + 1):
-                f = prev + (m / n_steps) * (target - prev)
-                parts.append(trotter_step_circuit(chain_config(params, f), params.dt))
+                yield prev + (m / n_steps) * (target - prev), 1
         else:
-            step = trotter_step_circuit(
-                chain_config(params, event.fields), params.dt
-            )
-            parts.extend([step] * n_steps)
+            yield event.fields, n_steps
         prev_fields = event.fields
+
+
+def build_protocol_circuit(
+    params: ProtocolParams, schedule: FieldSchedule
+) -> Circuit:
+    """Compile the schedule into the full evolution circuit (no init/readout).
+
+    Each entry of ``walk_schedule`` emits one Trotter step circuit, repeated
+    as often as the entry says; coupler rotation events emit a single RY on
+    the coupler qubit.
+    """
+    n = params.n_qubits
+    parts: list[Circuit] = []
+    for item in walk_schedule(params, schedule):
+        if isinstance(item, RotateCoupler):
+            parts.append(
+                Circuit(n, (Gate(GateKind.RY, (params.coupler_qubit,), item.angle),))
+            )
+            continue
+        fields, repeats = item
+        step = trotter_step_circuit(chain_config(params, fields), params.dt)
+        parts.extend([step] * repeats)
     if not parts:
         return empty(n)
     return concat(parts)
@@ -401,7 +416,9 @@ def all_zeros_frequency(counts: SampleCounts, data_bits) -> float:
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """All artifacts of one compiled scenario, before fidelity extraction."""
+    """All artifacts of one compiled scenario. Its two dense vectors, the
+    target chain state and the simulated final state, are built on first
+    read, so a scenario of any size can be compiled, counted and exported."""
 
     params: ProtocolParams
     scenario: str
@@ -411,8 +428,38 @@ class ScenarioRun:
     init_circuit: Circuit
     evolution_circuit: Circuit
     readout_circuit: Circuit
-    target_chain: np.ndarray
-    final_state: QuantumState
+
+    @property
+    def prepared_circuit(self) -> Circuit:
+        """Initialization followed by evolution: the circuit that is simulated."""
+        return concat([self.init_circuit, self.evolution_circuit])
+
+    @property
+    def full_circuit(self) -> Circuit:
+        """Initialization, evolution and readout: the circuit that is exported."""
+        return concat([self.init_circuit, self.evolution_circuit, self.readout_circuit])
+
+    @cached_property
+    def target_chain(self) -> np.ndarray:
+        """The expected chain state, coupler excluded."""
+        a, b = domain_amplitudes(self.init, self.theta_applied)
+        return target_chain_state(self.params, a, b)
+
+    @cached_property
+    def final_state(self) -> QuantumState:
+        """The noiseless state after evolution, simulated on first read."""
+        return run(zero_state(self.params.n_qubits), self.prepared_circuit)
+
+    def structure(self) -> dict:
+        """Depths, gate counts and Trotter steps: the report values that
+        need no simulation."""
+        full = self.full_circuit
+        return {
+            "depth_total": depth(full),
+            "depth_evolution_only": depth(self.evolution_circuit),
+            "gate_counts": gate_counts(full),
+            "trotter_steps": count_trotter_steps(self.params, self.schedule),
+        }
 
 
 @dataclass(frozen=True)
@@ -430,30 +477,7 @@ class FidelityReport:
     params: ProtocolParams
 
     def to_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "init": self.init,
-            "exact_fidelity": self.exact_fidelity,
-            "sampled_fidelity": self.sampled_fidelity,
-            "sampled_stderr": self.sampled_stderr,
-            "depth_total": self.depth_total,
-            "depth_evolution_only": self.depth_evolution_only,
-            "gate_counts": {
-                "one_qubit": self.gate_counts.one_qubit,
-                "two_qubit": self.gate_counts.two_qubit,
-            },
-            "trotter_steps": self.trotter_steps,
-            "bound_values": dict(self.bound_values),
-            "params": {
-                k: getattr(self.params, k)
-                for k in (
-                    "N_s", "J", "J_C", "h_ferro", "h_para", "dt", "dh", "T",
-                    "Gamma", "theta", "shots", "seed", "update_mode",
-                    "coupler_prep",
-                )
-            },
-        }
-        return d
+        return asdict(self)
 
 
 def resolve_scenario(
@@ -472,26 +496,20 @@ def resolve_scenario(
 def compile_scenario(
     params: ProtocolParams, scenario: str, init: LogicalLabel
 ) -> ScenarioRun:
-    """Build circuits, simulate, and assemble the target for one scenario."""
+    """Build the schedule and the init, evolution and readout circuits of one
+    scenario, without simulating."""
     eff, prep_coupler, rotate, theta_applied = resolve_scenario(params, scenario)
     schedule = build_field_schedule(eff, include_rotation=rotate)
-    evo = build_protocol_circuit(eff, schedule)
-    init_c = initialization_circuit(eff, init, include_coupler_prep=prep_coupler)
     a, b = domain_amplitudes(init, theta_applied)
-    target = target_chain_state(eff, a, b)
-    readout = inverse(target_prep_circuit(eff, a, b))
-    final = run(zero_state(eff.n_qubits), concat([init_c, evo]))
     return ScenarioRun(
         params=eff,
         scenario=scenario,
         init=init,
         theta_applied=theta_applied,
         schedule=schedule,
-        init_circuit=init_c,
-        evolution_circuit=evo,
-        readout_circuit=readout,
-        target_chain=target,
-        final_state=final,
+        init_circuit=initialization_circuit(eff, init, include_coupler_prep=prep_coupler),
+        evolution_circuit=build_protocol_circuit(eff, schedule),
+        readout_circuit=inverse(target_prep_circuit(eff, a, b)),
     )
 
 
@@ -515,28 +533,20 @@ def run_scenario(
     params: ProtocolParams, scenario: str, init: LogicalLabel
 ) -> FidelityReport:
     """Simulate one benchmark scenario and report fidelities, depths, and
-    bound values."""
+    bound values. A register too large to simulate is rejected before
+    anything is compiled."""
+    check_register(params.n_qubits)
     run_ = compile_scenario(params, scenario, init)
     eff = run_.params
     exact = chain_fidelity(run_.final_state, run_.target_chain, eff.coupler_qubit)
-    counts = readout_counts(run_)
-    sampled, stderr = sampled_fidelity_from_counts(counts, eff.data_qubits)
-    full = concat([run_.init_circuit, run_.evolution_circuit, run_.readout_circuit])
-    bounds = {
-        "per_step": analysis.per_step_error_bound(eff),
-        "total": analysis.total_error_bound(eff),
-        "adiabatic_margin": analysis.adiabatic_margin(eff),
-    }
+    sampled, stderr = sampled_fidelity_from_counts(readout_counts(run_), eff.data_qubits)
     return FidelityReport(
         scenario=scenario,
         init=init.value,
         exact_fidelity=exact,
         sampled_fidelity=sampled,
         sampled_stderr=stderr,
-        depth_total=depth(full),
-        depth_evolution_only=depth(run_.evolution_circuit),
-        gate_counts=gate_counts(full),
-        trotter_steps=count_trotter_steps(eff, run_.schedule),
-        bound_values=bounds,
+        bound_values=analysis.bound_values(eff),
         params=eff,
+        **run_.structure(),
     )

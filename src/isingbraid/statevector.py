@@ -46,6 +46,21 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return rotation_matrix(gate.kind, gate.angle)
 
 
+class RegisterSizeError(ValueError):
+    """A register outside the sizes the dense engine can hold."""
+
+
+def check_register(n_qubits: int) -> None:
+    """Reject a register the dense engine cannot hold, before anything of
+    its size is allocated."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        gib = 16 * 2.0**n_qubits / 2**30
+        raise RegisterSizeError(
+            f"register size {n_qubits} outside [1, {MAX_QUBITS}]: its state "
+            f"would need {gib:.3g} GiB"
+        )
+
+
 @dataclass
 class QuantumState:
     """Normalized complex amplitude vector over 2**n_qubits basis states."""
@@ -54,8 +69,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"register size {self.n_qubits} outside [1, {MAX_QUBITS}]")
+        check_register(self.n_qubits)
         self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude vector length must be 2**n_qubits")
@@ -81,6 +95,7 @@ class SampleCounts:
 
 
 def zero_state(n: int) -> QuantumState:
+    check_register(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return QuantumState(n, amps)

@@ -153,6 +153,30 @@ def test_exact_evolve_single_hold_vs_trotter_steps():
     assert err >= 0  # sanity
 
 
+def test_linear_multi_event_schedule_gate_level_matches_exact():
+    # FAST params with a short step, and one field update per shift so the
+    # summed per-step bounds stay below 1: 12 events with three rotations,
+    # 36 linearly interpolated steps.
+    import warnings
+    from dataclasses import replace
+
+    from isingbraid.protocol import compile_scenario, count_trotter_steps
+    from isingbraid.statevector import run
+
+    fast = ProtocolParams(dh=0.5, T=0.5, dt=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = replace(fast, update_mode="linear", dt=0.02, T=0.08, dh=5.0)
+    compiled = compile_scenario(p, "braid", LogicalLabel.ALL_UP)
+    assert len(compiled.schedule) == 12
+    initial = run(zero_state(p.n_qubits), compiled.init_circuit)
+    exact = exact_evolve(compiled.schedule, p, initial)
+    trotterized = run(initial, compiled.evolution_circuit)
+    bound = count_trotter_steps(p, compiled.schedule) * per_step_error_bound(p)
+    assert bound < 1
+    assert np.linalg.norm(exact.amplitudes - trotterized.amplitudes) <= bound
+
+
 def test_exact_evolve_rejects_oversized_register():
     from dataclasses import replace
 

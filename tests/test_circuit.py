@@ -10,14 +10,11 @@ from isingbraid.circuit import (
     CircuitError,
     Gate,
     GateKind,
-    append,
-    compose,
     concat,
     depth,
     empty,
     gate_counts,
     inverse,
-    merge_rotations,
     to_qasm,
 )
 from isingbraid.statevector import dense_unitary
@@ -47,25 +44,27 @@ def test_circuit_rejects_out_of_range_gate():
         Circuit(0)
 
 
-def test_compose_and_append():
-    a = append(empty(2), Gate(GateKind.H, (0,)))
-    b = append(empty(2), Gate(GateKind.CNOT, (0, 1)))
-    ab = compose(a, b)
+def test_concat_gate_order_and_length():
+    a = Circuit(2, (Gate(GateKind.H, (0,)),))
+    b = Circuit(2, (Gate(GateKind.CNOT, (0, 1)),))
+    ab = concat([a, b])
     assert [g.kind for g in ab] == [GateKind.H, GateKind.CNOT]
     assert len(ab) == 2
-    with pytest.raises(CircuitError):
-        compose(a, empty(3))
+    with pytest.raises(CircuitError, match="mismatch"):
+        concat([a, empty(3)])
 
 
-def test_concat_matches_repeated_compose():
+def test_concat_flattens_parts_and_rejects_empty_list():
     parts = [
         Circuit(2, (Gate(GateKind.RX, (0,), 0.1),)),
         Circuit(2, (Gate(GateKind.CNOT, (1, 0),),)),
+        empty(2),
         Circuit(2, (Gate(GateKind.RZ, (1,), -0.4),)),
     ]
     c = concat(parts)
-    d = compose(compose(parts[0], parts[1]), parts[2])
-    assert c == d
+    assert c == Circuit(2, tuple(g for part in parts for g in part))
+    with pytest.raises(CircuitError, match="at least one"):
+        concat([])
 
 
 def test_inverse_is_unitary_inverse():
@@ -138,35 +137,6 @@ def test_gate_counts():
     counts = gate_counts(c)
     assert counts.one_qubit == 2
     assert counts.two_qubit == 1
-
-
-def test_merge_rotations_merges_adjacent_same_axis():
-    c = Circuit(
-        2,
-        (
-            Gate(GateKind.RZ, (0,), 0.2),
-            Gate(GateKind.RZ, (0,), 0.3),
-            Gate(GateKind.CNOT, (0, 1)),
-            Gate(GateKind.RZ, (0,), 0.1),
-        ),
-    )
-    m = merge_rotations(c)
-    assert len(m) == 3
-    assert m.gates[0].angle == pytest.approx(0.5)
-    # unitary unchanged
-    assert np.allclose(dense_unitary(c), dense_unitary(m), atol=1e-12)
-
-
-def test_merge_rotations_blocked_by_intervening_gate():
-    c = Circuit(
-        2,
-        (
-            Gate(GateKind.RZ, (0,), 0.2),
-            Gate(GateKind.H, (0,)),
-            Gate(GateKind.RZ, (0,), 0.3),
-        ),
-    )
-    assert len(merge_rotations(c)) == 3
 
 
 def test_qasm_format():

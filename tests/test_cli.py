@@ -76,6 +76,35 @@ def test_invalid_value_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("line", ["N_s = 6.5", "seed = abc"])
+def test_non_integer_config_value_is_exit_2(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, FAST_CFG + line + "\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_sweep_non_integer_axis_values_are_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_CFG + "axis = N_s\nvalues = 6.5,8.9\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--depth-only"]) == 2
+    assert "'6.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--jobs", "2"],
+    ["export", "--depth-only"],
+    ["bounds", "--jobs", "2"],
+    ["run", "--jobs", "2"],
+])
+def test_flags_only_on_the_commands_that_use_them(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, FAST_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sweep_missing_axis_names_the_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_CFG)
     assert main(["sweep", "--config", cfg]) == 2
@@ -102,6 +131,35 @@ def test_run_depth_only_skips_simulation(tmp_path):
     assert "exact_fidelity" not in report
     assert report["depth_total"] >= report["depth_evolution_only"] > 0
     assert report["depth_bound"]["integer"] >= report["depth_evolution_only"]
+
+
+def test_run_depth_only_agrees_with_full_run(tmp_path):
+    cfg = write_cfg(tmp_path, FAST_CFG + "update_mode = linear\n")
+    full, only = tmp_path / "full.json", tmp_path / "only.json"
+    assert main(["run", "--config", cfg, "--out", str(full)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(only), "--depth-only"]) == 0
+    full, only = json.loads(full.read_text()), json.loads(only.read_text())
+    for key in ("depth_total", "depth_evolution_only", "gate_counts",
+                "trotter_steps", "params"):
+        assert only[key] == full[key], key
+
+
+def test_register_too_large_to_simulate(tmp_path, capsys, monkeypatch):
+    from isingbraid import protocol
+
+    def refuse(*args):
+        raise AssertionError("compiled before the register size was checked")
+
+    # 27 qubits: over the simulator's limit, yet compiled in about a second.
+    cfg = write_cfg(tmp_path, FAST_CFG + "N_s = 26\n")
+    monkeypatch.setattr(protocol, "compile_scenario", refuse)
+    assert main(["run", "--config", cfg]) == 2
+    monkeypatch.undo()
+    assert "2 GiB" in capsys.readouterr().err
+    out = tmp_path / "depth.json"
+    assert main(["run", "--config", cfg, "--out", str(out), "--depth-only"]) == 0
+    assert json.loads(out.read_text())["params"]["N_s"] == 26
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b.json")]) == 0
 
 
 def test_run_determinism_byte_identical(tmp_path):
@@ -213,8 +271,8 @@ def test_export_round_trip(tmp_path):
     import numpy as np
 
     from isingbraid.circuit import QASM_HEADER_LINES
-    from isingbraid.cli import _full_pipeline, build_params
-    from isingbraid.protocol import LogicalLabel
+    from isingbraid.cli import build_params
+    from isingbraid.protocol import LogicalLabel, compile_scenario
     from isingbraid.statevector import run, zero_state
 
     cfg = write_cfg(tmp_path, FAST_CFG)
@@ -222,7 +280,7 @@ def test_export_round_trip(tmp_path):
     assert main(["export", "--config", cfg, "--out", str(out)]) == 0
     text = out.read_text()
     params = build_params(parse_config(FAST_CFG))
-    _, _, full, _ = _full_pipeline(params, "braid", LogicalLabel.ALL_UP)
+    full = compile_scenario(params, "braid", LogicalLabel.ALL_UP).full_circuit
     assert len(text.splitlines()) == len(full) + QASM_HEADER_LINES
     # re-simulating the exported gate list reproduces the state bit-exactly
     reparsed = _parse_qasm(text)

@@ -18,6 +18,18 @@ FAST = ProtocolParams(dh=0.5, T=0.5, dt=0.2, shots=2000)
 BELL = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))))
 
 
+def test_noisy_fidelity_rejects_large_register_before_compiling(monkeypatch):
+    import isingbraid.noise as noise
+
+    def refuse(*args):
+        raise AssertionError("compiled before the register size was checked")
+
+    monkeypatch.setattr(noise, "compile_scenario", refuse)
+    big = ProtocolParams(N_s=30, dh=0.5, T=0.5, dt=0.2)
+    with pytest.raises(ValueError, match="32 GiB"):
+        noisy_fidelity(big, "braid", LogicalLabel.ALL_UP, NoiseModel(eps_phase=0.1))
+
+
 def test_model_validation():
     NoiseModel(eps_bitflip=0.5, eps_phase=0.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from isingbraid.protocol import (
     target_chain_state,
     target_prep_circuit,
     updates_per_shift,
+    walk_schedule,
 )
 from isingbraid.statevector import QuantumState, run, zero_state
 
@@ -226,6 +228,47 @@ def test_build_circuit_step_counts_and_modes():
         circ = build_protocol_circuit(p, sched)
         # same gate count in both modes; only angles differ
         assert len(circ) == n_steps * 23
+
+
+def test_walk_schedule_entries_per_mode():
+    sched = build_field_schedule(FAST, include_rotation=True)
+    n_steps = steps_per_hold(FAST)
+    stepped = list(walk_schedule(FAST, sched))
+    linear = list(walk_schedule(replace(FAST, update_mode="linear"), sched))
+    # stepped: one entry per event; linear: one entry per Trotter step
+    assert len(stepped) == len(sched)
+    assert [e for e in stepped if isinstance(e, RotateCoupler)] == [
+        e for e in sched.events if isinstance(e, RotateCoupler)
+    ]
+    assert [e[1] for e in stepped if isinstance(e, tuple)] == [n_steps] * (
+        count_trotter_steps(FAST, sched) // n_steps
+    )
+    holds = [e for e in linear if isinstance(e, tuple)]
+    assert len(holds) == count_trotter_steps(FAST, sched)
+    assert all(repeats == 1 for _, repeats in holds)
+    # each hold ends on its event's fields, starting from the initial fields
+    first = sched.events[0].fields
+    start = np.asarray(initial_fields(FAST))
+    assert np.allclose(holds[0][0], start + (first - start) / n_steps)
+    assert np.array_equal(holds[n_steps - 1][0], first)
+
+
+def test_run_scenario_rejects_large_register_before_compiling(monkeypatch):
+    import isingbraid.protocol as protocol
+
+    def refuse(*args):
+        raise AssertionError("compiled before the register size was checked")
+
+    monkeypatch.setattr(protocol, "compile_scenario", refuse)
+    with pytest.raises(ValueError, match="32 GiB"):
+        run_scenario(replace(FAST, N_s=30), "braid", LogicalLabel.ALL_UP)
+
+
+def test_compile_scenario_builds_dense_vectors_on_first_read():
+    run_ = compile_scenario(FAST, "braid", LogicalLabel.ALL_UP)
+    assert "final_state" not in vars(run_) and "target_chain" not in vars(run_)
+    assert run_.final_state is run_.final_state
+    assert "final_state" in vars(run_)
 
 
 def test_empty_schedule_gives_empty_circuit():

@@ -54,6 +54,17 @@ def test_gate_matrices_unitary():
         assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
 
+def test_zero_state_checks_size_before_allocating(monkeypatch):
+    import isingbraid.statevector as sv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the register size was checked")
+
+    monkeypatch.setattr(sv.np, "zeros", refuse)
+    with pytest.raises(ValueError, match=f"outside \\[1, {MAX_QUBITS}\\].*16 GiB"):
+        zero_state(30)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         QuantumState(0, np.array([1.0]))
