@@ -5,10 +5,18 @@ Each trajectory inserts X (probability eps_bitflip) and Z (eps_phase)
 independently on every qubit a gate touches, immediately after the gate.
 Averaging exact fidelities over trajectories estimates the density-matrix
 fidelity under the corresponding stochastic Pauli channel.
+
+Trajectories advance together: a batch of them is one C-contiguous
+``(rows, 2**n)`` amplitude array, each gate is applied once to the whole
+batch, and each error only to the rows it hits. The errors are drawn ahead
+of the gates they follow, one chunk of gates at a time, so the draw's memory
+does not grow with gates x trajectories. A single trajectory
+(``run_noisy``) is the one-row batch.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +33,17 @@ from .statevector import (
     SampleCounts,
     apply_gate_inplace,
     check_register,
+    index_to_bitstring,
     run,
     zero_state,
 )
+
+# Amplitude memory of one batch of trajectories in ``noisy_fidelity``; a
+# batch always holds at least one row.
+BATCH_BYTES = 32 << 20
+# Memory of the uniform draws for one chunk of error slots.
+_DRAW_BYTES = 64 << 10
+_PAULIS = (GateKind.X, GateKind.Z)
 
 
 @dataclass(frozen=True)
@@ -40,7 +56,6 @@ class NoiseModel:
 
     eps_bitflip: float = 0.0
     eps_phase: float = 0.0
-    eps_meas: float = 0.0
     trajectories: int = 200
     eps_bitflip_1q: float | None = None
     eps_bitflip_2q: float | None = None
@@ -51,7 +66,6 @@ class NoiseModel:
         for name in (
             "eps_bitflip",
             "eps_phase",
-            "eps_meas",
             "eps_bitflip_1q",
             "eps_bitflip_2q",
             "eps_phase_1q",
@@ -79,28 +93,81 @@ class NoiseModel:
         )
 
 
+def draw_errors(
+    circuit: Circuit, model: NoiseModel, rows: int, rng: np.random.Generator
+) -> Iterator[tuple[int, Gate, np.ndarray]]:
+    """The Pauli errors of ``rows`` trajectories, in the order they act.
+
+    Yields (gate index, error gate, rows it hits): each touched qubit of
+    each gate, in order, gets an X with probability ``bitflip_for(arity)``
+    and then a Z with ``phase_for(arity)``, independently for every row.
+    """
+    gates = circuit.gates
+    arity = np.fromiter((g.arity for g in gates), dtype=np.intp, count=len(gates))
+    # One slot per touched qubit of each gate, in gate order.
+    gate_of = np.repeat(np.arange(len(gates)), arity)
+    qubit_of = np.fromiter(
+        (q for g in gates for q in g.qubits), dtype=np.intp, count=len(gate_of)
+    )
+    slot_arity = np.repeat(arity, arity)
+    # probs[a - 1, pauli] for a gate of arity a, shaped to broadcast over rows.
+    probs = np.array(
+        [[[model.bitflip_for(a)], [model.phase_for(a)]] for a in (1, 2)]
+    )
+    chunk = max(1, _DRAW_BYTES // (16 * rows))
+    for start in range(0, len(gate_of), chunk):
+        p = probs[slot_arity[start:start + chunk] - 1]
+        hits = np.flatnonzero(rng.random((len(p), 2, rows)) < p)
+        if not hits.size:
+            continue
+        # Hits come by slot, then X before Z, then row: each run of equal
+        # keys 2 * slot + pauli is one error gate and the rows it hits.
+        key, row = np.divmod(hits, rows)
+        key += 2 * start
+        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        for a, b in zip([0] + cuts, cuts + [len(key)]):
+            s, pauli_index = divmod(int(key[a]), 2)
+            gate = Gate(_PAULIS[pauli_index], (int(qubit_of[s]),))
+            yield int(gate_of[s]), gate, row[a:b]
+
+
+def run_trajectories(
+    circuit: Circuit,
+    initial: QuantumState,
+    model: NoiseModel,
+    rows: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``rows`` noise trajectories of ``circuit`` from ``initial``, advanced
+    together; row r of the returned ``(rows, 2**n)`` array is trajectory r."""
+    if circuit.n_qubits != initial.n_qubits:
+        raise ValueError("register mismatch")
+    n = initial.n_qubits
+    amps = np.empty((rows, initial.amplitudes.size), dtype=complex)
+    amps[:] = initial.amplitudes
+    flat = amps.reshape(-1)
+    errors = draw_errors(circuit, model, rows, rng)
+    pending = next(errors, None)
+    for i, gate in enumerate(circuit.gates):
+        apply_gate_inplace(flat, n, gate)
+        while pending is not None and pending[0] == i:
+            _, error, hit = pending
+            sub = amps[hit]
+            apply_gate_inplace(sub.reshape(-1), n, error)
+            amps[hit] = sub
+            pending = next(errors, None)
+    return amps
+
+
 def run_noisy(
     circuit: Circuit, initial: QuantumState, model: NoiseModel, seed
 ) -> QuantumState:
     """One noise trajectory; deterministic given ``seed`` (an int or a
     sequence of ints, as accepted by ``numpy.random.default_rng``)."""
-    if circuit.n_qubits != initial.n_qubits:
-        raise ValueError("register mismatch")
     if model.is_noiseless:
         return run(initial, circuit)
-    out = initial.copy()
-    amps, n = out.amplitudes, out.n_qubits
-    rng = np.random.default_rng(seed)
-    for gate in circuit.gates:
-        apply_gate_inplace(amps, n, gate)
-        p_x = model.bitflip_for(gate.arity)
-        p_z = model.phase_for(gate.arity)
-        for q in gate.qubits:
-            if p_x > 0.0 and rng.random() < p_x:
-                apply_gate_inplace(amps, n, Gate(GateKind.X, (q,)))
-            if p_z > 0.0 and rng.random() < p_z:
-                apply_gate_inplace(amps, n, Gate(GateKind.Z, (q,)))
-    return out
+    amps = run_trajectories(circuit, initial, model, 1, np.random.default_rng(seed))
+    return QuantumState(initial.n_qubits, amps[0])
 
 
 def noisy_fidelity(
@@ -111,20 +178,27 @@ def noisy_fidelity(
     seed: int | None = None,
 ) -> tuple[float, float]:
     """Mean and standard error of the exact scenario fidelity over noise
-    trajectories. Trajectory seeds derive from (master seed, index). A
-    register too large to simulate is rejected before anything is compiled."""
+    trajectories. All trajectories draw from one generator seeded by the
+    master seed (``seed``, else ``params.seed``) and run in batches of as
+    many rows as ``BATCH_BYTES`` holds, at least one. A register too large to
+    simulate is rejected before anything is compiled."""
     check_register(params.n_qubits)
     run_ = compile_scenario(params, scenario, init)
     eff = run_.params
     full = run_.prepared_circuit
     initial = zero_state(eff.n_qubits)
-    master = params.seed if seed is None else seed
-    values = np.empty(model.trajectories)
-    for t in range(model.trajectories):
-        final = run_noisy(full, initial, model, seed=[master, t])
-        values[t] = chain_fidelity(final, run_.target_chain, eff.coupler_qubit)
+    rng = np.random.default_rng(params.seed if seed is None else seed)
+    total = model.trajectories
+    step = max(1, BATCH_BYTES // (16 << eff.n_qubits))
+    values = np.empty(total)
+    for start in range(0, total, step):
+        amps = run_trajectories(full, initial, model, min(step, total - start), rng)
+        for r, row in enumerate(amps, start):
+            values[r] = chain_fidelity(
+                QuantumState(eff.n_qubits, row), run_.target_chain, eff.coupler_qubit
+            )
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(model.trajectories)) if model.trajectories > 1 else 0.0
+    stderr = float(values.std(ddof=1) / math.sqrt(total)) if total > 1 else 0.0
     return mean, stderr
 
 
@@ -136,13 +210,19 @@ def apply_measurement_error(
         raise ValueError("eps_meas must be in [0, 1]")
     if eps_meas == 0.0:
         return counts
+    if counts.n_bits > 62:
+        raise ValueError("measurement error packs each shot into one int64")
     rng = np.random.default_rng(seed)
-    flipped: dict[str, int] = {}
-    for bits, c in sorted(counts.counts.items()):
-        arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-        for _ in range(c):
-            flips = rng.random(counts.n_bits) < eps_meas
-            out = arr ^ flips
-            key = "".join("1" if b else "0" for b in out)
-            flipped[key] = flipped.get(key, 0) + 1
+    keys = sorted(counts.counts)
+    bits = np.array([[c == "1" for c in k] for k in keys], dtype=bool).reshape(
+        len(keys), counts.n_bits
+    )
+    shots = np.repeat(bits, [counts.counts[k] for k in keys], axis=0)
+    shots ^= rng.random(shots.shape) < eps_meas
+    packed = shots @ (1 << np.arange(counts.n_bits))
+    values, tallies = np.unique(packed, return_counts=True)
+    flipped = {
+        index_to_bitstring(v, counts.n_bits): int(c)
+        for v, c in zip(values.tolist(), tallies)
+    }
     return SampleCounts(counts=flipped, shots=counts.shots, n_bits=counts.n_bits)

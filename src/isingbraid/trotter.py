@@ -170,6 +170,3 @@ def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:
     if cfg.J_C != 0.0:
         parts.append(coupler_circuit(cfg, cfg.J_C, dt))
     return concat(parts)
-
-
-GATES_PER_STEP_WITH_COUPLER = 23  # 4 pairs x 3 + 6 RX + 5 coupler gates, N_s = 6

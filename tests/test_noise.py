@@ -7,8 +7,10 @@ from isingbraid.circuit import Circuit, Gate, GateKind
 from isingbraid.noise import (
     NoiseModel,
     apply_measurement_error,
+    draw_errors,
     noisy_fidelity,
     run_noisy,
+    run_trajectories,
 )
 from isingbraid.protocol import LogicalLabel, ProtocolParams, run_scenario
 from isingbraid.statevector import SampleCounts, fidelity, run, zero_state
@@ -164,3 +166,86 @@ def test_measurement_error_binomial_rate():
     out = apply_measurement_error(counts, 1e-2, seed=4)
     frac = out.counts.get("000000", 0) / out.shots
     assert frac == pytest.approx((1 - 1e-2) ** 6, abs=0.01)
+
+
+@pytest.mark.parametrize("slots_per_chunk", [None, 1])
+def test_batch_rows_replay_their_drawn_errors(monkeypatch, slots_per_chunk):
+    import isingbraid.noise as noise
+
+    rows = 32
+    if slots_per_chunk is not None:
+        monkeypatch.setattr(noise, "_DRAW_BYTES", 16 * rows * slots_per_chunk)
+    model = NoiseModel(eps_bitflip=0.3, eps_phase=0.2)
+    batch = run_trajectories(BELL, zero_state(2), model, rows, np.random.default_rng(3))
+    inserted = [[] for _ in range(rows)]
+    for index, error, hit in draw_errors(BELL, model, rows, np.random.default_rng(3)):
+        for r in hit:
+            inserted[r].append((index, error))
+    assert any(inserted) and not all(inserted)
+    for r in range(rows):
+        gates = []
+        for i, gate in enumerate(BELL.gates):
+            gates.append(gate)
+            gates += [error for index, error in inserted[r] if index == i]
+        replay = run(zero_state(2), Circuit(2, tuple(gates)))
+        assert np.array_equal(batch[r], replay.amplitudes)
+
+
+def test_batched_trajectory_estimator_is_unbiased():
+    px = pz = 0.1
+    exact = _enumerated_bell_fidelity(px, pz)
+    model = NoiseModel(eps_bitflip=px, eps_phase=pz)
+    target = run(zero_state(2), BELL).amplitudes
+    n = 100_000
+    batch = run_trajectories(BELL, zero_state(2), model, n, np.random.default_rng(9))
+    vals = np.abs(batch @ target.conj()) ** 2
+    stderr = vals.std(ddof=1) / math.sqrt(n)
+    assert vals.mean() == pytest.approx(exact, abs=3 * stderr)
+
+
+def test_noisy_fidelity_batches_stay_within_row_budget(monkeypatch):
+    import isingbraid.noise as noise
+
+    monkeypatch.setattr(noise, "BATCH_BYTES", 2 * (16 << FAST.n_qubits))
+    sizes = []
+
+    def recording(circuit, initial, model, rows, rng):
+        sizes.append(rows)
+        return run_trajectories(circuit, initial, model, rows, rng)
+
+    monkeypatch.setattr(noise, "run_trajectories", recording)
+    model = NoiseModel(eps_bitflip=1e-2, eps_phase=1e-2, trajectories=5)
+    first = noisy_fidelity(FAST, "braid", LogicalLabel.ALL_UP, model, seed=4)
+    assert sizes == [2, 2, 1]
+    again = noisy_fidelity(FAST, "braid", LogicalLabel.ALL_UP, model, seed=4)
+    assert again == first
+
+
+def _measurement_error_per_shot(counts, eps_meas, seed):
+    """Shot-by-shot reference: one draw of ``n_bits`` uniforms per shot,
+    shots in sorted bit-string order."""
+    rng = np.random.default_rng(seed)
+    flipped = {}
+    for bits, c in sorted(counts.counts.items()):
+        arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        for _ in range(c):
+            out = arr ^ (rng.random(counts.n_bits) < eps_meas)
+            key = "".join("1" if b else "0" for b in out)
+            flipped[key] = flipped.get(key, 0) + 1
+    return flipped
+
+
+@pytest.mark.parametrize("eps", [1e-2, 0.3, 1.0])
+def test_measurement_error_matches_per_shot_reference(eps):
+    counts = SampleCounts(
+        counts={"0000000": 700, "1010011": 250, "1111111": 50}, shots=1000, n_bits=7
+    )
+    out = apply_measurement_error(counts, eps, seed=8)
+    assert out.counts == _measurement_error_per_shot(counts, eps, seed=8)
+    assert out.shots == counts.shots and out.n_bits == counts.n_bits
+
+
+def test_measurement_error_rejects_counts_too_wide_to_pack():
+    counts = SampleCounts(counts={"0" * 63: 1}, shots=1, n_bits=63)
+    with pytest.raises(ValueError, match="int64"):
+        apply_measurement_error(counts, 0.1, seed=0)

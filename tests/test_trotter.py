@@ -14,7 +14,6 @@ from isingbraid.analysis import (
 from isingbraid.circuit import CircuitError, depth
 from isingbraid.statevector import dense_unitary
 from isingbraid.trotter import (
-    GATES_PER_STEP_WITH_COUPLER,
     ChainConfig,
     chain_pairs,
     coupler_circuit,
@@ -113,7 +112,8 @@ def test_step_depth_is_size_independent():
 
 
 def test_step_gate_count():
-    assert len(trotter_step_circuit(CFG6, DT)) == GATES_PER_STEP_WITH_COUPLER
+    # 4 pairs x 3 + 6 RX + 5 coupler gates, N_s = 6
+    assert len(trotter_step_circuit(CFG6, DT)) == 23
     no_coupler = ChainConfig(chain_len=3, J=1.0, J_C=0.0, fields=CFG6.fields)
     assert len(trotter_step_circuit(no_coupler, DT)) == 18
 
