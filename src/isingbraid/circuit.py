@@ -127,12 +127,19 @@ def depth(circuit: Circuit) -> int:
     A gate joins the earliest layer after the last layer touching any of its
     qubits, so two gates sharing a qubit are never reordered.
     """
-    busy_until = [0] * circuit.n_qubits
+    busy = [0] * circuit.n_qubits
     d = 0
     for g in circuit.gates:
-        layer = 1 + max(busy_until[q] for q in g.qubits)
-        for q in g.qubits:
-            busy_until[q] = layer
+        qubits = g.qubits
+        if len(qubits) == 1:
+            q = qubits[0]
+            layer = busy[q] + 1
+            busy[q] = layer
+        else:
+            a, b = qubits
+            x, y = busy[a], busy[b]
+            layer = (x if x > y else y) + 1
+            busy[a] = busy[b] = layer
         if layer > d:
             d = layer
     return d

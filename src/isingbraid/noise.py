@@ -7,11 +7,12 @@ Averaging exact fidelities over trajectories estimates the density-matrix
 fidelity under the corresponding stochastic Pauli channel.
 
 Trajectories advance together: a batch of them is one C-contiguous
-``(rows, 2**n)`` amplitude array, each gate is applied once to the whole
-batch, and each error only to the rows it hits. The errors are drawn ahead
-of the gates they follow, one chunk of gates at a time, so the draw's memory
-does not grow with gates x trajectories. A single trajectory
-(``run_noisy``) is the one-row batch.
+``(rows, 2**n)`` amplitude array. Each stretch of gates between two errors
+goes through ``statevector.apply_gates_inplace`` once for the whole batch,
+the executor ``statevector.run`` uses, and each error goes only to the rows
+it hits. The errors are drawn ahead of the gates they follow, one chunk of
+gates at a time, so the draw's memory does not grow with gates x
+trajectories. A single trajectory (``run_noisy``) is the one-row batch.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .statevector import (
     QuantumState,
     SampleCounts,
     apply_gate_inplace,
+    apply_gates_inplace,
     check_register,
     index_to_bitstring,
     run,
@@ -145,17 +147,18 @@ def run_trajectories(
     n = initial.n_qubits
     amps = np.empty((rows, initial.amplitudes.size), dtype=complex)
     amps[:] = initial.amplitudes
-    flat = amps.reshape(-1)
-    errors = draw_errors(circuit, model, rows, rng)
-    pending = next(errors, None)
-    for i, gate in enumerate(circuit.gates):
-        apply_gate_inplace(flat, n, gate)
-        while pending is not None and pending[0] == i:
-            _, error, hit = pending
-            sub = amps[hit]
-            apply_gate_inplace(sub.reshape(-1), n, error)
-            amps[hit] = sub
-            pending = next(errors, None)
+    gates = circuit.gates
+    # Each error-free stretch of gates runs as one batch; an error follows
+    # the last gate of its stretch, on the rows it hits.
+    start = 0
+    for index, error, hit in draw_errors(circuit, model, rows, rng):
+        if index >= start:
+            apply_gates_inplace(amps, n, gates[start:index + 1])
+            start = index + 1
+        sub = amps[hit]
+        apply_gate_inplace(sub.reshape(-1), n, error)
+        amps[hit] = sub
+    apply_gates_inplace(amps, n, gates[start:])
     return amps
 
 

@@ -7,6 +7,7 @@ Conventions: qubit 0 is the least-significant bit of the basis index
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# Gates that send each basis state to one basis state times a phase. A tuple,
+# not a set: membership then compares identities instead of hashing enums.
+_BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
 
 
 def rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
@@ -122,9 +126,13 @@ def _apply_cnot_inplace(amps: np.ndarray, control: int, target: int) -> None:
         view[:, 1, :, 1, :] = tmp
 
 
-def apply_gate_inplace(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
+def _check_range(gate: Gate, n_qubits: int) -> None:
     if max(gate.qubits) >= n_qubits:
         raise ValueError(f"gate on {gate.qubits} out of range for {n_qubits} qubits")
+
+
+def apply_gate_inplace(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
+    _check_range(gate, n_qubits)
     if gate.kind is GateKind.CNOT:
         _apply_cnot_inplace(amps, *gate.qubits)
     else:
@@ -138,6 +146,62 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     return out
 
 
+def _basis_map(n_qubits: int, gates: Sequence[Gate]):
+    """A run of basis gates as (src, phase): together they map amplitudes
+    ``a`` to ``phase * a[src]``. ``src`` is None when the run is diagonal."""
+    dim = 1 << n_qubits
+    identity = np.arange(dim)
+    # Follow every basis state x forward: it lands on dst[x], times phase[x].
+    dst = identity.copy()
+    phase = np.ones(dim, dtype=complex)
+    for gate in gates:
+        _check_range(gate, n_qubits)
+        if gate.kind is GateKind.CNOT:
+            c, t = gate.qubits
+            dst ^= ((dst >> c) & 1) << t
+        elif gate.kind is GateKind.X:
+            dst ^= 1 << gate.qubits[0]
+        else:
+            m = gate_matrix(gate)
+            phase *= np.array([m[0, 0], m[1, 1]])[(dst >> gate.qubits[0]) & 1]
+    if np.array_equal(dst, identity):
+        return None, phase
+    src = np.empty_like(dst)
+    src[dst] = identity
+    return src, phase[src]
+
+
+def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) -> None:
+    """Apply ``gates`` in order to every row of the C-contiguous
+    ``(rows, 2**n_qubits)`` batch ``rows``.
+
+    Each maximal run of two or more basis gates (CNOT, X, Z, RZ) is applied
+    as one phase-permutation; every other gate, and a lone basis gate, goes
+    through ``apply_gate_inplace``. The map of the most recent run is kept
+    for the next run, so a run repeated step after step is built once.
+    """
+    flat = rows.reshape(-1)
+    last_run, last_map = (), None
+    i, count = 0, len(gates)
+    while i < count:
+        j = i
+        while j < count and gates[j].kind in _BASIS_KINDS:
+            j += 1
+        if j - i < 2:
+            apply_gate_inplace(flat, n_qubits, gates[i])
+            i += 1
+            continue
+        basis_run = tuple(gates[i:j])
+        if basis_run != last_run:
+            last_run, last_map = basis_run, _basis_map(n_qubits, basis_run)
+        src, phase = last_map
+        if src is None:
+            rows *= phase
+        else:
+            np.multiply(rows.take(src, axis=1), phase, out=rows)
+        i = j
+
+
 def run(state: QuantumState, circuit: Circuit) -> QuantumState:
     """Apply all gates of ``circuit`` in order."""
     if circuit.n_qubits != state.n_qubits:
@@ -145,9 +209,7 @@ def run(state: QuantumState, circuit: Circuit) -> QuantumState:
             f"register mismatch: state {state.n_qubits}, circuit {circuit.n_qubits}"
         )
     out = state.copy()
-    amps, n = out.amplitudes, out.n_qubits
-    for gate in circuit.gates:
-        apply_gate_inplace(amps, n, gate)
+    apply_gates_inplace(out.amplitudes.reshape(1, -1), out.n_qubits, circuit.gates)
     return out
 
 
@@ -181,16 +243,15 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleCounts:
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary, built column-by-column from basis states."""
+    """Full 2^n x 2^n unitary, built gate by gate from the basis states."""
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense construction limited to {MAX_DENSE_QUBITS} qubits")
     dim = 1 << n
-    # Rows are contiguous, so transform each basis state as a row and
-    # transpose at the end: row r ends up holding U|r>.
+    # Rows are contiguous, so transform the basis states as one batch of
+    # rows and transpose at the end: row r ends up holding U|r>.
     rows = np.eye(dim, dtype=complex)
-    for r in range(dim):
-        amps = rows[r]
-        for gate in circuit.gates:
-            apply_gate_inplace(amps, n, gate)
+    flat = rows.reshape(-1)
+    for gate in circuit.gates:
+        apply_gate_inplace(flat, n, gate)
     return rows.T.copy()

@@ -9,6 +9,7 @@ phase); the product over summands is the first-order step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,16 +120,21 @@ def pair_interaction_circuit(
     return Circuit(cfg.n_qubits, gates)
 
 
+def _zeeman_gates(
+    cfg: ChainConfig, fields: tuple[float, ...], dt: float
+) -> tuple[Gate, ...]:
+    return tuple(
+        Gate(GateKind.RX, (cfg.site_qubit(site),), -2.0 * h * dt)
+        for site, h in enumerate(fields)
+    )
+
+
 def zeeman_circuit(cfg: ChainConfig, fields, dt: float) -> Circuit:
     """Circuit for exp(-i H_Z dt) with H_Z = -sum_n h_n X_n: RX(-2 h_n dt)."""
     fields = tuple(float(h) for h in fields)
     if len(fields) != cfg.n_sites:
         raise CircuitError(f"need {cfg.n_sites} field values, got {len(fields)}")
-    gates = tuple(
-        Gate(GateKind.RX, (cfg.site_qubit(site),), -2.0 * h * dt)
-        for site, h in enumerate(fields)
-    )
-    return Circuit(cfg.n_qubits, gates)
+    return Circuit(cfg.n_qubits, _zeeman_gates(cfg, fields, dt))
 
 
 def coupler_circuit(cfg: ChainConfig, J_C: float, dt: float) -> Circuit:
@@ -160,13 +166,27 @@ def zz_layer_circuit(cfg: ChainConfig, pairs, dt: float) -> Circuit:
     )
 
 
-def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:
-    """One first-order step: ZZ layer 1, ZZ layer 2, Zeeman, coupler term."""
-    parts = [
+@lru_cache(maxsize=8)
+def _field_free_gates(
+    chain_len: int, J: float, J_C: float, dt: float
+) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """The gates of both ZZ layers and of the coupler ladder (empty for
+    J_C = 0), which every step with these constants shares."""
+    cfg = ChainConfig(chain_len, J, J_C, (0.0,) * (2 * chain_len))
+    zz = concat([
         zz_layer_circuit(cfg, first_layer_pairs(cfg), dt),
         zz_layer_circuit(cfg, second_layer_pairs(cfg), dt),
-        zeeman_circuit(cfg, cfg.fields, dt),
-    ]
-    if cfg.J_C != 0.0:
-        parts.append(coupler_circuit(cfg, cfg.J_C, dt))
-    return concat(parts)
+    ]).gates
+    coupler = coupler_circuit(cfg, J_C, dt).gates if J_C != 0.0 else ()
+    return zz, coupler
+
+
+def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:
+    """One first-order step: ZZ layer 1, ZZ layer 2, Zeeman, coupler term.
+
+    Only the Zeeman gates are built per call; the field-free gates are the
+    same objects in every step with equal chain length, J, J_C and dt.
+    """
+    zz, coupler = _field_free_gates(cfg.chain_len, cfg.J, cfg.J_C, dt)
+    zeeman = _zeeman_gates(cfg, cfg.fields, dt)
+    return Circuit(cfg.n_qubits, zz + zeeman + coupler)

@@ -191,6 +191,33 @@ def test_batch_rows_replay_their_drawn_errors(monkeypatch, slots_per_chunk):
         assert np.array_equal(batch[r], replay.amplitudes)
 
 
+def test_errors_inside_basis_runs_split_them():
+    # CNOT-RZ-CNOT runs between mixing gates: errors drawn at the first
+    # CNOT or the RZ land inside a run that the executor fuses.
+    g = Gate
+    circuit = Circuit(3, (
+        g(GateKind.H, (0,)), g(GateKind.RY, (1,), 0.4),
+        g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.7), g(GateKind.CNOT, (0, 1)),
+        g(GateKind.RX, (2,), 0.3),
+        g(GateKind.CNOT, (1, 2)), g(GateKind.RZ, (2,), -1.1), g(GateKind.CNOT, (1, 2)),
+    ))
+    rows = 32
+    model = NoiseModel(eps_bitflip=0.2, eps_phase=0.2)
+    batch = run_trajectories(circuit, zero_state(3), model, rows, np.random.default_rng(5))
+    inserted = [[] for _ in range(rows)]
+    for index, error, hit in draw_errors(circuit, model, rows, np.random.default_rng(5)):
+        for r in hit:
+            inserted[r].append((index, error))
+    assert {2, 3, 6, 7} & {i for errors in inserted for i, _ in errors}
+    for r in range(rows):
+        gates = []
+        for i, gate in enumerate(circuit.gates):
+            gates.append(gate)
+            gates += [error for index, error in inserted[r] if index == i]
+        replay = run(zero_state(3), Circuit(3, tuple(gates)))
+        assert np.allclose(batch[r], replay.amplitudes, rtol=0, atol=1e-12)
+
+
 def test_batched_trajectory_estimator_is_unbiased():
     px = pz = 0.1
     exact = _enumerated_bell_fidelity(px, pz)

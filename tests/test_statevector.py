@@ -11,6 +11,8 @@ from isingbraid.statevector import (
     QuantumState,
     SampleCounts,
     apply_gate,
+    apply_gate_inplace,
+    apply_gates_inplace,
     dense_unitary,
     fidelity,
     gate_matrix,
@@ -219,3 +221,51 @@ def test_dense_unitary_is_unitary_and_matches_run():
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
     s = random_state(3, 1)
     assert np.allclose(run(s, c).amplitudes, u @ s.amplitudes, atol=1e-12)
+
+
+_BASIS = [GateKind.CNOT, GateKind.X, GateKind.Z, GateKind.RZ]
+_MIXING = [GateKind.RX, GateKind.RY, GateKind.H]
+
+
+def _draw_gate(data, n, kinds):
+    kind = data.draw(st.sampled_from(kinds))
+    if kind is GateKind.CNOT:
+        c, t = data.draw(st.permutations(range(n)))[:2]
+        return Gate(kind, (c, t))
+    angle = data.draw(st.floats(-10, 10)) if kind.value.startswith("r") else None
+    return Gate(kind, (data.draw(st.integers(0, n - 1)),), angle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fused_runs_match_gate_by_gate(data):
+    n = data.draw(st.integers(2, 5))
+    basis = _BASIS if data.draw(st.booleans()) else _BASIS[:3]
+    gates = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        gates += [_draw_gate(data, n, basis)
+                  for _ in range(data.draw(st.integers(0, 6)))]
+        gates += [_draw_gate(data, n, _MIXING)
+                  for _ in range(data.draw(st.integers(0, 2)))]
+    rows = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**16))
+    batch = np.stack([random_state(n, seed + r).amplitudes for r in range(rows)])
+    expected = batch.copy()
+    for gate in gates:
+        apply_gate_inplace(expected.reshape(-1), n, gate)
+    single = run(QuantumState(n, batch[0]), Circuit(n, tuple(gates)))
+    apply_gates_inplace(batch, n, gates)
+    if GateKind.RZ in basis:
+        assert np.allclose(batch, expected, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(batch, expected)
+    # A row's result does not depend on the rows beside it.
+    assert np.array_equal(single.amplitudes, batch[0])
+
+
+def test_out_of_range_gate_in_basis_run_raises():
+    rows = zero_state(2).amplitudes.reshape(1, -1)
+    gates = [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.X, (2,)),
+             Gate(GateKind.Z, (0,))]
+    with pytest.raises(ValueError, match="out of range"):
+        apply_gates_inplace(rows, 2, gates)

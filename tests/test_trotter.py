@@ -11,7 +11,7 @@ from isingbraid.analysis import (
     operator_norm,
     phase_aligned_distance,
 )
-from isingbraid.circuit import CircuitError, depth
+from isingbraid.circuit import CircuitError, GateKind, concat, depth
 from isingbraid.statevector import dense_unitary
 from isingbraid.trotter import (
     ChainConfig,
@@ -116,6 +116,36 @@ def test_step_gate_count():
     assert len(trotter_step_circuit(CFG6, DT)) == 23
     no_coupler = ChainConfig(chain_len=3, J=1.0, J_C=0.0, fields=CFG6.fields)
     assert len(trotter_step_circuit(no_coupler, DT)) == 18
+
+
+@pytest.mark.parametrize("J_C", [0.0, 0.3])
+def test_step_equals_concat_of_its_summands(J_C):
+    cfg = ChainConfig(chain_len=3, J=1.0, J_C=J_C, fields=CFG6.fields)
+    parts = [
+        zz_layer_circuit(cfg, first_layer_pairs(cfg), DT),
+        zz_layer_circuit(cfg, second_layer_pairs(cfg), DT),
+        zeeman_circuit(cfg, cfg.fields, DT),
+    ]
+    if J_C:
+        parts.append(coupler_circuit(cfg, J_C, DT))
+    step = trotter_step_circuit(cfg, DT)
+    assert step == concat(parts)
+    # Another step with other fields shares every gate but the Zeeman ones.
+    other = trotter_step_circuit(
+        ChainConfig(chain_len=3, J=1.0, J_C=J_C, fields=(2.0,) * 6), DT
+    )
+    shared = [a is b for a, b in zip(step.gates, other.gates)]
+    assert shared == [g.kind is not GateKind.RX for g in step.gates]
+
+
+def test_step_zz_angles_follow_dt():
+    angles = [
+        [g.angle for g in trotter_step_circuit(CFG6, dt).gates if g.kind is GateKind.RZ]
+        for dt in (0.1, 0.2)
+    ]
+    # Four pair RZs of angle -2 J dt, then the coupler RZ of -2 J_C dt.
+    assert angles[0] == [-0.2] * 4 + [pytest.approx(-0.06)]
+    assert angles[1] == [-0.4] * 4 + [pytest.approx(-0.12)]
 
 
 def test_step_error_within_first_order_bound():
