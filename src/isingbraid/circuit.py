@@ -7,6 +7,8 @@ Circuits are immutable after construction and safe to share across tasks.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
@@ -26,7 +28,9 @@ class GateKind(Enum):
     CNOT = "cx"
 
 
-ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
+# A tuple, not a set: membership then compares identities instead of hashing
+# enums through the Python-level ``Enum.__hash__``.
+ROTATION_KINDS = (GateKind.RX, GateKind.RY, GateKind.RZ)
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ class Gate:
     """A single gate acting on 1 or 2 register qubits.
 
     For CNOT, ``qubits`` is (control, target). ``angle`` is present exactly
-    for the rotation kinds.
+    for the rotation kinds, and is stored as a Python float.
     """
 
     kind: GateKind
@@ -42,21 +46,33 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        arity = 2 if self.kind is GateKind.CNOT else 1
-        if len(self.qubits) != arity:
+        kind, angle = self.kind, self.angle
+        try:
+            qubits = tuple(map(operator.index, self.qubits))
+        except TypeError:
             raise CircuitError(
-                f"{self.kind.name} acts on {arity} qubit(s), got {self.qubits}"
-            )
-        if any(q < 0 for q in self.qubits):
-            raise CircuitError(f"negative qubit index in {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
+                f"qubit indices must be integers, got {self.qubits!r}"
+            ) from None
+        arity = 2 if kind is GateKind.CNOT else 1
+        if len(qubits) != arity:
+            raise CircuitError(f"{kind.name} acts on {arity} qubit(s), got {qubits}")
+        if qubits[0] < 0 or qubits[-1] < 0:
+            raise CircuitError(f"negative qubit index in {qubits}")
+        if arity == 2 and qubits[0] == qubits[1]:
             raise CircuitError("control and target must be distinct")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise CircuitError(f"{self.kind.name} requires a finite angle")
-        elif self.angle is not None:
-            raise CircuitError(f"{self.kind.name} carries no angle")
+        object.__setattr__(self, "qubits", qubits)
+        if kind in ROTATION_KINDS:
+            if type(angle) is not float:
+                if not isinstance(angle, numbers.Real):
+                    raise CircuitError(
+                        f"{kind.name} requires a real angle, got {angle!r}"
+                    )
+                angle = float(angle)
+                object.__setattr__(self, "angle", angle)
+            if not math.isfinite(angle):
+                raise CircuitError(f"{kind.name} requires a finite angle")
+        elif angle is not None:
+            raise CircuitError(f"{kind.name} carries no angle")
 
     @property
     def arity(self) -> int:
@@ -66,6 +82,9 @@ class Gate:
         if self.kind in ROTATION_KINDS:
             return Gate(self.kind, self.qubits, -self.angle)
         return self
+
+
+_QUBITS = operator.attrgetter("qubits")
 
 
 @dataclass(frozen=True)
@@ -84,13 +103,23 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise CircuitError("register needs at least one qubit")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if max(g.qubits) >= self.n_qubits:
-                raise CircuitError(
-                    f"gate {g.kind.name} on {g.qubits} exceeds register size "
-                    f"{self.n_qubits}"
-                )
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        if gates and max(map(max, map(_QUBITS, gates))) >= self.n_qubits:
+            g = next(g for g in gates if max(g.qubits) >= self.n_qubits)
+            raise CircuitError(
+                f"gate {g.kind.name} on {g.qubits} exceeds register size "
+                f"{self.n_qubits}"
+            )
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit of gates already checked against an ``n_qubits``
+        register, built without checking them again."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "n_qubits", n_qubits)
+        object.__setattr__(circuit, "gates", gates)
+        return circuit
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -104,7 +133,9 @@ def empty(n_qubits: int) -> Circuit:
 
 
 def concat(circuits: Sequence[Circuit]) -> Circuit:
-    """Concatenate many circuits at once (avoids quadratic tuple copying)."""
+    """Concatenate many circuits at once (avoids quadratic tuple copying).
+    Each part was checked against its register when it was built, so the
+    result is not checked again."""
     if not circuits:
         raise CircuitError("concat needs at least one circuit")
     n = circuits[0].n_qubits
@@ -113,12 +144,14 @@ def concat(circuits: Sequence[Circuit]) -> Circuit:
         if c.n_qubits != n:
             raise CircuitError("register size mismatch in concat")
         gates.extend(c.gates)
-    return Circuit(n, tuple(gates))
+    return Circuit._trusted(n, tuple(gates))
 
 
 def inverse(circuit: Circuit) -> Circuit:
     """Adjoint circuit: gates reversed, rotation angles negated."""
-    return Circuit(circuit.n_qubits, tuple(g.inverse() for g in reversed(circuit.gates)))
+    return Circuit._trusted(
+        circuit.n_qubits, tuple(g.inverse() for g in reversed(circuit.gates))
+    )
 
 
 def depth(circuit: Circuit) -> int:
@@ -146,8 +179,10 @@ def depth(circuit: Circuit) -> int:
 
 
 def gate_counts(circuit: Circuit) -> GateCounts:
-    one = sum(1 for g in circuit.gates if g.arity == 1)
-    return GateCounts(one_qubit=one, two_qubit=len(circuit.gates) - one)
+    # Every gate touches one or two qubits, so the qubits touched in all
+    # exceed the gate count by the number of two-qubit gates.
+    two = sum(map(len, map(_QUBITS, circuit.gates))) - len(circuit.gates)
+    return GateCounts(one_qubit=len(circuit.gates) - two, two_qubit=two)
 
 
 def to_qasm(circuit: Circuit) -> str:

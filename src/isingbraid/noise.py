@@ -200,8 +200,12 @@ def noisy_fidelity(
             values[r] = chain_fidelity(
                 QuantumState(eff.n_qubits, row), run_.target_chain, eff.coupler_qubit
             )
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(total)) if total > 1 else 0.0
+    # Taken about the first value, so that equal values, as with zero noise,
+    # give exactly that value and a zero stderr: values.mean() of three equal
+    # values can differ from them in the last bit.
+    dev = values - values[0]
+    mean = float(values[0] + dev.mean())
+    stderr = float(dev.std(ddof=1) / math.sqrt(total)) if total > 1 else 0.0
     return mean, stderr
 
 

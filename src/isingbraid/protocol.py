@@ -418,7 +418,8 @@ def all_zeros_frequency(counts: SampleCounts, data_bits) -> float:
 class ScenarioRun:
     """All artifacts of one compiled scenario. Its two dense vectors, the
     target chain state and the simulated final state, are built on first
-    read, so a scenario of any size can be compiled, counted and exported."""
+    read, so a scenario of any size can be compiled, counted and exported.
+    The two composite circuits are also built once, on first read."""
 
     params: ProtocolParams
     scenario: str
@@ -429,12 +430,12 @@ class ScenarioRun:
     evolution_circuit: Circuit
     readout_circuit: Circuit
 
-    @property
+    @cached_property
     def prepared_circuit(self) -> Circuit:
         """Initialization followed by evolution: the circuit that is simulated."""
         return concat([self.init_circuit, self.evolution_circuit])
 
-    @property
+    @cached_property
     def full_circuit(self) -> Circuit:
         """Initialization, evolution and readout: the circuit that is exported."""
         return concat([self.init_circuit, self.evolution_circuit, self.readout_circuit])

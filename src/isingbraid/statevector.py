@@ -24,6 +24,18 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Gates that send each basis state to one basis state times a phase. A tuple,
 # not a set: membership then compares identities instead of hashing enums.
 _BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
+# The other one-qubit gates; a run of them on distinct qubits is one layer.
+_MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
+# Most adjacent qubits a layer block spans: one 2**k x 2**k matrix.
+_BLOCK_QUBITS = 4
+_EYE2 = np.eye(2, dtype=complex)
+# einsum subscripts of the Kronecker product of w 2x2 factors, the factor of
+# the highest qubit first: "ae,bf->abef" for w = 2.
+_KRON = {
+    w: ",".join(f"{chr(97 + j)}{chr(97 + w + j)}" for j in range(w))
+    + "->" + "".join(chr(97 + j) for j in range(2 * w))
+    for w in range(1, _BLOCK_QUBITS + 1)
+}
 
 
 def rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
@@ -171,34 +183,111 @@ def _basis_map(n_qubits: int, gates: Sequence[Gate]):
     return src, phase[src]
 
 
+def _layer_matrices(layer: Sequence[Gate]) -> np.ndarray:
+    """The 2x2 matrices of a run of RX, RY and H gates, as one
+    ``(len(layer), 2, 2)`` array."""
+    kinds = [g.kind for g in layer]
+    half = 0.5 * np.array([0.0 if g.angle is None else g.angle for g in layer])
+    c, s = np.cos(half), np.sin(half)
+    m = np.zeros((len(layer), 2, 2), dtype=complex)
+    m.real[:, 0, 0] = m.real[:, 1, 1] = c
+    m.imag[:, 0, 1] = m.imag[:, 1, 0] = -s
+    if GateKind.RY in kinds:
+        ry = np.array([k is GateKind.RY for k in kinds])
+        m[ry, 0, 1] = -s[ry]
+        m[ry, 1, 0] = s[ry]
+    if GateKind.H in kinds:
+        m[np.array([k is GateKind.H for k in kinds])] = _H
+    return m
+
+
+def _apply_layer(
+    rows: np.ndarray, scratch: np.ndarray, n_qubits: int, layer: Sequence[Gate]
+) -> None:
+    """Apply one-qubit gates on distinct qubits to the batch ``rows``, in
+    blocks of at most ``_BLOCK_QUBITS`` adjacent qubits, each block one dense
+    matrix. ``scratch`` is a buffer of the batch's shape."""
+    count = len(layer)
+    qubits = [g.qubits[0] for g in layer]
+    order = sorted(range(count), key=qubits.__getitem__)
+    _check_range(layer[order[-1]], n_qubits)
+    mats = _layer_matrices(layer)[order]
+    qubits = [qubits[i] for i in order]
+    # A block never spans the whole register: the lo == 0 product then has
+    # at least two rows even for a one-row batch, and a one-row product
+    # would go through a different BLAS kernel than a batch's.
+    span = min(_BLOCK_QUBITS, n_qubits - 1)
+    src, dst = rows, scratch
+    b = 0
+    while b < count:
+        lo = qubits[b]
+        e = b + 1
+        while e < count and qubits[e] < lo + span:
+            e += 1
+        width = qubits[e - 1] - lo + 1
+        if e - b == width:
+            factors = mats[b:e]
+        else:
+            # Qubits of the span that no gate of the layer touches.
+            factors = np.tile(_EYE2, (width, 1, 1))
+            factors[[q - lo for q in qubits[b:e]]] = mats[b:e]
+        dim = 1 << width
+        block = np.einsum(_KRON[width], *factors[::-1]).reshape(dim, dim)
+        if lo == 0:
+            np.matmul(src.reshape(-1, dim), block.T, out=dst.reshape(-1, dim))
+        else:
+            shape = (-1, dim, 1 << lo)
+            np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+        b = e
+    if src is not rows:
+        rows[...] = src
+
+
 def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) -> None:
     """Apply ``gates`` in order to every row of the C-contiguous
     ``(rows, 2**n_qubits)`` batch ``rows``.
 
-    Each maximal run of two or more basis gates (CNOT, X, Z, RZ) is applied
-    as one phase-permutation; every other gate, and a lone basis gate, goes
-    through ``apply_gate_inplace``. The map of the most recent run is kept
-    for the next run, so a run repeated step after step is built once.
+    Two kinds of run are fused. Each maximal run of two or more basis gates
+    (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of the
+    most recent run is kept for the next run, so a run repeated step after
+    step is built once. Each maximal run of two or more RX, RY and H gates on
+    distinct qubits is applied as one layer of dense blocks. Every other
+    gate goes through ``apply_gate_inplace``. A run is checked in full
+    before any row changes.
     """
     flat = rows.reshape(-1)
+    scratch = None
     last_run, last_map = (), None
     i, count = 0, len(gates)
     while i < count:
-        j = i
-        while j < count and gates[j].kind in _BASIS_KINDS:
-            j += 1
+        j = i + 1
+        if gates[i].kind in _BASIS_KINDS:
+            while j < count and gates[j].kind in _BASIS_KINDS:
+                j += 1
+        else:
+            seen = {gates[i].qubits[0]}
+            while j < count:
+                gate = gates[j]
+                if gate.kind not in _MIXING_KINDS or gate.qubits[0] in seen:
+                    break
+                seen.add(gate.qubits[0])
+                j += 1
         if j - i < 2:
             apply_gate_inplace(flat, n_qubits, gates[i])
-            i += 1
-            continue
-        basis_run = tuple(gates[i:j])
-        if basis_run != last_run:
-            last_run, last_map = basis_run, _basis_map(n_qubits, basis_run)
-        src, phase = last_map
-        if src is None:
-            rows *= phase
+        elif gates[i].kind in _MIXING_KINDS:
+            if scratch is None:
+                scratch = np.empty_like(rows)
+            _apply_layer(rows, scratch, n_qubits, gates[i:j])
         else:
-            np.multiply(rows.take(src, axis=1), phase, out=rows)
+            basis_run = tuple(gates[i:j])
+            if basis_run != last_run:
+                last_run, last_map = basis_run, _basis_map(n_qubits, basis_run)
+            src, phase = last_map
+            if src is None:
+                rows *= phase
+            else:
+                np.multiply(rows.take(src, axis=1), phase, out=rows)
         i = j
 
 

@@ -37,6 +37,25 @@ def test_gate_validation():
         Gate(GateKind.X, (-1,))
 
 
+def test_gate_rejects_non_integer_qubit():
+    with pytest.raises(CircuitError, match="integers"):
+        Gate(GateKind.RX, (1.7,), 0.1)
+    with pytest.raises(CircuitError, match="integers"):
+        Gate(GateKind.CNOT, (0, np.float64(1.0)))
+    g = Gate(GateKind.CNOT, (np.int64(2), np.int32(0)))
+    assert g.qubits == (2, 0) and all(type(q) is int for q in g.qubits)
+
+
+def test_gate_stores_real_angles_as_float():
+    g = Gate(GateKind.RX, (2,), np.float64(0.3))
+    assert type(g.angle) is float and g.angle == 0.3
+    assert to_qasm(Circuit(3, (g,))).splitlines()[-1] == "rx(0.3) q[2];"
+    assert type(Gate(GateKind.RZ, (0,), 1).angle) is float
+    for bad in (1j, np.complex128(0.3), "0.3"):
+        with pytest.raises(CircuitError, match="real angle"):
+            Gate(GateKind.RY, (0,), bad)
+
+
 def test_circuit_rejects_out_of_range_gate():
     with pytest.raises(CircuitError):
         Circuit(2, (Gate(GateKind.H, (2,)),))

@@ -142,6 +142,21 @@ def test_noisy_fidelity_zero_eps_equals_noiseless():
     assert stderr == 0.0
 
 
+def test_noisy_fidelity_of_equal_values_is_that_value(monkeypatch):
+    import isingbraid.noise as noise
+
+    # Three copies of this value have a plain numpy mean one bit below it.
+    x = 0.42803369499637245
+    assert np.full(3, x).mean() != x
+    monkeypatch.setattr(noise, "chain_fidelity", lambda *args: x)
+    mean, stderr = noisy_fidelity(
+        FAST, "translate_with_coupler", LogicalLabel.ALL_UP,
+        NoiseModel(trajectories=3),
+    )
+    assert mean == x
+    assert stderr == 0.0
+
+
 def test_two_qubit_gate_dominance():
     eps = 3e-4
     only_2q = NoiseModel(eps_bitflip_2q=eps, eps_bitflip_1q=0.0,

@@ -22,6 +22,7 @@ from isingbraid.statevector import (
     sample,
     zero_state,
 )
+from isingbraid.trotter import ChainConfig, trotter_step_circuit
 
 _SQ2 = 1 / math.sqrt(2)
 
@@ -246,7 +247,7 @@ def test_fused_runs_match_gate_by_gate(data):
         gates += [_draw_gate(data, n, basis)
                   for _ in range(data.draw(st.integers(0, 6)))]
         gates += [_draw_gate(data, n, _MIXING)
-                  for _ in range(data.draw(st.integers(0, 2)))]
+                  for _ in range(data.draw(st.integers(0, 3)))]
     rows = data.draw(st.integers(1, 3))
     seed = data.draw(st.integers(0, 2**16))
     batch = np.stack([random_state(n, seed + r).amplitudes for r in range(rows)])
@@ -255,7 +256,13 @@ def test_fused_runs_match_gate_by_gate(data):
         apply_gate_inplace(expected.reshape(-1), n, gate)
     single = run(QuantumState(n, batch[0]), Circuit(n, tuple(gates)))
     apply_gates_inplace(batch, n, gates)
-    if GateKind.RZ in basis:
+    # Two neighbouring mixing gates on distinct qubits form a fused layer,
+    # whose dense blocks round differently from the per-gate kernels.
+    fused_layer = any(
+        a.kind in _MIXING and b.kind in _MIXING and a.qubits != b.qubits
+        for a, b in zip(gates, gates[1:])
+    )
+    if GateKind.RZ in basis or fused_layer:
         assert np.allclose(batch, expected, rtol=0, atol=1e-12)
     else:
         assert np.array_equal(batch, expected)
@@ -263,9 +270,54 @@ def test_fused_runs_match_gate_by_gate(data):
     assert np.array_equal(single.amplitudes, batch[0])
 
 
-def test_out_of_range_gate_in_basis_run_raises():
-    rows = zero_state(2).amplitudes.reshape(1, -1)
-    gates = [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.X, (2,)),
-             Gate(GateKind.Z, (0,))]
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_qubit_layers_match_gate_by_gate(data):
+    n = data.draw(st.integers(1, 9))
+    # Any subset of the qubits, gaps and qubit 0 included or not, in any order.
+    qubits = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    gates = [_draw_gate(data, n, _MIXING) for _ in qubits]
+    gates = [Gate(g.kind, (q,), g.angle) for g, q in zip(gates, qubits)]
+    rows = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**16))
+    batch = np.stack([random_state(n, seed + r).amplitudes for r in range(rows)])
+    expected = batch.copy()
+    for gate in gates:
+        apply_gate_inplace(expected.reshape(-1), n, gate)
+    singles = [run(QuantumState(n, row), Circuit(n, tuple(gates))) for row in batch]
+    apply_gates_inplace(batch, n, gates)
+    assert np.allclose(batch, expected, rtol=0, atol=1e-12)
+    for single, row in zip(singles, batch):
+        assert np.array_equal(single.amplitudes, row)
+
+
+def test_trotter_step_at_14_sites_matches_gate_by_gate():
+    cfg = ChainConfig(7, 1.0, 0.3, tuple(np.linspace(0.1, 1.5, 14)))
+    step = trotter_step_circuit(cfg, 0.7)
+    state = random_state(cfg.n_qubits, 14)
+    expected = state.amplitudes.copy()
+    for gate in step:
+        apply_gate_inplace(expected, cfg.n_qubits, gate)
+    assert np.allclose(run(state, step).amplitudes, expected, rtol=0, atol=1e-12)
+
+
+def _assert_rejected_before_any_row_changes(gates):
+    rows = random_state(2, 3).amplitudes.reshape(1, -1)
+    before = rows.copy()
     with pytest.raises(ValueError, match="out of range"):
         apply_gates_inplace(rows, 2, gates)
+    assert np.array_equal(rows, before)
+
+
+def test_out_of_range_gate_in_basis_run_raises():
+    _assert_rejected_before_any_row_changes(
+        [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.X, (2,)),
+         Gate(GateKind.Z, (0,))]
+    )
+
+
+def test_out_of_range_gate_in_mixing_layer_raises():
+    _assert_rejected_before_any_row_changes(
+        [Gate(GateKind.RX, (0,), 0.3), Gate(GateKind.RY, (2,), 0.2),
+         Gate(GateKind.H, (1,))]
+    )
