@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Time one Trotter step of the gate executor against the per-gate oracle.
+"""Time one Trotter step of the gate executor against the per-gate oracle,
+and one step of the exact oracle against a dense H and ``eigh``.
 
-For each chain size N_s this builds one first-order step at the initial
-fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
+For each chain size N_s the first table builds one first-order step at the
+initial fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
 
 - steady ms/step: the step circuit repeated inside one ``statevector.run``,
   as (time of 2R steps - time of R steps) / R, so the one-time cost of the
@@ -10,12 +11,19 @@ fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
 - oracle ms/step: the same gates, one ``apply_gate_inplace`` each;
 - the largest |difference| between the two states after R steps.
 
+The second table walks the first two holds of the EFF braid schedule with
+linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints the ms
+per step of ``analysis.exact_evolve`` (matrix-free Lanczos), of the dense
+per-step reference (``dense_hamiltonian`` and ``expm_hermitian`` for every
+step), and the largest |difference| between the two final states.
+
 Each time is the best of five. BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS is already set, as in perfbench's workers.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
 
+import math
 import os
 import sys
 import time
@@ -24,11 +32,19 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
+from isingbraid.analysis import (  # noqa: E402
+    dense_hamiltonian,
+    exact_evolve,
+    expm_hermitian,
+)
 from isingbraid.circuit import Circuit  # noqa: E402
 from isingbraid.protocol import (  # noqa: E402
+    FieldSchedule,
     ProtocolParams,
+    build_field_schedule,
     chain_config,
     initial_fields,
+    walk_schedule,
 )
 from isingbraid.statevector import (  # noqa: E402
     QuantumState,
@@ -38,6 +54,7 @@ from isingbraid.statevector import (  # noqa: E402
 from isingbraid.trotter import trotter_step_circuit  # noqa: E402
 
 SIZES = (6, 10, 14, 18)
+ORACLE_SIZES = (6, 8)
 TRIALS = 5
 
 
@@ -50,6 +67,12 @@ def best_of(fn):
     return best
 
 
+def random_state(n: int, seed: int) -> QuantumState:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return QuantumState(n, amps / np.linalg.norm(amps))
+
+
 def step_cost(n_s: int) -> tuple[float, float, float]:
     params = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5)
     step = trotter_step_circuit(
@@ -58,9 +81,7 @@ def step_cost(n_s: int) -> tuple[float, float, float]:
     n = step.n_qubits
     # About 2**22 amplitude updates per timed run, at least two steps.
     repeats = max(2, (1 << 22) >> n)
-    rng = np.random.default_rng(n_s)
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    state = QuantumState(n, amps / np.linalg.norm(amps))
+    state = random_state(n, n_s)
     once = Circuit(n, step.gates * repeats)
     twice = Circuit(n, step.gates * (2 * repeats))
     steady = (best_of(lambda: run(state, twice))
@@ -77,12 +98,40 @@ def step_cost(n_s: int) -> tuple[float, float, float]:
     return 1e3 * steady, 1e3 * per_gate, diff
 
 
+def oracle_cost(n_s: int) -> tuple[float, float, float]:
+    params = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5, dh=0.1,
+                            Gamma=math.pi / 2, update_mode="linear")
+    schedule = FieldSchedule(
+        build_field_schedule(params, include_rotation=False).events[:2])
+    steps = sum(repeats for _, repeats in walk_schedule(params, schedule))
+    state = random_state(params.n_qubits, n_s)
+
+    def dense():
+        amps = state.amplitudes
+        for fields, _ in walk_schedule(params, schedule):
+            h = dense_hamiltonian(chain_config(params, fields))
+            amps = expm_hermitian(h, params.dt) @ amps
+        return amps
+
+    lanczos = best_of(lambda: exact_evolve(schedule, params, state)) / steps
+    per_step = best_of(dense) / steps
+    diff = float(np.abs(exact_evolve(schedule, params, state).amplitudes
+                        - dense()).max())
+    return 1e3 * lanczos, 1e3 * per_step, diff
+
+
 def main():
     print(f"{'N_s':>4} {'qubits':>6} {'steady ms/step':>15} "
           f"{'oracle ms/step':>15} {'max |diff|':>11}")
     for n_s in SIZES:
         steady, per_gate, diff = step_cost(n_s)
         print(f"{n_s:>4} {n_s + 1:>6} {steady:>15.3f} {per_gate:>15.3f} {diff:>11.1e}")
+    print()
+    print(f"{'N_s':>4} {'qubits':>6} {'Lanczos ms/step':>16} "
+          f"{'dense ms/step':>14} {'max |diff|':>11}")
+    for n_s in ORACLE_SIZES:
+        lanczos, dense, diff = oracle_cost(n_s)
+        print(f"{n_s:>4} {n_s + 1:>6} {lanczos:>16.3f} {dense:>14.3f} {diff:>11.1e}")
     return 0
 
 

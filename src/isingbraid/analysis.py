@@ -2,7 +2,11 @@
 and depth accounting.
 
 Dense constructions are restricted to small registers (<= 10 qubits); the
-bound formulas themselves are closed-form and size-independent.
+bound formulas themselves are closed-form and size-independent. The exact
+oracle, ``exact_evolve``, is matrix-free: it applies exp(-i H t) to the
+state by Lanczos steps and never builds H. It keeps the same register cap,
+because the dense Hamiltonian and exponential it is checked against stop
+there.
 """
 from __future__ import annotations
 
@@ -245,6 +249,75 @@ def commutator_norms(cfg: ChainConfig) -> CommutatorReport:
 # ---------------------------------------------------------------------------
 # Exact-evolution oracle
 
+# The a-posteriori error estimate beta_m |c_m| a Lanczos step must reach,
+# for a unit start vector: about ten times the rounding of one amplitude.
+KRYLOV_TOL = 1e-15
+# Most Lanczos vectors of one step. A time that this many cannot reach
+# within KRYLOV_TOL is split into sub-steps.
+KRYLOV_DIM = 60
+
+
+def _diagonal_and_flips(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The field-free part of H as its diagonal (both ZZ layers and the
+    coupler), and for each chain site the basis index with its qubit
+    flipped: H v = d * v - sum_n h_n v[flips[n]]."""
+    idx = np.arange(1 << cfg.n_qubits)
+    z = 1 - 2 * ((idx >> np.arange(cfg.n_qubits)[:, None]) & 1)
+    d = np.zeros(idx.size)
+    for i, j in first_layer_pairs(cfg) + second_layer_pairs(cfg):
+        d -= cfg.J * z[cfg.site_qubit(i)] * z[cfg.site_qubit(j)]
+    a, b = cfg.site_qubit(cfg.left_end_site), cfg.site_qubit(cfg.right_start_site)
+    d -= cfg.J_C * z[a] * z[cfg.coupler_qubit] * z[b]
+    qubits = np.array([cfg.site_qubit(s) for s in range(cfg.n_sites)])
+    return d, idx ^ (1 << qubits)[:, None]
+
+
+def _krylov_expm(apply_h, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) v by Lanczos with full reorthogonalisation.
+
+    The Krylov basis V_m of H and v gives the tridiagonal T_m = V_m^H H V_m,
+    and exp(-i H t) v ~ ||v|| V_m c with c = exp(-i T_m t) e_1 from
+    ``eigh(T_m)`` (Hochbruck & Lubich 1997). The basis grows until
+    beta_m |c_m|, which estimates the error of that approximation (Saad
+    1992; Sidje's Expokit 1998), is at most ``KRYLOV_TOL``; a happy
+    breakdown, beta_m = 0, is exact. ``eigh`` runs only once the leading
+    term of beta_m |c_m|, beta_1 ... beta_m t^m / m!, has reached the
+    tolerance too, or at a breakdown. If ``KRYLOV_DIM`` vectors fall short,
+    the step advances by the part tau of the time left that the basis
+    reaches, shrinking tau by 0.9 (tol / estimate)^(1/m) until the estimate
+    passes, as Expokit picks its steps; the next step starts from there.
+    """
+    basis = np.empty((KRYLOV_DIM, v.size), dtype=complex)
+    tri = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
+    while True:
+        norm = np.linalg.norm(v)
+        basis[0] = v / norm
+        lead = 1.0
+        for m in range(1, KRYLOV_DIM + 1):
+            w = apply_h(basis[m - 1])
+            # Classical Gram-Schmidt against the whole basis, twice.
+            for _ in range(2):
+                proj = (basis[:m] @ w.conj()).conj()
+                w -= proj @ basis[:m]
+                tri[m - 1, m - 1] += proj[m - 1].real
+            beta = float(np.linalg.norm(w))
+            lead *= beta * t / m
+            if lead <= KRYLOV_TOL or beta == 0.0 or m == KRYLOV_DIM:
+                evals, evecs = np.linalg.eigh(tri[:m, :m])
+                c = evecs @ (np.exp(-1j * t * evals) * evecs[0])
+                if beta * abs(c[-1]) <= KRYLOV_TOL:
+                    return norm * (c @ basis[:m])
+            if m < KRYLOV_DIM:
+                basis[m] = w / beta
+                tri[m - 1, m] = tri[m, m - 1] = beta
+        tau = t
+        while (err := beta * abs(c[-1])) > KRYLOV_TOL:
+            tau *= 0.9 * (KRYLOV_TOL / err) ** (1.0 / KRYLOV_DIM)
+            c = evecs @ (np.exp(-1j * tau * evals) * evecs[0])
+        v = norm * (c @ basis)
+        t -= tau
+        tri[:] = 0.0
+
 
 def exact_evolve(
     schedule: "FieldSchedule",
@@ -253,22 +326,34 @@ def exact_evolve(
 ) -> "QuantumState":
     """Trotter-free reference: piecewise-constant exact evolution.
 
-    Applies exp(-i H(f) dt) as a dense matrix exponential for every Trotter
-    step of the compiled schedule, walking it as ``build_protocol_circuit``
-    does; a ``stepped`` hold builds its exponential once.
+    Walks the compiled schedule as ``build_protocol_circuit`` does and
+    applies exp(-i H(f) t) to the state, matrix-free, by one Lanczos call
+    per walked entry (``_krylov_expm``): t = dt for a ``linear`` step and
+    the whole hold for a ``stepped`` one, at whose fields H is constant.
+    Each coupler rotation is one RY gate. H is never built: its field-free
+    diagonal and the site flips are built once per call, and H v costs
+    O(N_s 2**n). The register stays capped at ``MAX_DENSE_QUBITS`` because
+    the cross-checks of this oracle (``dense_hamiltonian``,
+    ``expm_hermitian``) and every test that compares against it are dense;
+    every field set of the schedule is checked before anything is
+    allocated.
     """
     from .circuit import Gate, GateKind
-    from .protocol import RotateCoupler, chain_config, walk_schedule
+    from .protocol import RotateCoupler, chain_config, initial_fields, walk_schedule
     from .statevector import QuantumState, apply_gate_inplace
 
     if params.N_s + 1 > MAX_DENSE_QUBITS:
         raise ValueError("exact evolution limited to small registers")
     if initial.n_qubits != params.N_s + 1:
         raise ValueError("register mismatch")
+    cfg = chain_config(params, initial_fields(params))
+    for event in schedule.events:
+        if not isinstance(event, RotateCoupler):
+            chain_config(params, event.fields)
 
-    state = initial.copy()
-    amps = state.amplitudes
-    n = state.n_qubits
+    d, flips = _diagonal_and_flips(cfg)
+    amps = initial.amplitudes.copy()
+    n = initial.n_qubits
     for item in walk_schedule(params, schedule):
         if isinstance(item, RotateCoupler):
             apply_gate_inplace(
@@ -276,7 +361,6 @@ def exact_evolve(
             )
             continue
         fields, repeats = item
-        u = expm_hermitian(dense_hamiltonian(chain_config(params, fields)), params.dt)
-        for _ in range(repeats):
-            amps[:] = u @ amps
+        h = np.asarray(fields, dtype=float)
+        amps = _krylov_expm(lambda v: d * v - h @ v[flips], amps, repeats * params.dt)
     return QuantumState(n, amps)

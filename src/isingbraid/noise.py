@@ -41,7 +41,9 @@ from .statevector import (
 )
 
 # Amplitude memory of one batch of trajectories in ``noisy_fidelity``; a
-# batch always holds at least one row.
+# batch always holds at least one row. It caps only the amplitudes: the
+# executor's scratch buffer of the batch's size and the copy of the rows an
+# error hits sit beside them, so a full batch peaks at about three times this.
 BATCH_BYTES = 32 << 20
 # Memory of the uniform draws for one chunk of error slots.
 _DRAW_BYTES = 64 << 10

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from isingbraid import analysis
 from isingbraid.analysis import (
+    KRYLOV_DIM,
     STEP_DEPTH,
     adiabatic_margin,
     commutator_bounds,
@@ -19,14 +21,24 @@ from isingbraid.analysis import (
     phase_aligned_distance,
     total_error_bound,
 )
+from isingbraid.circuit import Gate, GateKind
 from isingbraid.protocol import (
     FieldSchedule,
     LogicalLabel,
     ProtocolParams,
+    RotateCoupler,
     SetFields,
+    chain_config,
     initial_fields,
+    walk_schedule,
 )
-from isingbraid.statevector import dense_unitary, fidelity, zero_state
+from isingbraid.statevector import (
+    QuantumState,
+    apply_gate_inplace,
+    dense_unitary,
+    fidelity,
+    zero_state,
+)
 from isingbraid.trotter import ChainConfig, trotter_step_circuit
 
 OPT = ProtocolParams()  # high-fidelity row
@@ -183,6 +195,103 @@ def test_exact_evolve_rejects_oversized_register():
     big = replace(OPT, N_s=10)
     with pytest.raises(ValueError):
         exact_evolve(FieldSchedule(()), big, zero_state(11))
+
+
+def random_state(n_qubits: int, seed: int) -> QuantumState:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return QuantumState(n_qubits, amps / np.linalg.norm(amps))
+
+
+def dense_evolve(schedule, params, initial):
+    """The dense per-step reference: exp(-i H dt) of the dense H for every
+    walked entry, applied ``repeats`` times."""
+    amps = initial.amplitudes.copy()
+    for item in walk_schedule(params, schedule):
+        if isinstance(item, RotateCoupler):
+            apply_gate_inplace(amps, initial.n_qubits,
+                               Gate(GateKind.RY, (params.coupler_qubit,), item.angle))
+            continue
+        fields, repeats = item
+        u = expm_hermitian(dense_hamiltonian(chain_config(params, fields)), params.dt)
+        for _ in range(repeats):
+            amps = u @ amps
+    return amps
+
+
+@pytest.mark.parametrize("mode", ["linear", "stepped"])
+@pytest.mark.parametrize("n_s", [6, 8])
+def test_exact_evolve_matches_dense_reference(n_s, mode):
+    p = ProtocolParams(N_s=n_s, dt=0.3, T=0.6, update_mode=mode)
+    rng = np.random.default_rng(n_s)
+    hold = [SetFields(tuple(rng.uniform(0.0, p.h_para, n_s)), p.T) for _ in range(4)]
+    sched = FieldSchedule((hold[0], hold[1], RotateCoupler(math.pi / 3), hold[2],
+                           RotateCoupler(0.4), SetFields(hold[3].fields, p.dt)))
+    initial = random_state(p.n_qubits, n_s)
+    out = exact_evolve(sched, p, initial)
+    assert np.abs(out.amplitudes - dense_evolve(sched, p, initial)).max() <= 1e-10
+
+
+def test_exact_evolve_basis_state_without_fields_is_diagonal_phase():
+    # With every field zero, H is diagonal: a basis state is an eigenvector
+    # and the first Lanczos step breaks down with beta_1 = 0.
+    p = ProtocolParams()
+    sched = FieldSchedule((SetFields((0.0,) * p.N_s, p.T),))
+    k = 0b1011001
+    initial = QuantumState(p.n_qubits, np.eye(1 << p.n_qubits)[k])
+    out = exact_evolve(sched, p, initial).amplitudes
+    energy = dense_hamiltonian(chain_config(p, (0.0,) * p.N_s))[k, k].real
+    assert np.count_nonzero(out) == 1
+    assert abs(out[k] - np.exp(-1j * energy * p.T)) <= 1e-14
+
+
+def test_exact_evolve_long_stepped_hold_splits_into_substeps(monkeypatch):
+    matvecs = 0
+    krylov_expm = analysis._krylov_expm
+
+    def counting(apply_h, v, t):
+        def counted(x):
+            nonlocal matvecs
+            matvecs += 1
+            return apply_h(x)
+
+        return krylov_expm(counted, v, t)
+
+    monkeypatch.setattr(analysis, "_krylov_expm", counting)
+    p = ProtocolParams(T=20.0)  # one stepped hold of 100 steps
+    fields = tuple(np.random.default_rng(5).uniform(0.0, p.h_para, p.N_s))
+    initial = random_state(p.n_qubits, 5)
+    out = exact_evolve(FieldSchedule((SetFields(fields, p.T),)), p, initial)
+    # One basis could not reach t = 20, so the hold was split.
+    assert matvecs > KRYLOV_DIM
+    u = expm_hermitian(dense_hamiltonian(chain_config(p, fields)), p.T)
+    assert np.abs(out.amplitudes - u @ initial.amplitudes).max() <= 1e-10
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["linear", "stepped"])
+@pytest.mark.parametrize("bad_fields", [(1.0,) * 5, (1.0,)])
+def test_exact_evolve_rejects_bad_fields_before_allocating(monkeypatch, mode,
+                                                           bad_fields):
+    def allocate(cfg):
+        pytest.fail("allocated before the schedule was checked")
+
+    monkeypatch.setattr(analysis, "_diagonal_and_flips", allocate)
+    p = ProtocolParams(update_mode=mode)
+    sched = FieldSchedule((SetFields(initial_fields(p), p.T), RotateCoupler(0.5),
+                           SetFields(bad_fields, p.T)))
+    with pytest.raises(ValueError, match="field values"):
+        exact_evolve(sched, p, zero_state(p.n_qubits))
+
+
+def test_exact_evolve_rejects_negative_coupling_before_allocating(monkeypatch):
+    def allocate(cfg):
+        pytest.fail("allocated before the coupling was checked")
+
+    monkeypatch.setattr(analysis, "_diagonal_and_flips", allocate)
+    p = ProtocolParams(J_C=-0.3)
+    with pytest.raises(ValueError, match="J_C"):
+        exact_evolve(FieldSchedule(()), p, zero_state(p.n_qubits))
 
 
 def test_dense_summands_compose_to_hamiltonian():
