@@ -17,6 +17,12 @@ per step of ``analysis.exact_evolve`` (matrix-free Lanczos), of the dense
 per-step reference (``dense_hamiltonian`` and ``expm_hermitian`` for every
 step), and the largest |difference| between the two final states.
 
+The third table compiles the OPT braid at N_s = 6 (the default parameters)
+in each update mode and prints the ms to build its evolution circuit
+(``build_protocol_circuit``), that time per Trotter step in µs, and the
+executor's ms per step over one ``statevector.run`` of the whole braid
+(initialization and evolution).
+
 Each time is the best of five. BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS is already set, as in perfbench's workers.
 
@@ -40,9 +46,13 @@ from isingbraid.analysis import (  # noqa: E402
 from isingbraid.circuit import Circuit  # noqa: E402
 from isingbraid.protocol import (  # noqa: E402
     FieldSchedule,
+    LogicalLabel,
     ProtocolParams,
     build_field_schedule,
+    build_protocol_circuit,
     chain_config,
+    compile_scenario,
+    count_trotter_steps,
     initial_fields,
     walk_schedule,
 )
@@ -50,6 +60,7 @@ from isingbraid.statevector import (  # noqa: E402
     QuantumState,
     apply_gate_inplace,
     run,
+    zero_state,
 )
 from isingbraid.trotter import trotter_step_circuit  # noqa: E402
 
@@ -120,6 +131,16 @@ def oracle_cost(n_s: int) -> tuple[float, float, float]:
     return 1e3 * lanczos, 1e3 * per_step, diff
 
 
+def braid_cost(mode: str) -> tuple[int, float, float]:
+    params = ProtocolParams(update_mode=mode)
+    compiled = compile_scenario(params, "braid", LogicalLabel.ALL_UP)
+    steps = count_trotter_steps(params, compiled.schedule)
+    build = best_of(lambda: build_protocol_circuit(params, compiled.schedule))
+    zero = zero_state(params.n_qubits)
+    simulate = best_of(lambda: run(zero, compiled.prepared_circuit))
+    return steps, build, simulate
+
+
 def main():
     print(f"{'N_s':>4} {'qubits':>6} {'steady ms/step':>15} "
           f"{'oracle ms/step':>15} {'max |diff|':>11}")
@@ -132,6 +153,13 @@ def main():
     for n_s in ORACLE_SIZES:
         lanczos, dense, diff = oracle_cost(n_s)
         print(f"{n_s:>4} {n_s + 1:>6} {lanczos:>16.3f} {dense:>14.3f} {diff:>11.1e}")
+    print()
+    print(f"{'OPT N_s = 6':<12} {'steps':>6} {'compile ms':>11} "
+          f"{'us/step':>8} {'executor ms/step':>17}")
+    for mode in ("linear", "stepped"):
+        steps, build, simulate = braid_cost(mode)
+        print(f"{mode:<12} {steps:>6} {1e3 * build:>11.1f} "
+              f"{1e6 * build / steps:>8.1f} {1e3 * simulate / steps:>17.4f}")
     return 0
 
 

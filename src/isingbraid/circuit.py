@@ -74,6 +74,20 @@ class Gate:
         elif angle is not None:
             raise CircuitError(f"{kind.name} carries no angle")
 
+    @classmethod
+    def _trusted(cls, kind: GateKind, qubits: tuple[int, ...],
+                 angle: float | None = None) -> "Gate":
+        """A gate whose fields are already checked (``qubits`` a tuple of
+        valid indices, ``angle`` a finite float exactly for the rotation
+        kinds), built without checking them again."""
+        # Attribute by attribute, as ``__init__`` does: filling ``__dict__``
+        # directly is faster but gives each gate a full dict of its own.
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "kind", kind)
+        object.__setattr__(gate, "qubits", qubits)
+        object.__setattr__(gate, "angle", angle)
+        return gate
+
     @property
     def arity(self) -> int:
         return len(self.qubits)
@@ -126,10 +140,6 @@ class Circuit:
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
-
-
-def empty(n_qubits: int) -> Circuit:
-    return Circuit(n_qubits, ())
 
 
 def concat(circuits: Sequence[Circuit]) -> Circuit:

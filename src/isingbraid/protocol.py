@@ -26,7 +26,6 @@ from .circuit import (
     GateKind,
     concat,
     depth,
-    empty,
     gate_counts,
     inverse,
 )
@@ -38,7 +37,7 @@ from .statevector import (
     sample,
     zero_state,
 )
-from .trotter import ChainConfig, trotter_step_circuit
+from .trotter import ChainConfig, extend_trotter_steps
 
 SCENARIOS = ("translate_no_coupler", "translate_with_coupler", "braid")
 COUPLER_PREPS = ("RX_half_pi", "H", "RY_half_pi")
@@ -255,8 +254,15 @@ def walk_schedule(params: ProtocolParams, schedule: FieldSchedule):
 
     A ``stepped`` hold is one entry at the event's fields, repeated for every
     Trotter step of the hold; a ``linear`` hold is one entry per step, at
-    fields interpolated from the previous hold's towards the event's.
+    fields interpolated from the previous hold's towards the event's. Every
+    hold must give one field per chain site; that is checked for the whole
+    schedule before the first entry is yielded.
     """
+    for event in schedule.events:
+        if not isinstance(event, RotateCoupler) and len(event.fields) != params.N_s:
+            raise ValueError(
+                f"need {params.N_s} field values, got {len(event.fields)}"
+            )
     prev_fields = initial_fields(params)
     for event in schedule.events:
         if isinstance(event, RotateCoupler):
@@ -278,24 +284,19 @@ def build_protocol_circuit(
 ) -> Circuit:
     """Compile the schedule into the full evolution circuit (no init/readout).
 
-    Each entry of ``walk_schedule`` emits one Trotter step circuit, repeated
-    as often as the entry says; coupler rotation events emit a single RY on
-    the coupler qubit.
+    Each entry of ``walk_schedule`` appends one Trotter step, repeated as
+    often as the entry says, to one flat gate list; coupler rotation events
+    append a single RY on the coupler qubit.
     """
-    n = params.n_qubits
-    parts: list[Circuit] = []
+    cfg = chain_config(params, initial_fields(params))
+    gates: list[Gate] = []
     for item in walk_schedule(params, schedule):
         if isinstance(item, RotateCoupler):
-            parts.append(
-                Circuit(n, (Gate(GateKind.RY, (params.coupler_qubit,), item.angle),))
-            )
+            gates.append(Gate(GateKind.RY, (params.coupler_qubit,), item.angle))
             continue
         fields, repeats = item
-        step = trotter_step_circuit(chain_config(params, fields), params.dt)
-        parts.extend([step] * repeats)
-    if not parts:
-        return empty(n)
-    return concat(parts)
+        extend_trotter_steps(gates, cfg, fields, params.dt, repeats)
+    return Circuit._trusted(params.n_qubits, tuple(gates))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import _QUBITS, Circuit, Gate, GateKind
 
 MAX_QUBITS = 26
 MAX_DENSE_QUBITS = 10
@@ -28,12 +29,16 @@ _BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
 _MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
 # Most adjacent qubits a layer block spans: one 2**k x 2**k matrix.
 _BLOCK_QUBITS = 4
+# Bytes of block matrices that one chunk of layers builds at once. A cap in
+# bytes, not in layers, keeps a chunk's matrices small at every register
+# size: a Trotter step's blocks take 2 KiB at 7 qubits and 10 KiB at 15.
+_BLOCK_BYTES = 64 << 10
 _EYE2 = np.eye(2, dtype=complex)
-# einsum subscripts of the Kronecker product of w 2x2 factors, the factor of
-# the highest qubit first: "ae,bf->abef" for w = 2.
+# einsum subscripts of a batch of Kronecker products of w 2x2 factors, the
+# factor of the highest qubit first: "...ae,...bf->...abef" for w = 2.
 _KRON = {
-    w: ",".join(f"{chr(97 + j)}{chr(97 + w + j)}" for j in range(w))
-    + "->" + "".join(chr(97 + j) for j in range(2 * w))
+    w: ",".join(f"...{chr(97 + j)}{chr(97 + w + j)}" for j in range(w))
+    + "->..." + "".join(chr(97 + j) for j in range(2 * w))
     for w in range(1, _BLOCK_QUBITS + 1)
 }
 
@@ -201,47 +206,129 @@ def _layer_matrices(layer: Sequence[Gate]) -> np.ndarray:
     return m
 
 
-def _apply_layer(
-    rows: np.ndarray, scratch: np.ndarray, n_qubits: int, layer: Sequence[Gate]
-) -> None:
-    """Apply one-qubit gates on distinct qubits to the batch ``rows``, in
-    blocks of at most ``_BLOCK_QUBITS`` adjacent qubits, each block one dense
-    matrix. ``scratch`` is a buffer of the batch's shape."""
-    count = len(layer)
-    qubits = [g.qubits[0] for g in layer]
-    order = sorted(range(count), key=qubits.__getitem__)
-    _check_range(layer[order[-1]], n_qubits)
-    mats = _layer_matrices(layer)[order]
-    qubits = [qubits[i] for i in order]
+@lru_cache(maxsize=64)
+def _block_plan(qubits: tuple[int, ...], n_qubits: int):
+    """Split a layer on the sorted ``qubits`` into blocks of at most
+    ``_BLOCK_QUBITS`` adjacent qubits. Returns the blocks, each as (lowest
+    qubit, width, slice of the layer's gates, offsets of those gates in the
+    block or None when they fill it), and the bytes of their matrices."""
+    if qubits[-1] >= n_qubits:
+        raise ValueError(f"gate on {qubits[-1:]} out of range for {n_qubits} qubits")
     # A block never spans the whole register: the lo == 0 product then has
     # at least two rows even for a one-row batch, and a one-row product
     # would go through a different BLAS kernel than a batch's.
     span = min(_BLOCK_QUBITS, n_qubits - 1)
-    src, dst = rows, scratch
-    b = 0
+    blocks, nbytes = [], 0
+    b, count = 0, len(qubits)
     while b < count:
         lo = qubits[b]
         e = b + 1
         while e < count and qubits[e] < lo + span:
             e += 1
         width = qubits[e - 1] - lo + 1
-        if e - b == width:
-            factors = mats[b:e]
-        else:
-            # Qubits of the span that no gate of the layer touches.
-            factors = np.tile(_EYE2, (width, 1, 1))
-            factors[[q - lo for q in qubits[b:e]]] = mats[b:e]
-        dim = 1 << width
-        block = np.einsum(_KRON[width], *factors[::-1]).reshape(dim, dim)
+        offsets = None if e - b == width else [q - lo for q in qubits[b:e]]
+        blocks.append((lo, width, slice(b, e), offsets))
+        nbytes += 16 << (2 * width)
+        b = e
+    return tuple(blocks), nbytes
+
+
+def _layer_blocks(
+    layers: list[tuple[tuple[int, ...], list[Gate]]], n_qubits: int
+) -> list[list]:
+    """The dense blocks of every layer of a chunk, given as (sorted qubits,
+    gates in that order), as (lowest qubit, dimension, matrix) lists in
+    layer order.
+
+    Layers on the same qubits share one block plan, so their 2x2 matrices
+    are built by one ``_layer_matrices`` call and each block position's
+    Kronecker products by one batched ``einsum``.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for index, (qubits, _) in enumerate(layers):
+        groups.setdefault(qubits, []).append(index)
+    out: list[list] = [[] for _ in layers]
+    for qubits, members in groups.items():
+        count = len(members)
+        plan, _ = _block_plan(qubits, n_qubits)
+        mats = _layer_matrices([g for k in members for g in layers[k][1]])
+        mats = mats.reshape(count, len(qubits), 2, 2)
+        for lo, width, gates, offsets in plan:
+            if offsets is None:
+                factors = mats[:, gates]
+            else:
+                # Qubits of the span that no gate of the layer touches.
+                factors = np.tile(_EYE2, (count, width, 1, 1))
+                factors[:, offsets] = mats[:, gates]
+            dim = 1 << width
+            # The factor of the highest qubit first.
+            operands = [factors[:, w] for w in range(width - 1, -1, -1)]
+            blocks = np.einsum(_KRON[width], *operands).reshape(count, dim, dim)
+            for k, block in zip(members, blocks):
+                out[k].append((lo, dim, block))
+    return out
+
+
+def _apply_blocks(rows: np.ndarray, scratch: np.ndarray, blocks: list) -> None:
+    """Apply one layer's dense blocks to the batch ``rows``. ``scratch`` is
+    a buffer of the batch's shape."""
+    src, dst = rows, scratch
+    for lo, dim, block in blocks:
         if lo == 0:
             np.matmul(src.reshape(-1, dim), block.T, out=dst.reshape(-1, dim))
         else:
             shape = (-1, dim, 1 << lo)
             np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, src
-        b = e
     if src is not rows:
         rows[...] = src
+
+
+def _chunks(gates: Sequence[Gate], n_qubits: int):
+    """Split ``gates`` lazily into runs and yield them in chunks whose
+    layers' block matrices fill about ``_BLOCK_BYTES``.
+
+    A run is a maximal run of two or more basis gates (a tuple), a maximal
+    run of two or more RX, RY and H gates on distinct qubits (a layer: a
+    list of its gates sorted by qubit), or any other gate alone. Each chunk
+    is yielded as its runs in order and its layers as (sorted qubits,
+    gates); every layer is checked against the register before its chunk
+    is yielded.
+    """
+    chunk: list = []
+    layers: list = []
+    nbytes = 0
+    i, count = 0, len(gates)
+    while i < count:
+        first = gates[i]
+        j = i + 1
+        if first.kind in _BASIS_KINDS:
+            while j < count and gates[j].kind in _BASIS_KINDS:
+                j += 1
+        else:
+            seen = {first.qubits[0]}
+            while j < count:
+                gate = gates[j]
+                if gate.kind not in _MIXING_KINDS or gate.qubits[0] in seen:
+                    break
+                seen.add(gate.qubits[0])
+                j += 1
+        if j - i < 2:
+            chunk.append(first)
+        elif first.kind in _MIXING_KINDS:
+            layer = sorted(gates[i:j], key=_QUBITS)
+            qubits = tuple(g.qubits[0] for g in layer)
+            nbytes += _block_plan(qubits, n_qubits)[1]
+            chunk.append(layer)
+            layers.append((qubits, layer))
+        else:
+            chunk.append(tuple(gates[i:j]))
+        i = j
+        if nbytes >= _BLOCK_BYTES:
+            yield chunk, layers
+            chunk, layers, nbytes = [], [], 0
+    if chunk:
+        yield chunk, layers
 
 
 def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) -> None:
@@ -252,43 +339,33 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
     (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of the
     most recent run is kept for the next run, so a run repeated step after
     step is built once. Each maximal run of two or more RX, RY and H gates on
-    distinct qubits is applied as one layer of dense blocks. Every other
-    gate goes through ``apply_gate_inplace``. A run is checked in full
-    before any row changes.
+    distinct qubits is applied as one layer of dense blocks. The runs are
+    planned a chunk at a time (see ``_chunks``): the blocks of all layers of
+    a chunk are built together, then the chunk's runs are applied in order.
+    Every other gate goes through ``apply_gate_inplace``. A run is checked
+    in full before any row changes.
     """
     flat = rows.reshape(-1)
     scratch = None
     last_run, last_map = (), None
-    i, count = 0, len(gates)
-    while i < count:
-        j = i + 1
-        if gates[i].kind in _BASIS_KINDS:
-            while j < count and gates[j].kind in _BASIS_KINDS:
-                j += 1
-        else:
-            seen = {gates[i].qubits[0]}
-            while j < count:
-                gate = gates[j]
-                if gate.kind not in _MIXING_KINDS or gate.qubits[0] in seen:
-                    break
-                seen.add(gate.qubits[0])
-                j += 1
-        if j - i < 2:
-            apply_gate_inplace(flat, n_qubits, gates[i])
-        elif gates[i].kind in _MIXING_KINDS:
-            if scratch is None:
-                scratch = np.empty_like(rows)
-            _apply_layer(rows, scratch, n_qubits, gates[i:j])
-        else:
-            basis_run = tuple(gates[i:j])
-            if basis_run != last_run:
-                last_run, last_map = basis_run, _basis_map(n_qubits, basis_run)
-            src, phase = last_map
-            if src is None:
-                rows *= phase
+    for chunk, layers in _chunks(gates, n_qubits):
+        blocks = iter(_layer_blocks(layers, n_qubits))
+        for part in chunk:
+            kind = type(part)
+            if kind is list:
+                if scratch is None:
+                    scratch = np.empty_like(rows)
+                _apply_blocks(rows, scratch, next(blocks))
+            elif kind is tuple:
+                if part != last_run:
+                    last_run, last_map = part, _basis_map(n_qubits, part)
+                src, phase = last_map
+                if src is None:
+                    rows *= phase
+                else:
+                    np.multiply(rows.take(src, axis=1), phase, out=rows)
             else:
-                np.multiply(rows.take(src, axis=1), phase, out=rows)
-        i = j
+                apply_gate_inplace(flat, n_qubits, part)
 
 
 def run(state: QuantumState, circuit: Circuit) -> QuantumState:

@@ -120,21 +120,15 @@ def pair_interaction_circuit(
     return Circuit(cfg.n_qubits, gates)
 
 
-def _zeeman_gates(
-    cfg: ChainConfig, fields: tuple[float, ...], dt: float
-) -> tuple[Gate, ...]:
-    return tuple(
-        Gate(GateKind.RX, (cfg.site_qubit(site),), -2.0 * h * dt)
-        for site, h in enumerate(fields)
-    )
-
-
 def zeeman_circuit(cfg: ChainConfig, fields, dt: float) -> Circuit:
     """Circuit for exp(-i H_Z dt) with H_Z = -sum_n h_n X_n: RX(-2 h_n dt)."""
     fields = tuple(float(h) for h in fields)
     if len(fields) != cfg.n_sites:
         raise CircuitError(f"need {cfg.n_sites} field values, got {len(fields)}")
-    return Circuit(cfg.n_qubits, _zeeman_gates(cfg, fields, dt))
+    return Circuit(cfg.n_qubits, tuple(
+        Gate(GateKind.RX, (cfg.site_qubit(site),), -2.0 * h * dt)
+        for site, h in enumerate(fields)
+    ))
 
 
 def coupler_circuit(cfg: ChainConfig, J_C: float, dt: float) -> Circuit:
@@ -167,26 +161,52 @@ def zz_layer_circuit(cfg: ChainConfig, pairs, dt: float) -> Circuit:
 
 
 @lru_cache(maxsize=8)
-def _field_free_gates(
+def _step_layout(
     chain_len: int, J: float, J_C: float, dt: float
-) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-    """The gates of both ZZ layers and of the coupler ladder (empty for
-    J_C = 0), which every step with these constants shares."""
+) -> tuple[tuple[Gate, ...], tuple[tuple[int], ...], tuple[Gate, ...]]:
+    """The gates of both ZZ layers, the qubits of the RX gate of each site
+    in site order, and the gates of the coupler ladder (empty for J_C = 0):
+    everything of a step that every step with these constants shares."""
     cfg = ChainConfig(chain_len, J, J_C, (0.0,) * (2 * chain_len))
     zz = concat([
         zz_layer_circuit(cfg, first_layer_pairs(cfg), dt),
         zz_layer_circuit(cfg, second_layer_pairs(cfg), dt),
     ]).gates
+    sites = tuple((cfg.site_qubit(site),) for site in range(cfg.n_sites))
     coupler = coupler_circuit(cfg, J_C, dt).gates if J_C != 0.0 else ()
-    return zz, coupler
+    return zz, sites, coupler
+
+
+def extend_trotter_steps(
+    gates: list[Gate], cfg: ChainConfig, fields, dt: float, repeats: int = 1
+) -> None:
+    """Append ``repeats`` first-order steps at ``fields`` to ``gates``: ZZ
+    layer 1, ZZ layer 2, Zeeman, coupler term.
+
+    ``fields`` holds one transverse field per chain site and stands in for
+    ``cfg.fields``; ``cfg`` gives the layout and the couplings. The Zeeman
+    angles -2 h dt are computed as one array and checked once, so the RX
+    gates are built without checking each again. Only the RX gates are new
+    objects; the field-free gates are the same objects in every step with
+    equal chain length, J, J_C and dt.
+    """
+    zz, sites, coupler = _step_layout(cfg.chain_len, cfg.J, cfg.J_C, dt)
+    angles = (-2.0 * np.asarray(fields, dtype=float)) * dt
+    if angles.shape != (len(sites),):
+        raise CircuitError(f"need {len(sites)} field values, got {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise CircuitError("RX requires a finite angle")
+    rx, trusted = GateKind.RX, Gate._trusted
+    zeeman = [trusted(rx, q, a) for q, a in zip(sites, angles.tolist())]
+    for _ in range(repeats):
+        gates += zz
+        gates += zeeman
+        gates += coupler
 
 
 def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:
-    """One first-order step: ZZ layer 1, ZZ layer 2, Zeeman, coupler term.
-
-    Only the Zeeman gates are built per call; the field-free gates are the
-    same objects in every step with equal chain length, J, J_C and dt.
-    """
-    zz, coupler = _field_free_gates(cfg.chain_len, cfg.J, cfg.J_C, dt)
-    zeeman = _zeeman_gates(cfg, cfg.fields, dt)
-    return Circuit(cfg.n_qubits, zz + zeeman + coupler)
+    """One first-order step at ``cfg.fields``: ZZ layer 1, ZZ layer 2,
+    Zeeman, coupler term (see ``extend_trotter_steps``)."""
+    gates: list[Gate] = []
+    extend_trotter_steps(gates, cfg, cfg.fields, dt)
+    return Circuit._trusted(cfg.n_qubits, tuple(gates))

@@ -12,7 +12,6 @@ from isingbraid.circuit import (
     GateKind,
     concat,
     depth,
-    empty,
     gate_counts,
     inverse,
     to_qasm,
@@ -70,14 +69,14 @@ def test_concat_gate_order_and_length():
     assert [g.kind for g in ab] == [GateKind.H, GateKind.CNOT]
     assert len(ab) == 2
     with pytest.raises(CircuitError, match="mismatch"):
-        concat([a, empty(3)])
+        concat([a, Circuit(3, ())])
 
 
 def test_concat_flattens_parts_and_rejects_empty_list():
     parts = [
         Circuit(2, (Gate(GateKind.RX, (0,), 0.1),)),
         Circuit(2, (Gate(GateKind.CNOT, (1, 0),),)),
-        empty(2),
+        Circuit(2, ()),
         Circuit(2, (Gate(GateKind.RZ, (1,), -0.4),)),
     ]
     c = concat(parts)
@@ -107,7 +106,7 @@ def test_inverse_is_unitary_inverse():
 
 
 def test_depth_simple_cases():
-    assert depth(empty(3)) == 0
+    assert depth(Circuit(3, ())) == 0
     c = Circuit(
         3,
         (
@@ -180,4 +179,4 @@ def test_qasm_format():
 
 
 def test_qasm_empty_circuit_is_header_only():
-    assert len(to_qasm(empty(2)).splitlines()) == QASM_HEADER_LINES
+    assert len(to_qasm(Circuit(2, ())).splitlines()) == QASM_HEADER_LINES

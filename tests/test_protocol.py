@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isingbraid.circuit import concat, inverse
+from isingbraid.circuit import CircuitError, Gate, GateKind, concat, inverse
 from isingbraid.protocol import (
     AdiabaticityWarning,
     FieldSchedule,
@@ -15,6 +15,7 @@ from isingbraid.protocol import (
     SetFields,
     build_field_schedule,
     build_protocol_circuit,
+    chain_config,
     chain_fidelity,
     compile_scenario,
     count_trotter_steps,
@@ -33,6 +34,7 @@ from isingbraid.protocol import (
     walk_schedule,
 )
 from isingbraid.statevector import QuantumState, run, zero_state
+from isingbraid.trotter import trotter_step_circuit
 
 OPT = ProtocolParams()  # high-fidelity parameter set
 # coarse, fast schedule for structural tests
@@ -251,6 +253,55 @@ def test_walk_schedule_entries_per_mode():
     start = np.asarray(initial_fields(FAST))
     assert np.allclose(holds[0][0], start + (first - start) / n_steps)
     assert np.array_equal(holds[n_steps - 1][0], first)
+
+
+def _gate_bits(gates):
+    """Gates as comparable tuples, each angle by its exact bits."""
+    return [(g.kind, g.qubits, None if g.angle is None else g.angle.hex())
+            for g in gates]
+
+
+@pytest.mark.parametrize("N_s", [6, 10])
+@pytest.mark.parametrize("mode", ["stepped", "linear"])
+@pytest.mark.parametrize("J_C", [0.0, 0.3])
+def test_circuit_is_the_step_circuits_of_the_walked_entries(N_s, mode, J_C):
+    p = replace(FAST, N_s=N_s, J_C=J_C, update_mode=mode)
+    sched = build_field_schedule(p, include_rotation=True)
+    expected = []
+    for item in walk_schedule(p, sched):
+        if isinstance(item, RotateCoupler):
+            expected.append(Gate(GateKind.RY, (p.coupler_qubit,), item.angle))
+            continue
+        fields, repeats = item
+        step = trotter_step_circuit(chain_config(p, fields), p.dt).gates
+        expected.extend(step * repeats)
+    assert any(g.kind is GateKind.RY for g in expected)
+    assert _gate_bits(build_protocol_circuit(p, sched).gates) == _gate_bits(expected)
+
+
+@pytest.mark.parametrize("mode", ["stepped", "linear"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_raises_circuit_error(mode, bad):
+    fields = list(initial_fields(FAST))
+    fields[2] = bad
+    sched = FieldSchedule((SetFields(tuple(fields), FAST.T),))
+    with pytest.raises(CircuitError, match="finite"):
+        build_protocol_circuit(replace(FAST, update_mode=mode), sched)
+
+
+@pytest.mark.parametrize("mode", ["stepped", "linear"])
+def test_wrong_field_count_raises_before_any_entry(mode):
+    p = replace(FAST, update_mode=mode)
+    with pytest.raises(ValueError, match="need 6 field values, got 1"):
+        build_protocol_circuit(p, FieldSchedule((SetFields((1.0,), 2.0),)))
+    # A bad hold late in the schedule stops the walk before its first entry.
+    sched = FieldSchedule((
+        SetFields(initial_fields(p), p.T),
+        RotateCoupler(0.5),
+        SetFields((1.0,) * 7, p.T),
+    ))
+    with pytest.raises(ValueError, match="got 7"):
+        next(walk_schedule(p, sched))
 
 
 def test_run_scenario_rejects_large_register_before_compiling(monkeypatch):

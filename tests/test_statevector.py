@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import isingbraid.statevector as sv
 from isingbraid.circuit import Circuit, Gate, GateKind, inverse
+from isingbraid.protocol import (
+    FieldSchedule,
+    LogicalLabel,
+    ProtocolParams,
+    RotateCoupler,
+    SetFields,
+    build_protocol_circuit,
+    initial_fields,
+    initialization_circuit,
+)
 from isingbraid.statevector import (
     MAX_QUBITS,
     QuantumState,
@@ -299,6 +310,65 @@ def test_trotter_step_at_14_sites_matches_gate_by_gate():
     for gate in step:
         apply_gate_inplace(expected, cfg.n_qubits, gate)
     assert np.allclose(run(state, step).amplitudes, expected, rtol=0, atol=1e-12)
+
+
+def _short_braid():
+    """An init layer, three Trotter steps, a coupler RY and two more steps
+    of the N_s = 6 braid: mixing layers on two qubit sets and a lone RY."""
+    p = ProtocolParams(dt=0.2, T=0.6, update_mode="linear")
+    fields = initial_fields(p)
+    sched = FieldSchedule((
+        SetFields(fields[:2] + (2.0, 3.0) + fields[4:], p.T),
+        RotateCoupler(0.7),
+        SetFields(fields, 0.4),
+    ))
+    init = initialization_circuit(p, LogicalLabel.ALL_UP)
+    return p.n_qubits, init.gates + build_protocol_circuit(p, sched).gates
+
+
+def test_chunk_budget_does_not_change_the_result(monkeypatch):
+    n, gates = _short_braid()
+    batch = np.stack([random_state(n, seed).amplitudes for seed in (5, 6)])
+    layers_per_chunk = [len(layers) for _, layers in sv._chunks(gates, n)]
+    assert layers_per_chunk == [6]
+    default = batch.copy()
+    apply_gates_inplace(default, n, gates)
+    monkeypatch.setattr(sv, "_BLOCK_BYTES", 1)
+    # The last chunk holds the final coupler ladder alone.
+    layers_per_chunk = [len(layers) for _, layers in sv._chunks(gates, n)]
+    assert layers_per_chunk == [1] * 6 + [0]
+    one_layer = batch.copy()
+    apply_gates_inplace(one_layer, n, gates)
+    assert np.array_equal(one_layer, default)
+    monkeypatch.undo()
+    # A cut at a boundary between two runs gives the same bits; a cut inside
+    # a run changes what is fused, and so only the rounding.
+    parts = [part for chunk, _ in sv._chunks(gates, n) for part in chunk]
+    bounds = np.cumsum([0] + [1 if isinstance(p, Gate) else len(p) for p in parts])
+    assert len(bounds) == 15 and bounds[-1] == len(gates)
+    for cut in range(len(gates) + 1):
+        split = batch.copy()
+        apply_gates_inplace(split, n, gates[:cut])
+        apply_gates_inplace(split, n, gates[cut:])
+        if cut in bounds:
+            assert np.array_equal(split, default), cut
+        else:
+            assert np.allclose(split, default, rtol=0, atol=1e-12), cut
+
+
+def test_chunk_of_mixed_layers_matches_gate_by_gate():
+    n, gates = _short_braid()
+    # One more layer whose blocks leave qubits of their span untouched.
+    gates += (Gate(GateKind.H, (0,)), Gate(GateKind.RY, (2,), 0.4),
+              Gate(GateKind.RX, (6,), -1.1))
+    [(_, layers)] = sv._chunks(gates, n)
+    assert len({qubits for qubits, _ in layers}) == 3
+    state = random_state(n, 7)
+    expected = state.amplitudes.copy()
+    for gate in gates:
+        apply_gate_inplace(expected, n, gate)
+    assert np.allclose(run(state, Circuit(n, gates)).amplitudes, expected,
+                       rtol=0, atol=1e-12)
 
 
 def _assert_rejected_before_any_row_changes(gates):

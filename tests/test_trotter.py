@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,12 +14,13 @@ from isingbraid.analysis import (
     operator_norm,
     phase_aligned_distance,
 )
-from isingbraid.circuit import CircuitError, GateKind, concat, depth
+from isingbraid.circuit import CircuitError, Gate, GateKind, concat, depth
 from isingbraid.statevector import dense_unitary
 from isingbraid.trotter import (
     ChainConfig,
     chain_pairs,
     coupler_circuit,
+    extend_trotter_steps,
     first_layer_pairs,
     pair_interaction_circuit,
     second_layer_pairs,
@@ -136,6 +140,32 @@ def test_step_equals_concat_of_its_summands(J_C):
     )
     shared = [a is b for a, b in zip(step.gates, other.gates)]
     assert shared == [g.kind is not GateKind.RX for g in step.gates]
+
+
+def test_extended_steps_repeat_the_step_circuit():
+    fields = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    head = Gate(GateKind.H, (0,))
+    gates = [head]
+    extend_trotter_steps(gates, CFG6, np.array(fields), DT, repeats=3)
+    step = trotter_step_circuit(replace(CFG6, fields=fields), DT).gates
+    assert gates == [head, *step * 3]
+    rx = [g for g in step if g.kind is GateKind.RX]
+    assert [g.angle for g in rx] == [-2.0 * h * DT for h in fields]
+    assert all(type(g.angle) is float for g in rx)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_step_rejects_non_finite_fields(bad):
+    cfg = replace(CFG6, fields=(0.01, bad, 0.01, 5, 5, 5))
+    with pytest.raises(CircuitError, match="finite"):
+        trotter_step_circuit(cfg, DT)
+
+
+def test_extend_steps_rejects_wrong_field_count():
+    gates = []
+    with pytest.raises(CircuitError, match="need 6 field values"):
+        extend_trotter_steps(gates, CFG6, (1.0,), DT)
+    assert gates == []
 
 
 def test_step_zz_angles_follow_dt():
