@@ -9,7 +9,10 @@ initial fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
   as (time of 2R steps - time of R steps) / R, so the one-time cost of the
   basis-run map drops out;
 - oracle ms/step: the same gates, one ``apply_gate_inplace`` each;
-- the largest |difference| between the two states after R steps.
+- the largest |difference| between the two states after R steps;
+- layer ms: the step's Zeeman layer (its RX gates) alone, repeated inside
+  one ``run`` and timed the same way as the steady step. Registers of
+  ``statevector._REAL_QUBITS`` qubits or more apply it in real arithmetic.
 
 The second table walks the first two holds of the EFF braid schedule with
 linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints the ms
@@ -43,7 +46,7 @@ from isingbraid.analysis import (  # noqa: E402
     exact_evolve,
     expm_hermitian,
 )
-from isingbraid.circuit import Circuit  # noqa: E402
+from isingbraid.circuit import Circuit, GateKind  # noqa: E402
 from isingbraid.protocol import (  # noqa: E402
     FieldSchedule,
     LogicalLabel,
@@ -84,7 +87,16 @@ def random_state(n: int, seed: int) -> QuantumState:
     return QuantumState(n, amps / np.linalg.norm(amps))
 
 
-def step_cost(n_s: int) -> tuple[float, float, float]:
+def steady_cost(state: QuantumState, gates, repeats: int) -> float:
+    """Seconds per repeat of ``gates`` inside one ``run``, as (time of 2R
+    repeats - time of R repeats) / R."""
+    once = Circuit(state.n_qubits, gates * repeats)
+    twice = Circuit(state.n_qubits, gates * (2 * repeats))
+    return (best_of(lambda: run(state, twice))
+            - best_of(lambda: run(state, once))) / repeats
+
+
+def step_cost(n_s: int) -> tuple[float, float, float, float]:
     params = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5)
     step = trotter_step_circuit(
         chain_config(params, initial_fields(params)), params.dt
@@ -94,9 +106,9 @@ def step_cost(n_s: int) -> tuple[float, float, float]:
     repeats = max(2, (1 << 22) >> n)
     state = random_state(n, n_s)
     once = Circuit(n, step.gates * repeats)
-    twice = Circuit(n, step.gates * (2 * repeats))
-    steady = (best_of(lambda: run(state, twice))
-              - best_of(lambda: run(state, once))) / repeats
+    steady = steady_cost(state, step.gates, repeats)
+    zeeman = tuple(g for g in step.gates if g.kind is GateKind.RX)
+    layer = steady_cost(state, zeeman, repeats)
 
     def oracle():
         out = state.amplitudes.copy()
@@ -106,7 +118,7 @@ def step_cost(n_s: int) -> tuple[float, float, float]:
 
     per_gate = best_of(oracle) / repeats
     diff = float(np.abs(run(state, once).amplitudes - oracle()).max())
-    return 1e3 * steady, 1e3 * per_gate, diff
+    return 1e3 * steady, 1e3 * per_gate, diff, 1e3 * layer
 
 
 def oracle_cost(n_s: int) -> tuple[float, float, float]:
@@ -143,10 +155,11 @@ def braid_cost(mode: str) -> tuple[int, float, float]:
 
 def main():
     print(f"{'N_s':>4} {'qubits':>6} {'steady ms/step':>15} "
-          f"{'oracle ms/step':>15} {'max |diff|':>11}")
+          f"{'oracle ms/step':>15} {'max |diff|':>11} {'layer ms':>9}")
     for n_s in SIZES:
-        steady, per_gate, diff = step_cost(n_s)
-        print(f"{n_s:>4} {n_s + 1:>6} {steady:>15.3f} {per_gate:>15.3f} {diff:>11.1e}")
+        steady, per_gate, diff, layer = step_cost(n_s)
+        print(f"{n_s:>4} {n_s + 1:>6} {steady:>15.3f} {per_gate:>15.3f} "
+              f"{diff:>11.1e} {layer:>9.3f}")
     print()
     print(f"{'N_s':>4} {'qubits':>6} {'Lanczos ms/step':>16} "
           f"{'dense ms/step':>14} {'max |diff|':>11}")

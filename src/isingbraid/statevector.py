@@ -29,11 +29,19 @@ _BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
 _MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
 # Most adjacent qubits a layer block spans: one 2**k x 2**k matrix.
 _BLOCK_QUBITS = 4
+# Registers of at least this many qubits apply every layer block above
+# qubit 0 in real arithmetic, inside the frame S = diag(1, i) on its RX
+# qubits (see ``_layer_blocks``). That halves a block's flops but adds two
+# passes over the state per layer, which cost more than they save on small
+# registers: timed one layer at a time, the two paths cost about the same
+# at 11 qubits, and the real one is faster from 12 up.
+_REAL_QUBITS = 12
 # Bytes of block matrices that one chunk of layers builds at once. A cap in
 # bytes, not in layers, keeps a chunk's matrices small at every register
 # size: a Trotter step's blocks take 2 KiB at 7 qubits and 10 KiB at 15.
 _BLOCK_BYTES = 64 << 10
-_EYE2 = np.eye(2, dtype=complex)
+# i**k for k mod 4.
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
 # einsum subscripts of a batch of Kronecker products of w 2x2 factors, the
 # factor of the highest qubit first: "...ae,...bf->...abef" for w = 2.
 _KRON = {
@@ -206,6 +214,23 @@ def _layer_matrices(layer: Sequence[Gate]) -> np.ndarray:
     return m
 
 
+# An entry holds two columns of 2**n_bits factors, together an eighth of the
+# state's bytes when the real blocks start at qubit 4, so only a few are kept.
+@lru_cache(maxsize=4)
+def _frame(mask: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of S on every qubit of ``mask`` over ``n_bits`` qubits,
+    ``i**popcount(x & mask)``, and its conjugate, as read-only
+    ``(2**n_bits, 1)`` columns."""
+    index = np.arange(1 << n_bits)
+    count = np.zeros_like(index)
+    for q in range(mask.bit_length()):
+        if mask >> q & 1:
+            count += (index >> q) & 1
+    into, back = _POWERS_OF_I[count & 3, None], _POWERS_OF_I[-count & 3, None]
+    into.flags.writeable = back.flags.writeable = False
+    return into, back
+
+
 @lru_cache(maxsize=64)
 def _block_plan(qubits: tuple[int, ...], n_qubits: int):
     """Split a layer on the sorted ``qubits`` into blocks of at most
@@ -235,52 +260,102 @@ def _block_plan(qubits: tuple[int, ...], n_qubits: int):
 
 def _layer_blocks(
     layers: list[tuple[tuple[int, ...], list[Gate]]], n_qubits: int
-) -> list[list]:
+) -> list[tuple[list, tuple | None]]:
     """The dense blocks of every layer of a chunk, given as (sorted qubits,
-    gates in that order), as (lowest qubit, dimension, matrix) lists in
-    layer order.
+    gates in that order), in layer order. Each layer is a list of (lowest
+    qubit, dimension, matrix) blocks and its frame, as ``_apply_blocks``
+    takes them.
 
     Layers on the same qubits share one block plan, so their 2x2 matrices
     are built by one ``_layer_matrices`` call and each block position's
     Kronecker products by one batched ``einsum``.
+
+    On registers of ``_REAL_QUBITS`` or more, every block above qubit 0 is
+    real: RX(t) = conj(S) RY(t) S with S = diag(1, i), so inside the frame
+    S on the RX qubits of those blocks each RX factor is the real RY(t). The
+    frame is the pair of ``_frame`` columns over the qubits from the lowest
+    real block up, or None when no factor of those blocks is complex. The
+    block at qubit 0 stays complex: it is one product whose row count grows
+    with the batch, and a real product of that shape rounds differently for
+    different row counts, which would make a row's bits depend on its batch.
     """
+    real = n_qubits >= _REAL_QUBITS
     groups: dict[tuple[int, ...], list[int]] = {}
     for index, (qubits, _) in enumerate(layers):
         groups.setdefault(qubits, []).append(index)
-    out: list[list] = [[] for _ in layers]
+    blocks_of: list[list] = [[] for _ in layers]
+    frames: list[tuple | None] = [None] * len(layers)
     for qubits, members in groups.items():
         count = len(members)
         plan, _ = _block_plan(qubits, n_qubits)
         mats = _layer_matrices([g for k in members for g in layers[k][1]])
         mats = mats.reshape(count, len(qubits), 2, 2)
+        # The lowest qubit of the blocks above qubit 0.
+        low = next((lo for lo, *_ in plan if lo), 0)
+        if real and low:
+            # S RX(t) conj(S) = RY(t): inside the frame each RX factor is
+            # real. The RX factors are the ones with an imaginary part; an
+            # RX(t) whose matrix is real needs no frame.
+            rx = mats.imag[..., 0, 1] != 0
+            real_mats = mats.real.copy()
+            real_mats[rx, 0, 1] = mats.imag[rx, 0, 1]
+            real_mats[rx, 1, 0] = -mats.imag[rx, 1, 0]
+            weights = [1 << (q - low) if q >= low else 0 for q in qubits]
+            for k, mask in zip(members, rx @ weights):
+                if mask:
+                    frames[k] = _frame(int(mask), n_qubits - low)
         for lo, width, gates, offsets in plan:
+            source = real_mats if real and lo else mats
             if offsets is None:
-                factors = mats[:, gates]
+                factors = source[:, gates]
             else:
                 # Qubits of the span that no gate of the layer touches.
-                factors = np.tile(_EYE2, (count, width, 1, 1))
-                factors[:, offsets] = mats[:, gates]
+                factors = np.tile(np.eye(2, dtype=source.dtype), (count, width, 1, 1))
+                factors[:, offsets] = source[:, gates]
             dim = 1 << width
             # The factor of the highest qubit first.
             operands = [factors[:, w] for w in range(width - 1, -1, -1)]
             blocks = np.einsum(_KRON[width], *operands).reshape(count, dim, dim)
             for k, block in zip(members, blocks):
-                out[k].append((lo, dim, block))
-    return out
+                blocks_of[k].append((lo, dim, block))
+    return list(zip(blocks_of, frames))
 
 
-def _apply_blocks(rows: np.ndarray, scratch: np.ndarray, blocks: list) -> None:
-    """Apply one layer's dense blocks to the batch ``rows``. ``scratch`` is
-    a buffer of the batch's shape."""
+def _apply_blocks(
+    rows: np.ndarray, scratch: np.ndarray, blocks: list, frame: tuple | None
+) -> None:
+    """Apply one layer's dense blocks to the batch ``rows``, inside its
+    frame when it has one. ``scratch`` is a buffer of the batch's shape.
+
+    Every step is a fixed sequence of operations on the whole layer, so a
+    layer gives the same bits whatever runs before or after it and however
+    many rows the batch has. The frame multiplies are exact: they only
+    multiply by powers of i.
+    """
     src, dst = rows, scratch
+    if frame is not None:
+        into, back = frame
+        # The frame's qubits are the highest ones: one factor per row of
+        # this view, broadcast along the low qubits.
+        framed = (-1, len(into), rows.shape[1] // len(into))
+        view = rows.reshape(framed)
+        view *= into
     for lo, dim, block in blocks:
         if lo == 0:
             np.matmul(src.reshape(-1, dim), block.T, out=dst.reshape(-1, dim))
-        else:
+        elif block.dtype == complex:
             shape = (-1, dim, 1 << lo)
             np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
+        else:
+            # The real and imaginary parts of the batch as twice as many
+            # real columns.
+            shape = (-1, dim, 2 << lo)
+            np.matmul(block, src.view(np.float64).reshape(shape),
+                      out=dst.view(np.float64).reshape(shape))
         src, dst = dst, src
-    if src is not rows:
+    if frame is not None:
+        np.multiply(src.reshape(framed), back, out=rows.reshape(framed))
+    elif src is not rows:
         rows[...] = src
 
 
@@ -355,7 +430,7 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
             if kind is list:
                 if scratch is None:
                     scratch = np.empty_like(rows)
-                _apply_blocks(rows, scratch, next(blocks))
+                _apply_blocks(rows, scratch, *next(blocks))
             elif kind is tuple:
                 if part != last_run:
                     last_run, last_map = part, _basis_map(n_qubits, part)
@@ -401,9 +476,8 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleCounts:
     rng = np.random.default_rng(seed)
     tallies = rng.multinomial(shots, probs)
     counts = {
-        index_to_bitstring(i, state.n_qubits): int(c)
-        for i, c in enumerate(tallies)
-        if c > 0
+        index_to_bitstring(i, state.n_qubits): int(tallies[i])
+        for i in np.flatnonzero(tallies).tolist()
     }
     return SampleCounts(counts=counts, shots=shots, n_bits=state.n_qubits)
 

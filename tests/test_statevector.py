@@ -203,6 +203,14 @@ def test_sample_deterministic_and_normalized():
     assert sample(s, 5000, seed=43) != c1
 
 
+def test_sample_keys_ascend_in_basis_order():
+    s = random_state(15, 4)
+    counts = sample(s, 10_000, seed=5)
+    indices = [int(bits[::-1], 2) for bits in counts.counts]
+    assert indices == sorted(set(indices))
+    assert sum(counts.counts.values()) == 10_000
+
+
 def test_sample_counts_validation():
     with pytest.raises(ValueError):
         SampleCounts(counts={"00": 3}, shots=4, n_bits=2)
@@ -284,7 +292,9 @@ def test_fused_runs_match_gate_by_gate(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_one_qubit_layers_match_gate_by_gate(data):
-    n = data.draw(st.integers(1, 9))
+    # Registers from the threshold up apply blocks above qubit 0 in real
+    # arithmetic inside the S frame.
+    n = data.draw(st.integers(1, 9) | st.just(sv._REAL_QUBITS + 1))
     # Any subset of the qubits, gaps and qubit 0 included or not, in any order.
     qubits = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
     gates = [_draw_gate(data, n, _MIXING) for _ in qubits]
@@ -312,10 +322,10 @@ def test_trotter_step_at_14_sites_matches_gate_by_gate():
     assert np.allclose(run(state, step).amplitudes, expected, rtol=0, atol=1e-12)
 
 
-def _short_braid():
+def _short_braid(n_s=6):
     """An init layer, three Trotter steps, a coupler RY and two more steps
-    of the N_s = 6 braid: mixing layers on two qubit sets and a lone RY."""
-    p = ProtocolParams(dt=0.2, T=0.6, update_mode="linear")
+    of the braid: mixing layers on two qubit sets and a lone RY."""
+    p = ProtocolParams(N_s=n_s, dt=0.2, T=0.6, update_mode="linear")
     fields = initial_fields(p)
     sched = FieldSchedule((
         SetFields(fields[:2] + (2.0, 3.0) + fields[4:], p.T),
@@ -327,10 +337,22 @@ def _short_braid():
 
 
 def test_chunk_budget_does_not_change_the_result(monkeypatch):
-    n, gates = _short_braid()
+    # N_s = 12 is a register above the threshold of the real-arithmetic path.
+    for n_s in (6, 12):
+        _check_chunk_budget(monkeypatch, n_s)
+
+
+def _check_chunk_budget(monkeypatch, n_s):
+    n, gates = _short_braid(n_s)
     batch = np.stack([random_state(n, seed).amplitudes for seed in (5, 6)])
-    layers_per_chunk = [len(layers) for _, layers in sv._chunks(gates, n)]
-    assert layers_per_chunk == [6]
+    # All six layers share one chunk.
+    chunks = list(sv._chunks(gates, n))
+    assert [len(layers) for _, layers in chunks if layers] == [6]
+    # Blocks above qubit 0 are real from the threshold up, complex below.
+    real = {block.dtype == np.float64
+            for blocks, _ in sv._layer_blocks(chunks[0][1], n)
+            for lo, _, block in blocks if lo}
+    assert real == {n >= sv._REAL_QUBITS}
     default = batch.copy()
     apply_gates_inplace(default, n, gates)
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 1)
@@ -351,9 +373,9 @@ def test_chunk_budget_does_not_change_the_result(monkeypatch):
         apply_gates_inplace(split, n, gates[:cut])
         apply_gates_inplace(split, n, gates[cut:])
         if cut in bounds:
-            assert np.array_equal(split, default), cut
+            assert np.array_equal(split, default), (n_s, cut)
         else:
-            assert np.allclose(split, default, rtol=0, atol=1e-12), cut
+            assert np.allclose(split, default, rtol=0, atol=1e-12), (n_s, cut)
 
 
 def test_chunk_of_mixed_layers_matches_gate_by_gate():
