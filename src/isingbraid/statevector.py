@@ -214,9 +214,6 @@ def _layer_matrices(layer: Sequence[Gate]) -> np.ndarray:
     return m
 
 
-# An entry holds two columns of 2**n_bits factors, together an eighth of the
-# state's bytes when the real blocks start at qubit 4, so only a few are kept.
-@lru_cache(maxsize=4)
 def _frame(mask: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal of S on every qubit of ``mask`` over ``n_bits`` qubits,
     ``i**popcount(x & mask)``, and its conjugate, as read-only
@@ -229,6 +226,14 @@ def _frame(mask: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     into, back = _POWERS_OF_I[count & 3, None], _POWERS_OF_I[-count & 3, None]
     into.flags.writeable = back.flags.writeable = False
     return into, back
+
+
+# The frames of layers whose real blocks start at qubit _BLOCK_QUBITS or
+# above, the only ones a Trotter step has. Such an entry is two columns of
+# at most an eighth of the state's length, so the cache keeps at most half
+# the state's bytes. A frame that starts lower can be as large as the state
+# and is built for its layer alone.
+_cached_frame = lru_cache(maxsize=4)(_frame)
 
 
 @lru_cache(maxsize=64)
@@ -273,11 +278,12 @@ def _layer_blocks(
     On registers of ``_REAL_QUBITS`` or more, every block above qubit 0 is
     real: RX(t) = conj(S) RY(t) S with S = diag(1, i), so inside the frame
     S on the RX qubits of those blocks each RX factor is the real RY(t). The
-    frame is the pair of ``_frame`` columns over the qubits from the lowest
-    real block up, or None when no factor of those blocks is complex. The
-    block at qubit 0 stays complex: it is one product whose row count grows
-    with the batch, and a real product of that shape rounds differently for
-    different row counts, which would make a row's bits depend on its batch.
+    frame is the ``_frame`` arguments (mask of the RX qubits, number of
+    qubits) over the qubits from the lowest real block up, or None when no
+    factor of those blocks is complex. The block at qubit 0 stays complex:
+    it is one product whose row count grows with the batch, and a real
+    product of that shape rounds differently for different row counts,
+    which would make a row's bits depend on its batch.
     """
     real = n_qubits >= _REAL_QUBITS
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -303,7 +309,7 @@ def _layer_blocks(
             weights = [1 << (q - low) if q >= low else 0 for q in qubits]
             for k, mask in zip(members, rx @ weights):
                 if mask:
-                    frames[k] = _frame(int(mask), n_qubits - low)
+                    frames[k] = (int(mask), n_qubits - low)
         for lo, width, gates, offsets in plan:
             source = real_mats if real and lo else mats
             if offsets is None:
@@ -325,7 +331,8 @@ def _apply_blocks(
     rows: np.ndarray, scratch: np.ndarray, blocks: list, frame: tuple | None
 ) -> None:
     """Apply one layer's dense blocks to the batch ``rows``, inside its
-    frame when it has one. ``scratch`` is a buffer of the batch's shape.
+    frame when it has one (the ``_frame`` arguments). ``scratch`` is a
+    buffer of the batch's shape.
 
     Every step is a fixed sequence of operations on the whole layer, so a
     layer gives the same bits whatever runs before or after it and however
@@ -334,7 +341,10 @@ def _apply_blocks(
     """
     src, dst = rows, scratch
     if frame is not None:
-        into, back = frame
+        mask, n_bits = frame
+        low = rows.shape[1].bit_length() - 1 - n_bits
+        build = _cached_frame if low >= _BLOCK_QUBITS else _frame
+        into, back = build(mask, n_bits)
         # The frame's qubits are the highest ones: one factor per row of
         # this view, broadcast along the low qubits.
         framed = (-1, len(into), rows.shape[1] // len(into))

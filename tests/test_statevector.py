@@ -322,6 +322,20 @@ def test_trotter_step_at_14_sites_matches_gate_by_gate():
     assert np.allclose(run(state, step).amplitudes, expected, rtol=0, atol=1e-12)
 
 
+def test_only_frames_from_block_qubits_up_are_cached():
+    # A frame whose real blocks start below qubit _BLOCK_QUBITS can be as
+    # large as the state, so it is built for its layer and not kept.
+    n = sv._REAL_QUBITS + 1
+    wide = [Gate(GateKind.RX, (q,), 0.3) for q in range(sv._BLOCK_QUBITS - 1, n)]
+    narrow = [Gate(GateKind.RX, (q,), 0.3) for q in range(sv._BLOCK_QUBITS, n)]
+    state = random_state(n, 3)
+    sv._cached_frame.cache_clear()
+    run(state, Circuit(n, tuple(wide)))
+    assert sv._cached_frame.cache_info().currsize == 0
+    run(state, Circuit(n, tuple(narrow)))
+    assert sv._cached_frame.cache_info().currsize == 1
+
+
 def _short_braid(n_s=6):
     """An init layer, three Trotter steps, a coupler RY and two more steps
     of the braid: mixing layers on two qubit sets and a lone RY."""
@@ -345,9 +359,10 @@ def test_chunk_budget_does_not_change_the_result(monkeypatch):
 def _check_chunk_budget(monkeypatch, n_s):
     n, gates = _short_braid(n_s)
     batch = np.stack([random_state(n, seed).amplitudes for seed in (5, 6)])
-    # All six layers share one chunk.
+    # All six layers share one chunk. At N_s = 12 their blocks pass the
+    # budget, so the final coupler ladder starts a second chunk.
     chunks = list(sv._chunks(gates, n))
-    assert [len(layers) for _, layers in chunks if layers] == [6]
+    assert [len(layers) for _, layers in chunks] == ([6] if n_s == 6 else [6, 0])
     # Blocks above qubit 0 are real from the threshold up, complex below.
     real = {block.dtype == np.float64
             for blocks, _ in sv._layer_blocks(chunks[0][1], n)
