@@ -6,6 +6,7 @@ CSV schema exactly.
 """
 
 import argparse
+import os
 import sys
 import tempfile
 
@@ -18,12 +19,13 @@ def main():
     ap.add_argument("--out", default="depth_scaling.csv")
     args = ap.parse_args()
 
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as f:
-        f.write(f"scenario = braid\ninit = ALL_UP\n"
-                f"axis = N_s\nvalues = {args.sizes}\n")
-        cfg = f.name
-    rc = cli_main(["sweep", "--config", cfg, "--out", args.out,
-                   "--depth-only"])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "depth_scaling.cfg")
+        with open(cfg, "w") as f:
+            f.write(f"scenario = braid\ninit = ALL_UP\n"
+                    f"axis = N_s\nvalues = {args.sizes}\n")
+        rc = cli_main(["sweep", "--config", cfg, "--out", args.out,
+                       "--depth-only"])
     if rc == 0:
         print(f"wrote {args.out}")
     return rc

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time one Trotter step of the gate executor against the per-gate oracle,
-and one step of the exact oracle against a dense H and ``eigh``.
+and one step of the exact oracle.
 
 For each chain size N_s the first table builds one first-order step at the
 initial fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
@@ -16,9 +16,9 @@ initial fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
 
 The second table walks the first two holds of the EFF braid schedule with
 linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints the ms
-per step of ``analysis.exact_evolve`` (matrix-free Lanczos), of the dense
-per-step reference (``dense_hamiltonian`` and ``expm_hermitian`` for every
-step), and the largest |difference| between the two final states.
+per step of ``analysis.exact_evolve`` (a matrix-free Chebyshev expansion
+per step). Its agreement with the dense per-step reference is a test
+(``test_exact_evolve_matches_dense_reference``).
 
 The third table compiles the OPT braid at N_s = 6 (the default parameters)
 in each update mode and prints the ms to build its evolution circuit
@@ -41,11 +41,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from isingbraid.analysis import (  # noqa: E402
-    dense_hamiltonian,
-    exact_evolve,
-    expm_hermitian,
-)
+from isingbraid.analysis import exact_evolve  # noqa: E402
 from isingbraid.circuit import Circuit, GateKind  # noqa: E402
 from isingbraid.protocol import (  # noqa: E402
     FieldSchedule,
@@ -121,26 +117,14 @@ def step_cost(n_s: int) -> tuple[float, float, float, float]:
     return 1e3 * steady, 1e3 * per_gate, diff, 1e3 * layer
 
 
-def oracle_cost(n_s: int) -> tuple[float, float, float]:
+def oracle_cost(n_s: int) -> float:
     params = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5, dh=0.1,
                             Gamma=math.pi / 2, update_mode="linear")
     schedule = FieldSchedule(
         build_field_schedule(params, include_rotation=False).events[:2])
     steps = sum(repeats for _, repeats in walk_schedule(params, schedule))
     state = random_state(params.n_qubits, n_s)
-
-    def dense():
-        amps = state.amplitudes
-        for fields, _ in walk_schedule(params, schedule):
-            h = dense_hamiltonian(chain_config(params, fields))
-            amps = expm_hermitian(h, params.dt) @ amps
-        return amps
-
-    lanczos = best_of(lambda: exact_evolve(schedule, params, state)) / steps
-    per_step = best_of(dense) / steps
-    diff = float(np.abs(exact_evolve(schedule, params, state).amplitudes
-                        - dense()).max())
-    return 1e3 * lanczos, 1e3 * per_step, diff
+    return 1e3 * best_of(lambda: exact_evolve(schedule, params, state)) / steps
 
 
 def braid_cost(mode: str) -> tuple[int, float, float]:
@@ -161,11 +145,9 @@ def main():
         print(f"{n_s:>4} {n_s + 1:>6} {steady:>15.3f} {per_gate:>15.3f} "
               f"{diff:>11.1e} {layer:>9.3f}")
     print()
-    print(f"{'N_s':>4} {'qubits':>6} {'Lanczos ms/step':>16} "
-          f"{'dense ms/step':>14} {'max |diff|':>11}")
+    print(f"{'N_s':>4} {'qubits':>6} {'exact oracle ms/step':>21}")
     for n_s in ORACLE_SIZES:
-        lanczos, dense, diff = oracle_cost(n_s)
-        print(f"{n_s:>4} {n_s + 1:>6} {lanczos:>16.3f} {dense:>14.3f} {diff:>11.1e}")
+        print(f"{n_s:>4} {n_s + 1:>6} {oracle_cost(n_s):>21.3f}")
     print()
     print(f"{'OPT N_s = 6':<12} {'steps':>6} {'compile ms':>11} "
           f"{'us/step':>8} {'executor ms/step':>17}")

@@ -5,6 +5,7 @@ Reproduces the plateau-then-collapse shape of fidelity vs dt.
 """
 
 import argparse
+import os
 import sys
 import tempfile
 
@@ -21,13 +22,14 @@ def main():
                     choices=["stepped", "linear"])
     args = ap.parse_args()
 
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as f:
-        f.write(f"scenario = braid\ninit = ALL_UP\n"
-                f"update_mode = {args.update_mode}\n"
-                f"axis = dt\nvalues = {args.values}\n")
-        cfg = f.name
-    rc = cli_main(["sweep", "--config", cfg, "--out", args.out,
-                   "--seed", str(args.seed), "--jobs", str(args.jobs)])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "trotter_step_sweep.cfg")
+        with open(cfg, "w") as f:
+            f.write(f"scenario = braid\ninit = ALL_UP\n"
+                    f"update_mode = {args.update_mode}\n"
+                    f"axis = dt\nvalues = {args.values}\n")
+        rc = cli_main(["sweep", "--config", cfg, "--out", args.out,
+                       "--seed", str(args.seed), "--jobs", str(args.jobs)])
     if rc == 0:
         print(f"wrote {args.out}")
     return rc

@@ -4,9 +4,10 @@ and depth accounting.
 Dense constructions are restricted to small registers (<= 10 qubits); the
 bound formulas themselves are closed-form and size-independent. The exact
 oracle, ``exact_evolve``, is matrix-free: it applies exp(-i H t) to the
-state by Lanczos steps and never builds H. It keeps the same register cap,
-because the dense Hamiltonian and exponential it is checked against stop
-there.
+state by a Chebyshev expansion, whose spectral interval comes from
+Gershgorin's bound and whose Bessel coefficients from Miller's backward
+recurrence, and never builds H. It keeps the same register cap, because
+the dense Hamiltonian and exponential it is checked against stop there.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .statevector import MAX_DENSE_QUBITS
+from .circuit import Gate, GateKind
+from .statevector import MAX_DENSE_QUBITS, QuantumState, apply_gate_inplace
 from .trotter import (
     ChainConfig,
     first_layer_pairs,
@@ -25,7 +27,6 @@ from .trotter import (
 
 if TYPE_CHECKING:
     from .protocol import FieldSchedule, ProtocolParams
-    from .statevector import QuantumState
 
 _I2 = np.eye(2, dtype=complex)
 _PAULI = {
@@ -249,12 +250,10 @@ def commutator_norms(cfg: ChainConfig) -> CommutatorReport:
 # ---------------------------------------------------------------------------
 # Exact-evolution oracle
 
-# The a-posteriori error estimate beta_m |c_m| a Lanczos step must reach,
-# for a unit start vector: about ten times the rounding of one amplitude.
-KRYLOV_TOL = 1e-15
-# Most Lanczos vectors of one step. A time that this many cannot reach
-# within KRYLOV_TOL is split into sub-steps.
-KRYLOV_DIM = 60
+# Smallest Chebyshev coefficient |J_k| an expansion keeps, for a unit start
+# vector: about ten times the rounding of one amplitude.
+CHEBYSHEV_TOL = 1e-15
+_POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def _diagonal_and_flips(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -272,51 +271,44 @@ def _diagonal_and_flips(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     return d, idx ^ (1 << qubits)[:, None]
 
 
-def _krylov_expm(apply_h, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) v by Lanczos with full reorthogonalisation.
+def _bessel_j(x: float) -> np.ndarray:
+    """J_0(x), ..., J_K(x) for x > 0, K the last order with |J_K| at least
+    ``CHEBYSHEV_TOL`` (and at least 1).
 
-    The Krylov basis V_m of H and v gives the tridiagonal T_m = V_m^H H V_m,
-    and exp(-i H t) v ~ ||v|| V_m c with c = exp(-i T_m t) e_1 from
-    ``eigh(T_m)`` (Hochbruck & Lubich 1997). The basis grows until
-    beta_m |c_m|, which estimates the error of that approximation (Saad
-    1992; Sidje's Expokit 1998), is at most ``KRYLOV_TOL``; a happy
-    breakdown, beta_m = 0, is exact. ``eigh`` runs only once the leading
-    term of beta_m |c_m|, beta_1 ... beta_m t^m / m!, has reached the
-    tolerance too, or at a breakdown. If ``KRYLOV_DIM`` vectors fall short,
-    the step advances by the part tau of the time left that the basis
-    reaches, shrinking tau by 0.9 (tol / estimate)^(1/m) until the estimate
-    passes, as Expokit picks its steps; the next step starts from there.
+    Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started
+    from J_{top+1} = 0, J_top = 1 at an order well past K, is stable for
+    J; the values are rescaled before they overflow and normalised by
+    J_0 + 2 (J_2 + J_4 + ...) = 1."""
+    top = int(x + 20.0 * x ** (1.0 / 3.0) + 40.0)
+    j = [0.0] * (top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] = [v * 1e-250 for v in j[k - 1:]]
+    jk = np.array(j[:-1])
+    jk /= jk[0] + 2.0 * jk[2::2].sum()
+    last = np.flatnonzero(np.abs(jk) >= CHEBYSHEV_TOL)[-1]
+    return jk[: max(last, 1) + 1]
+
+
+def _chebyshev_expm(apply_a, v: np.ndarray, x: float) -> np.ndarray:
+    """exp(-i x A) v for a Hermitian A whose spectrum lies in [-1, 1].
+
+    The Chebyshev expansion of Tal-Ezer & Kosloff (1984):
+    exp(-i x A) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(A), with the
+    vectors T_k(A) v from the three-term recurrence
+    T_{k+1} = 2 A T_k - T_{k-1}, truncated where |J_k| < ``CHEBYSHEV_TOL``.
     """
-    basis = np.empty((KRYLOV_DIM, v.size), dtype=complex)
-    tri = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
-    while True:
-        norm = np.linalg.norm(v)
-        basis[0] = v / norm
-        lead = 1.0
-        for m in range(1, KRYLOV_DIM + 1):
-            w = apply_h(basis[m - 1])
-            # Classical Gram-Schmidt against the whole basis, twice.
-            for _ in range(2):
-                proj = (basis[:m] @ w.conj()).conj()
-                w -= proj @ basis[:m]
-                tri[m - 1, m - 1] += proj[m - 1].real
-            beta = float(np.linalg.norm(w))
-            lead *= beta * t / m
-            if lead <= KRYLOV_TOL or beta == 0.0 or m == KRYLOV_DIM:
-                evals, evecs = np.linalg.eigh(tri[:m, :m])
-                c = evecs @ (np.exp(-1j * t * evals) * evecs[0])
-                if beta * abs(c[-1]) <= KRYLOV_TOL:
-                    return norm * (c @ basis[:m])
-            if m < KRYLOV_DIM:
-                basis[m] = w / beta
-                tri[m - 1, m] = tri[m, m - 1] = beta
-        tau = t
-        while (err := beta * abs(c[-1])) > KRYLOV_TOL:
-            tau *= 0.9 * (KRYLOV_TOL / err) ** (1.0 / KRYLOV_DIM)
-            c = evecs @ (np.exp(-1j * tau * evals) * evecs[0])
-        v = norm * (c @ basis)
-        t -= tau
-        tri[:] = 0.0
+    j = _bessel_j(x)
+    coef = 2.0 * j * _POWERS_OF_MINUS_I[np.arange(j.size) % 4]
+    coef[0] = j[0]
+    prev, cur = v, apply_a(v)
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, 2.0 * apply_a(cur) - prev
+        out += c * cur
+    return out
 
 
 def exact_evolve(
@@ -327,20 +319,23 @@ def exact_evolve(
     """Trotter-free reference: piecewise-constant exact evolution.
 
     Walks the compiled schedule as ``build_protocol_circuit`` does and
-    applies exp(-i H(f) t) to the state, matrix-free, by one Lanczos call
-    per walked entry (``_krylov_expm``): t = dt for a ``linear`` step and
-    the whole hold for a ``stepped`` one, at whose fields H is constant.
-    Each coupler rotation is one RY gate. H is never built: its field-free
-    diagonal and the site flips are built once per call, and H v costs
-    O(N_s 2**n). The register stays capped at ``MAX_DENSE_QUBITS`` because
-    the cross-checks of this oracle (``dense_hamiltonian``,
+    applies exp(-i H(f) t) to the state, matrix-free, by one Chebyshev
+    expansion per walked entry (``_chebyshev_expm``): t = dt for a
+    ``linear`` step and the whole hold for a ``stepped`` one, at whose
+    fields H is constant. Each coupler rotation is one RY gate. H is never
+    built: its field-free diagonal d and the site flips are built once per
+    call, and H v = d v - sum_n h_n v[flip_n] costs O(N_s 2**n). By
+    Gershgorin's bound H lies in [-r, r], r = max |d| + sum_n |h_n|, and
+    the expansion runs on H / r for x = r t; r > 0 because J > 0. The
+    interval is centred on 0 with no loss: flipping every other site of
+    each chain, and the coupler where needed, negates d, so d's range is
+    symmetric. The register stays capped at ``MAX_DENSE_QUBITS``
+    because the cross-checks of this oracle (``dense_hamiltonian``,
     ``expm_hermitian``) and every test that compares against it are dense;
     every field set of the schedule is checked before anything is
     allocated.
     """
-    from .circuit import Gate, GateKind
     from .protocol import RotateCoupler, chain_config, initial_fields, walk_schedule
-    from .statevector import QuantumState, apply_gate_inplace
 
     if params.N_s + 1 > MAX_DENSE_QUBITS:
         raise ValueError("exact evolution limited to small registers")
@@ -352,6 +347,7 @@ def exact_evolve(
             chain_config(params, event.fields)
 
     d, flips = _diagonal_and_flips(cfg)
+    d_max = float(np.abs(d).max())
     amps = initial.amplitudes.copy()
     n = initial.n_qubits
     for item in walk_schedule(params, schedule):
@@ -362,5 +358,9 @@ def exact_evolve(
             continue
         fields, repeats = item
         h = np.asarray(fields, dtype=float)
-        amps = _krylov_expm(lambda v: d * v - h @ v[flips], amps, repeats * params.dt)
+        r = d_max + float(np.abs(h).sum())
+        dr, hr = d / r, h / r
+        amps = _chebyshev_expm(
+            lambda v: dr * v - hr @ v[flips], amps, r * repeats * params.dt
+        )
     return QuantumState(n, amps)

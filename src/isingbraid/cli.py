@@ -30,7 +30,7 @@ from .protocol import (
     initial_fields,
     run_scenario,
 )
-from .statevector import RegisterSizeError
+from .statevector import MAX_DENSE_QUBITS, RegisterSizeError
 
 
 class ConfigError(ValueError):
@@ -249,7 +249,7 @@ def cmd_bounds(cfg: dict[str, str], out_path: str | None, seed: int | None) -> i
         "JZ_odd": comm["zz_second_zeeman"],
         "Z_CI": comm["zeeman_coupler"],
     }
-    if params.n_qubits <= 10:
+    if params.n_qubits <= MAX_DENSE_QUBITS:
         rep = analysis.commutator_norms(cfg_start)
         report["exact_commutator_norms"] = {
             "JZ_even": rep.exact["zz_first_zeeman"],
@@ -259,7 +259,9 @@ def cmd_bounds(cfg: dict[str, str], out_path: str | None, seed: int | None) -> i
         }
     else:
         report["exact_commutator_norms"] = None
-        report["note"] = "exact norms omitted: register exceeds 10 qubits"
+        report["note"] = (
+            f"exact norms omitted: register exceeds {MAX_DENSE_QUBITS} qubits"
+        )
     report["params"] = params
     _write_json(report, out_path)
     return 0

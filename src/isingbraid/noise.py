@@ -36,7 +36,6 @@ from .statevector import (
     apply_gates_inplace,
     check_register,
     index_to_bitstring,
-    run,
     zero_state,
 )
 
@@ -88,13 +87,6 @@ class NoiseModel:
     def phase_for(self, arity: int) -> float:
         override = self.eps_phase_1q if arity == 1 else self.eps_phase_2q
         return self.eps_phase if override is None else override
-
-    @property
-    def is_noiseless(self) -> bool:
-        return all(
-            self.bitflip_for(a) == 0.0 and self.phase_for(a) == 0.0
-            for a in (1, 2)
-        )
 
 
 def draw_errors(
@@ -169,8 +161,6 @@ def run_noisy(
 ) -> QuantumState:
     """One noise trajectory; deterministic given ``seed`` (an int or a
     sequence of ints, as accepted by ``numpy.random.default_rng``)."""
-    if model.is_noiseless:
-        return run(initial, circuit)
     amps = run_trajectories(circuit, initial, model, 1, np.random.default_rng(seed))
     return QuantumState(initial.n_qubits, amps[0])
 
