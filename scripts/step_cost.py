@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Time one Trotter step of the gate executor against the per-gate oracle,
-and one step of the exact oracle.
+one step of the exact oracle, and the stages of an OPT braid run.
 
-For each chain size N_s the first table builds one first-order step at the
-initial fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
+For each chain size N_s (``--sizes``) the first table builds one
+first-order step at the initial fields of the EFF row (dt = 0.7,
+h_para = 1.5) and prints:
 
 - steady ms/step: the step circuit repeated inside one ``statevector.run``,
   as (time of 2R steps - time of R steps) / R, so the one-time cost of the
-  basis-run map drops out;
-- oracle ms/step: the same gates, one ``apply_gate_inplace`` each;
+  basis-run map drops out; R steps make about 2**22 amplitude updates
+  (``--updates``), and at least two steps;
+- oracle ms/step: the R steps, one ``apply_gate_inplace`` per gate;
 - the largest |difference| between the two states after R steps;
 - layer ms: the step's Zeeman layer (its RX gates) alone, repeated inside
   one ``run`` and timed the same way as the steady step. Registers of
@@ -16,24 +18,32 @@ initial fields of the EFF row (dt = 0.7, h_para = 1.5) and prints:
 
 The second table walks the first two holds of the EFF braid schedule with
 linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints the ms
-per step of ``analysis.exact_evolve`` (a matrix-free Chebyshev expansion
-per step). Its agreement with the dense per-step reference is a test
-(``test_exact_evolve_matches_dense_reference``).
+per step of ``analysis.exact_evolve`` (a matrix-free
+Chebyshev expansion per step). Its agreement with the dense per-step
+reference is a test (``test_exact_evolve_matches_dense_reference``).
 
 The third table compiles the OPT braid at N_s = 6 (the default parameters)
 in each update mode and prints the ms to build its evolution circuit
-(``build_protocol_circuit``), that time per Trotter step in µs, and the
+(``build_protocol_circuit``), that time per Trotter step in µs, the
 executor's ms per step over one ``statevector.run`` of the whole braid
-(initialization and evolution).
+(initialization and evolution), and the ms of ``ScenarioRun.structure``
+(both depths and the gate counts).
 
-Each time is the best of five. BLAS runs on one thread unless
-OPENBLAS_NUM_THREADS is already set, as in perfbench's workers.
+The measurements run in ``--rounds`` interleaved rounds: each round takes
+every measurement of every table once, so a drift of the machine's speed
+reaches all of them alike. Each time is printed as the median over the
+rounds and, in brackets, its spread (largest minus smallest). BLAS runs on
+one thread unless OPENBLAS_NUM_THREADS is already set, as in perfbench's
+workers.
 
-    PYTHONPATH=src python scripts/step_cost.py
+    PYTHONPATH=src python scripts/step_cost.py [--sizes 6 10 14 18]
+        [--rounds 5] [--updates 22]
 """
 
+import argparse
 import math
 import os
+import statistics
 import sys
 import time
 
@@ -63,18 +73,13 @@ from isingbraid.statevector import (  # noqa: E402
 )
 from isingbraid.trotter import trotter_step_circuit  # noqa: E402
 
-SIZES = (6, 10, 14, 18)
 ORACLE_SIZES = (6, 8)
-TRIALS = 5
 
 
-def best_of(fn):
-    best = float("inf")
-    for _ in range(TRIALS):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def random_state(n: int, seed: int) -> QuantumState:
@@ -83,78 +88,143 @@ def random_state(n: int, seed: int) -> QuantumState:
     return QuantumState(n, amps / np.linalg.norm(amps))
 
 
-def steady_cost(state: QuantumState, gates, repeats: int) -> float:
-    """Seconds per repeat of ``gates`` inside one ``run``, as (time of 2R
-    repeats - time of R repeats) / R."""
-    once = Circuit(state.n_qubits, gates * repeats)
-    twice = Circuit(state.n_qubits, gates * (2 * repeats))
-    return (best_of(lambda: run(state, twice))
-            - best_of(lambda: run(state, once))) / repeats
+def steady_cost(state: QuantumState, once: Circuit, twice: Circuit,
+                repeats: int) -> float:
+    """Seconds per repeat inside one ``run``: ``twice`` holds 2R repeats of
+    what ``once`` holds R of."""
+    return (timed(lambda: run(state, twice)) - timed(lambda: run(state, once))) / repeats
 
 
-def step_cost(n_s: int) -> tuple[float, float, float, float]:
-    params = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5)
-    step = trotter_step_circuit(
-        chain_config(params, initial_fields(params)), params.dt
-    )
-    n = step.n_qubits
-    # About 2**22 amplitude updates per timed run, at least two steps.
-    repeats = max(2, (1 << 22) >> n)
-    state = random_state(n, n_s)
-    once = Circuit(n, step.gates * repeats)
-    steady = steady_cost(state, step.gates, repeats)
-    zeeman = tuple(g for g in step.gates if g.kind is GateKind.RX)
-    layer = steady_cost(state, zeeman, repeats)
+class StepCase:
+    """The first table's measurements at one chain size."""
 
-    def oracle():
-        out = state.amplitudes.copy()
-        for gate in once.gates:
+    def __init__(self, n_s: int, updates: int):
+        params = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5)
+        step = trotter_step_circuit(
+            chain_config(params, initial_fields(params)), params.dt
+        ).gates
+        n = params.n_qubits
+        # About 2**updates amplitude updates per timed run, at least two
+        # steps.
+        self.repeats = repeats = max(2, (1 << updates) >> n)
+        self.state = random_state(n, n_s)
+        zeeman = tuple(g for g in step if g.kind is GateKind.RX)
+        self.step = [Circuit(n, step * repeats), Circuit(n, step * 2 * repeats)]
+        self.layer = [Circuit(n, zeeman * repeats), Circuit(n, zeeman * 2 * repeats)]
+        self.diff = None
+
+    def oracle(self) -> np.ndarray:
+        out = self.state.amplitudes.copy()
+        n = self.state.n_qubits
+        for gate in self.step[0].gates:
             apply_gate_inplace(out, n, gate)
         return out
 
-    per_gate = best_of(oracle) / repeats
-    diff = float(np.abs(run(state, once).amplitudes - oracle()).max())
-    return 1e3 * steady, 1e3 * per_gate, diff, 1e3 * layer
+    def measure(self) -> dict[str, float]:
+        if self.diff is None:
+            fused = run(self.state, self.step[0]).amplitudes
+            self.diff = float(np.abs(fused - self.oracle()).max())
+        r = self.repeats
+        return {
+            "steady": 1e3 * steady_cost(self.state, *self.step, r),
+            "oracle": 1e3 * timed(self.oracle) / r,
+            "layer": 1e3 * steady_cost(self.state, *self.layer, r),
+        }
 
 
-def oracle_cost(n_s: int) -> float:
-    params = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5, dh=0.1,
-                            Gamma=math.pi / 2, update_mode="linear")
-    schedule = FieldSchedule(
-        build_field_schedule(params, include_rotation=False).events[:2])
-    steps = sum(repeats for _, repeats in walk_schedule(params, schedule))
-    state = random_state(params.n_qubits, n_s)
-    return 1e3 * best_of(lambda: exact_evolve(schedule, params, state)) / steps
+class OracleCase:
+    """The second table's measurement at one chain size."""
+
+    def __init__(self, n_s: int):
+        self.params = p = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5, dh=0.1,
+                                         Gamma=math.pi / 2, update_mode="linear")
+        self.schedule = FieldSchedule(
+            build_field_schedule(p, include_rotation=False).events[:2])
+        self.steps = sum(len(rows) * repeats
+                         for rows, repeats in walk_schedule(p, self.schedule))
+        self.state = random_state(p.n_qubits, n_s)
+
+    def measure(self) -> dict[str, float]:
+        seconds = timed(lambda: exact_evolve(self.schedule, self.params, self.state))
+        return {"oracle": 1e3 * seconds / self.steps}
 
 
-def braid_cost(mode: str) -> tuple[int, float, float]:
-    params = ProtocolParams(update_mode=mode)
-    compiled = compile_scenario(params, "braid", LogicalLabel.ALL_UP)
-    steps = count_trotter_steps(params, compiled.schedule)
-    build = best_of(lambda: build_protocol_circuit(params, compiled.schedule))
-    zero = zero_state(params.n_qubits)
-    simulate = best_of(lambda: run(zero, compiled.prepared_circuit))
-    return steps, build, simulate
+class BraidCase:
+    """The third table's measurements in one update mode."""
+
+    def __init__(self, mode: str):
+        self.params = ProtocolParams(update_mode=mode)
+        self.compiled = compile_scenario(self.params, "braid", LogicalLabel.ALL_UP)
+        self.steps = count_trotter_steps(self.params, self.compiled.schedule)
+        self.zero = zero_state(self.params.n_qubits)
+
+    def measure(self) -> dict[str, float]:
+        compiled = self.compiled
+        build = timed(lambda: build_protocol_circuit(self.params, compiled.schedule))
+        simulate = timed(lambda: run(self.zero, compiled.prepared_circuit))
+        return {
+            "build": 1e3 * build,
+            "per_step": 1e6 * build / self.steps,
+            "executor": 1e3 * simulate / self.steps,
+            "structure": 1e3 * timed(compiled.structure),
+        }
 
 
-def main():
-    print(f"{'N_s':>4} {'qubits':>6} {'steady ms/step':>15} "
-          f"{'oracle ms/step':>15} {'max |diff|':>11} {'layer ms':>9}")
-    for n_s in SIZES:
-        steady, per_gate, diff, layer = step_cost(n_s)
-        print(f"{n_s:>4} {n_s + 1:>6} {steady:>15.3f} {per_gate:>15.3f} "
-              f"{diff:>11.1e} {layer:>9.3f}")
+def summary(values: list[float], width: int, digits: int) -> str:
+    """The median and, in brackets, the spread of ``values``."""
+    spread = max(values) - min(values)
+    text = f"{statistics.median(values):.{digits}f} ({spread:.{digits}f})"
+    return f"{text:>{width}}"
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(
+        description="Time the executor, the exact oracle and an OPT braid run.")
+    ap.add_argument("--sizes", type=int, nargs="+", default=[6, 10, 14, 18],
+                    help="chain sizes N_s of the Trotter-step table")
+    ap.add_argument("--rounds", type=int, default=5,
+                    help="interleaved rounds of every measurement")
+    ap.add_argument("--updates", type=int, default=22,
+                    help="log2 of the amplitude updates per timed step run")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    cases = ([StepCase(n, args.updates) for n in args.sizes]
+             + [OracleCase(n) for n in ORACLE_SIZES]
+             + [BraidCase(mode) for mode in ("linear", "stepped")])
+    samples: list[dict[str, list[float]]] = [{} for _ in cases]
+    for _ in range(args.rounds):
+        for case, values in zip(cases, samples):
+            for key, value in case.measure().items():
+                values.setdefault(key, []).append(value)
+    rows = iter(zip(cases, samples))
+
+    print(f"{'N_s':>4} {'qubits':>6} {'steady ms/step':>18} "
+          f"{'oracle ms/step':>18} {'max |diff|':>11} {'layer ms':>18}")
+    for n_s in args.sizes:
+        case, v = next(rows)
+        print(f"{n_s:>4} {n_s + 1:>6} {summary(v['steady'], 18, 3)} "
+              f"{summary(v['oracle'], 18, 3)} {case.diff:>11.1e} "
+              f"{summary(v['layer'], 18, 3)}")
     print()
     print(f"{'N_s':>4} {'qubits':>6} {'exact oracle ms/step':>21}")
     for n_s in ORACLE_SIZES:
-        print(f"{n_s:>4} {n_s + 1:>6} {oracle_cost(n_s):>21.3f}")
+        _, v = next(rows)
+        print(f"{n_s:>4} {n_s + 1:>6} {summary(v['oracle'], 21, 3)}")
     print()
-    print(f"{'OPT N_s = 6':<12} {'steps':>6} {'compile ms':>11} "
-          f"{'us/step':>8} {'executor ms/step':>17}")
+    print(f"{'OPT N_s = 6':<12} {'steps':>6} {'compile ms':>14} "
+          f"{'us/step':>12} {'executor ms/step':>17} {'structure ms':>14}")
     for mode in ("linear", "stepped"):
-        steps, build, simulate = braid_cost(mode)
-        print(f"{mode:<12} {steps:>6} {1e3 * build:>11.1f} "
-              f"{1e6 * build / steps:>8.1f} {1e3 * simulate / steps:>17.4f}")
+        case, v = next(rows)
+        print(f"{mode:<12} {case.steps:>6} {summary(v['build'], 14, 1)} "
+              f"{summary(v['per_step'], 12, 1)} {summary(v['executor'], 17, 4)} "
+              f"{summary(v['structure'], 14, 1)}")
+    print(f"\nmedian (spread) of {args.rounds} interleaved round(s)")
     return 0
 
 

@@ -107,13 +107,6 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over global phase of ||u - e^{i a} v|| in operator norm."""
-    tr = np.trace(v.conj().T @ u)
-    phase = tr / abs(tr) if abs(tr) > 1e-300 else 1.0
-    return operator_norm(u - phase * v)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form bounds
 
@@ -320,9 +313,10 @@ def exact_evolve(
 
     Walks the compiled schedule as ``build_protocol_circuit`` does and
     applies exp(-i H(f) t) to the state, matrix-free, by one Chebyshev
-    expansion per walked entry (``_chebyshev_expm``): t = dt for a
-    ``linear`` step and the whole hold for a ``stepped`` one, at whose
-    fields H is constant. Each coupler rotation is one RY gate. H is never
+    expansion per row of fields of each walked hold (``_chebyshev_expm``):
+    t is the row's repeat count times dt, so dt for a ``linear`` step and
+    the whole hold for a ``stepped`` one, at whose fields H is constant.
+    Each coupler rotation is one RY gate. H is never
     built: its field-free diagonal d and the site flips are built once per
     call, and H v = d v - sum_n h_n v[flip_n] costs O(N_s 2**n). By
     Gershgorin's bound H lies in [-r, r], r = max |d| + sum_n |h_n|, and
@@ -356,11 +350,11 @@ def exact_evolve(
                 amps, n, Gate(GateKind.RY, (params.coupler_qubit,), item.angle)
             )
             continue
-        fields, repeats = item
-        h = np.asarray(fields, dtype=float)
-        r = d_max + float(np.abs(h).sum())
-        dr, hr = d / r, h / r
-        amps = _chebyshev_expm(
-            lambda v: dr * v - hr @ v[flips], amps, r * repeats * params.dt
-        )
+        rows, repeats = item
+        for h in rows:
+            r = d_max + float(np.abs(h).sum())
+            dr, hr = d / r, h / r
+            amps = _chebyshev_expm(
+                lambda v: dr * v - hr @ v[flips], amps, r * repeats * params.dt
+            )
     return QuantumState(n, amps)

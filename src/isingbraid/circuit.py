@@ -164,35 +164,77 @@ def inverse(circuit: Circuit) -> Circuit:
     )
 
 
-def depth(circuit: Circuit) -> int:
-    """Number of layers under greedy as-soon-as-possible scheduling.
-
-    A gate joins the earliest layer after the last layer touching any of its
-    qubits, so two gates sharing a qubit are never reordered.
-    """
-    busy = [0] * circuit.n_qubits
-    d = 0
-    for g in circuit.gates:
+def _walk(busy: list[int], gates: Sequence[Gate]) -> int:
+    """Schedule ``gates`` as soon as possible onto the frontier ``busy``
+    (the last layer used on each qubit), in place. Returns the number of
+    two-qubit gates among them."""
+    two = 0
+    for g in gates:
         qubits = g.qubits
         if len(qubits) == 1:
-            q = qubits[0]
-            layer = busy[q] + 1
-            busy[q] = layer
+            busy[qubits[0]] += 1
         else:
             a, b = qubits
             x, y = busy[a], busy[b]
-            layer = (x if x > y else y) + 1
-            busy[a] = busy[b] = layer
-        if layer > d:
-            d = layer
-    return d
+            busy[a] = busy[b] = (x if x > y else y) + 1
+            two += 1
+    return two
+
+
+def depths_and_counts(
+    head: Circuit, body: Circuit, tail: Circuit
+) -> tuple[int, int, GateCounts]:
+    """The depth of ``head + body + tail``, the depth of ``body`` alone and
+    the gate counts of all three, in one walk.
+
+    Depth is the number of layers under greedy as-soon-as-possible
+    scheduling: a gate joins the earliest layer after the last layer
+    touching any of its qubits, so two gates sharing a qubit are never
+    reordered. The body is walked from the head's frontier and from zero
+    together, doubling the stretch walked between two looks at the
+    frontiers. Once they differ by the same constant c on every qubit, only
+    the frontier from zero goes on: each gate sets its qubits to one more
+    than their maximum, so every later difference stays c. Frontiers that
+    never meet that way (a qubit the body leaves idle, say) are both walked
+    to the end.
+    """
+    n = body.n_qubits
+    if head.n_qubits != n or tail.n_qubits != n:
+        raise CircuitError("register size mismatch")
+    lead = [0] * n
+    two = _walk(lead, head.gates)
+    own = [0] * n
+    gates, done, size = body.gates, 0, 1
+    while done < len(gates):
+        c = lead[0] - own[0]
+        if all(x - y == c for x, y in zip(lead, own)):
+            two += _walk(own, gates[done:])
+            lead = [y + c for y in own]
+            break
+        part = gates[done:done + size]
+        two += _walk(own, part)
+        _walk(lead, part)
+        done += size
+        size *= 2
+    two += _walk(lead, tail.gates)
+    one = len(head) + len(body) + len(tail) - two
+    return max(lead), max(own), GateCounts(one_qubit=one, two_qubit=two)
+
+
+def depth(circuit: Circuit) -> int:
+    """Number of layers under greedy as-soon-as-possible scheduling (see
+    ``depths_and_counts``)."""
+    return depths_and_counts(*_alone(circuit))[1]
 
 
 def gate_counts(circuit: Circuit) -> GateCounts:
-    # Every gate touches one or two qubits, so the qubits touched in all
-    # exceed the gate count by the number of two-qubit gates.
-    two = sum(map(len, map(_QUBITS, circuit.gates))) - len(circuit.gates)
-    return GateCounts(one_qubit=len(circuit.gates) - two, two_qubit=two)
+    return depths_and_counts(*_alone(circuit))[2]
+
+
+def _alone(circuit: Circuit) -> tuple[Circuit, Circuit, Circuit]:
+    """``circuit`` as the body between an empty head and an empty tail."""
+    empty = Circuit._trusted(circuit.n_qubits, ())
+    return empty, circuit, empty
 
 
 def to_qasm(circuit: Circuit) -> str:

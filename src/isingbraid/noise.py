@@ -39,11 +39,12 @@ from .statevector import (
     zero_state,
 )
 
-# Amplitude memory of one batch of trajectories in ``noisy_fidelity``; a
-# batch always holds at least one row. It caps only the amplitudes: the
-# executor's scratch buffer of the batch's size and the copy of the rows an
-# error hits sit beside them, so a full batch peaks at about three times this.
+# Memory of one batch of trajectories in ``noisy_fidelity``; a batch always
+# holds at least one row.
 BATCH_BYTES = 32 << 20
+# Arrays of the batch's size that a batch holds at once: its amplitudes, the
+# executor's scratch buffer and the permuted copy a basis run takes.
+_BATCH_BUFFERS = 3
 # Memory of the uniform draws for one chunk of error slots.
 _DRAW_BYTES = 64 << 10
 _PAULIS = (GateKind.X, GateKind.Z)
@@ -165,6 +166,12 @@ def run_noisy(
     return QuantumState(initial.n_qubits, amps[0])
 
 
+def batch_rows(n_qubits: int) -> int:
+    """Rows of a full batch: as many as ``BATCH_BYTES`` holds, counting every
+    buffer of the batch's size that it holds at once, and at least one."""
+    return max(1, BATCH_BYTES // (_BATCH_BUFFERS * (16 << n_qubits)))
+
+
 def noisy_fidelity(
     params: ProtocolParams,
     scenario: str,
@@ -174,9 +181,9 @@ def noisy_fidelity(
 ) -> tuple[float, float]:
     """Mean and standard error of the exact scenario fidelity over noise
     trajectories. All trajectories draw from one generator seeded by the
-    master seed (``seed``, else ``params.seed``) and run in batches of as
-    many rows as ``BATCH_BYTES`` holds, at least one. A register too large to
-    simulate is rejected before anything is compiled."""
+    master seed (``seed``, else ``params.seed``) and run in batches of
+    ``batch_rows`` rows. A register too large to simulate is rejected
+    before anything is compiled."""
     check_register(params.n_qubits)
     run_ = compile_scenario(params, scenario, init)
     eff = run_.params
@@ -184,7 +191,7 @@ def noisy_fidelity(
     initial = zero_state(eff.n_qubits)
     rng = np.random.default_rng(params.seed if seed is None else seed)
     total = model.trajectories
-    step = max(1, BATCH_BYTES // (16 << eff.n_qubits))
+    step = batch_rows(eff.n_qubits)
     values = np.empty(total)
     for start in range(0, total, step):
         amps = run_trajectories(full, initial, model, min(step, total - start), rng)

@@ -25,8 +25,7 @@ from .circuit import (
     GateCounts,
     GateKind,
     concat,
-    depth,
-    gate_counts,
+    depths_and_counts,
     inverse,
 )
 from .statevector import (
@@ -249,34 +248,35 @@ def count_trotter_steps(params: ProtocolParams, schedule: FieldSchedule) -> int:
 
 
 def walk_schedule(params: ProtocolParams, schedule: FieldSchedule):
-    """Yield each coupler rotation as is and each hold as
-    (step fields, repeat count).
+    """Yield each coupler rotation as is and each hold once, as
+    (step fields, repeat count): the step fields are a ``(k, N_s)`` array,
+    one row per distinct Trotter step of the hold, and each row stands for
+    ``repeats`` steps in a row.
 
-    A ``stepped`` hold is one entry at the event's fields, repeated for every
-    Trotter step of the hold; a ``linear`` hold is one entry per step, at
-    fields interpolated from the previous hold's towards the event's. Every
-    hold must give one field per chain site; that is checked for the whole
-    schedule before the first entry is yielded.
+    A ``stepped`` hold is one row, the event's fields, repeated for every
+    Trotter step of the hold; a ``linear`` hold is one row per step, at
+    fields interpolated from the previous hold's towards the event's, each
+    taken once. Every hold must give one field per chain site; that is
+    checked for the whole schedule before the first entry is yielded.
     """
     for event in schedule.events:
         if not isinstance(event, RotateCoupler) and len(event.fields) != params.N_s:
             raise ValueError(
                 f"need {params.N_s} field values, got {len(event.fields)}"
             )
-    prev_fields = initial_fields(params)
+    prev = np.asarray(initial_fields(params), dtype=float)
     for event in schedule.events:
         if isinstance(event, RotateCoupler):
             yield event
             continue
         n_steps = steps_per_hold(params, event.hold)
+        target = np.asarray(event.fields, dtype=float)
         if params.update_mode == "linear":
-            prev = np.asarray(prev_fields, dtype=float)
-            target = np.asarray(event.fields, dtype=float)
-            for m in range(1, n_steps + 1):
-                yield prev + (m / n_steps) * (target - prev), 1
+            m = np.arange(1, n_steps + 1)
+            yield prev + (m / n_steps)[:, None] * (target - prev), 1
         else:
-            yield event.fields, n_steps
-        prev_fields = event.fields
+            yield target[None, :], n_steps
+        prev = target
 
 
 def build_protocol_circuit(
@@ -284,18 +284,21 @@ def build_protocol_circuit(
 ) -> Circuit:
     """Compile the schedule into the full evolution circuit (no init/readout).
 
-    Each entry of ``walk_schedule`` appends one Trotter step, repeated as
-    often as the entry says, to one flat gate list; coupler rotation events
-    append a single RY on the coupler qubit.
+    Each hold of ``walk_schedule`` appends its Trotter steps, each row of
+    fields repeated as often as the entry says, to one flat gate list, and
+    each step reuses the RX gates of the step before wherever their angle
+    is unchanged; coupler rotation events append a single RY on the
+    coupler qubit.
     """
     cfg = chain_config(params, initial_fields(params))
     gates: list[Gate] = []
+    zeeman = None
     for item in walk_schedule(params, schedule):
         if isinstance(item, RotateCoupler):
             gates.append(Gate(GateKind.RY, (params.coupler_qubit,), item.angle))
             continue
         fields, repeats = item
-        extend_trotter_steps(gates, cfg, fields, params.dt, repeats)
+        zeeman = extend_trotter_steps(gates, cfg, fields, params.dt, repeats, zeeman)
     return Circuit._trusted(params.n_qubits, tuple(gates))
 
 
@@ -454,12 +457,15 @@ class ScenarioRun:
 
     def structure(self) -> dict:
         """Depths, gate counts and Trotter steps: the report values that
-        need no simulation."""
-        full = self.full_circuit
+        need no simulation. Both depths and the counts come from one walk
+        of the three circuits, without building the full circuit."""
+        total, evolution, counts = depths_and_counts(
+            self.init_circuit, self.evolution_circuit, self.readout_circuit
+        )
         return {
-            "depth_total": depth(full),
-            "depth_evolution_only": depth(self.evolution_circuit),
-            "gate_counts": gate_counts(full),
+            "depth_total": total,
+            "depth_evolution_only": evolution,
+            "gate_counts": counts,
             "trotter_steps": count_trotter_steps(self.params, self.schedule),
         }
 

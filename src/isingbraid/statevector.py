@@ -1,4 +1,4 @@
-"""Dense statevector engine: gate application, overlaps, sampling, dense oracles.
+"""Dense statevector engine: gate application, overlaps, sampling.
 
 Conventions: qubit 0 is the least-significant bit of the basis index
 (little-endian); spin-up maps to computational |0>. Bit-string keys in
@@ -375,19 +375,30 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
 
     A run is a maximal run of two or more basis gates (a tuple), a maximal
     run of two or more RX, RY and H gates on distinct qubits (a layer: a
-    list of its gates sorted by qubit), or any other gate alone. Each chunk
-    is yielded as its runs in order and its layers as (sorted qubits,
+    list of its gates sorted by qubit), or any other gate alone. A basis
+    run equal to the one before it is yielded as that same tuple. Each
+    chunk is yielded as its runs in order and its layers as (sorted qubits,
     gates); every layer is checked against the register before its chunk
     is yielded.
     """
     chunk: list = []
     layers: list = []
     nbytes = 0
+    last_run: tuple = ()
     i, count = 0, len(gates)
     while i < count:
         first = gates[i]
         j = i + 1
         if first.kind in _BASIS_KINDS:
+            # Gates that repeat the last basis run, as step after step does,
+            # are that run again when the gate after them ends it; their
+            # kinds are not looked at again.
+            end = i + len(last_run)
+            if (last_run and gates[i:end] == last_run
+                    and (end == count or gates[end].kind not in _BASIS_KINDS)):
+                chunk.append(last_run)
+                i = end
+                continue
             while j < count and gates[j].kind in _BASIS_KINDS:
                 j += 1
         else:
@@ -407,7 +418,8 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
             chunk.append(layer)
             layers.append((qubits, layer))
         else:
-            chunk.append(tuple(gates[i:j]))
+            last_run = tuple(gates[i:j])
+            chunk.append(last_run)
         i = j
         if nbytes >= _BLOCK_BYTES:
             yield chunk, layers
@@ -450,6 +462,9 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
                 else:
                     np.multiply(rows.take(src, axis=1), phase, out=rows)
             else:
+                # The per-gate kernel makes temporaries of up to one and a
+                # half times the batch; the scratch buffer makes room for them.
+                scratch = None
                 apply_gate_inplace(flat, n_qubits, part)
 
 
@@ -490,18 +505,3 @@ def sample(state: QuantumState, shots: int, seed: int) -> SampleCounts:
         for i in np.flatnonzero(tallies).tolist()
     }
     return SampleCounts(counts=counts, shots=shots, n_bits=state.n_qubits)
-
-
-def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary, built gate by gate from the basis states."""
-    n = circuit.n_qubits
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense construction limited to {MAX_DENSE_QUBITS} qubits")
-    dim = 1 << n
-    # Rows are contiguous, so transform the basis states as one batch of
-    # rows and transpose at the end: row r ends up holding U|r>.
-    rows = np.eye(dim, dtype=complex)
-    flat = rows.reshape(-1)
-    for gate in circuit.gates:
-        apply_gate_inplace(flat, n, gate)
-    return rows.T.copy()

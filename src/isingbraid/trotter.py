@@ -120,17 +120,6 @@ def pair_interaction_circuit(
     return Circuit(cfg.n_qubits, gates)
 
 
-def zeeman_circuit(cfg: ChainConfig, fields, dt: float) -> Circuit:
-    """Circuit for exp(-i H_Z dt) with H_Z = -sum_n h_n X_n: RX(-2 h_n dt)."""
-    fields = tuple(float(h) for h in fields)
-    if len(fields) != cfg.n_sites:
-        raise CircuitError(f"need {cfg.n_sites} field values, got {len(fields)}")
-    return Circuit(cfg.n_qubits, tuple(
-        Gate(GateKind.RX, (cfg.site_qubit(site),), -2.0 * h * dt)
-        for site, h in enumerate(fields)
-    ))
-
-
 def coupler_circuit(cfg: ChainConfig, J_C: float, dt: float) -> Circuit:
     """Circuit for exp(+i J_C dt Z Z Z) on (left end, coupler, right start).
 
@@ -178,35 +167,60 @@ def _step_layout(
 
 
 def extend_trotter_steps(
-    gates: list[Gate], cfg: ChainConfig, fields, dt: float, repeats: int = 1
-) -> None:
-    """Append ``repeats`` first-order steps at ``fields`` to ``gates``: ZZ
-    layer 1, ZZ layer 2, Zeeman, coupler term.
+    gates: list[Gate],
+    cfg: ChainConfig,
+    fields,
+    dt: float,
+    repeats: int = 1,
+    zeeman: list[Gate] | None = None,
+) -> list[Gate]:
+    """Append first-order steps to ``gates``, each ZZ layer 1, ZZ layer 2,
+    Zeeman, coupler term: ``repeats`` steps at each row of ``fields``, the
+    rows in order. Returns the RX gates of the last step, in site order.
 
-    ``fields`` holds one transverse field per chain site and stands in for
-    ``cfg.fields``; ``cfg`` gives the layout and the couplings. The Zeeman
-    angles -2 h dt are computed as one array and checked once, so the RX
-    gates are built without checking each again. Only the RX gates are new
-    objects; the field-free gates are the same objects in every step with
-    equal chain length, J, J_C and dt.
+    ``fields`` is a ``(k, n_sites)`` array of transverse fields, one row
+    per step, and stands in for ``cfg.fields``; ``cfg`` gives the layout
+    and the couplings. The Zeeman angles -2 h dt of all rows are computed
+    as one array and checked once, so the RX gates are built without
+    checking each again. A site whose angle has the same bits as in the
+    step before keeps that step's RX gate; ``zeeman`` gives the RX gates
+    of the step before the first row, if there is one (as returned by the
+    previous call). Only the RX gates whose angle changes are new objects;
+    the field-free gates are the same objects in every step with equal
+    chain length, J, J_C and dt.
     """
     zz, sites, coupler = _step_layout(cfg.chain_len, cfg.J, cfg.J_C, dt)
     angles = (-2.0 * np.asarray(fields, dtype=float)) * dt
-    if angles.shape != (len(sites),):
-        raise CircuitError(f"need {len(sites)} field values, got {angles.shape}")
+    if angles.ndim != 2 or angles.shape[1] != len(sites):
+        raise CircuitError(
+            f"need {len(sites)} field values per step, got shape {angles.shape}"
+        )
     if not np.isfinite(angles).all():
         raise CircuitError("RX requires a finite angle")
+    # Angles are compared by their bits, so that 0.0 and -0.0 stay apart.
+    bits = angles.view(np.int64)
+    changed = np.empty(angles.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    if zeeman is None:
+        changed[0] = True
+        zeeman = [None] * len(sites)
+    else:
+        before = np.array([g.angle for g in zeeman]).view(np.int64)
+        np.not_equal(bits[0], before, out=changed[0])
     rx, trusted = GateKind.RX, Gate._trusted
-    zeeman = [trusted(rx, q, a) for q, a in zip(sites, angles.tolist())]
-    for _ in range(repeats):
-        gates += zz
-        gates += zeeman
-        gates += coupler
+    for row, new in zip(angles.tolist(), changed.tolist()):
+        zeeman = [trusted(rx, q, a) if c else g
+                  for q, a, c, g in zip(sites, row, new, zeeman)]
+        for _ in range(repeats):
+            gates += zz
+            gates += zeeman
+            gates += coupler
+    return zeeman
 
 
 def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:
     """One first-order step at ``cfg.fields``: ZZ layer 1, ZZ layer 2,
     Zeeman, coupler term (see ``extend_trotter_steps``)."""
     gates: list[Gate] = []
-    extend_trotter_steps(gates, cfg, cfg.fields, dt)
+    extend_trotter_steps(gates, cfg, (cfg.fields,), dt)
     return Circuit._trusted(cfg.n_qubits, tuple(gates))

@@ -24,7 +24,6 @@ from isingbraid.analysis import (
     expm_hermitian,
     operator_norm,
     per_step_error_bound,
-    phase_aligned_distance,
 )
 from isingbraid.cli import main
 from isingbraid.noise import NoiseModel, apply_measurement_error, noisy_fidelity
@@ -41,8 +40,10 @@ from isingbraid.protocol import (
     sampled_fidelity_from_counts,
     target_chain_state,
 )
-from isingbraid.statevector import dense_unitary, run, zero_state
+from isingbraid.statevector import run, zero_state
 from isingbraid.trotter import ChainConfig, trotter_step_circuit
+
+from dense_reference import dense_unitary, phase_aligned_distance
 
 # high-fidelity and efficient parameter rows, linear field updates pinned
 OPT = ProtocolParams(update_mode="linear")

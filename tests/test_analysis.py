@@ -17,7 +17,6 @@ from isingbraid.analysis import (
     operator_norm,
     pauli_string,
     per_step_error_bound,
-    phase_aligned_distance,
     total_error_bound,
 )
 from isingbraid.circuit import Gate, GateKind
@@ -34,11 +33,12 @@ from isingbraid.protocol import (
 from isingbraid.statevector import (
     QuantumState,
     apply_gate_inplace,
-    dense_unitary,
     fidelity,
     zero_state,
 )
 from isingbraid.trotter import ChainConfig, trotter_step_circuit
+
+from dense_reference import dense_unitary, phase_aligned_distance
 
 OPT = ProtocolParams()  # high-fidelity row
 EFF = ProtocolParams(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)  # efficient row
@@ -204,17 +204,19 @@ def random_state(n_qubits: int, seed: int) -> QuantumState:
 
 def dense_evolve(schedule, params, initial):
     """The dense per-step reference: exp(-i H dt) of the dense H for every
-    walked entry, applied ``repeats`` times."""
+    row of fields of each walked hold, applied ``repeats`` times."""
     amps = initial.amplitudes.copy()
     for item in walk_schedule(params, schedule):
         if isinstance(item, RotateCoupler):
             apply_gate_inplace(amps, initial.n_qubits,
                                Gate(GateKind.RY, (params.coupler_qubit,), item.angle))
             continue
-        fields, repeats = item
-        u = expm_hermitian(dense_hamiltonian(chain_config(params, fields)), params.dt)
-        for _ in range(repeats):
-            amps = u @ amps
+        rows, repeats = item
+        for fields in rows:
+            u = expm_hermitian(dense_hamiltonian(chain_config(params, fields)),
+                               params.dt)
+            for _ in range(repeats):
+                amps = u @ amps
     return amps
 
 

@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from isingbraid.circuit import (
     QASM_HEADER_LINES,
     Circuit,
     CircuitError,
     Gate,
+    GateCounts,
     GateKind,
     concat,
     depth,
+    depths_and_counts,
     gate_counts,
     inverse,
     to_qasm,
 )
-from isingbraid.statevector import dense_unitary
+
+from dense_reference import dense_unitary
 
 
 def test_gate_validation():
@@ -141,6 +144,56 @@ def test_depth_bounds_property(pairs):
         for q in g.qubits:
             per_qubit[q] += 1
     assert d >= max(per_qubit, default=0)
+
+
+def _reference_depth(circuit):
+    """Greedy as-soon-as-possible layering, one gate at a time."""
+    busy = [0] * circuit.n_qubits
+    layers = [0]
+    for g in circuit.gates:
+        layer = max(busy[q] for q in g.qubits) + 1
+        for q in g.qubits:
+            busy[q] = layer
+        layers.append(layer)
+    return max(layers)
+
+
+def _draw_circuit(data, n, qubits, max_size):
+    """A circuit on ``n`` qubits whose gates touch only ``qubits``."""
+    gates = []
+    for _ in range(data.draw(st.integers(0, max_size))):
+        if len(qubits) > 1 and data.draw(st.booleans()):
+            c, t = data.draw(st.permutations(qubits))[:2]
+            gates.append(Gate(GateKind.CNOT, (c, t)))
+        else:
+            kind = data.draw(st.sampled_from([GateKind.RX, GateKind.H, GateKind.Z]))
+            angle = 0.3 if kind is GateKind.RX else None
+            gates.append(Gate(kind, (data.draw(st.sampled_from(qubits)),), angle))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_walk_matches_per_circuit_depths_and_counts(data):
+    n = data.draw(st.integers(1, 5))
+    everywhere = list(range(n))
+    # The evolution may leave qubits idle, so that the two frontiers never
+    # differ by one constant; it is long enough to pass several looks.
+    busy = data.draw(st.lists(st.sampled_from(everywhere), min_size=1, unique=True))
+    head = _draw_circuit(data, n, everywhere, 8)
+    body = _draw_circuit(data, n, sorted(busy), 60)
+    tail = _draw_circuit(data, n, everywhere, 8)
+    full = concat([head, body, tail])
+    total, alone, counts = depths_and_counts(head, body, tail)
+    assert total == depth(full) == _reference_depth(full)
+    assert alone == depth(body) == _reference_depth(body)
+    two = sum(g.arity == 2 for g in full)
+    assert counts == gate_counts(full) == GateCounts(len(full) - two, two)
+
+
+def test_one_walk_rejects_mismatched_registers():
+    with pytest.raises(CircuitError, match="mismatch"):
+        depths_and_counts(Circuit(2, ()), Circuit(3, ()), Circuit(3, ()))
 
 
 def test_gate_counts():

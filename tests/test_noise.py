@@ -12,7 +12,12 @@ from isingbraid.noise import (
     run_noisy,
     run_trajectories,
 )
-from isingbraid.protocol import LogicalLabel, ProtocolParams, run_scenario
+from isingbraid.protocol import (
+    LogicalLabel,
+    ProtocolParams,
+    compile_scenario,
+    run_scenario,
+)
 from isingbraid.statevector import SampleCounts, fidelity, run, zero_state
 
 FAST = ProtocolParams(dh=0.5, T=0.5, dt=0.2, shots=2000)
@@ -248,7 +253,9 @@ def test_batched_trajectory_estimator_is_unbiased():
 def test_noisy_fidelity_batches_stay_within_row_budget(monkeypatch):
     import isingbraid.noise as noise
 
-    monkeypatch.setattr(noise, "BATCH_BYTES", 2 * (16 << FAST.n_qubits))
+    # Room for two rows and the buffers of their size that a batch holds.
+    monkeypatch.setattr(noise, "BATCH_BYTES",
+                        2 * noise._BATCH_BUFFERS * (16 << FAST.n_qubits))
     sizes = []
 
     def recording(circuit, initial, model, rows, rng):
@@ -261,6 +268,33 @@ def test_noisy_fidelity_batches_stay_within_row_budget(monkeypatch):
     assert sizes == [2, 2, 1]
     again = noisy_fidelity(FAST, "braid", LogicalLabel.ALL_UP, model, seed=4)
     assert again == first
+
+
+def test_full_batch_peaks_within_the_batch_budget(monkeypatch):
+    import tracemalloc
+
+    import isingbraid.noise as noise
+
+    # The whole EFF braid: fused layers and basis runs, and the coupler
+    # rotations, which the per-gate kernel applies to the whole batch.
+    p = ProtocolParams(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)
+    circuit = compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
+    monkeypatch.setattr(noise, "BATCH_BYTES", 4 << 20)
+    rows = noise.batch_rows(p.n_qubits)
+    assert rows == (4 << 20) // (3 * (16 << p.n_qubits))
+    model = NoiseModel(eps_bitflip=1e-5, eps_phase=1e-5)
+    initial = zero_state(p.n_qubits)
+    # One row first, so that the executor's caches are not counted.
+    run_trajectories(circuit, initial, model, 1, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        run_trajectories(circuit, initial, model, rows, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Beside the batch, the error draw holds a few integers per gate (about
+    # 75 bytes per gate of this circuit).
+    assert peak <= noise.BATCH_BYTES + 96 * len(circuit)
 
 
 def _measurement_error_per_shot(counts, eps_meas, seed):

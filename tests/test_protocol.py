@@ -235,24 +235,33 @@ def test_build_circuit_step_counts_and_modes():
 def test_walk_schedule_entries_per_mode():
     sched = build_field_schedule(FAST, include_rotation=True)
     n_steps = steps_per_hold(FAST)
+    holds = [e for e in sched.events if isinstance(e, SetFields)]
+    rotations = [e for e in sched.events if isinstance(e, RotateCoupler)]
     stepped = list(walk_schedule(FAST, sched))
     linear = list(walk_schedule(replace(FAST, update_mode="linear"), sched))
-    # stepped: one entry per event; linear: one entry per Trotter step
-    assert len(stepped) == len(sched)
-    assert [e for e in stepped if isinstance(e, RotateCoupler)] == [
-        e for e in sched.events if isinstance(e, RotateCoupler)
-    ]
-    assert [e[1] for e in stepped if isinstance(e, tuple)] == [n_steps] * (
-        count_trotter_steps(FAST, sched) // n_steps
-    )
-    holds = [e for e in linear if isinstance(e, tuple)]
-    assert len(holds) == count_trotter_steps(FAST, sched)
-    assert all(repeats == 1 for _, repeats in holds)
-    # each hold ends on its event's fields, starting from the initial fields
-    first = sched.events[0].fields
-    start = np.asarray(initial_fields(FAST))
-    assert np.allclose(holds[0][0], start + (first - start) / n_steps)
-    assert np.array_equal(holds[n_steps - 1][0], first)
+    # Both modes: one entry per event, each rotation as it is.
+    for entries in (stepped, linear):
+        assert len(entries) == len(sched)
+        assert [e for e in entries if isinstance(e, RotateCoupler)] == rotations
+    # stepped: one row, the event's fields, repeated for every step of the hold
+    stepped_holds = [e for e in stepped if isinstance(e, tuple)]
+    for (rows, repeats), event in zip(stepped_holds, holds, strict=True):
+        assert rows.shape == (1, FAST.N_s) and repeats == n_steps
+        assert rows[0].tolist() == list(event.fields)
+    # linear: one row per step, each taken once, interpolated from the
+    # previous hold's fields (the initial ones first) towards the event's,
+    # bit for bit as one step at a time would interpolate them
+    linear_holds = [e for e in linear if isinstance(e, tuple)]
+    assert sum(len(rows) * repeats for rows, repeats in linear_holds) == (
+        count_trotter_steps(FAST, sched))
+    prev = np.asarray(initial_fields(FAST))
+    for (rows, repeats), event in zip(linear_holds, holds, strict=True):
+        assert rows.shape == (n_steps, FAST.N_s) and repeats == 1
+        target = np.asarray(event.fields)
+        for m, row in enumerate(rows, 1):
+            assert row.tobytes() == (prev + (m / n_steps) * (target - prev)).tobytes()
+        assert np.allclose(rows[-1], target, rtol=0, atol=1e-12)
+        prev = target
 
 
 def _gate_bits(gates):
@@ -272,11 +281,28 @@ def test_circuit_is_the_step_circuits_of_the_walked_entries(N_s, mode, J_C):
         if isinstance(item, RotateCoupler):
             expected.append(Gate(GateKind.RY, (p.coupler_qubit,), item.angle))
             continue
-        fields, repeats = item
-        step = trotter_step_circuit(chain_config(p, fields), p.dt).gates
-        expected.extend(step * repeats)
+        rows, repeats = item
+        for fields in rows:
+            step = trotter_step_circuit(chain_config(p, fields), p.dt).gates
+            expected.extend(step * repeats)
     assert any(g.kind is GateKind.RY for g in expected)
     assert _gate_bits(build_protocol_circuit(p, sched).gates) == _gate_bits(expected)
+
+
+@pytest.mark.parametrize("mode", ["stepped", "linear"])
+def test_steps_share_an_rx_gate_exactly_when_its_angle_bits_repeat(mode):
+    p = replace(FAST, update_mode=mode)
+    sched = build_field_schedule(p, include_rotation=True)
+    rx = [g for g in build_protocol_circuit(p, sched) if g.kind is GateKind.RX]
+    steps = [rx[k:k + p.N_s] for k in range(0, len(rx), p.N_s)]
+    assert len(steps) == count_trotter_steps(p, sched)
+    shared = 0
+    # Across holds and across coupler rotations too.
+    for before, after in zip(steps, steps[1:]):
+        for a, b in zip(before, after):
+            assert (a is b) == (a.angle.hex() == b.angle.hex())
+            shared += a is b
+    assert shared > 0
 
 
 @pytest.mark.parametrize("mode", ["stepped", "linear"])

@@ -1,0 +1,32 @@
+"""Smoke tests of the scripts: each runs end to end on a small case, so that
+a change to the library cannot leave a script broken."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_step_cost_runs_one_round_at_six_sites():
+    lines = run_script("step_cost.py", "--sizes", "6", "--rounds", "1",
+                       "--updates", "12")
+    rows = [line.split() for line in lines if line.strip()]
+    # One row per size in the first two tables, one per update mode in the
+    # third, each time as its median and its spread.
+    assert rows[1][:2] == ["6", "7"]
+    assert [row[:2] for row in rows[3:5]] == [["6", "7"], ["8", "9"]]
+    assert [row[:2] for row in rows[6:8]] == [["linear", "6030"], ["stepped", "6030"]]
+    assert len(rows[6]) == 2 + 2 * 4
+    assert lines[-1] == "median (spread) of 1 interleaved round(s)"

@@ -24,7 +24,6 @@ from isingbraid.statevector import (
     apply_gate,
     apply_gate_inplace,
     apply_gates_inplace,
-    dense_unitary,
     fidelity,
     gate_matrix,
     index_to_bitstring,
@@ -34,6 +33,8 @@ from isingbraid.statevector import (
     zero_state,
 )
 from isingbraid.trotter import ChainConfig, trotter_step_circuit
+
+from dense_reference import dense_unitary
 
 _SQ2 = 1 / math.sqrt(2)
 
@@ -391,6 +392,61 @@ def _check_chunk_budget(monkeypatch, n_s):
             assert np.array_equal(split, default), (n_s, cut)
         else:
             assert np.allclose(split, default, rtol=0, atol=1e-12), (n_s, cut)
+
+
+def _runs_gate_by_gate(gates):
+    """The runs of ``gates`` as ``_chunks`` defines them, each found by
+    testing the kind of every gate in it."""
+    runs, i = [], 0
+    while i < len(gates):
+        j = i + 1
+        if gates[i].kind in sv._BASIS_KINDS:
+            while j < len(gates) and gates[j].kind in sv._BASIS_KINDS:
+                j += 1
+        else:
+            seen = {gates[i].qubits[0]}
+            while (j < len(gates) and gates[j].kind in sv._MIXING_KINDS
+                   and gates[j].qubits[0] not in seen):
+                seen.add(gates[j].qubits[0])
+                j += 1
+        if j - i < 2:
+            runs.append(gates[i])
+        elif gates[i].kind in sv._MIXING_KINDS:
+            runs.append(sorted(gates[i:j], key=lambda g: g.qubits))
+        else:
+            runs.append(tuple(gates[i:j]))
+        i = j
+    return runs
+
+
+def _planned_runs(gates, n):
+    return [run for chunk, _ in sv._chunks(gates, n) for run in chunk]
+
+
+def test_repeated_basis_runs_are_planned_as_the_same_run():
+    n, gates = _short_braid()
+    runs = _planned_runs(gates, n)
+    assert runs == _runs_gate_by_gate(gates)
+    basis = [run for run in runs if type(run) is tuple]
+    repeats = [(a, b) for a, b in zip(basis, basis[1:]) if a == b]
+    assert repeats and all(a is b for a, b in repeats)
+    assert _planned_runs(list(gates), n) == runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=16))
+def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
+    # A basis run that comes back, alone or followed by more basis gates, a
+    # layer, and lone gates of either kind.
+    g = Gate
+    ladder = (g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.3),
+              g(GateKind.CNOT, (0, 1)))
+    layer = (g(GateKind.RX, (0,), 0.2), g(GateKind.RY, (2,), 0.5),
+             g(GateKind.H, (1,)))
+    parts = [ladder, ladder, layer, (g(GateKind.X, (2,)),),
+             (g(GateKind.RX, (1,), -0.4),), ladder[:2]]
+    gates = tuple(gate for k in pieces for gate in parts[k])
+    assert _planned_runs(gates, 3) == _runs_gate_by_gate(gates)
 
 
 def test_chunk_of_mixed_layers_matches_gate_by_gate():

@@ -12,10 +12,8 @@ from isingbraid.analysis import (
     dense_zz_layer,
     expm_hermitian,
     operator_norm,
-    phase_aligned_distance,
 )
 from isingbraid.circuit import CircuitError, Gate, GateKind, concat, depth
-from isingbraid.statevector import dense_unitary
 from isingbraid.trotter import (
     ChainConfig,
     chain_pairs,
@@ -25,9 +23,10 @@ from isingbraid.trotter import (
     pair_interaction_circuit,
     second_layer_pairs,
     trotter_step_circuit,
-    zeeman_circuit,
     zz_layer_circuit,
 )
+
+from dense_reference import dense_unitary, phase_aligned_distance, zeeman_circuit
 
 CFG6 = ChainConfig(chain_len=3, J=1.0, J_C=0.3, fields=(0.01, 0.01, 0.01, 5, 5, 5))
 DT = 0.2
@@ -143,15 +142,44 @@ def test_step_equals_concat_of_its_summands(J_C):
 
 
 def test_extended_steps_repeat_the_step_circuit():
-    fields = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    rows = ((0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.5, 1.0, 1.5, 2.0, 2.5, 3.5))
     head = Gate(GateKind.H, (0,))
     gates = [head]
-    extend_trotter_steps(gates, CFG6, np.array(fields), DT, repeats=3)
-    step = trotter_step_circuit(replace(CFG6, fields=fields), DT).gates
-    assert gates == [head, *step * 3]
-    rx = [g for g in step if g.kind is GateKind.RX]
-    assert [g.angle for g in rx] == [-2.0 * h * DT for h in fields]
+    zeeman = extend_trotter_steps(gates, CFG6, np.array(rows), DT, repeats=3)
+    steps = [trotter_step_circuit(replace(CFG6, fields=f), DT).gates for f in rows]
+    assert gates == [head, *steps[0] * 3, *steps[1] * 3]
+    rx = [g for g in steps[1] if g.kind is GateKind.RX]
+    assert zeeman == rx
+    assert [g.angle for g in rx] == [-2.0 * h * DT for h in rows[1]]
     assert all(type(g.angle) is float for g in rx)
+
+
+def test_steps_share_an_rx_gate_exactly_when_its_angle_bits_repeat():
+    # h = 0.0 gives the angle -0.0 and h = -0.0 the angle 0.0: equal as
+    # floats, but not the same bits, so the two never share a gate.
+    rows = np.array([
+        (0.5, 1.0, 0.0, 2.0, 2.5, 3.0),
+        (0.5, 1.1, -0.0, 2.0, 2.5, 3.0),
+        (0.5, 1.1, -0.0, 2.0, 2.6, 3.0),
+        (0.5, 1.1, 0.0, 2.0, 2.6, 3.0),
+    ])
+    gates = []
+    first = extend_trotter_steps(gates, CFG6, rows[:2], DT)
+    # The next call goes on from the RX gates of the step before.
+    last = extend_trotter_steps(gates, CFG6, rows[2:], DT, zeeman=first)
+    rx = [g for g in gates if g.kind is GateKind.RX]
+    steps = [rx[k:k + 6] for k in range(0, len(rx), 6)]
+    assert steps[1] == first and steps[3] == last
+    expected = [
+        [True, False, False, True, True, True],
+        [True, True, True, True, False, True],
+        [True, True, False, True, True, True],
+    ]
+    shared = [[a is b for a, b in zip(x, y)] for x, y in zip(steps, steps[1:])]
+    assert shared == expected
+    for x, y in zip(steps, steps[1:]):
+        assert [a is b for a, b in zip(x, y)] == [
+            a.angle.hex() == b.angle.hex() for a, b in zip(x, y)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -164,7 +192,10 @@ def test_step_rejects_non_finite_fields(bad):
 def test_extend_steps_rejects_wrong_field_count():
     gates = []
     with pytest.raises(CircuitError, match="need 6 field values"):
-        extend_trotter_steps(gates, CFG6, (1.0,), DT)
+        extend_trotter_steps(gates, CFG6, [(1.0,)], DT)
+    # One step's fields are a row of a 2-D array, not a 1-D one.
+    with pytest.raises(CircuitError, match=r"got shape \(6,\)"):
+        extend_trotter_steps(gates, CFG6, CFG6.fields, DT)
     assert gates == []
 
 
