@@ -14,7 +14,9 @@ h_para = 1.5) and prints:
 - the largest |difference| between the two states after R steps;
 - layer ms: the step's Zeeman layer (its RX gates) alone, repeated inside
   one ``run`` and timed the same way as the steady step. Registers of
-  ``statevector._REAL_QUBITS`` qubits or more apply it in real arithmetic.
+  ``statevector._REAL_QUBITS`` qubits or more apply it in real arithmetic;
+- map ms: one build of the phase map of the step's diagonal run (its ZZ
+  and coupler gates), the one-time cost that the steady step leaves out.
 
 The second table walks the first two holds of the EFF braid schedule with
 linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints the ms
@@ -67,6 +69,7 @@ from isingbraid.protocol import (  # noqa: E402
 )
 from isingbraid.statevector import (  # noqa: E402
     QuantumState,
+    _basis_map,
     apply_gate_inplace,
     run,
     zero_state,
@@ -109,6 +112,7 @@ class StepCase:
         self.repeats = repeats = max(2, (1 << updates) >> n)
         self.state = random_state(n, n_s)
         zeeman = tuple(g for g in step if g.kind is GateKind.RX)
+        self.diagonal = tuple(g for g in step if g.kind is not GateKind.RX)
         self.step = [Circuit(n, step * repeats), Circuit(n, step * 2 * repeats)]
         self.layer = [Circuit(n, zeeman * repeats), Circuit(n, zeeman * 2 * repeats)]
         self.diff = None
@@ -129,6 +133,7 @@ class StepCase:
             "steady": 1e3 * steady_cost(self.state, *self.step, r),
             "oracle": 1e3 * timed(self.oracle) / r,
             "layer": 1e3 * steady_cost(self.state, *self.layer, r),
+            "map": 1e3 * timed(lambda: _basis_map(self.state.n_qubits, self.diagonal)),
         }
 
 
@@ -205,12 +210,13 @@ def main(argv=None) -> int:
     rows = iter(zip(cases, samples))
 
     print(f"{'N_s':>4} {'qubits':>6} {'steady ms/step':>18} "
-          f"{'oracle ms/step':>18} {'max |diff|':>11} {'layer ms':>18}")
+          f"{'oracle ms/step':>18} {'max |diff|':>11} {'layer ms':>18} "
+          f"{'map ms':>18}")
     for n_s in args.sizes:
         case, v = next(rows)
         print(f"{n_s:>4} {n_s + 1:>6} {summary(v['steady'], 18, 3)} "
               f"{summary(v['oracle'], 18, 3)} {case.diff:>11.1e} "
-              f"{summary(v['layer'], 18, 3)}")
+              f"{summary(v['layer'], 18, 3)} {summary(v['map'], 18, 3)}")
     print()
     print(f"{'N_s':>4} {'qubits':>6} {'exact oracle ms/step':>21}")
     for n_s in ORACLE_SIZES:

@@ -31,10 +31,14 @@ _MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
 _BLOCK_QUBITS = 4
 # Registers of at least this many qubits apply every layer block above
 # qubit 0 in real arithmetic, inside the frame S = diag(1, i) on its RX
-# qubits (see ``_layer_blocks``). That halves a block's flops but adds two
-# passes over the state per layer, which cost more than they save on small
-# registers: timed one layer at a time, the two paths cost about the same
-# at 11 qubits, and the real one is faster from 12 up.
+# qubits (see ``_layer_blocks``). That halves a block's flops. Entering or
+# leaving the frame is one pass over the state, and the rows stay in it
+# until the frame changes or a permuting run or a lone gate comes (see
+# ``apply_gates_inplace``), so a call of Trotter steps enters it once.
+# Timed as steady Trotter steps in that mode, the real path is the faster
+# at 11 qubits (0.095 against 0.114 ms) and the slower at 9 (0.077
+# against 0.059 ms). The threshold stays at 12, where it was set when
+# every layer took two frame passes, so results below it are unchanged.
 _REAL_QUBITS = 12
 # Bytes of block matrices that one chunk of layers builds at once. A cap in
 # bytes, not in layers, keeps a chunk's matrices small at every register
@@ -42,6 +46,8 @@ _REAL_QUBITS = 12
 _BLOCK_BYTES = 64 << 10
 # i**k for k mod 4.
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
+# The column that turns a row into the pair (row, -row).
+_SIGNS = np.array([[1.0], [-1.0]])
 # einsum subscripts of a batch of Kronecker products of w 2x2 factors, the
 # factor of the highest qubit first: "...ae,...bf->...abef" for w = 2.
 _KRON = {
@@ -171,29 +177,108 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     return out
 
 
+def _parities(masks: np.ndarray, width: int) -> np.ndarray:
+    """parity(m & x) for every mask m of ``masks`` and every x below
+    2**width (at most 2**16), as a ``(len(masks), 2**width)`` int64 array
+    of 0s and 1s.
+
+    The bits are folded by shifts, not counted by ``np.bitwise_count``:
+    its uint8 result needs ufunc loops that nothing else touches in a run
+    on a small register. Their code pages, and those of a float matrix
+    product in place of the sums in ``_basis_map``, added 0.28 MB to the
+    peak RSS of the OPT braid at N_s = 6.
+    """
+    x = masks[:, None] & np.arange(1 << width)
+    for shift in (8, 4, 2, 1):
+        if shift < width:
+            x ^= x >> shift
+    return x & 1
+
+
 def _basis_map(n_qubits: int, gates: Sequence[Gate]):
     """A run of basis gates as (src, phase): together they map amplitudes
-    ``a`` to ``phase * a[src]``. ``src`` is None when the run is diagonal."""
-    dim = 1 << n_qubits
-    identity = np.arange(dim)
-    # Follow every basis state x forward: it lands on dst[x], times phase[x].
-    dst = identity.copy()
-    phase = np.ones(dim, dtype=complex)
-    for gate in gates:
+    ``a`` to ``phase * a[src]``. ``src`` is None when the run is diagonal.
+
+    The run is an affine map of the bits over GF(2) times a phase. Walked
+    from its last gate back, each qubit's bit before a gate is a linear
+    form of the output bits y (a mask) plus a constant: CNOT and X update
+    the forms, each RZ adds +-angle/2 to the coefficient c_m of its qubit's
+    mask m, and the Z gates fold into one sign mask, which keeps the sign
+    exact. So phase(y) = exp(-i sum_m c_m (-1)**parity(m & y)) times that
+    sign, and src(y) is the forms at the first gate. Both are built from
+    tables over the low and the high half of the register; a mask that
+    straddles the halves contributes one exact cos(c) -+ i sin(c) factor.
+    """
+    forms = [1 << q for q in range(n_qubits)]
+    flips = 0  # bit q: the constant of qubit q's form
+    angles: dict[int, float] = {}
+    sign, negate = 0, 0
+    for gate in reversed(gates):
         _check_range(gate, n_qubits)
-        if gate.kind is GateKind.CNOT:
+        kind = gate.kind
+        if kind is GateKind.CNOT:
             c, t = gate.qubits
-            dst ^= ((dst >> c) & 1) << t
-        elif gate.kind is GateKind.X:
-            dst ^= 1 << gate.qubits[0]
+            forms[t] ^= forms[c]
+            flips ^= (flips >> c & 1) << t
+            continue
+        q = gate.qubits[0]
+        if kind is GateKind.X:
+            flips ^= 1 << q
+        elif kind is GateKind.Z:
+            sign ^= forms[q]
+            negate ^= flips >> q & 1
         else:
-            m = gate_matrix(gate)
-            phase *= np.array([m[0, 0], m[1, 1]])[(dst >> gate.qubits[0]) & 1]
-    if np.array_equal(dst, identity):
-        return None, phase
-    src = np.empty_like(dst)
-    src[dst] = identity
-    return src, phase[src]
+            half = -0.5 * gate.angle if flips >> q & 1 else 0.5 * gate.angle
+            angles[forms[q]] = angles.get(forms[q], 0.0) + half
+    low = n_qubits // 2
+    low_bits = (1 << low) - 1
+    diagonal = flips == 0 and forms == [1 << q for q in range(n_qubits)]
+    # One row per mask: the angle masks, the sign mask, then the forms when
+    # src is needed. The low halves of the rows and their high halves take
+    # one parity call, at the width of the high half, the wider one.
+    masks = [*angles, sign, *([] if diagonal else forms)]
+    count, size = len(angles), len(masks)
+    halves = np.array([m & low_bits for m in masks] + [m >> low for m in masks])
+    parity = _parities(halves, n_qubits - low)
+    chi = 1.0 - 2.0 * parity
+    p_low, p_high = parity[:size, :1 << low], parity[size:]
+    chi_low, chi_high = chi[:size, :1 << low], chi[size:]
+    # The coefficients of the masks inside each half, summed over the
+    # masks; sums, not a matrix product, for the reason in ``_parities``.
+    weights = np.array([[c if m >> low == 0 else 0.0 for m, c in angles.items()],
+                        [c if m & low_bits == 0 else 0.0 for m, c in angles.items()]])
+    energy_low = (chi_low[:count] * weights[0, :, None]).sum(axis=0)
+    energy_high = (chi_high[:count] * weights[1, :, None]).sum(axis=0)
+    # Multiplying by the sign row, +-1.0, is exact.
+    phase_low = np.exp(-1j * energy_low) * chi_low[count]
+    phase_high = np.exp(-1j * energy_high) * chi_high[count]
+    if negate:
+        phase_high = -phase_high
+    # A mask that straddles the halves gives the factor cos(c) - i sin(c)
+    # chi_low chi_high: f over the low half on the rows where chi_high = 1,
+    # conj(f) on the others, the two as one pair. The first is taken into
+    # the low half's phase before the halves are multiplied, so it needs no
+    # temporary of the register's size.
+    factors = []
+    for k, (m, c) in enumerate(angles.items()):
+        if m & low_bits and m >> low:
+            pair = math.cos(c) - (1j * math.sin(c)) * (_SIGNS * chi_low[k])
+            factors.append((pair, p_high[k]))
+    if factors:
+        pair, rows = factors.pop(0)
+        phase = (pair * phase_low)[rows]
+        phase *= phase_high[:, None]
+    else:
+        phase = np.multiply.outer(phase_high, phase_low)
+    for pair, rows in factors:
+        phase *= pair[rows]
+    if diagonal:
+        return None, phase.reshape(-1)
+    shifts = np.arange(n_qubits)[:, None]
+    src = np.bitwise_xor.outer(
+        (p_high[count + 1:] << shifts).sum(axis=0),
+        (p_low[count + 1:] << shifts).sum(axis=0) ^ flips)
+    return src.reshape(-1), phase.reshape(-1)
 
 
 def _layer_matrices(layer: Sequence[Gate]) -> np.ndarray:
@@ -268,8 +353,8 @@ def _layer_blocks(
 ) -> list[tuple[list, tuple | None]]:
     """The dense blocks of every layer of a chunk, given as (sorted qubits,
     gates in that order), in layer order. Each layer is a list of (lowest
-    qubit, dimension, matrix) blocks and its frame, as ``_apply_blocks``
-    takes them.
+    qubit, dimension, matrix) blocks, as ``_apply_blocks`` takes them, and
+    its frame.
 
     Layers on the same qubits share one block plan, so their 2x2 matrices
     are built by one ``_layer_matrices`` call and each block position's
@@ -327,29 +412,16 @@ def _layer_blocks(
     return list(zip(blocks_of, frames))
 
 
-def _apply_blocks(
-    rows: np.ndarray, scratch: np.ndarray, blocks: list, frame: tuple | None
-) -> None:
-    """Apply one layer's dense blocks to the batch ``rows``, inside its
-    frame when it has one (the ``_frame`` arguments). ``scratch`` is a
-    buffer of the batch's shape.
+def _apply_blocks(rows: np.ndarray, scratch: np.ndarray, blocks: list) -> None:
+    """Apply one layer's dense blocks to the batch ``rows``. ``scratch`` is
+    a buffer of the batch's shape. Real blocks expect the rows in their
+    layer's S frame, which ``apply_gates_inplace`` holds.
 
-    Every step is a fixed sequence of operations on the whole layer, so a
-    layer gives the same bits whatever runs before or after it and however
-    many rows the batch has. The frame multiplies are exact: they only
-    multiply by powers of i.
+    The blocks are applied by one fixed sequence of products, so a layer
+    gives the same bits whatever runs before or after it and however many
+    rows the batch has.
     """
     src, dst = rows, scratch
-    if frame is not None:
-        mask, n_bits = frame
-        low = rows.shape[1].bit_length() - 1 - n_bits
-        build = _cached_frame if low >= _BLOCK_QUBITS else _frame
-        into, back = build(mask, n_bits)
-        # The frame's qubits are the highest ones: one factor per row of
-        # this view, broadcast along the low qubits.
-        framed = (-1, len(into), rows.shape[1] // len(into))
-        view = rows.reshape(framed)
-        view *= into
     for lo, dim, block in blocks:
         if lo == 0:
             np.matmul(src.reshape(-1, dim), block.T, out=dst.reshape(-1, dim))
@@ -363,10 +435,36 @@ def _apply_blocks(
             np.matmul(block, src.view(np.float64).reshape(shape),
                       out=dst.view(np.float64).reshape(shape))
         src, dst = dst, src
-    if frame is not None:
-        np.multiply(src.reshape(framed), back, out=rows.reshape(framed))
-    elif src is not rows:
+    if src is not rows:
         rows[...] = src
+
+
+def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
+    """Multiply the batch ``rows`` by a frame column of ``_frame``. The
+    frame's qubits are the highest ones: one factor per row of this view,
+    broadcast along the low qubits."""
+    view = rows.reshape(-1, len(column), rows.shape[1] // len(column))
+    view *= column
+
+
+def _reframe(rows: np.ndarray, held: tuple | None, back: np.ndarray | None,
+             frame: tuple | None) -> tuple[tuple | None, np.ndarray | None]:
+    """Move the batch ``rows`` out of the S frame ``held``, whose conjugate
+    column is ``back``, and into ``frame``; a frame is given as the
+    ``_frame`` arguments, or None for none. Returns ``frame`` and its
+    conjugate column. Both multiplies are exact: they only multiply by
+    powers of i.
+    """
+    if held is not None:
+        _frame_multiply(rows, back)
+    if frame is None:
+        return None, None
+    mask, n_bits = frame
+    low = rows.shape[1].bit_length() - 1 - n_bits
+    build = _cached_frame if low >= _BLOCK_QUBITS else _frame
+    into, back = build(mask, n_bits)
+    _frame_multiply(rows, into)
+    return frame, back
 
 
 def _chunks(gates: Sequence[Gate], n_qubits: int):
@@ -439,33 +537,65 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
     distinct qubits is applied as one layer of dense blocks. The runs are
     planned a chunk at a time (see ``_chunks``): the blocks of all layers of
     a chunk are built together, then the chunk's runs are applied in order.
-    Every other gate goes through ``apply_gate_inplace``. A run is checked
-    in full before any row changes.
+    A lone CNOT goes through its per-gate kernel and any other lone gate is
+    applied as a layer of one block. A run is checked in full before any row
+    changes.
+
+    A layer whose real blocks hold RX factors works in an S frame (see
+    ``_layer_blocks``). The rows stay in the frame of the last such layer
+    until a layer with another frame or none, a permuting basis run, a lone
+    gate or the end of the call, a failed check included: a diagonal run
+    commutes with the frame and is applied inside it, so the steps of a
+    Trotter circuit enter their frame once. The diagonal is applied as
+    ``phase * rows``, phase first: in that operand order
+    ``phase * (f * a) * conj(f)`` equals ``phase * a`` bit for bit for every
+    power of i ``f``, so where the frame is taken on and off does not change
+    a bit of the result.
     """
     flat = rows.reshape(-1)
     scratch = None
     last_run, last_map = (), None
-    for chunk, layers in _chunks(gates, n_qubits):
-        blocks = iter(_layer_blocks(layers, n_qubits))
-        for part in chunk:
-            kind = type(part)
-            if kind is list:
-                if scratch is None:
-                    scratch = np.empty_like(rows)
-                _apply_blocks(rows, scratch, *next(blocks))
-            elif kind is tuple:
-                if part != last_run:
-                    last_run, last_map = part, _basis_map(n_qubits, part)
-                src, phase = last_map
-                if src is None:
-                    rows *= phase
+    # The frame the rows are in, as the ``_frame`` arguments, and its
+    # conjugate column.
+    held = back = None
+    try:
+        for chunk, layers in _chunks(gates, n_qubits):
+            blocks = iter(_layer_blocks(layers, n_qubits))
+            for part in chunk:
+                kind = type(part)
+                if kind is list:
+                    if scratch is None:
+                        scratch = np.empty_like(rows)
+                    layer, frame = next(blocks)
+                    if frame != held:
+                        held, back = _reframe(rows, held, back, frame)
+                    _apply_blocks(rows, scratch, layer)
+                elif kind is tuple:
+                    if part != last_run:
+                        last_run, last_map = part, _basis_map(n_qubits, part)
+                    src, phase = last_map
+                    if src is None:
+                        np.multiply(phase, rows, rows)
+                    else:
+                        if held is not None:
+                            held, back = _reframe(rows, held, back, None)
+                        np.multiply(phase, rows.take(src, axis=1), rows)
                 else:
-                    np.multiply(rows.take(src, axis=1), phase, out=rows)
-            else:
-                # The per-gate kernel makes temporaries of up to one and a
-                # half times the batch; the scratch buffer makes room for them.
-                scratch = None
-                apply_gate_inplace(flat, n_qubits, part)
+                    if held is not None:
+                        held, back = _reframe(rows, held, back, None)
+                    # On one qubit the block would span the register, which
+                    # ``_block_plan`` never lets a block do (see there).
+                    if part.kind is GateKind.CNOT or n_qubits == 1:
+                        apply_gate_inplace(flat, n_qubits, part)
+                    else:
+                        _check_range(part, n_qubits)
+                        if scratch is None:
+                            scratch = np.empty_like(rows)
+                        block = (part.qubits[0], 2, gate_matrix(part))
+                        _apply_blocks(rows, scratch, [block])
+    finally:
+        if held is not None:
+            _reframe(rows, held, back, None)
 
 
 def run(state: QuantumState, circuit: Circuit) -> QuantumState:

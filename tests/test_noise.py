@@ -276,7 +276,7 @@ def test_full_batch_peaks_within_the_batch_budget(monkeypatch):
     import isingbraid.noise as noise
 
     # The whole EFF braid: fused layers and basis runs, and the coupler
-    # rotations, which the per-gate kernel applies to the whole batch.
+    # rotations, lone gates that go through the executor's scratch buffer.
     p = ProtocolParams(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)
     circuit = compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
     monkeypatch.setattr(noise, "BATCH_BYTES", 4 << 20)

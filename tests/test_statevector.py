@@ -276,13 +276,9 @@ def test_fused_runs_match_gate_by_gate(data):
         apply_gate_inplace(expected.reshape(-1), n, gate)
     single = run(QuantumState(n, batch[0]), Circuit(n, tuple(gates)))
     apply_gates_inplace(batch, n, gates)
-    # Two neighbouring mixing gates on distinct qubits form a fused layer,
-    # whose dense blocks round differently from the per-gate kernels.
-    fused_layer = any(
-        a.kind in _MIXING and b.kind in _MIXING and a.qubits != b.qubits
-        for a, b in zip(gates, gates[1:])
-    )
-    if GateKind.RZ in basis or fused_layer:
+    # Mixing gates, fused into a layer or alone, are applied as dense
+    # blocks, which round differently from the per-gate kernels.
+    if GateKind.RZ in basis or any(g.kind in _MIXING for g in gates):
         assert np.allclose(batch, expected, rtol=0, atol=1e-12)
     else:
         assert np.array_equal(batch, expected)
@@ -311,6 +307,96 @@ def test_one_qubit_layers_match_gate_by_gate(data):
     assert np.allclose(batch, expected, rtol=0, atol=1e-12)
     for single, row in zip(singles, batch):
         assert np.array_equal(single.amplitudes, row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_map_matches_gate_by_gate(data):
+    # A CNOT ladder, basis gates, then the ladder undone (a diagonal run
+    # when the middle gates are) or more basis gates (a permuting run). The
+    # ladders mix the masks of the low and the high half of the register.
+    n = data.draw(st.integers(1, 14))
+    kinds = _BASIS if n > 1 else _BASIS[1:]
+    if not data.draw(st.booleans()):
+        kinds = [k for k in kinds if k is not GateKind.RZ]
+    ladder = [_draw_gate(data, n, kinds[:1]) for _ in range(data.draw(st.integers(0, 8)))
+              if n > 1]
+    diagonal_kinds = [k for k in kinds if k in (GateKind.Z, GateKind.RZ)]
+    middle = [_draw_gate(data, n, data.draw(st.sampled_from([kinds, diagonal_kinds])))
+              for _ in range(data.draw(st.integers(1, 10)))]
+    undo = ladder[::-1] if data.draw(st.booleans()) else [
+        _draw_gate(data, n, kinds) for _ in range(data.draw(st.integers(0, 4)))]
+    gates = ladder + middle + undo
+    amps = random_state(n, data.draw(st.integers(0, 2**16))).amplitudes
+    expected = amps.copy()
+    for gate in gates:
+        apply_gate_inplace(expected, n, gate)
+    src, phase = sv._basis_map(n, gates)
+    mapped = phase * (amps if src is None else amps[src])
+    if any(g.kind is GateKind.RZ for g in gates):
+        assert np.allclose(mapped, expected, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(mapped, expected)
+    # src is None exactly when every basis state stays where it is.
+    labels = np.arange(1.0, 1 + (1 << n), dtype=complex)
+    for gate in gates:
+        apply_gate_inplace(labels, n, gate)
+    diagonal = np.allclose(np.abs(labels), np.arange(1, 1 + (1 << n)), rtol=1e-9, atol=0)
+    assert (src is None) == diagonal
+
+
+def test_parities_match_popcount_at_every_half_width():
+    # Half of the largest register is 13 qubits wide.
+    rng = np.random.default_rng(4)
+    for width in range(1, sv.MAX_QUBITS - sv.MAX_QUBITS // 2 + 1):
+        masks = np.append(rng.integers(0, 1 << width, size=4), (1 << width) - 1)
+        expected = [[bin(int(m) & x).count("1") & 1 for x in range(1 << width)]
+                    for m in masks]
+        assert np.array_equal(sv._parities(masks, width), expected), width
+
+
+def test_diagonal_phase_first_commutes_with_frame_bit_for_bit():
+    # The executor applies a diagonal inside a held S frame as
+    # phase * (a * f) and undoes the frame by * conj(f), f a power of i.
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    phase = np.exp(1j * rng.uniform(-math.pi, math.pi, size=4096))
+    for f in sv._POWERS_OF_I:
+        framed = a * f
+        np.multiply(phase, framed, out=framed)
+        assert np.array_equal(framed * np.conj(f), phase * a)
+
+
+@pytest.mark.parametrize("n_s", [12, 14])
+def test_held_frame_matches_gate_by_gate_and_one_row_runs(monkeypatch, n_s):
+    fields = np.linspace(0.2, 1.6, n_s)
+    cfg = ChainConfig(n_s // 2, 1.0, 0.3, tuple(fields))
+    step = trotter_step_circuit(cfg, 0.4).gates
+    # A zero field at a site above the block at qubit 0 makes its RX(0)
+    # real, so that step's frame leaves out its qubit.
+    fields[5] = 0.0
+    other = trotter_step_circuit(ChainConfig(n_s // 2, 1.0, 0.3, tuple(fields)), 0.4).gates
+    n = cfg.n_qubits
+    permuting = (Gate(GateKind.CNOT, (1, n - 2)), Gate(GateKind.X, (n - 1,)),
+                 Gate(GateKind.RZ, (2,), 0.3))
+    lone = (Gate(GateKind.RY, (n // 2,), 0.8),)
+    gates = step + step + other + step + permuting + lone + step + step
+    batch = np.stack([random_state(n, seed).amplitudes for seed in (1, 2, 3)])
+    expected = batch.copy()
+    for gate in gates:
+        apply_gate_inplace(expected.reshape(-1), n, gate)
+    singles = [run(QuantumState(n, row), Circuit(n, gates)) for row in batch]
+    passes = []
+    multiply = sv._frame_multiply
+    monkeypatch.setattr(sv, "_frame_multiply", lambda *a: passes.append(1) or multiply(*a))
+    apply_gates_inplace(batch, n, gates)
+    assert np.allclose(batch, expected, rtol=0, atol=1e-12)
+    for single, row in zip(singles, batch):
+        assert np.array_equal(single.amplitudes, row)
+    # In at the first layer; out and in at each change of frame (to
+    # ``other`` and back); out before the permuting run; in at the next
+    # layer and out at the end of the call.
+    assert len(passes) == 1 + 2 + 2 + 1 + 2
 
 
 def test_trotter_step_at_14_sites_matches_gate_by_gate():
