@@ -11,7 +11,10 @@ h_para = 1.5) and prints:
   basis-run map drops out; R steps make about 2**22 amplitude updates
   (``--updates``), and at least two steps;
 - oracle ms/step: the R steps, one ``apply_gate_inplace`` per gate;
-- the largest |difference| between the two states after R steps;
+- max |diff|: the largest |difference| between the executor's state and
+  the per-gate oracle's after ``DIFF_STEPS`` steps, at every size. A few
+  steps keep the oracle's own rounding drift small: after the R = 32,768
+  steps timed at N_s = 6 that drift was as large as the executor's error;
 - layer ms: the step's Zeeman layer (its RX gates) alone, repeated inside
   one ``run`` and timed the same way as the steady step. Registers of
   ``statevector._REAL_QUBITS`` qubits or more apply it in real arithmetic;
@@ -77,6 +80,8 @@ from isingbraid.statevector import (  # noqa: E402
 from isingbraid.trotter import trotter_step_circuit  # noqa: E402
 
 ORACLE_SIZES = (6, 8)
+# Trotter steps after which the executor is compared with the oracle.
+DIFF_STEPS = 4
 
 
 def timed(fn) -> float:
@@ -115,23 +120,21 @@ class StepCase:
         self.diagonal = tuple(g for g in step if g.kind is not GateKind.RX)
         self.step = [Circuit(n, step * repeats), Circuit(n, step * 2 * repeats)]
         self.layer = [Circuit(n, zeeman * repeats), Circuit(n, zeeman * 2 * repeats)]
-        self.diff = None
+        few = Circuit(n, step * DIFF_STEPS)
+        fused = run(self.state, few).amplitudes
+        self.diff = float(np.abs(fused - self.per_gate(few)).max())
 
-    def oracle(self) -> np.ndarray:
+    def per_gate(self, circuit: Circuit) -> np.ndarray:
         out = self.state.amplitudes.copy()
-        n = self.state.n_qubits
-        for gate in self.step[0].gates:
-            apply_gate_inplace(out, n, gate)
+        for gate in circuit.gates:
+            apply_gate_inplace(out, circuit.n_qubits, gate)
         return out
 
     def measure(self) -> dict[str, float]:
-        if self.diff is None:
-            fused = run(self.state, self.step[0]).amplitudes
-            self.diff = float(np.abs(fused - self.oracle()).max())
         r = self.repeats
         return {
             "steady": 1e3 * steady_cost(self.state, *self.step, r),
-            "oracle": 1e3 * timed(self.oracle) / r,
+            "oracle": 1e3 * timed(lambda: self.per_gate(self.step[0])) / r,
             "layer": 1e3 * steady_cost(self.state, *self.layer, r),
             "map": 1e3 * timed(lambda: _basis_map(self.state.n_qubits, self.diagonal)),
         }

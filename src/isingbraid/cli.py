@@ -4,9 +4,10 @@ and OpenQASM export.
 Config files are flat ``key = value`` text. Keys match ProtocolParams field
 names, plus ``scenario``/``init`` and, for sweeps, ``axis``/``values``.
 Angle values accept ``pi`` fractions like ``pi/3`` or ``2pi/3``. Unknown
-keys, non-integer values of integer keys and registers too large to simulate
-are rejected (exit code 2); every emitted report echoes the fully resolved
-parameter set so defaults are never silent.
+keys, non-integer values of integer keys, values out of range (``nan`` and
+``inf`` included) and registers too large to simulate are rejected (exit
+code 2); every emitted report echoes the fully resolved parameter set so
+defaults are never silent.
 """
 from __future__ import annotations
 
@@ -61,6 +62,8 @@ def parse_number(text: str) -> float:
     if coef is None:
         coef = float(coef_txt)
     denom = float(m.group(2)) if m.group(2) else 1.0
+    if denom == 0:
+        raise ConfigError(f"zero denominator in {text!r}")
     return coef * math.pi / denom
 
 

@@ -54,6 +54,10 @@ class AdiabaticityWarning(UserWarning):
     """Field updates are fast relative to the excitation gap."""
 
 
+# The float fields of ProtocolParams; each must be finite.
+_FLOAT_FIELDS = ("J", "J_C", "h_ferro", "h_para", "dt", "dh", "T", "Gamma", "theta")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """All protocol tunables. Defaults are the optimized high-fidelity set
@@ -75,6 +79,10 @@ class ProtocolParams:
     coupler_prep: str = "RX_half_pi"
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.N_s < 6 or self.N_s % 2 != 0:
             raise ValueError("N_s must be an even count >= 6")
         if not 0 < self.h_ferro < self.J:
@@ -96,6 +104,10 @@ class ProtocolParams:
             raise ValueError("need 0 < dh <= h_para")
         if self.T < self.dt:
             raise ValueError("hold period T must be at least dt")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError("T/dt must be finite")
+        if self.J_C < 0:
+            raise ValueError("J_C must be non-negative")
         if not 0 < self.Gamma <= math.pi:
             raise ValueError("need 0 < Gamma <= pi")
         if self.theta < 0:

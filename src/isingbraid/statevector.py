@@ -29,16 +29,16 @@ _BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
 _MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
 # Most adjacent qubits a layer block spans: one 2**k x 2**k matrix.
 _BLOCK_QUBITS = 4
-# Registers of at least this many qubits apply every layer block above
-# qubit 0 in real arithmetic, inside the frame S = diag(1, i) on its RX
-# qubits (see ``_layer_blocks``). That halves a block's flops. Entering or
-# leaving the frame is one pass over the state, and the rows stay in it
-# until the frame changes or a permuting run or a lone gate comes (see
-# ``apply_gates_inplace``), so a call of Trotter steps enters it once.
-# Timed as steady Trotter steps in that mode, the real path is the faster
-# at 11 qubits (0.095 against 0.114 ms) and the slower at 9 (0.077
-# against 0.059 ms). The threshold stays at 12, where it was set when
-# every layer took two frame passes, so results below it are unchanged.
+# Registers of at least this many qubits apply their one-qubit layers in
+# the frame S = diag(1, i) on every qubit from _BLOCK_QUBITS up, where each
+# RX factor is the real RY and a block of RX factors is applied in real
+# arithmetic, at half the flops (see ``_layer_blocks``). The rows stay in
+# the frame across diagonal runs, so a call of Trotter steps enters it once
+# (see ``apply_gates_inplace``). Timed as steady Trotter steps, the
+# real path is the faster at 11 qubits (0.095 against 0.114 ms) and the
+# slower at 9 (0.077 against 0.059 ms). The threshold stays at 12, where it
+# was set when every layer took two frame passes, so results below it are
+# unchanged.
 _REAL_QUBITS = 12
 # Bytes of block matrices that one chunk of layers builds at once. A cap in
 # bytes, not in layers, keeps a chunk's matrices small at every register
@@ -299,26 +299,24 @@ def _layer_matrices(layer: Sequence[Gate]) -> np.ndarray:
     return m
 
 
-def _frame(mask: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal of S on every qubit of ``mask`` over ``n_bits`` qubits,
-    ``i**popcount(x & mask)``, and its conjugate, as read-only
-    ``(2**n_bits, 1)`` columns."""
+@lru_cache(maxsize=4)
+def _frame(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of S = diag(1, i) on each of ``n_bits`` qubits,
+    ``i**popcount(x)``, and its conjugate, as read-only ``(2**n_bits, 1)``
+    columns. The executor takes it over a register's qubits from
+    ``_BLOCK_QUBITS`` up, so each column has a sixteenth of the state's
+    length. The columns of the last four register sizes are kept.
+
+    The bits are counted by shifts and adds: ``np.bitwise_count`` needs
+    numpy 2.0, and numpy 1.24 is supported.
+    """
     index = np.arange(1 << n_bits)
     count = np.zeros_like(index)
-    for q in range(mask.bit_length()):
-        if mask >> q & 1:
-            count += (index >> q) & 1
+    for q in range(n_bits):
+        count += (index >> q) & 1
     into, back = _POWERS_OF_I[count & 3, None], _POWERS_OF_I[-count & 3, None]
     into.flags.writeable = back.flags.writeable = False
     return into, back
-
-
-# The frames of layers whose real blocks start at qubit _BLOCK_QUBITS or
-# above, the only ones a Trotter step has. Such an entry is two columns of
-# at most an eighth of the state's length, so the cache keeps at most half
-# the state's bytes. A frame that starts lower can be as large as the state
-# and is built for its layer alone.
-_cached_frame = lru_cache(maxsize=4)(_frame)
 
 
 @lru_cache(maxsize=64)
@@ -350,72 +348,71 @@ def _block_plan(qubits: tuple[int, ...], n_qubits: int):
 
 def _layer_blocks(
     layers: list[tuple[tuple[int, ...], list[Gate]]], n_qubits: int
-) -> list[tuple[list, tuple | None]]:
+) -> list[list]:
     """The dense blocks of every layer of a chunk, given as (sorted qubits,
     gates in that order), in layer order. Each layer is a list of (lowest
-    qubit, dimension, matrix) blocks, as ``_apply_blocks`` takes them, and
-    its frame.
+    qubit, dimension, matrix) blocks, as ``_apply_blocks`` takes them.
 
     Layers on the same qubits share one block plan, so their 2x2 matrices
     are built by one ``_layer_matrices`` call and each block position's
     Kronecker products by one batched ``einsum``.
 
-    On registers of ``_REAL_QUBITS`` or more, every block above qubit 0 is
-    real: RX(t) = conj(S) RY(t) S with S = diag(1, i), so inside the frame
-    S on the RX qubits of those blocks each RX factor is the real RY(t). The
-    frame is the ``_frame`` arguments (mask of the RX qubits, number of
-    qubits) over the qubits from the lowest real block up, or None when no
-    factor of those blocks is complex. The block at qubit 0 stays complex:
-    it is one product whose row count grows with the batch, and a real
-    product of that shape rounds differently for different row counts,
-    which would make a row's bits depend on its batch.
+    On registers of ``_REAL_QUBITS`` or more the blocks act on rows in the
+    frame S = diag(1, i) on every qubit from ``_BLOCK_QUBITS`` up (see
+    ``_frame``). Each factor M on such a qubit is taken into the frame as
+    S M conj(S), its off-diagonals times -i and i, which is exact; RX(t)
+    becomes the real RY(t). A block above qubit 0 is real when all of its
+    factors are, and is then applied in real arithmetic. The block at qubit
+    0 lies below the frame and stays complex: it is one product whose row
+    count grows with the batch, and a real product of that shape rounds
+    differently for different row counts, which would make a row's bits
+    depend on its batch.
     """
-    real = n_qubits >= _REAL_QUBITS
+    framed = n_qubits >= _REAL_QUBITS
     groups: dict[tuple[int, ...], list[int]] = {}
     for index, (qubits, _) in enumerate(layers):
         groups.setdefault(qubits, []).append(index)
     blocks_of: list[list] = [[] for _ in layers]
-    frames: list[tuple | None] = [None] * len(layers)
     for qubits, members in groups.items():
         count = len(members)
         plan, _ = _block_plan(qubits, n_qubits)
         mats = _layer_matrices([g for k in members for g in layers[k][1]])
         mats = mats.reshape(count, len(qubits), 2, 2)
-        # The lowest qubit of the blocks above qubit 0.
-        low = next((lo for lo, *_ in plan if lo), 0)
-        if real and low:
-            # S RX(t) conj(S) = RY(t): inside the frame each RX factor is
-            # real. The RX factors are the ones with an imaginary part; an
-            # RX(t) whose matrix is real needs no frame.
-            rx = mats.imag[..., 0, 1] != 0
-            real_mats = mats.real.copy()
-            real_mats[rx, 0, 1] = mats.imag[rx, 0, 1]
-            real_mats[rx, 1, 0] = -mats.imag[rx, 1, 0]
-            weights = [1 << (q - low) if q >= low else 0 for q in qubits]
-            for k, mask in zip(members, rx @ weights):
-                if mask:
-                    frames[k] = (int(mask), n_qubits - low)
+        if framed:
+            inside = [q >= _BLOCK_QUBITS for q in qubits]
+            mats[:, inside, 0, 1] *= -1j
+            mats[:, inside, 1, 0] *= 1j
         for lo, width, gates, offsets in plan:
-            source = real_mats if real and lo else mats
             if offsets is None:
-                factors = source[:, gates]
+                factors = mats[:, gates]
             else:
                 # Qubits of the span that no gate of the layer touches.
-                factors = np.tile(np.eye(2, dtype=source.dtype), (count, width, 1, 1))
-                factors[:, offsets] = source[:, gates]
+                factors = np.tile(np.eye(2, dtype=complex), (count, width, 1, 1))
+                factors[:, offsets] = mats[:, gates]
+            # Which layers' blocks are real, decided layer by layer, so a
+            # layer's bits do not depend on the layers of its chunk.
+            real = np.zeros(count, dtype=bool)
+            if framed and lo:
+                real = ~factors.imag.any(axis=(1, 2, 3))
+                if real.all():
+                    factors = factors.real
             dim = 1 << width
             # The factor of the highest qubit first.
             operands = [factors[:, w] for w in range(width - 1, -1, -1)]
             blocks = np.einsum(_KRON[width], *operands).reshape(count, dim, dim)
-            for k, block in zip(members, blocks):
+            for k, block, is_real in zip(members, blocks, real):
+                if is_real and block.dtype == complex:
+                    block = block.real.copy()
                 blocks_of[k].append((lo, dim, block))
-    return list(zip(blocks_of, frames))
+    return blocks_of
 
 
 def _apply_blocks(rows: np.ndarray, scratch: np.ndarray, blocks: list) -> None:
     """Apply one layer's dense blocks to the batch ``rows``. ``scratch`` is
-    a buffer of the batch's shape. Real blocks expect the rows in their
-    layer's S frame, which ``apply_gates_inplace`` holds.
+    a buffer of the batch's shape. A complex block is applied by a complex
+    product, a real one by a real product on the real and imaginary parts.
+    The blocks of ``_layer_blocks`` expect a register of ``_REAL_QUBITS``
+    or more to be in its S frame, where ``apply_gates_inplace`` puts it.
 
     The blocks are applied by one fixed sequence of products, so a layer
     gives the same bits whatever runs before or after it and however many
@@ -440,31 +437,12 @@ def _apply_blocks(rows: np.ndarray, scratch: np.ndarray, blocks: list) -> None:
 
 
 def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
-    """Multiply the batch ``rows`` by a frame column of ``_frame``. The
-    frame's qubits are the highest ones: one factor per row of this view,
-    broadcast along the low qubits."""
+    """Multiply the batch ``rows`` by a column of ``_frame``, which is
+    exact: its factors are powers of i. The frame's qubits are the highest
+    ones: one factor per row of this view, broadcast along the low
+    qubits."""
     view = rows.reshape(-1, len(column), rows.shape[1] // len(column))
     view *= column
-
-
-def _reframe(rows: np.ndarray, held: tuple | None, back: np.ndarray | None,
-             frame: tuple | None) -> tuple[tuple | None, np.ndarray | None]:
-    """Move the batch ``rows`` out of the S frame ``held``, whose conjugate
-    column is ``back``, and into ``frame``; a frame is given as the
-    ``_frame`` arguments, or None for none. Returns ``frame`` and its
-    conjugate column. Both multiplies are exact: they only multiply by
-    powers of i.
-    """
-    if held is not None:
-        _frame_multiply(rows, back)
-    if frame is None:
-        return None, None
-    mask, n_bits = frame
-    low = rows.shape[1].bit_length() - 1 - n_bits
-    build = _cached_frame if low >= _BLOCK_QUBITS else _frame
-    into, back = build(mask, n_bits)
-    _frame_multiply(rows, into)
-    return frame, back
 
 
 def _chunks(gates: Sequence[Gate], n_qubits: int):
@@ -541,23 +519,23 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
     applied as a layer of one block. A run is checked in full before any row
     changes.
 
-    A layer whose real blocks hold RX factors works in an S frame (see
-    ``_layer_blocks``). The rows stay in the frame of the last such layer
-    until a layer with another frame or none, a permuting basis run, a lone
-    gate or the end of the call, a failed check included: a diagonal run
-    commutes with the frame and is applied inside it, so the steps of a
-    Trotter circuit enter their frame once. The diagonal is applied as
-    ``phase * rows``, phase first: in that operand order
-    ``phase * (f * a) * conj(f)`` equals ``phase * a`` bit for bit for every
-    power of i ``f``, so where the frame is taken on and off does not change
-    a bit of the result.
+    On registers of ``_REAL_QUBITS`` or more the layers act in the
+    register's S frame (see ``_layer_blocks``). The rows enter it before a
+    layer and stay in it across diagonal basis runs, which commute with it,
+    so a call of Trotter steps enters it once. They leave it before a
+    permuting basis run or a lone gate and at the end of the call, a failed
+    check included. The diagonal is applied as ``phase * rows``, phase
+    first: in that operand order ``phase * (f * a) * conj(f)`` equals
+    ``phase * a`` bit for bit for every power of i ``f``, so where the frame
+    is entered and left does not change a bit of the result.
     """
     flat = rows.reshape(-1)
     scratch = None
     last_run, last_map = (), None
-    # The frame the rows are in, as the ``_frame`` arguments, and its
-    # conjugate column.
-    held = back = None
+    into = back = None
+    if n_qubits >= _REAL_QUBITS:
+        into, back = _frame(n_qubits - _BLOCK_QUBITS)
+    inside = False
     try:
         for chunk, layers in _chunks(gates, n_qubits):
             blocks = iter(_layer_blocks(layers, n_qubits))
@@ -566,36 +544,36 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
                 if kind is list:
                     if scratch is None:
                         scratch = np.empty_like(rows)
-                    layer, frame = next(blocks)
-                    if frame != held:
-                        held, back = _reframe(rows, held, back, frame)
-                    _apply_blocks(rows, scratch, layer)
-                elif kind is tuple:
+                    if into is not None and not inside:
+                        _frame_multiply(rows, into)
+                        inside = True
+                    _apply_blocks(rows, scratch, next(blocks))
+                    continue
+                if kind is tuple:
                     if part != last_run:
                         last_run, last_map = part, _basis_map(n_qubits, part)
                     src, phase = last_map
                     if src is None:
                         np.multiply(phase, rows, rows)
-                    else:
-                        if held is not None:
-                            held, back = _reframe(rows, held, back, None)
-                        np.multiply(phase, rows.take(src, axis=1), rows)
+                        continue
+                if inside:
+                    _frame_multiply(rows, back)
+                    inside = False
+                if kind is tuple:
+                    np.multiply(phase, rows.take(src, axis=1), rows)
+                # On one qubit the block would span the register, which
+                # ``_block_plan`` never lets a block do (see there).
+                elif part.kind is GateKind.CNOT or n_qubits == 1:
+                    apply_gate_inplace(flat, n_qubits, part)
                 else:
-                    if held is not None:
-                        held, back = _reframe(rows, held, back, None)
-                    # On one qubit the block would span the register, which
-                    # ``_block_plan`` never lets a block do (see there).
-                    if part.kind is GateKind.CNOT or n_qubits == 1:
-                        apply_gate_inplace(flat, n_qubits, part)
-                    else:
-                        _check_range(part, n_qubits)
-                        if scratch is None:
-                            scratch = np.empty_like(rows)
-                        block = (part.qubits[0], 2, gate_matrix(part))
-                        _apply_blocks(rows, scratch, [block])
+                    _check_range(part, n_qubits)
+                    if scratch is None:
+                        scratch = np.empty_like(rows)
+                    block = (part.qubits[0], 2, gate_matrix(part))
+                    _apply_blocks(rows, scratch, [block])
     finally:
-        if held is not None:
-            _reframe(rows, held, back, None)
+        if inside:
+            _frame_multiply(rows, back)
 
 
 def run(state: QuantumState, circuit: Circuit) -> QuantumState:

@@ -280,7 +280,11 @@ def test_exact_evolve_rejects_negative_coupling_before_allocating(monkeypatch):
         pytest.fail("allocated before the coupling was checked")
 
     monkeypatch.setattr(analysis, "_diagonal_and_flips", allocate)
-    p = ProtocolParams(J_C=-0.3)
+    with pytest.raises(ValueError, match="J_C"):
+        ProtocolParams(J_C=-0.3)
+    # exact_evolve keeps its own check, for parameters that bypass that one.
+    p = ProtocolParams()
+    object.__setattr__(p, "J_C", -0.3)
     with pytest.raises(ValueError, match="J_C"):
         exact_evolve(FieldSchedule(()), p, zero_state(p.n_qubits))
 

@@ -39,6 +39,9 @@ def test_parse_number_forms():
     assert parse_number("0.5*pi") == pytest.approx(math.pi / 2)
     with pytest.raises(ConfigError):
         parse_number("two")
+    for text in ("pi/0", "2pi/0.0"):
+        with pytest.raises(ConfigError, match="zero denominator"):
+            parse_number(text)
 
 
 def test_parse_config_strictness():
@@ -71,9 +74,14 @@ def test_unknown_key_is_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_invalid_value_is_exit_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "dt = -0.5\n")
+@pytest.mark.parametrize("line", [
+    "dt = -0.5", "theta = nan", "J_C = nan", "J = inf", "theta = inf",
+    "T = 1e308", "theta = pi/0", "J_C = -1",
+])
+def test_invalid_value_is_exit_2(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, line + "\n")
     assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("line", ["N_s = 6.5", "seed = abc"])

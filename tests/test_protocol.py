@@ -62,6 +62,16 @@ def test_params_validation():
         ProtocolParams(update_mode="jump")
     with pytest.raises(ValueError):
         ProtocolParams(coupler_prep="RZ")
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("J", "J_C", "h_ferro", "h_para", "dt", "dh", "T", "Gamma", "theta"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ProtocolParams(**{name: bad})
+    with pytest.raises(ValueError, match="J_C must be non-negative"):
+        ProtocolParams(J_C=-1.0)
+    with pytest.raises(ValueError, match="T/dt must be finite"):
+        ProtocolParams(T=1e308)
+    # A coupler switched off is allowed.
+    assert ProtocolParams(J_C=0.0).J_C == 0.0
 
 
 def test_weak_phase_separation_warns_not_errors():

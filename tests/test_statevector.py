@@ -373,7 +373,7 @@ def test_held_frame_matches_gate_by_gate_and_one_row_runs(monkeypatch, n_s):
     cfg = ChainConfig(n_s // 2, 1.0, 0.3, tuple(fields))
     step = trotter_step_circuit(cfg, 0.4).gates
     # A zero field at a site above the block at qubit 0 makes its RX(0)
-    # real, so that step's frame leaves out its qubit.
+    # real; the frame of the register is the same for that step.
     fields[5] = 0.0
     other = trotter_step_circuit(ChainConfig(n_s // 2, 1.0, 0.3, tuple(fields)), 0.4).gates
     n = cfg.n_qubits
@@ -393,10 +393,9 @@ def test_held_frame_matches_gate_by_gate_and_one_row_runs(monkeypatch, n_s):
     assert np.allclose(batch, expected, rtol=0, atol=1e-12)
     for single, row in zip(singles, batch):
         assert np.array_equal(single.amplitudes, row)
-    # In at the first layer; out and in at each change of frame (to
-    # ``other`` and back); out before the permuting run; in at the next
+    # In at the first layer; out before the permuting run; in at the next
     # layer and out at the end of the call.
-    assert len(passes) == 1 + 2 + 2 + 1 + 2
+    assert len(passes) == 1 + 1 + 2
 
 
 def test_trotter_step_at_14_sites_matches_gate_by_gate():
@@ -409,18 +408,38 @@ def test_trotter_step_at_14_sites_matches_gate_by_gate():
     assert np.allclose(run(state, step).amplitudes, expected, rtol=0, atol=1e-12)
 
 
-def test_only_frames_from_block_qubits_up_are_cached():
-    # A frame whose real blocks start below qubit _BLOCK_QUBITS can be as
-    # large as the state, so it is built for its layer and not kept.
+def test_cached_frame_is_a_sixteenth_of_the_state():
+    # The frame spans the qubits from _BLOCK_QUBITS up: one factor per
+    # 2**_BLOCK_QUBITS amplitudes, each way.
     n = sv._REAL_QUBITS + 1
-    wide = [Gate(GateKind.RX, (q,), 0.3) for q in range(sv._BLOCK_QUBITS - 1, n)]
-    narrow = [Gate(GateKind.RX, (q,), 0.3) for q in range(sv._BLOCK_QUBITS, n)]
     state = random_state(n, 3)
-    sv._cached_frame.cache_clear()
-    run(state, Circuit(n, tuple(wide)))
-    assert sv._cached_frame.cache_info().currsize == 0
-    run(state, Circuit(n, tuple(narrow)))
-    assert sv._cached_frame.cache_info().currsize == 1
+    sv._frame.cache_clear()
+    run(state, Circuit(n, tuple(Gate(GateKind.RX, (q,), 0.3) for q in range(n))))
+    assert sv._frame.cache_info().currsize == 1
+    columns = sv._frame(n - sv._BLOCK_QUBITS)
+    assert sv._frame.cache_info().hits == 1
+    for column in columns:
+        assert column.shape == (1 << (n - sv._BLOCK_QUBITS), 1)
+        assert 16 * column.nbytes <= state.amplitudes.nbytes
+
+
+def test_failed_check_mid_call_leaves_rows_out_of_frame():
+    # Trotter steps leave the rows in the frame; the basis run after them
+    # fails its check before it changes a row.
+    n_s = sv._REAL_QUBITS
+    cfg = ChainConfig(n_s // 2, 1.0, 0.3, tuple(np.linspace(0.2, 1.6, n_s)))
+    n = cfg.n_qubits
+    step = trotter_step_circuit(cfg, 0.4).gates
+    gates = step + step + (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.X, (n,)))
+    # The last Trotter layer ends the part of the call that is applied: the
+    # step's trailing basis gates join the failing run.
+    cut = max(i for i, g in enumerate(gates) if g.kind in sv._MIXING_KINDS) + 1
+    batch = np.stack([random_state(n, seed).amplitudes for seed in (4, 5)])
+    expected = batch.copy()
+    apply_gates_inplace(expected, n, gates[:cut])
+    with pytest.raises(ValueError, match="out of range"):
+        apply_gates_inplace(batch, n, gates)
+    assert np.array_equal(batch, expected)
 
 
 def _short_braid(n_s=6):
@@ -450,11 +469,15 @@ def _check_chunk_budget(monkeypatch, n_s):
     # budget, so the final coupler ladder starts a second chunk.
     chunks = list(sv._chunks(gates, n))
     assert [len(layers) for _, layers in chunks] == ([6] if n_s == 6 else [6, 0])
-    # Blocks above qubit 0 are real from the threshold up, complex below.
-    real = {block.dtype == np.float64
-            for blocks, _ in sv._layer_blocks(chunks[0][1], n)
-            for lo, _, block in blocks if lo}
-    assert real == {n >= sv._REAL_QUBITS}
+    # The Trotter layers' blocks above qubit 0 are real from the threshold
+    # up, complex below. The init layer's H factors are complex in the frame.
+    layers = chunks[0][1]
+    real = {}
+    for (_, layer), blocks in zip(layers, sv._layer_blocks(layers, n)):
+        trotter = all(g.kind is GateKind.RX for g in layer)
+        real.setdefault(trotter, set()).update(
+            block.dtype == np.float64 for lo, _, block in blocks if lo)
+    assert real == {True: {n >= sv._REAL_QUBITS}, False: {False}}
     default = batch.copy()
     apply_gates_inplace(default, n, gates)
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 1)
