@@ -19,11 +19,7 @@ import numpy as np
 
 from .circuit import Gate, GateKind
 from .statevector import MAX_DENSE_QUBITS, QuantumState, apply_gate_inplace
-from .trotter import (
-    ChainConfig,
-    first_layer_pairs,
-    second_layer_pairs,
-)
+from .trotter import ChainConfig, first_layer_pairs, second_layer_pairs, zz_terms
 
 if TYPE_CHECKING:
     from .protocol import FieldSchedule, ProtocolParams
@@ -168,19 +164,14 @@ def depth_upper_bound(params: "ProtocolParams") -> DepthBound:
     same rounding conventions as the compiled schedule (nearest step count
     per hold, ceil update and rotation counts).
     """
-    from .protocol import rotation_count, steps_per_hold, updates_per_shift
+    from .protocol import braid_trotter_steps
 
     real = (
         STEP_DEPTH
         * (params.T / params.dt)
         * (params.N_s * (params.h_para / params.dh) + math.pi / params.Gamma)
     )
-    integer = (
-        STEP_DEPTH
-        * steps_per_hold(params)
-        * (params.N_s * updates_per_shift(params) + rotation_count(params))
-    )
-    return DepthBound(real=real, integer=integer)
+    return DepthBound(real=real, integer=STEP_DEPTH * braid_trotter_steps(params))
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +241,15 @@ _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def _diagonal_and_flips(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The field-free part of H as its diagonal (both ZZ layers and the
-    coupler), and for each chain site the basis index with its qubit
-    flipped: H v = d * v - sum_n h_n v[flips[n]]."""
+    """The field-free part of H as its diagonal d = sum c Z...Z over the
+    terms of ``zz_terms`` (both ZZ layers and the coupler), the same table
+    the Trotter step is built from, and for each chain site the basis index
+    with its qubit flipped: H v = d * v - sum_n h_n v[flips[n]]."""
     idx = np.arange(1 << cfg.n_qubits)
     z = 1 - 2 * ((idx >> np.arange(cfg.n_qubits)[:, None]) & 1)
     d = np.zeros(idx.size)
-    for i, j in first_layer_pairs(cfg) + second_layer_pairs(cfg):
-        d -= cfg.J * z[cfg.site_qubit(i)] * z[cfg.site_qubit(j)]
-    a, b = cfg.site_qubit(cfg.left_end_site), cfg.site_qubit(cfg.right_start_site)
-    d -= cfg.J_C * z[a] * z[cfg.coupler_qubit] * z[b]
+    for term, c in zz_terms(cfg):
+        d += c * np.prod(z[list(term)], axis=0)
     qubits = np.array([cfg.site_qubit(s) for s in range(cfg.n_sites)])
     return d, idx ^ (1 << qubits)[:, None]
 

@@ -5,9 +5,9 @@ Config files are flat ``key = value`` text. Keys match ProtocolParams field
 names, plus ``scenario``/``init`` and, for sweeps, ``axis``/``values``.
 Angle values accept ``pi`` fractions like ``pi/3`` or ``2pi/3``. Unknown
 keys, non-integer values of integer keys, values out of range (``nan`` and
-``inf`` included) and registers too large to simulate are rejected (exit
-code 2); every emitted report echoes the fully resolved parameter set so
-defaults are never silent.
+``inf`` included), schedules too long to compile and registers too large
+to simulate are rejected (exit code 2); every emitted report echoes the
+fully resolved parameter set so defaults are never silent.
 """
 from __future__ import annotations
 
@@ -38,13 +38,12 @@ class ConfigError(ValueError):
     """Invalid configuration input (maps to exit code 2)."""
 
 
-_INT_KEYS = {"N_s", "shots", "seed"}
-_FLOAT_KEYS = {"J", "J_C", "h_ferro", "h_para", "dt", "dh", "T", "Gamma", "theta"}
-_STR_KEYS = {"update_mode", "coupler_prep"}
-_PARAM_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 _EXTRA_KEYS = {"scenario", "init", "axis", "values"}
 
-_PI_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
+# The coefficient is a sign, a number, or both; "." alone is not a number.
+_PI_RE = re.compile(
+    r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$"
+)
 
 
 def parse_number(text: str) -> float:
@@ -77,7 +76,7 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARAM_KEYS | _EXTRA_KEYS:
+        if key not in _PARSERS and key not in _EXTRA_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -95,15 +94,17 @@ def parse_int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text.strip()!r}") from None
 
 
+# The parser of each ProtocolParams field, by its annotation (a string
+# under ``from __future__ import annotations``).
+_PARSERS = {
+    f.name: {"int": parse_int, "float": parse_number, "str": str}[f.type]
+    for f in dataclasses.fields(ProtocolParams)
+}
+
+
 def build_params(cfg: dict[str, str], seed_override: int | None = None) -> ProtocolParams:
-    kwargs: dict = {}
-    for key, value in cfg.items():
-        if key in _INT_KEYS:
-            kwargs[key] = parse_int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = parse_number(value)
-        elif key in _STR_KEYS:
-            kwargs[key] = value
+    kwargs = {key: _PARSERS[key](value) for key, value in cfg.items()
+              if key in _PARSERS}
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -208,28 +209,31 @@ def _sweep_point(args) -> str:
 
 def cmd_sweep(cfg: dict[str, str], out_path: str | None, seed: int | None,
               jobs: int, depth_only: bool) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     if "axis" not in cfg:
         raise ConfigError("sweep requires key 'axis'")
     if "values" not in cfg:
         raise ConfigError("sweep requires key 'values'")
     axis = cfg["axis"]
-    if axis not in _PARAM_KEYS - _STR_KEYS:
+    parse = _PARSERS.get(axis, str)
+    if parse is str:
         raise ConfigError(f"axis must be a numeric parameter, got {axis!r}")
-    parse = parse_int if axis in _INT_KEYS else parse_number
     values = [parse(v) for v in cfg["values"].split(",") if v.strip()]
     if not values:
         raise ConfigError("values list is empty")
     scenario, init = resolve_scenario_init(cfg)
     master = seed if seed is not None else parse_int(cfg.get("seed", "1"))
-    base = {k: v for k, v in cfg.items()
-            if k in _PARAM_KEYS and k != axis}
+    base = {k: v for k, v in cfg.items() if k in _PARSERS and k != axis}
     work = [
         (base, axis, value, scenario, init.value,
          derive_seed(master, _fmt(value), scenario), depth_only)
         for value in values
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers at once, so never more than points.
+    workers = min(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, work))
     else:
         rows = [_sweep_point(w) for w in work]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 
@@ -54,8 +54,9 @@ class AdiabaticityWarning(UserWarning):
     """Field updates are fast relative to the excitation gap."""
 
 
-# The float fields of ProtocolParams; each must be finite.
-_FLOAT_FIELDS = ("J", "J_C", "h_ferro", "h_para", "dt", "dh", "T", "Gamma", "theta")
+# Most Trotter steps a schedule may have: about 12 times the OPT braid's
+# 22,030 at N_s = 22. Longer schedules are rejected before anything is built.
+MAX_TROTTER_STEPS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,10 @@ class ProtocolParams:
     coupler_prep: str = "RX_half_pi"
 
     def __post_init__(self) -> None:
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.N_s < 6 or self.N_s % 2 != 0:
             raise ValueError("N_s must be an even count >= 6")
         if not 0 < self.h_ferro < self.J:
@@ -118,6 +119,15 @@ class ProtocolParams:
             raise ValueError(f"update_mode must be one of {UPDATE_MODES}")
         if self.coupler_prep not in COUPLER_PREPS:
             raise ValueError(f"coupler_prep must be one of {COUPLER_PREPS}")
+        try:
+            steps = braid_trotter_steps(self)
+        except OverflowError:  # an update or rotation count of inf
+            steps = math.inf
+        if steps > MAX_TROTTER_STEPS:
+            raise ValueError(
+                f"the braid schedule needs {steps:,} Trotter steps, more "
+                f"than the {MAX_TROTTER_STEPS:,} that can be compiled"
+            )
         margin = analysis.adiabatic_margin(self)
         if margin < 10:
             warnings.warn(
@@ -179,6 +189,14 @@ def steps_per_hold(params: ProtocolParams, hold: float | None = None) -> int:
     if hold < params.dt:
         raise ValueError("sub-step holds unsupported (hold < dt)")
     return max(1, round(hold / params.dt))
+
+
+def braid_trotter_steps(params: ProtocolParams) -> int:
+    """Trotter steps of the braid schedule, the longest scenario, in closed
+    form: steps per hold x (N_s updates per shift + rotation count)."""
+    return steps_per_hold(params) * (
+        params.N_s * updates_per_shift(params) + rotation_count(params)
+    )
 
 
 # ---------------------------------------------------------------------------

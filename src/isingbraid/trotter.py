@@ -2,9 +2,11 @@
 
 The Hamiltonian splits into four summands: two layers of nearest-neighbor
 ZZ couplings (packed so disjoint pairs schedule simultaneously), the
-transverse Zeeman terms, and the three-body coupler interaction. Each
-subcircuit reproduces exp(-i H_X dt) of its summand exactly (up to global
-phase); the product over summands is the first-order step.
+transverse Zeeman terms, and the three-body coupler interaction. The
+diagonal terms, all summands but the Zeeman one, are listed once, in
+``zz_terms``, which both the step and the exact oracle (``analysis``) read.
+The gates of each summand equal exp(-i H_X dt) exactly; the product over
+summands is the first-order step.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Gate, GateKind, concat
+from .circuit import Circuit, CircuitError, Gate, GateKind
 
 
 @dataclass(frozen=True)
@@ -71,82 +73,36 @@ class ChainConfig:
         return self.chain_len
 
 
-def chain_pairs(cfg: ChainConfig) -> list[tuple[int, int]]:
-    """All nearest-neighbor (site, site+1) pairs within each chain."""
-    left = [(p, p + 1) for p in range(cfg.chain_len - 1)]
-    right = [
-        (cfg.chain_len + p, cfg.chain_len + p + 1) for p in range(cfg.chain_len - 1)
-    ]
-    return left + right
-
-
 def first_layer_pairs(cfg: ChainConfig) -> list[tuple[int, int]]:
-    """ZZ pairs emitted in the first scheduling layer (mutually disjoint)."""
-    pairs = []
-    for p in range(cfg.chain_len - 1):
-        # Left chain: parity counted from the coupler end so the pair
-        # adjacent to the coupler always lands in the second layer, which
-        # keeps the step depth size-independent.
-        if (cfg.chain_len - 2 - p) % 2 == 1:
-            pairs.append((p, p + 1))
-    for p in range(cfg.chain_len - 1):
-        if p % 2 == 0:
-            pairs.append((cfg.chain_len + p, cfg.chain_len + p + 1))
-    return pairs
+    """ZZ pairs emitted in the first scheduling layer (mutually disjoint).
+
+    Left-chain parity is counted from the coupler end, so the pair adjacent
+    to the coupler always lands in the second layer, which keeps the step
+    depth size-independent."""
+    n = cfg.chain_len
+    return ([(p, p + 1) for p in range(1 - n % 2, n - 1, 2)]
+            + [(n + p, n + p + 1) for p in range(0, n - 1, 2)])
 
 
 def second_layer_pairs(cfg: ChainConfig) -> list[tuple[int, int]]:
-    """ZZ pairs emitted in the second scheduling layer (mutually disjoint)."""
-    first = set(first_layer_pairs(cfg))
-    return [pair for pair in chain_pairs(cfg) if pair not in first]
+    """The other nearest-neighbor pairs within each chain (mutually disjoint)."""
+    n = cfg.chain_len
+    return ([(p, p + 1) for p in range(n % 2, n - 1, 2)]
+            + [(n + p, n + p + 1) for p in range(1, n - 1, 2)])
 
 
-def pair_interaction_circuit(
-    cfg: ChainConfig, i: int, j: int, J: float, dt: float
-) -> Circuit:
-    """Circuit whose unitary is exp(-i J dt Z_i Z_j), up to global phase.
-
-    Realized as CNOT(i->j), RZ(2 J dt) on j, CNOT(i->j). Sites ``i`` and
-    ``j`` must be adjacent within one chain.
-    """
-    if (i, j) not in chain_pairs(cfg) and (j, i) not in chain_pairs(cfg):
-        raise CircuitError(f"sites ({i}, {j}) are not adjacent within a chain")
-    qi, qj = cfg.site_qubit(i), cfg.site_qubit(j)
-    gates = (
-        Gate(GateKind.CNOT, (qi, qj)),
-        Gate(GateKind.RZ, (qj,), 2.0 * J * dt),
-        Gate(GateKind.CNOT, (qi, qj)),
-    )
-    return Circuit(cfg.n_qubits, gates)
-
-
-def coupler_circuit(cfg: ChainConfig, J_C: float, dt: float) -> Circuit:
-    """Circuit for exp(+i J_C dt Z Z Z) on (left end, coupler, right start).
-
-    A CNOT ladder accumulates the three-qubit parity on the right-start
-    qubit, where a single RZ(-2 J_C dt) applies the phase.
-    """
-    if J_C < 0:
-        raise CircuitError("J_C must be non-negative")
-    a = cfg.site_qubit(cfg.left_end_site)
-    c = cfg.coupler_qubit
-    b = cfg.site_qubit(cfg.right_start_site)
-    gates = (
-        Gate(GateKind.CNOT, (a, b)),
-        Gate(GateKind.CNOT, (c, b)),
-        Gate(GateKind.RZ, (b,), -2.0 * J_C * dt),
-        Gate(GateKind.CNOT, (c, b)),
-        Gate(GateKind.CNOT, (a, b)),
-    )
-    return Circuit(cfg.n_qubits, gates)
-
-
-def zz_layer_circuit(cfg: ChainConfig, pairs, dt: float) -> Circuit:
-    """One layer of pair interactions for H = -J sum Z_i Z_j over ``pairs``."""
-    # Summand carries coefficient -J, hence the sign flip on J.
-    return concat(
-        [pair_interaction_circuit(cfg, i, j, -cfg.J, dt) for i, j in pairs]
-    )
+def zz_terms(cfg: ChainConfig) -> list[tuple[tuple[int, ...], float]]:
+    """Every diagonal term c Z...Z of H as (register qubits, c), in the
+    order a step applies them: the pairs of ZZ layer 1, then those of ZZ
+    layer 2, each with c = -J; then the coupler term on (left end,
+    coupler, right start) with c = -J_C, left out for J_C = 0."""
+    q = cfg.site_qubit
+    terms = [((q(i), q(j)), -cfg.J)
+             for i, j in first_layer_pairs(cfg) + second_layer_pairs(cfg)]
+    if cfg.J_C != 0.0:
+        coupler = (q(cfg.left_end_site), cfg.coupler_qubit, q(cfg.right_start_site))
+        terms.append((coupler, -cfg.J_C))
+    return terms
 
 
 @lru_cache(maxsize=8)
@@ -155,15 +111,24 @@ def _step_layout(
 ) -> tuple[tuple[Gate, ...], tuple[tuple[int], ...], tuple[Gate, ...]]:
     """The gates of both ZZ layers, the qubits of the RX gate of each site
     in site order, and the gates of the coupler ladder (empty for J_C = 0):
-    everything of a step that every step with these constants shares."""
+    everything of a step that every step with these constants shares.
+
+    Each term (qubits, c) of ``zz_terms`` is exp(-i c dt Z...Z), exactly:
+    a CNOT ladder from each of its other qubits onto its last one gathers
+    their parity there, RZ(2 c dt) applies the phase, and the ladder
+    reversed undoes the parity. The two-qubit terms go before the Zeeman
+    layer and the coupler's three-qubit term after it."""
     cfg = ChainConfig(chain_len, J, J_C, (0.0,) * (2 * chain_len))
-    zz = concat([
-        zz_layer_circuit(cfg, first_layer_pairs(cfg), dt),
-        zz_layer_circuit(cfg, second_layer_pairs(cfg), dt),
-    ]).gates
+    zz: list[Gate] = []
+    coupler: list[Gate] = []
+    for qubits, c in zz_terms(cfg):
+        *controls, target = qubits
+        ladder = [Gate(GateKind.CNOT, (q, target)) for q in controls]
+        (zz if len(qubits) == 2 else coupler).extend(
+            [*ladder, Gate(GateKind.RZ, (target,), 2.0 * c * dt), *ladder[::-1]]
+        )
     sites = tuple((cfg.site_qubit(site),) for site in range(cfg.n_sites))
-    coupler = coupler_circuit(cfg, J_C, dt).gates if J_C != 0.0 else ()
-    return zz, sites, coupler
+    return tuple(zz), sites, tuple(coupler)
 
 
 def extend_trotter_steps(

@@ -77,11 +77,27 @@ def test_unknown_key_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "dt = -0.5", "theta = nan", "J_C = nan", "J = inf", "theta = inf",
     "T = 1e308", "theta = pi/0", "J_C = -1",
+    "theta = .pi", "theta = +.pi", "theta = -.pi",
 ])
 def test_invalid_value_is_exit_2(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path, line + "\n")
     assert main(["run", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", ["T = 1e9", "dh = 1e-9", "Gamma = 1e-12",
+                                  "dh = 5e-324"])
+def test_schedule_too_long_to_compile_is_exit_2(tmp_path, capsys, monkeypatch,
+                                                line):
+    from isingbraid import protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("schedule built before its length was checked")
+
+    monkeypatch.setattr(protocol, "build_field_schedule", refuse)
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "Trotter steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["N_s = 6.5", "seed = abc"])
@@ -218,6 +234,37 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(parallel),
                  "--jobs", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys, monkeypatch):
+    from isingbraid import cli
+
+    started = []
+
+    class Pool:  # records its size and maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    cfg = write_cfg(tmp_path, SWEEP_CFG)  # two values
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"),
+            "--depth-only"]
+    assert main([*argv, "--jobs", "64"]) == 0
+    assert main([*argv, "--jobs", "1"]) == 0
+    assert started == [2]
+    for jobs in ("0", "-3"):
+        assert main([*argv, f"--jobs={jobs}"]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert started == [2]
 
 
 def test_sweep_depth_only_over_system_size(tmp_path):

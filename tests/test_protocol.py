@@ -13,6 +13,7 @@ from isingbraid.protocol import (
     ProtocolParams,
     RotateCoupler,
     SetFields,
+    braid_trotter_steps,
     build_field_schedule,
     build_protocol_circuit,
     chain_config,
@@ -72,6 +73,28 @@ def test_params_validation():
         ProtocolParams(T=1e308)
     # A coupler switched off is allowed.
     assert ProtocolParams(J_C=0.0).J_C == 0.0
+
+
+def test_params_reject_schedules_too_long_to_compile(monkeypatch):
+    from isingbraid import protocol
+
+    assert braid_trotter_steps(ProtocolParams(N_s=22)) == 22030
+    # OPT has 6,030 steps: accepted at that limit, rejected one below.
+    monkeypatch.setattr(protocol, "MAX_TROTTER_STEPS", 6030)
+    ProtocolParams()
+    monkeypatch.setattr(protocol, "MAX_TROTTER_STEPS", 6029)
+    with pytest.raises(ValueError, match="6,030 Trotter steps"):
+        ProtocolParams()
+
+
+@pytest.mark.parametrize("N_s", [6, 10])
+@pytest.mark.parametrize(
+    "row", [{}, dict(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)], ids=["OPT", "EFF"]
+)
+def test_closed_form_step_count_matches_the_braid_schedule(N_s, row):
+    params = ProtocolParams(N_s=N_s, **row)
+    schedule = build_field_schedule(params, include_rotation=True)
+    assert braid_trotter_steps(params) == count_trotter_steps(params, schedule)
 
 
 def test_weak_phase_separation_warns_not_errors():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isingbraid.analysis import (
+    _diagonal_and_flips,
     dense_coupler,
     dense_hamiltonian,
     dense_summands,
@@ -12,18 +13,16 @@ from isingbraid.analysis import (
     dense_zz_layer,
     expm_hermitian,
     operator_norm,
+    pauli_string,
 )
-from isingbraid.circuit import CircuitError, Gate, GateKind, concat, depth
+from isingbraid.circuit import Circuit, CircuitError, Gate, GateKind, depth
 from isingbraid.trotter import (
     ChainConfig,
-    chain_pairs,
-    coupler_circuit,
     extend_trotter_steps,
     first_layer_pairs,
-    pair_interaction_circuit,
     second_layer_pairs,
     trotter_step_circuit,
-    zz_layer_circuit,
+    zz_terms,
 )
 
 from dense_reference import dense_unitary, phase_aligned_distance, zeeman_circuit
@@ -51,12 +50,30 @@ def test_register_layout():
     assert CFG6.right_start_site == 3
 
 
+def step_parts(cfg: ChainConfig, dt: float = DT) -> list[Circuit]:
+    """One step at ``cfg.fields`` cut into its ZZ layer 1, ZZ layer 2,
+    Zeeman and coupler gates, each as a circuit of its own."""
+    gates = trotter_step_circuit(cfg, dt).gates
+    a = 3 * len(first_layer_pairs(cfg))
+    b = a + 3 * len(second_layer_pairs(cfg))
+    c = b + cfg.n_sites
+    return [Circuit(cfg.n_qubits, gates[i:j])
+            for i, j in ((0, a), (a, b), (b, c), (c, len(gates)))]
+
+
 def test_pair_layers_partition_all_pairs():
+    cfg = ChainConfig(chain_len=3, J=1.0, J_C=0.1, fields=(1.0,) * 6)
+    assert first_layer_pairs(cfg) == [(0, 1), (3, 4)]
+    assert second_layer_pairs(cfg) == [(1, 2), (4, 5)]
     for chain_len in (3, 4, 5):
         cfg = ChainConfig(chain_len=chain_len, J=1.0, J_C=0.1,
                           fields=(1.0,) * (2 * chain_len))
         first, second = first_layer_pairs(cfg), second_layer_pairs(cfg)
-        assert sorted(first + second) == sorted(chain_pairs(cfg))
+        # every nearest-neighbor pair of the 2 * chain_len sites but the
+        # junction (left end, right start), which the coupler term spans
+        in_chain = [(s, s + 1) for s in range(2 * chain_len - 1)
+                    if s != chain_len - 1]
+        assert sorted(first + second) == in_chain
         # pairs within one layer are disjoint -> schedulable in one layer
         for layer in (first, second):
             touched = [s for pair in layer for s in pair]
@@ -65,45 +82,50 @@ def test_pair_layers_partition_all_pairs():
         assert (chain_len - 2, chain_len - 1) in second
 
 
-def test_pair_circuit_matches_exponential():
-    # exact (not just up to phase): diag(e^{-iJdt}, e^{+iJdt}, ...) pattern
-    from isingbraid.analysis import pauli_string
-
-    u = dense_unitary(pair_interaction_circuit(CFG6, 0, 1, 1.0, DT))
-    zz = pauli_string(7, {0: "z", 1: "z"})
-    expected = expm_hermitian(zz, DT)  # exp(-i J dt Z0 Z1) with J = 1
-    assert operator_norm(u - expected) < 1e-12
-
-
-def test_pair_circuit_rejects_non_adjacent():
-    with pytest.raises(CircuitError):
-        pair_interaction_circuit(CFG6, 0, 2, 1.0, DT)
-    with pytest.raises(CircuitError):
-        pair_interaction_circuit(CFG6, 2, 3, 1.0, DT)  # junction is not a chain pair
+@pytest.mark.parametrize("chain_len", [3, 4])
+@pytest.mark.parametrize("J_C", [0.0, 0.3])
+def test_zz_terms_sum_to_the_dense_diagonal(chain_len, J_C):
+    cfg = ChainConfig(chain_len=chain_len, J=1.0, J_C=J_C,
+                      fields=(1.0,) * (2 * chain_len))
+    n = cfg.n_qubits
+    table = sum(c * pauli_string(n, dict.fromkeys(qubits, "z"))
+                for qubits, c in zz_terms(cfg))
+    parts = dense_summands(cfg)
+    dense = parts["zz_first"] + parts["zz_second"] + parts["coupler"]
+    assert np.array_equal(table, dense)
+    assert np.array_equal(_diagonal_and_flips(cfg)[0], dense.diagonal().real)
+    assert len(zz_terms(cfg)) == 2 * (chain_len - 1) + (J_C != 0.0)
 
 
 def test_zz_layer_matches_exponential():
-    for pairs_fn in (first_layer_pairs, second_layer_pairs):
-        u = dense_unitary(zz_layer_circuit(CFG6, pairs_fn(CFG6), DT))
-        h = dense_zz_layer(CFG6, pairs_fn(CFG6))
-        assert operator_norm(u - expm_hermitian(h, DT)) < 1e-12
+    for J_C in (0.0, 0.3):
+        cfg = replace(CFG6, J_C=J_C)
+        first, second, _, _ = step_parts(cfg)
+        for part, pairs in ((first, first_layer_pairs(cfg)),
+                            (second, second_layer_pairs(cfg))):
+            assert {g.kind for g in part.gates} == {GateKind.CNOT, GateKind.RZ}
+            h = dense_zz_layer(cfg, pairs)
+            assert operator_norm(dense_unitary(part) - expm_hermitian(h, DT)) < 1e-12
 
 
 def test_zeeman_circuit_matches_exponential():
     u = dense_unitary(zeeman_circuit(CFG6, CFG6.fields, DT))
     h = dense_zeeman(CFG6)
     assert operator_norm(u - expm_hermitian(h, DT)) < 1e-12
+    assert step_parts(CFG6)[2] == zeeman_circuit(CFG6, CFG6.fields, DT)
 
 
 def test_coupler_circuit_matches_exponential():
-    u = dense_unitary(coupler_circuit(CFG6, CFG6.J_C, DT))
-    h = dense_coupler(CFG6)
-    assert operator_norm(u - expm_hermitian(h, DT)) < 1e-12
+    for J_C in (0.0, 0.3):
+        cfg = replace(CFG6, J_C=J_C)
+        ladder = step_parts(cfg)[3]
+        assert len(ladder) == (5 if J_C else 0)
+        h = dense_coupler(cfg)
+        assert operator_norm(dense_unitary(ladder) - expm_hermitian(h, DT)) < 1e-12
 
 
 def test_zz_layers_commute():
-    a = dense_unitary(zz_layer_circuit(CFG6, first_layer_pairs(CFG6), DT))
-    b = dense_unitary(zz_layer_circuit(CFG6, second_layer_pairs(CFG6), DT))
+    a, b = (dense_unitary(part) for part in step_parts(CFG6)[:2])
     assert operator_norm(a @ b - b @ a) < 1e-12
 
 
@@ -123,16 +145,13 @@ def test_step_gate_count():
 
 @pytest.mark.parametrize("J_C", [0.0, 0.3])
 def test_step_equals_concat_of_its_summands(J_C):
+    # The step applies ZZ layer 1, ZZ layer 2, Zeeman, coupler, in order.
     cfg = ChainConfig(chain_len=3, J=1.0, J_C=J_C, fields=CFG6.fields)
-    parts = [
-        zz_layer_circuit(cfg, first_layer_pairs(cfg), DT),
-        zz_layer_circuit(cfg, second_layer_pairs(cfg), DT),
-        zeeman_circuit(cfg, cfg.fields, DT),
-    ]
-    if J_C:
-        parts.append(coupler_circuit(cfg, J_C, DT))
     step = trotter_step_circuit(cfg, DT)
-    assert step == concat(parts)
+    product = np.eye(1 << cfg.n_qubits)
+    for h in dense_summands(cfg).values():
+        product = expm_hermitian(h, DT) @ product
+    assert operator_norm(dense_unitary(step) - product) < 1e-12
     # Another step with other fields shares every gate but the Zeeman ones.
     other = trotter_step_circuit(
         ChainConfig(chain_len=3, J=1.0, J_C=J_C, fields=(2.0,) * 6), DT
