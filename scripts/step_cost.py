@@ -22,10 +22,18 @@ h_para = 1.5) and prints:
   and coupler gates), the one-time cost that the steady step leaves out.
 
 The second table walks the first two holds of the EFF braid schedule with
-linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints the ms
-per step of ``analysis.exact_evolve`` (a matrix-free
-Chebyshev expansion per step). Its agreement with the dense per-step
-reference is a test (``test_exact_evolve_matches_dense_reference``).
+linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints, for
+``analysis.exact_evolve`` (a matrix-free Chebyshev expansion per step):
+
+- oracle ms/step: its time per step, over ``ORACLE_CALLS`` calls in a
+  row, since one call of six steps takes only about 2 ms;
+- products/step: its H·v products per step, one per Chebyshev term past
+  the first, counted from the Bessel coefficients it asks for;
+- us/product: its time over its products, so each product's share of the
+  Bessel coefficients and of each expansion's set-up is included.
+
+Its agreement with the dense per-step reference is a test
+(``test_exact_evolve_matches_dense_reference``).
 
 The third table compiles the OPT braid at N_s = 6 (the default parameters)
 in each update mode and prints the ms to build its evolution circuit
@@ -56,6 +64,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
+from isingbraid import analysis  # noqa: E402
 from isingbraid.analysis import exact_evolve  # noqa: E402
 from isingbraid.circuit import Circuit, GateKind  # noqa: E402
 from isingbraid.protocol import (  # noqa: E402
@@ -82,6 +91,8 @@ from isingbraid.trotter import trotter_step_circuit  # noqa: E402
 ORACLE_SIZES = (6, 8)
 # Trotter steps after which the executor is compared with the oracle.
 DIFF_STEPS = 4
+# exact_evolve calls in one timing of the second table.
+ORACLE_CALLS = 16
 
 
 def timed(fn) -> float:
@@ -141,7 +152,7 @@ class StepCase:
 
 
 class OracleCase:
-    """The second table's measurement at one chain size."""
+    """The second table's measurements at one chain size."""
 
     def __init__(self, n_s: int):
         self.params = p = ProtocolParams(N_s=n_s, dt=0.7, h_para=1.5, dh=0.1,
@@ -151,10 +162,33 @@ class OracleCase:
         self.steps = sum(len(rows) * repeats
                          for rows, repeats in walk_schedule(p, self.schedule))
         self.state = random_state(p.n_qubits, n_s)
+        self.products = self.count_products()
+
+    def count_products(self) -> int:
+        """H·v products of one ``exact_evolve``: the terms of each expansion
+        but T_0, counted from the Bessel coefficients it asks for."""
+        bessel, terms = analysis._bessel_j, []
+
+        def counted(x):
+            j = bessel(x)
+            terms.append(j.size - 1)
+            return j
+
+        analysis._bessel_j = counted
+        try:
+            exact_evolve(self.schedule, self.params, self.state)
+        finally:
+            analysis._bessel_j = bessel
+        return sum(terms)
 
     def measure(self) -> dict[str, float]:
-        seconds = timed(lambda: exact_evolve(self.schedule, self.params, self.state))
-        return {"oracle": 1e3 * seconds / self.steps}
+        def calls():
+            for _ in range(ORACLE_CALLS):
+                exact_evolve(self.schedule, self.params, self.state)
+
+        seconds = timed(calls) / ORACLE_CALLS
+        return {"oracle": 1e3 * seconds / self.steps,
+                "product": 1e6 * seconds / self.products}
 
 
 class BraidCase:
@@ -221,10 +255,12 @@ def main(argv=None) -> int:
               f"{summary(v['oracle'], 18, 3)} {case.diff:>11.1e} "
               f"{summary(v['layer'], 18, 3)} {summary(v['map'], 18, 3)}")
     print()
-    print(f"{'N_s':>4} {'qubits':>6} {'exact oracle ms/step':>21}")
+    print(f"{'N_s':>4} {'qubits':>6} {'exact oracle ms/step':>21} "
+          f"{'products/step':>14} {'us/product':>16}")
     for n_s in ORACLE_SIZES:
-        _, v = next(rows)
-        print(f"{n_s:>4} {n_s + 1:>6} {summary(v['oracle'], 21, 3)}")
+        case, v = next(rows)
+        print(f"{n_s:>4} {n_s + 1:>6} {summary(v['oracle'], 21, 3)} "
+              f"{case.products / case.steps:>14.1f} {summary(v['product'], 16, 2)}")
     print()
     print(f"{'OPT N_s = 6':<12} {'steps':>6} {'compile ms':>14} "
           f"{'us/step':>12} {'executor ms/step':>17} {'structure ms':>14}")

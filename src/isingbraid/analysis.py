@@ -6,8 +6,11 @@ bound formulas themselves are closed-form and size-independent. The exact
 oracle, ``exact_evolve``, is matrix-free: it applies exp(-i H t) to the
 state by a Chebyshev expansion, whose spectral interval comes from
 Gershgorin's bound and whose Bessel coefficients from Miller's backward
-recurrence, and never builds H. It keeps the same register cap, because
-the dense Hamiltonian and exponential it is checked against stop there.
+recurrence, and never builds H. The vectors of the expansion's three-term
+recurrence are written in place, block by block, into one work array
+allocated once per call, and each block's terms are summed by one
+product. It keeps the same register cap, because the dense Hamiltonian
+and exponential it is checked against stop there.
 """
 from __future__ import annotations
 
@@ -237,6 +240,10 @@ def commutator_norms(cfg: ChainConfig) -> CommutatorReport:
 # Smallest Chebyshev coefficient |J_k| an expansion keeps, for a unit start
 # vector: about ten times the rounding of one amplitude.
 CHEBYSHEV_TOL = 1e-15
+# Most Chebyshev vectors one block of the recurrence holds, and the most
+# bytes its work array may take (``_block_rows``).
+CHEBYSHEV_BLOCK_ROWS = 32
+CHEBYSHEV_BLOCK_BYTES = 1 << 21
 _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
@@ -275,22 +282,55 @@ def _bessel_j(x: float) -> np.ndarray:
     return jk[: max(last, 1) + 1]
 
 
-def _chebyshev_expm(apply_a, v: np.ndarray, x: float) -> np.ndarray:
-    """exp(-i x A) v for a Hermitian A whose spectrum lies in [-1, 1].
+def _block_rows(n_qubits: int) -> int:
+    """B, the Chebyshev vectors one block of the work array holds: at most
+    ``CHEBYSHEV_BLOCK_ROWS``, and fewer where the B + 2 rows of the array
+    would pass ``CHEBYSHEV_BLOCK_BYTES``; it does not grow with the number
+    of terms."""
+    fit = CHEBYSHEV_BLOCK_BYTES // (16 << n_qubits) - 2
+    return max(1, min(CHEBYSHEV_BLOCK_ROWS, fit))
+
+
+def _chebyshev_expm(
+    work: np.ndarray,
+    v: np.ndarray,
+    d2: np.ndarray,
+    h2: np.ndarray,
+    flips: np.ndarray,
+    x: float,
+) -> np.ndarray:
+    """exp(-i x A) v for the Hermitian A = (diag(d) - sum_n h_n X_n) / r,
+    whose spectrum lies in [-1, 1]; d2 = 2 d / r and h2 = 2 h / r
+    (complex), so 2 A u = d2 u - h2 @ u[flips].
 
     The Chebyshev expansion of Tal-Ezer & Kosloff (1984):
     exp(-i x A) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(A), with the
     vectors T_k(A) v from the three-term recurrence
     T_{k+1} = 2 A T_k - T_{k-1}, truncated where |J_k| < ``CHEBYSHEV_TOL``.
+    ``work`` holds B + 2 vectors: rows 0 and 1 the two that start a block,
+    rows 2 .. B + 1 the next B of the recurrence, written in place, whose
+    terms are then summed by one product with their coefficients; the
+    block's last two rows start the next block.
     """
     j = _bessel_j(x)
     coef = 2.0 * j * _POWERS_OF_MINUS_I[np.arange(j.size) % 4]
     coef[0] = j[0]
-    prev, cur = v, apply_a(v)
-    out = coef[0] * prev + coef[1] * cur
-    for c in coef[2:]:
-        prev, cur = cur, 2.0 * apply_a(cur) - prev
-        out += c * cur
+    work[0] = v
+    av = work[1]
+    np.multiply(d2, v, out=av)
+    av -= h2 @ v[flips]
+    av *= 0.5
+    out = coef[0] * v + coef[1] * av
+    block = work.shape[0] - 2
+    for k in range(2, coef.size, block):
+        if k > 2:
+            work[:2] = work[block:]
+        m = min(block, coef.size - k)
+        for prev, cur, nxt in zip(work, work[1:], work[2:m + 2]):
+            np.multiply(d2, cur, out=nxt)
+            nxt -= h2 @ cur[flips]
+            nxt -= prev
+        out += coef[k:k + m] @ work[2:m + 2]
     return out
 
 
@@ -309,11 +349,17 @@ def exact_evolve(
     Each coupler rotation is one RY gate. H is never
     built: its field-free diagonal d and the site flips are built once per
     call, and H v = d v - sum_n h_n v[flip_n] costs O(N_s 2**n). By
-    Gershgorin's bound H lies in [-r, r], r = max |d| + sum_n |h_n|, and
-    the expansion runs on H / r for x = r t; r > 0 because J > 0. The
-    interval is centred on 0 with no loss: flipping every other site of
-    each chain, and the coupler where needed, negates d, so d's range is
-    symmetric. The register stays capped at ``MAX_DENSE_QUBITS``
+    Gershgorin's bound H lies in [-r, r], r = max |d| + sum_n |h_n|, taken
+    for all rows of a hold at once, and the expansion runs on H / r for
+    x = r t; r > 0 because J > 0. The interval is centred on 0 with no
+    loss: flipping every other site of each chain, and the coupler where
+    needed, negates d, so d's range is symmetric. Each row's d and h are
+    scaled by 2 / r once (h made complex), so a term of the recurrence is
+    a multiply, a gather-and-product and two subtractions in place, into
+    a row of one ``(B + 2, 2**n)`` work array allocated once per call
+    after the checks (B from ``_block_rows``, capped in rows and bytes,
+    independent of the number of terms). The register stays capped at
+    ``MAX_DENSE_QUBITS``
     because the cross-checks of this oracle (``dense_hamiltonian``,
     ``expm_hermitian``) and every test that compares against it are dense;
     every field set of the schedule is checked before anything is
@@ -332,8 +378,9 @@ def exact_evolve(
 
     d, flips = _diagonal_and_flips(cfg)
     d_max = float(np.abs(d).max())
-    amps = initial.amplitudes.copy()
     n = initial.n_qubits
+    work = np.empty((_block_rows(n) + 2, 1 << n), dtype=complex)
+    amps = initial.amplitudes.copy()
     for item in walk_schedule(params, schedule):
         if isinstance(item, RotateCoupler):
             apply_gate_inplace(
@@ -341,10 +388,10 @@ def exact_evolve(
             )
             continue
         rows, repeats = item
-        for h in rows:
-            r = d_max + float(np.abs(h).sum())
-            dr, hr = d / r, h / r
+        radii = d_max + np.abs(rows).sum(axis=1)
+        scaled = (rows * (2.0 / radii)[:, None]).astype(complex)
+        for r, h2 in zip(radii.tolist(), scaled):
             amps = _chebyshev_expm(
-                lambda v: dr * v - hr @ v[flips], amps, r * repeats * params.dt
+                work, amps, d * (2.0 / r), h2, flips, r * repeats * params.dt
             )
     return QuantumState(n, amps)

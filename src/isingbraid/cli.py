@@ -31,7 +31,7 @@ from .protocol import (
     initial_fields,
     run_scenario,
 )
-from .statevector import MAX_DENSE_QUBITS, RegisterSizeError
+from .statevector import MAX_DENSE_QUBITS, RegisterSizeError, check_register
 
 
 class ConfigError(ValueError):
@@ -185,11 +185,7 @@ CSV_HEADER = (
 
 
 def _sweep_point(args) -> str:
-    cfg, axis, value, scenario, init_name, row_seed, depth_only = args
-    point = dict(cfg)
-    point[axis] = repr(value)
-    params = build_params(point, row_seed)
-    init = LogicalLabel(init_name)
+    params, value, scenario, init, depth_only = args
     if depth_only:
         compiled = compile_scenario(params, scenario, init)
         nan = float("nan")
@@ -203,7 +199,7 @@ def _sweep_point(args) -> str:
         _fmt(rep["sampled_fidelity"]), _fmt(rep["sampled_stderr"]),
         str(rep["depth_total"]), str(rep["depth_evolution_only"]),
         str(rep["trotter_steps"]), _fmt(bounds["per_step"]), _fmt(bounds["total"]),
-        _fmt(bounds["adiabatic_margin"]), str(row_seed),
+        _fmt(bounds["adiabatic_margin"]), str(params.seed),
     ])
 
 
@@ -225,11 +221,15 @@ def cmd_sweep(cfg: dict[str, str], out_path: str | None, seed: int | None,
     scenario, init = resolve_scenario_init(cfg)
     master = seed if seed is not None else parse_int(cfg.get("seed", "1"))
     base = {k: v for k, v in cfg.items() if k in _PARSERS and k != axis}
-    work = [
-        (base, axis, value, scenario, init.value,
-         derive_seed(master, _fmt(value), scenario), depth_only)
-        for value in values
-    ]
+    # Every point is checked here, so that one bad value exits before the
+    # pool starts or any point compiles.
+    work = []
+    for value in values:
+        params = build_params({**base, axis: repr(value)},
+                              derive_seed(master, _fmt(value), scenario))
+        if not depth_only:
+            check_register(params.n_qubits)
+        work.append((params, value, scenario, init, depth_only))
     # The pool starts all its workers at once, so never more than points.
     workers = min(jobs, len(work))
     if workers > 1:

@@ -57,6 +57,10 @@ class AdiabaticityWarning(UserWarning):
 # Most Trotter steps a schedule may have: about 12 times the OPT braid's
 # 22,030 at N_s = 22. Longer schedules are rejected before anything is built.
 MAX_TROTTER_STEPS = 1 << 18
+# Most gates the braid's evolution circuit may have: about 2.2 times the OPT
+# braid's 1,916,613 at N_s = 22. `export` peaks at about 115 bytes per gate
+# (its QASM text; `run --depth-only` at about 17), so about 480 MB here.
+MAX_BRAID_GATES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,12 @@ class ProtocolParams:
                 f"the braid schedule needs {steps:,} Trotter steps, more "
                 f"than the {MAX_TROTTER_STEPS:,} that can be compiled"
             )
+        gates = braid_gate_count(self)
+        if gates > MAX_BRAID_GATES:
+            raise ValueError(
+                f"the braid circuit needs {gates:,} gates, more than the "
+                f"{MAX_BRAID_GATES:,} that can be compiled"
+            )
         margin = analysis.adiabatic_margin(self)
         if margin < 10:
             warnings.warn(
@@ -197,6 +207,15 @@ def braid_trotter_steps(params: ProtocolParams) -> int:
     return steps_per_hold(params) * (
         params.N_s * updates_per_shift(params) + rotation_count(params)
     )
+
+
+def braid_gate_count(params: ProtocolParams) -> int:
+    """Gates of the braid's evolution circuit in closed form: in each
+    Trotter step three (CNOT, RZ, CNOT) for each of the N_s - 2 ZZ pairs,
+    one RX per site and five for the coupler term (none for J_C = 0); and
+    one RY per coupler rotation."""
+    per_step = 3 * (params.N_s - 2) + params.N_s + (5 if params.J_C else 0)
+    return braid_trotter_steps(params) * per_step + rotation_count(params)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from isingbraid.protocol import (
     walk_schedule,
 )
 from isingbraid.statevector import (
+    MAX_DENSE_QUBITS,
     QuantumState,
     apply_gate_inplace,
     fidelity,
@@ -258,6 +259,67 @@ def test_exact_evolve_long_stepped_hold_matches_dense_reference(hold):
     u = expm_hermitian(dense_hamiltonian(chain_config(p, fields)), p.T)
     assert np.abs(out.amplitudes - u @ initial.amplitudes).max() <= 1e-10
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+
+
+# From x = 1e-9 to x = 1e3, well past the longest hold the tests run. The
+# backward recurrence passes 1e250 and is rescaled below x = 1.5e-5, and
+# would overflow without that below about 6e-7 (x = r t, so dt = 1e-7
+# gives such an x).
+@pytest.mark.parametrize("x", np.logspace(-9, 3, 25))
+def test_bessel_coefficients_match_scipy_and_stop_at_the_tolerance(x):
+    jv = pytest.importorskip("scipy.special").jv
+    j = analysis._bessel_j(x)
+    last = j.size - 1
+    ref = jv(np.arange(last + 1), x)
+    np.testing.assert_allclose(j, ref, rtol=1e-12, atol=1e-13)
+    # J_K is the last coefficient of size CHEBYSHEV_TOL or more: every
+    # order past it is smaller (the factor allows for scipy's rounding).
+    assert abs(ref[last]) >= analysis.CHEBYSHEV_TOL * (1 - 1e-6)
+    tail = np.abs(jv(np.arange(last + 1, last + 60), x))
+    assert tail.max() < analysis.CHEBYSHEV_TOL * (1 + 1e-6)
+
+
+def test_chebyshev_block_stays_within_its_byte_budget():
+    for n in range(1, 25):
+        rows = analysis._block_rows(n)
+        assert 1 <= rows <= analysis.CHEBYSHEV_BLOCK_ROWS
+        assert rows == 1 or (rows + 2) * 16 << n <= analysis.CHEBYSHEV_BLOCK_BYTES
+    assert analysis._block_rows(MAX_DENSE_QUBITS) == analysis.CHEBYSHEV_BLOCK_ROWS
+
+
+# The expansion of one stepped hold fills the first block of the work array
+# exactly (B + 2 terms: T_0, T_1 and B more), runs one term into a second
+# block, or fills two blocks and runs one term into a third.
+@pytest.mark.parametrize("extra", [lambda b: 0, lambda b: 1, lambda b: b + 1],
+                         ids=["one-block", "one-hand-over", "two-hand-overs"])
+def test_exact_evolve_block_hand_over_matches_dense_reference(monkeypatch, extra):
+    p = ProtocolParams(dt=0.01)
+    fields = tuple(np.random.default_rng(7).uniform(0.0, p.h_para, p.N_s))
+    # Gershgorin's radius of H: the largest |diagonal| of the field-free H
+    # plus the sum of the fields.
+    free = dense_hamiltonian(chain_config(p, (0.0,) * p.N_s))
+    radius = np.abs(free.diagonal()).max() + np.sum(fields)
+    block = analysis._block_rows(p.n_qubits)
+    want = block + 2 + extra(block)
+    steps = next(m for m in range(1, 10_000)
+                 if analysis._bessel_j(radius * m * p.dt).size >= want)
+    assert analysis._bessel_j(radius * steps * p.dt).size == want
+
+    sizes = []
+    bessel = analysis._bessel_j
+
+    def counted(x):
+        j = bessel(x)
+        sizes.append(j.size)
+        return j
+
+    monkeypatch.setattr(analysis, "_bessel_j", counted)
+    initial = random_state(p.n_qubits, 7)
+    hold = steps * p.dt
+    out = exact_evolve(FieldSchedule((SetFields(fields, hold),)), p, initial)
+    assert sizes == [want]
+    u = expm_hermitian(dense_hamiltonian(chain_config(p, fields)), hold)
+    assert np.abs(out.amplitudes - u @ initial.amplitudes).max() <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["linear", "stepped"])

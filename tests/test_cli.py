@@ -100,6 +100,27 @@ def test_schedule_too_long_to_compile_is_exit_2(tmp_path, capsys, monkeypatch,
     assert "Trotter steps" in capsys.readouterr().err
 
 
+# About 6.4e9 gates in 40,003 steps: under the step limit, over the gate one.
+MANY_GATES_CFG = "N_s = 40000\ndh = 4.99\nT = 0.2\ndt = 0.2\n"
+
+
+@pytest.mark.parametrize("argv", [["run", "--depth-only"], ["export"]])
+def test_circuit_too_large_to_compile_is_exit_2(tmp_path, capsys, monkeypatch,
+                                                argv):
+    from isingbraid import cli, protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled before the gate count was checked")
+
+    monkeypatch.setattr(protocol, "build_field_schedule", refuse)
+    monkeypatch.setattr(cli, "compile_scenario", refuse)
+    cfg = write_cfg(tmp_path, MANY_GATES_CFG)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    assert "6,400,440,000 gates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["N_s = 6.5", "seed = abc"])
 def test_non_integer_config_value_is_exit_2(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path, FAST_CFG + line + "\n")
@@ -265,6 +286,29 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys, monkeypatch)
         assert main([*argv, f"--jobs={jobs}"]) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
     assert started == [2]
+
+
+@pytest.mark.parametrize("axis, values, flags, message", [
+    ("dt", "0.2,0.25,-1", ["--depth-only"], "dt must be positive"),
+    ("dt", "0.2,0.25,-1", [], "dt must be positive"),
+    ("N_s", "6,26", [], "register size 27"),
+])
+def test_sweep_checks_every_point_before_compiling(tmp_path, capsys, monkeypatch,
+                                                   axis, values, flags, message):
+    from isingbraid import cli, protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started before every point was checked")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(cli, "compile_scenario", refuse)
+    monkeypatch.setattr(protocol, "compile_scenario", refuse)
+    cfg = write_cfg(tmp_path, FAST_CFG + f"axis = {axis}\nvalues = {values}\n")
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--config", cfg, "--out", str(out), "--jobs", "2", *flags]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_depth_only_over_system_size(tmp_path):

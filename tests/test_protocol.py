@@ -13,6 +13,7 @@ from isingbraid.protocol import (
     ProtocolParams,
     RotateCoupler,
     SetFields,
+    braid_gate_count,
     braid_trotter_steps,
     build_field_schedule,
     build_protocol_circuit,
@@ -95,6 +96,35 @@ def test_closed_form_step_count_matches_the_braid_schedule(N_s, row):
     params = ProtocolParams(N_s=N_s, **row)
     schedule = build_field_schedule(params, include_rotation=True)
     assert braid_trotter_steps(params) == count_trotter_steps(params, schedule)
+
+
+@pytest.mark.parametrize(
+    "row", [dict(N_s=6), dict(N_s=10, dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2),
+            dict(N_s=6, J_C=0.0), dict(N_s=6, theta=0.0)],
+    ids=["OPT", "EFF-10", "no-coupler", "no-rotation"],
+)
+def test_closed_form_gate_count_matches_the_braid_circuit(row):
+    params = ProtocolParams(**row)
+    run_ = compile_scenario(params, "braid", LogicalLabel.ALL_UP)
+    assert braid_gate_count(params) == len(run_.evolution_circuit.gates)
+
+
+def test_params_reject_circuits_too_large_to_compile(monkeypatch):
+    from isingbraid import protocol
+
+    # OPT at N_s = 22 is accepted: 22,030 steps of 87 gates, three rotations.
+    assert braid_gate_count(ProtocolParams(N_s=22)) == 1_916_613
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        # 40,003 steps, under the step limit, of 159,999 gates each.
+        with pytest.raises(ValueError, match="6,400,440,000 gates"):
+            ProtocolParams(N_s=40000, dh=4.99, T=0.2, dt=0.2)
+    # OPT has 138,693 gates: accepted at that limit, rejected one below.
+    monkeypatch.setattr(protocol, "MAX_BRAID_GATES", 138_693)
+    ProtocolParams()
+    monkeypatch.setattr(protocol, "MAX_BRAID_GATES", 138_692)
+    with pytest.raises(ValueError, match="138,693 gates"):
+        ProtocolParams()
 
 
 def test_weak_phase_separation_warns_not_errors():
