@@ -7,22 +7,25 @@ Averaging exact fidelities over trajectories estimates the density-matrix
 fidelity under the corresponding stochastic Pauli channel.
 
 Trajectories advance together: a batch of them is one C-contiguous
-``(rows, 2**n)`` amplitude array. Each stretch of gates between two errors
-goes through ``statevector.apply_gates_inplace`` once for the whole batch,
-the executor ``statevector.run`` uses, and each error goes only to the rows
-it hits. The errors are drawn ahead of the gates they follow, one chunk of
-gates at a time, so the draw's memory does not grow with gates x
-trajectories. A single trajectory (``run_noisy``) is the one-row batch.
+``(rows, 2**n)`` amplitude array. The whole batch goes once through
+``statevector.apply_gates_inplace``, the executor ``statevector.run`` uses,
+with the drawn errors: each error ends the fused run its gate is in and
+goes only to the rows it hits, and the executor goes on from there with
+the map of the repeated step run still held. The errors are drawn as the
+executor reaches them, one chunk of gates at a time, so the draw's memory
+does not grow with gates x trajectories. A single trajectory
+(``run_noisy``) is the one-row batch.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import _QUBITS, Circuit, Gate, GateKind
 from .protocol import (
     LogicalLabel,
     ProtocolParams,
@@ -32,7 +35,6 @@ from .protocol import (
 from .statevector import (
     QuantumState,
     SampleCounts,
-    apply_gate_inplace,
     apply_gates_inplace,
     check_register,
     index_to_bitstring,
@@ -90,6 +92,19 @@ class NoiseModel:
         return self.eps_phase if override is None else override
 
 
+def _slots(gates: tuple[Gate, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The arity of each gate and the qubit of each error slot (each touched
+    qubit of each gate, in gate order), from one pass over the gates' qubit
+    tuples. Their list is dropped on return, so no per-gate Python object
+    stays alive while the trajectories run."""
+    qubits = list(map(_QUBITS, gates))
+    arity = np.fromiter(map(len, qubits), dtype=np.intp, count=len(qubits))
+    qubit_of = np.fromiter(
+        chain.from_iterable(qubits), dtype=np.intp, count=int(arity.sum())
+    )
+    return arity, qubit_of
+
+
 def draw_errors(
     circuit: Circuit, model: NoiseModel, rows: int, rng: np.random.Generator
 ) -> Iterator[tuple[int, Gate, np.ndarray]]:
@@ -99,13 +114,9 @@ def draw_errors(
     each gate, in order, gets an X with probability ``bitflip_for(arity)``
     and then a Z with ``phase_for(arity)``, independently for every row.
     """
-    gates = circuit.gates
-    arity = np.fromiter((g.arity for g in gates), dtype=np.intp, count=len(gates))
+    arity, qubit_of = _slots(circuit.gates)
     # One slot per touched qubit of each gate, in gate order.
-    gate_of = np.repeat(np.arange(len(gates)), arity)
-    qubit_of = np.fromiter(
-        (q for g in gates for q in g.qubits), dtype=np.intp, count=len(gate_of)
-    )
+    gate_of = np.repeat(np.arange(arity.size), arity)
     slot_arity = np.repeat(arity, arity)
     # probs[a - 1, pauli] for a gate of arity a, shaped to broadcast over rows.
     probs = np.array(
@@ -136,24 +147,17 @@ def run_trajectories(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """``rows`` noise trajectories of ``circuit`` from ``initial``, advanced
-    together; row r of the returned ``(rows, 2**n)`` array is trajectory r."""
+    together; row r of the returned ``(rows, 2**n)`` array is trajectory r.
+
+    The whole batch goes through ``statevector.apply_gates_inplace`` once,
+    with the drawn errors: each error cuts the run its gate is in and goes
+    to the rows it hits, and the executor runs on from there."""
     if circuit.n_qubits != initial.n_qubits:
         raise ValueError("register mismatch")
-    n = initial.n_qubits
     amps = np.empty((rows, initial.amplitudes.size), dtype=complex)
     amps[:] = initial.amplitudes
-    gates = circuit.gates
-    # Each error-free stretch of gates runs as one batch; an error follows
-    # the last gate of its stretch, on the rows it hits.
-    start = 0
-    for index, error, hit in draw_errors(circuit, model, rows, rng):
-        if index >= start:
-            apply_gates_inplace(amps, n, gates[start:index + 1])
-            start = index + 1
-        sub = amps[hit]
-        apply_gate_inplace(sub.reshape(-1), n, error)
-        amps[hit] = sub
-    apply_gates_inplace(amps, n, gates[start:])
+    errors = draw_errors(circuit, model, rows, rng)
+    apply_gates_inplace(amps, initial.n_qubits, circuit.gates, errors)
     return amps
 
 

@@ -7,7 +7,7 @@ Conventions: qubit 0 is the least-significant bit of the basis index
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -445,7 +445,17 @@ def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
     view *= column
 
 
-def _chunks(gates: Sequence[Gate], n_qubits: int):
+class _Piece(tuple):
+    """A piece of a basis run that an error cuts: its map is built for this
+    one use and never held in place of the map of a repeated run."""
+
+
+class _Error(tuple):
+    """One error of ``apply_gates_inplace``'s ``errors``: (gate index,
+    one-qubit error gate, indices of the rows it hits)."""
+
+
+def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
     """Split ``gates`` lazily into runs and yield them in chunks whose
     layers' block matrices fill about ``_BLOCK_BYTES``.
 
@@ -456,76 +466,122 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
     chunk is yielded as its runs in order and its layers as (sorted qubits,
     gates); every layer is checked against the register before its chunk
     is yielded.
+
+    ``errors``, (gate index, error gate, rows) in gate order, cut the runs:
+    a run ends at each gate an error follows, and the errors of that gate
+    come next in the chunk, each as an ``_Error``. So the runs are those
+    that each stretch of gates between two errors gives on its own. The
+    pieces of a basis run that an error cuts are yielded as ``_Piece`` and
+    never become the run that the next gates are compared with.
     """
     chunk: list = []
     layers: list = []
     nbytes = 0
     last_run: tuple = ()
     i, count = 0, len(gates)
+    errors = iter(errors)
+    # The next error; runs stop at ``stop``, just past its gate.
+    error = next(errors, None)
+    stop = _stop(error, 0, count)
+    cut = 0  # where the last cut fell
     while i < count:
         first = gates[i]
         j = i + 1
         if first.kind in _BASIS_KINDS:
             # Gates that repeat the last basis run, as step after step does,
-            # are that run again when the gate after them ends it; their
-            # kinds are not looked at again.
+            # are that run again when the gate after them or a cut ends it;
+            # their kinds are not looked at again.
             end = i + len(last_run)
-            if (last_run and gates[i:end] == last_run
-                    and (end == count or gates[end].kind not in _BASIS_KINDS)):
+            if (last_run and end <= stop and gates[i:end] == last_run
+                    and (end == stop or gates[end].kind not in _BASIS_KINDS)):
                 chunk.append(last_run)
-                i = end
-                continue
-            while j < count and gates[j].kind in _BASIS_KINDS:
-                j += 1
+                j = end
+            else:
+                while j < stop and gates[j].kind in _BASIS_KINDS:
+                    j += 1
+                if j - i < 2:
+                    chunk.append(first)
+                elif (i == cut and i and gates[i - 1].kind in _BASIS_KINDS
+                        or j < count and j == stop and gates[j].kind in _BASIS_KINDS):
+                    chunk.append(_Piece(gates[i:j]))
+                else:
+                    last_run = tuple(gates[i:j])
+                    chunk.append(last_run)
         else:
             seen = {first.qubits[0]}
-            while j < count:
+            while j < stop:
                 gate = gates[j]
                 if gate.kind not in _MIXING_KINDS or gate.qubits[0] in seen:
                     break
                 seen.add(gate.qubits[0])
                 j += 1
-        if j - i < 2:
-            chunk.append(first)
-        elif first.kind in _MIXING_KINDS:
-            layer = sorted(gates[i:j], key=_QUBITS)
-            qubits = tuple(g.qubits[0] for g in layer)
-            nbytes += _block_plan(qubits, n_qubits)[1]
-            chunk.append(layer)
-            layers.append((qubits, layer))
-        else:
-            last_run = tuple(gates[i:j])
-            chunk.append(last_run)
+            if j - i < 2:
+                chunk.append(first)
+            else:
+                layer = sorted(gates[i:j], key=_QUBITS)
+                qubits = tuple(g.qubits[0] for g in layer)
+                nbytes += _block_plan(qubits, n_qubits)[1]
+                chunk.append(layer)
+                layers.append((qubits, layer))
         i = j
+        if i == stop:
+            while error is not None and error[0] == i - 1:
+                chunk.append(_Error(error))
+                error = next(errors, None)
+            stop, cut = _stop(error, i, count), i
         if nbytes >= _BLOCK_BYTES:
             yield chunk, layers
             chunk, layers, nbytes = [], [], 0
+    if error is not None:
+        raise ValueError(f"error after gate {error[0]}, past the last of {count} gates")
     if chunk:
         yield chunk, layers
 
 
-def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) -> None:
+def _stop(error, i: int, count: int) -> int:
+    """Where the runs from gate ``i`` on stop: just past the gate of the
+    next error ``error``, or at ``count`` when there is none."""
+    if error is None:
+        return count
+    if error[0] < i:
+        raise ValueError(f"error after gate {error[0]} out of gate order")
+    return min(error[0] + 1, count)
+
+
+def apply_gates_inplace(
+    rows: np.ndarray,
+    n_qubits: int,
+    gates: Sequence[Gate],
+    errors: Iterable[tuple[int, Gate, np.ndarray]] = (),
+) -> None:
     """Apply ``gates`` in order to every row of the C-contiguous
-    ``(rows, 2**n_qubits)`` batch ``rows``.
+    ``(rows, 2**n_qubits)`` batch ``rows``, and after them the one-qubit
+    ``errors``, each given as (gate index, error gate, indices of the rows
+    it hits), in gate order, as ``noise.draw_errors`` yields them: each is
+    applied to its rows just after the gate of its index.
 
     Two kinds of run are fused. Each maximal run of two or more basis gates
     (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of the
     most recent run is kept for the next run, so a run repeated step after
     step is built once. Each maximal run of two or more RX, RY and H gates on
-    distinct qubits is applied as one layer of dense blocks. The runs are
-    planned a chunk at a time (see ``_chunks``): the blocks of all layers of
-    a chunk are built together, then the chunk's runs are applied in order.
-    A lone CNOT goes through its per-gate kernel and any other lone gate is
-    applied as a layer of one block. A run is checked in full before any row
-    changes.
+    distinct qubits is applied as one layer of dense blocks. An error ends
+    the run its gate is in, so the runs are those of the stretches between
+    the errors; the pieces of a basis run it cuts are built for that use
+    alone and the kept map stays. The runs are planned a chunk at a time
+    (see ``_chunks``): the blocks of all layers of a chunk are built
+    together, then the chunk's runs are applied in order. A lone CNOT goes
+    through its per-gate kernel and any other lone gate is applied as a
+    layer of one block. A run is checked in full before any row changes;
+    an error past the last gate or out of gate order raises ValueError when
+    the runs reach it.
 
     On registers of ``_REAL_QUBITS`` or more the layers act in the
     register's S frame (see ``_layer_blocks``). The rows enter it before a
     layer and stay in it across diagonal basis runs, which commute with it,
     so a call of Trotter steps enters it once. They leave it before a
-    permuting basis run or a lone gate and at the end of the call, a failed
-    check included. The diagonal is applied as ``phase * rows``, phase
-    first: in that operand order ``phase * (f * a) * conj(f)`` equals
+    permuting basis run, a lone gate or an error and at the end of the call,
+    a failed check included. The diagonal is applied as ``phase * rows``,
+    phase first: in that operand order ``phase * (f * a) * conj(f)`` equals
     ``phase * a`` bit for bit for every power of i ``f``, so where the frame
     is entered and left does not change a bit of the result.
     """
@@ -537,7 +593,7 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
         into, back = _frame(n_qubits - _BLOCK_QUBITS)
     inside = False
     try:
-        for chunk, layers in _chunks(gates, n_qubits):
+        for chunk, layers in _chunks(gates, n_qubits, errors):
             blocks = iter(_layer_blocks(layers, n_qubits))
             for part in chunk:
                 kind = type(part)
@@ -556,11 +612,21 @@ def apply_gates_inplace(rows: np.ndarray, n_qubits: int, gates: Sequence[Gate]) 
                     if src is None:
                         np.multiply(phase, rows, rows)
                         continue
+                elif kind is _Piece:
+                    src, phase = _basis_map(n_qubits, part)
+                    if src is None:
+                        np.multiply(phase, rows, rows)
+                        continue
                 if inside:
                     _frame_multiply(rows, back)
                     inside = False
-                if kind is tuple:
+                if kind is tuple or kind is _Piece:
                     np.multiply(phase, rows.take(src, axis=1), rows)
+                elif kind is _Error:
+                    _, error, hit = part
+                    sub = rows[hit]
+                    apply_gate_inplace(sub.reshape(-1), n_qubits, error)
+                    rows[hit] = sub
                 # On one qubit the block would span the register, which
                 # ``_block_plan`` never lets a block do (see there).
                 elif part.kind is GateKind.CNOT or n_qubits == 1:
@@ -597,7 +663,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 def index_to_bitstring(index: int, n_bits: int) -> str:
     """Bit string with qubit 0 as the leftmost character."""
-    return "".join("1" if (index >> q) & 1 else "0" for q in range(n_bits))
+    return format(index, f"0{n_bits}b")[::-1]
 
 
 def sample(state: QuantumState, shots: int, seed: int) -> SampleCounts:

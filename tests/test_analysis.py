@@ -279,6 +279,29 @@ def test_bessel_coefficients_match_scipy_and_stop_at_the_tolerance(x):
     assert tail.max() < analysis.CHEBYSHEV_TOL * (1 + 1e-6)
 
 
+def _bessel_j_from(x, top):
+    """J_0(x), ..., J_top(x) by Miller's recurrence started at ``top``,
+    with the rescaling and normalisation of ``analysis._bessel_j``."""
+    j = [0.0] * (top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] = [v * 1e-250 for v in j[k - 1:]]
+    jk = np.array(j[:-1])
+    return jk / (jk[0] + 2.0 * jk[2::2].sum())
+
+
+@pytest.mark.parametrize("x", np.logspace(-3, 2.5, 23))
+def test_bessel_coefficients_match_a_recurrence_started_higher(x):
+    # The start order analysis used before, x + 20 x**(1/3) + 40.
+    ref = _bessel_j_from(x, int(x + 20.0 * x ** (1.0 / 3.0) + 40.0))
+    j = analysis._bessel_j(x)
+    assert abs(ref[j.size - 1]) >= analysis.CHEBYSHEV_TOL
+    assert np.abs(ref[j.size:]).max() < analysis.CHEBYSHEV_TOL
+    assert np.abs(j - ref[:j.size]).max() <= 1e-15
+
+
 def test_chebyshev_block_stays_within_its_byte_budget():
     for n in range(1, 25):
         rows = analysis._block_rows(n)

@@ -18,7 +18,15 @@ from isingbraid.protocol import (
     compile_scenario,
     run_scenario,
 )
-from isingbraid.statevector import SampleCounts, fidelity, run, zero_state
+import isingbraid.statevector as sv
+from isingbraid.statevector import (
+    SampleCounts,
+    apply_gate_inplace,
+    apply_gates_inplace,
+    fidelity,
+    run,
+    zero_state,
+)
 
 FAST = ProtocolParams(dh=0.5, T=0.5, dt=0.2, shots=2000)
 
@@ -236,6 +244,115 @@ def test_errors_inside_basis_runs_split_them():
             gates += [error for index, error in inserted[r] if index == i]
         replay = run(zero_state(3), Circuit(3, tuple(gates)))
         assert np.allclose(batch[r], replay.amplitudes, rtol=0, atol=1e-12)
+
+
+def _stretch_by_stretch(circuit, initial, model, rows, rng):
+    """Trajectories as the executor ran them before it took the errors:
+    one ``apply_gates_inplace`` call per stretch of gates between two
+    errors, each error then applied to the rows it hits."""
+    n = initial.n_qubits
+    amps = np.empty((rows, initial.amplitudes.size), dtype=complex)
+    amps[:] = initial.amplitudes
+    gates = circuit.gates
+    start = 0
+    for index, error, hit in draw_errors(circuit, model, rows, rng):
+        if index >= start:
+            apply_gates_inplace(amps, n, gates[start:index + 1])
+            start = index + 1
+        sub = amps[hit]
+        apply_gate_inplace(sub.reshape(-1), n, error)
+        amps[hit] = sub
+    apply_gates_inplace(amps, n, gates[start:])
+    return amps
+
+
+def _eff_braid(n_sites):
+    p = ProtocolParams(N_s=n_sites, dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)
+    return compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
+
+
+# N_s = 12 puts 13 qubits in the S frame, where layers run in real
+# arithmetic and errors make the rows leave the frame.
+@pytest.mark.parametrize("n_sites, rows", [(6, 20), (12, 3)])
+def test_trajectories_equal_the_stretch_by_stretch_reference(n_sites, rows):
+    circuit = _eff_braid(n_sites)
+    initial = zero_state(circuit.n_qubits)
+    model = NoiseModel(eps_bitflip=1e-3, eps_phase=1e-3)
+    batch = run_trajectories(circuit, initial, model, rows, np.random.default_rng(8))
+    ref = _stretch_by_stretch(circuit, initial, model, rows, np.random.default_rng(8))
+    assert batch.tobytes() == ref.tobytes()
+    one = run_noisy(circuit, initial, model, [8, 1])
+    ref = _stretch_by_stretch(circuit, initial, model, 1, np.random.default_rng([8, 1]))
+    assert one.amplitudes.tobytes() == ref.tobytes()
+
+
+def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):
+    # Thirty steps of one layer and one basis run: every error inside a copy
+    # of the run cuts it, and the run itself is still built once.
+    g = Gate
+    step = (
+        g(GateKind.RX, (0,), 0.3), g(GateKind.RX, (1,), 0.5), g(GateKind.RX, (2,), 0.7),
+        g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.4), g(GateKind.CNOT, (0, 1)),
+        g(GateKind.CNOT, (1, 2)), g(GateKind.RZ, (2,), -0.6), g(GateKind.CNOT, (1, 2)),
+    )
+    circuit = Circuit(3, step * 30)
+    step_run = step[3:]
+    model = NoiseModel(eps_bitflip=0.02, eps_phase=0.02)
+    rows = 4
+    cuts = {index % len(step) for index, _, _ in
+            draw_errors(circuit, model, rows, np.random.default_rng(4))}
+    # Errors after the run's first five gates cut it.
+    assert len(cuts & set(range(3, len(step) - 1))) >= 3
+    built = []
+    basis_map = sv._basis_map
+
+    def spy(n_qubits, gates):
+        built.append(tuple(gates))
+        return basis_map(n_qubits, gates)
+
+    monkeypatch.setattr(sv, "_basis_map", spy)
+    batch = run_trajectories(circuit, zero_state(3), model, rows, np.random.default_rng(4))
+    assert built.count(step_run) == 1
+    assert len(built) > 10
+    monkeypatch.setattr(sv, "_basis_map", basis_map)
+    ref = _stretch_by_stretch(circuit, zero_state(3), model, rows, np.random.default_rng(4))
+    assert batch.tobytes() == ref.tobytes()
+
+
+def _replay(circuit, errors, rows):
+    """Each row run gate by gate with its errors inserted as gates."""
+    out = []
+    for r in range(rows):
+        gates = []
+        for i, gate in enumerate(circuit.gates):
+            gates.append(gate)
+            gates += [error for index, error, hit in errors if index == i and r in hit]
+        state = run(zero_state(circuit.n_qubits), Circuit(circuit.n_qubits, tuple(gates)))
+        out.append(state.amplitudes)
+    return np.array(out)
+
+
+def test_errors_on_the_last_gate_and_two_after_one_gate():
+    g = Gate
+    circuit = Circuit(3, (
+        g(GateKind.H, (0,)), g(GateKind.RY, (1,), 0.4), g(GateKind.RX, (2,), 0.9),
+        g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.7), g(GateKind.CNOT, (0, 1)),
+        g(GateKind.CNOT, (1, 2)), g(GateKind.RZ, (2,), -1.1),
+    ))
+    last = len(circuit) - 1
+    errors = [
+        # Two errors after the RZ inside the first basis run.
+        (4, g(GateKind.X, (1,)), np.array([0, 2])),
+        (4, g(GateKind.Z, (1,)), np.array([1, 2])),
+        # Both kinds of error after the last gate.
+        (last, g(GateKind.X, (2,)), np.array([0])),
+        (last, g(GateKind.Z, (2,)), np.array([0, 1])),
+    ]
+    rows = 3
+    amps = np.zeros((rows, 8), dtype=complex)
+    amps[:, 0] = 1.0
+    apply_gates_inplace(amps, 3, circuit.gates, errors)
+    np.testing.assert_allclose(amps, _replay(circuit, errors, rows), rtol=0, atol=1e-12)
 
 
 def test_batched_trajectory_estimator_is_unbiased():

@@ -194,6 +194,17 @@ def test_index_to_bitstring_qubit0_leftmost():
     assert index_to_bitstring(0b110, 3) == "011"
 
 
+def test_index_to_bitstring_matches_the_per_bit_form():
+    rng = np.random.default_rng(6)
+    for n_bits in range(1, MAX_QUBITS + 1):
+        top = (1 << n_bits) - 1
+        indices = {0, 1, top, top >> 1, 1 << (n_bits - 1)}
+        indices.update(rng.integers(0, top, size=50, endpoint=True).tolist())
+        for index in sorted(indices):
+            bits = "".join("1" if index >> q & 1 else "0" for q in range(n_bits))
+            assert index_to_bitstring(index, n_bits) == bits
+
+
 def test_sample_deterministic_and_normalized():
     s = random_state(3, 9)
     c1 = sample(s, 5000, seed=42)
@@ -542,11 +553,9 @@ def test_repeated_basis_runs_are_planned_as_the_same_run():
     assert _planned_runs(list(gates), n) == runs
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 5), max_size=16))
-def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
-    # A basis run that comes back, alone or followed by more basis gates, a
-    # layer, and lone gates of either kind.
+def _gates_of_pieces(pieces):
+    """Three-qubit gates from pieces: a basis run that comes back, alone or
+    followed by more basis gates, a layer, and lone gates of either kind."""
     g = Gate
     ladder = (g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.3),
               g(GateKind.CNOT, (0, 1)))
@@ -554,8 +563,37 @@ def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
              g(GateKind.H, (1,)))
     parts = [ladder, ladder, layer, (g(GateKind.X, (2,)),),
              (g(GateKind.RX, (1,), -0.4),), ladder[:2]]
-    gates = tuple(gate for k in pieces for gate in parts[k])
+    return tuple(gate for k in pieces for gate in parts[k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=16))
+def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
+    gates = _gates_of_pieces(pieces)
     assert _planned_runs(gates, 3) == _runs_gate_by_gate(gates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=16), st.data())
+def test_errors_cut_the_plan_into_the_runs_of_their_stretches(pieces, data):
+    gates = _gates_of_pieces(pieces)
+    after = sorted(data.draw(st.lists(st.integers(0, len(gates) - 1), max_size=6)))
+    # The rows an error hits are not looked at by the plan.
+    errors = [(i, Gate(GateKind.X, (0,)), k) for k, i in enumerate(after)]
+    plan = [run for chunk, _ in sv._chunks(gates, 3, errors) for run in chunk]
+    expected, start = [], 0
+    for index in sorted(set(after)):
+        expected += _runs_gate_by_gate(gates[start:index + 1])
+        expected += [e for e in errors if e[0] == index]
+        start = index + 1
+    expected += _runs_gate_by_gate(gates[start:])
+    assert plan == expected
+    assert [type(run) for run in plan].count(sv._Error) == len(errors)
+    # A basis run that an error cuts is yielded as pieces, next to the
+    # error; no other run is.
+    for k, run in enumerate(plan):
+        if type(run) is sv._Piece:
+            assert sv._Error in {type(r) for r in plan[k - 1:k] + plan[k + 1:k + 2]}
 
 
 def test_chunk_of_mixed_layers_matches_gate_by_gate():
@@ -586,6 +624,17 @@ def test_out_of_range_gate_in_basis_run_raises():
         [Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.X, (2,)),
          Gate(GateKind.Z, (0,))]
     )
+
+
+def test_errors_past_the_last_gate_or_out_of_gate_order_raise():
+    gates = [Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))]
+    z = Gate(GateKind.Z, (0,))
+    for errors, match in (([(2, z, [0])], "gate 2, past the last of 2 gates"),
+                          ([(1, z, [0]), (0, z, [0])], "gate 0 out of gate order"),
+                          ([(-1, z, [0])], "gate -1 out of gate order")):
+        rows = zero_state(2).amplitudes.reshape(1, -1).copy()
+        with pytest.raises(ValueError, match=match):
+            apply_gates_inplace(rows, 2, gates, errors)
 
 
 def test_out_of_range_gate_in_mixing_layer_raises():
