@@ -29,13 +29,13 @@ from .protocol import (
     FidelityReport,
     build_field_schedule,
     build_protocol_circuit,
+    depth_upper_bound,
     run_scenario,
 )
 from .noise import NoiseModel, apply_measurement_error, noisy_fidelity, run_noisy
 from .analysis import (
     adiabatic_margin,
     commutator_norms,
-    depth_upper_bound,
     exact_evolve,
     per_step_error_bound,
     total_error_bound,

@@ -1,5 +1,5 @@
-"""Analytic error bounds, commutator diagnostics, exact-evolution oracles,
-and depth accounting.
+"""Analytic error bounds, commutator diagnostics and exact-evolution
+oracles.
 
 Dense constructions are restricted to small registers (<= 10 qubits); the
 bound formulas themselves are closed-form and size-independent. The exact
@@ -14,7 +14,6 @@ and exponential it is checked against stop there.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -149,32 +148,6 @@ def bound_values(params: "ProtocolParams") -> dict[str, float]:
         "total": total_error_bound(params),
         "adiabatic_margin": adiabatic_margin(params),
     }
-
-
-STEP_DEPTH = 12  # layered depth of one full step, independent of system size
-
-
-@dataclass(frozen=True)
-class DepthBound:
-    real: float
-    integer: int
-
-
-def depth_upper_bound(params: "ProtocolParams") -> DepthBound:
-    """Depth bound D = 12 (T/dt) (N_s h_para/dh + pi/Gamma).
-
-    ``real`` evaluates the formula with exact reals; ``integer`` uses the
-    same rounding conventions as the compiled schedule (nearest step count
-    per hold, ceil update and rotation counts).
-    """
-    from .protocol import braid_trotter_steps
-
-    real = (
-        STEP_DEPTH
-        * (params.T / params.dt)
-        * (params.N_s * (params.h_para / params.dh) + math.pi / params.Gamma)
-    )
-    return DepthBound(real=real, integer=STEP_DEPTH * braid_trotter_steps(params))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .protocol import (
     ProtocolParams,
     chain_config,
     compile_scenario,
+    depth_upper_bound,
     initial_fields,
     run_scenario,
 )
@@ -168,7 +169,7 @@ def cmd_run(cfg: dict[str, str], out_path: str | None, seed: int | None,
             "scenario": scenario,
             "init": init.value,
             **compiled.structure(),
-            "depth_bound": analysis.depth_upper_bound(compiled.params),
+            "depth_bound": depth_upper_bound(compiled.params),
             "params": compiled.params,
         }
     else:

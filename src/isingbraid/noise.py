@@ -36,6 +36,7 @@ from .statevector import (
     QuantumState,
     SampleCounts,
     apply_gates_inplace,
+    batch_rows_within,
     check_register,
     index_to_bitstring,
     zero_state,
@@ -44,9 +45,6 @@ from .statevector import (
 # Memory of one batch of trajectories in ``noisy_fidelity``; a batch always
 # holds at least one row.
 BATCH_BYTES = 32 << 20
-# Arrays of the batch's size that a batch holds at once: its amplitudes, the
-# executor's scratch buffer and the permuted copy a basis run takes.
-_BATCH_BUFFERS = 3
 # Memory of the uniform draws for one chunk of error slots.
 _DRAW_BYTES = 64 << 10
 _PAULIS = (GateKind.X, GateKind.Z)
@@ -171,9 +169,9 @@ def run_noisy(
 
 
 def batch_rows(n_qubits: int) -> int:
-    """Rows of a full batch: as many as ``BATCH_BYTES`` holds, counting every
-    buffer of the batch's size that it holds at once, and at least one."""
-    return max(1, BATCH_BYTES // (_BATCH_BUFFERS * (16 << n_qubits)))
+    """Rows of a full batch: as many as the executor runs within
+    ``BATCH_BYTES``, and at least one."""
+    return batch_rows_within(BATCH_BYTES, n_qubits)
 
 
 def noisy_fidelity(

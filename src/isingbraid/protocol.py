@@ -54,12 +54,11 @@ class AdiabaticityWarning(UserWarning):
     """Field updates are fast relative to the excitation gap."""
 
 
-# Most Trotter steps a schedule may have: about 12 times the OPT braid's
-# 22,030 at N_s = 22. Longer schedules are rejected before anything is built.
-MAX_TROTTER_STEPS = 1 << 18
 # Most gates the braid's evolution circuit may have: about 2.2 times the OPT
 # braid's 1,916,613 at N_s = 22. `export` peaks at about 115 bytes per gate
 # (its QASM text; `run --depth-only` at about 17), so about 480 MB here.
+# A larger braid is rejected before anything is built. A Trotter step has at
+# least 18 gates, so this also keeps a braid under 2**18 steps.
 MAX_BRAID_GATES = 1 << 22
 
 
@@ -124,15 +123,9 @@ class ProtocolParams:
         if self.coupler_prep not in COUPLER_PREPS:
             raise ValueError(f"coupler_prep must be one of {COUPLER_PREPS}")
         try:
-            steps = braid_trotter_steps(self)
+            gates = braid_gate_count(self)
         except OverflowError:  # an update or rotation count of inf
-            steps = math.inf
-        if steps > MAX_TROTTER_STEPS:
-            raise ValueError(
-                f"the braid schedule needs {steps:,} Trotter steps, more "
-                f"than the {MAX_TROTTER_STEPS:,} that can be compiled"
-            )
-        gates = braid_gate_count(self)
+            gates = math.inf
         if gates > MAX_BRAID_GATES:
             raise ValueError(
                 f"the braid circuit needs {gates:,} gates, more than the "
@@ -216,6 +209,30 @@ def braid_gate_count(params: ProtocolParams) -> int:
     one RY per coupler rotation."""
     per_step = 3 * (params.N_s - 2) + params.N_s + (5 if params.J_C else 0)
     return braid_trotter_steps(params) * per_step + rotation_count(params)
+
+
+STEP_DEPTH = 12  # layered depth of one full step, independent of system size
+
+
+@dataclass(frozen=True)
+class DepthBound:
+    real: float
+    integer: int
+
+
+def depth_upper_bound(params: ProtocolParams) -> DepthBound:
+    """Depth bound D = 12 (T/dt) (N_s h_para/dh + pi/Gamma).
+
+    ``real`` evaluates the formula with exact reals; ``integer`` uses the
+    same rounding conventions as the compiled schedule (nearest step count
+    per hold, ceil update and rotation counts).
+    """
+    real = (
+        STEP_DEPTH
+        * (params.T / params.dt)
+        * (params.N_s * (params.h_para / params.dh) + math.pi / params.Gamma)
+    )
+    return DepthBound(real=real, integer=STEP_DEPTH * braid_trotter_steps(params))
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +461,11 @@ def chain_fidelity(
     state: QuantumState, target_chain: np.ndarray, coupler_qubit: int
 ) -> float:
     """<target| rho_chain |target> with the coupler qubit traced out."""
-    idx = np.arange(state.amplitudes.size)
-    bit = (idx >> coupler_qubit) & 1
+    # The amplitudes with the coupler's bit 0 and with it 1, as two views.
+    halves = state.amplitudes.reshape(-1, 2, 1 << coupler_qubit)
     total = 0.0
     for b in (0, 1):
-        sub = state.amplitudes[bit == b]
-        total += abs(np.vdot(target_chain, sub)) ** 2
+        total += abs(np.vdot(target_chain, halves[:, b])) ** 2
     return float(min(max(total, 0.0), 1.0))
 
 

@@ -446,8 +446,8 @@ def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
 
 
 class _Piece(tuple):
-    """A piece of a basis run that an error cuts: its map is built for this
-    one use and never held in place of the map of a repeated run."""
+    """A lone basis gate or a piece of a basis run cut by an error: its map
+    is built for one use and never held in place of a repeated run's."""
 
 
 class _Error(tuple):
@@ -459,20 +459,21 @@ def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
     """Split ``gates`` lazily into runs and yield them in chunks whose
     layers' block matrices fill about ``_BLOCK_BYTES``.
 
-    A run is a maximal run of two or more basis gates (a tuple), a maximal
-    run of two or more RX, RY and H gates on distinct qubits (a layer: a
-    list of its gates sorted by qubit), or any other gate alone. A basis
-    run equal to the one before it is yielded as that same tuple. Each
-    chunk is yielded as its runs in order and its layers as (sorted qubits,
-    gates); every layer is checked against the register before its chunk
-    is yielded.
+    A run is a maximal run of basis gates (a tuple) or of RX, RY and H gates
+    on distinct qubits (a layer: a list of its gates sorted by qubit), one
+    gate long or more; only a mixing gate on a one-qubit register, whose
+    block would span it, is yielded alone. A basis run equal to the one
+    before it is yielded as that same tuple. Each chunk is yielded as its
+    runs in order and its layers as (sorted qubits, gates); every layer is
+    checked against the register before its chunk is yielded.
 
     ``errors``, (gate index, error gate, rows) in gate order, cut the runs:
     a run ends at each gate an error follows, and the errors of that gate
     come next in the chunk, each as an ``_Error``. So the runs are those
-    that each stretch of gates between two errors gives on its own. The
-    pieces of a basis run that an error cuts are yielded as ``_Piece`` and
-    never become the run that the next gates are compared with.
+    that each stretch of gates between two errors gives on its own. Lone
+    basis gates and the pieces of a basis run that an error cuts are
+    yielded as ``_Piece`` and never become the run that the next gates are
+    compared with.
     """
     chunk: list = []
     layers: list = []
@@ -499,9 +500,7 @@ def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
             else:
                 while j < stop and gates[j].kind in _BASIS_KINDS:
                     j += 1
-                if j - i < 2:
-                    chunk.append(first)
-                elif (i == cut and i and gates[i - 1].kind in _BASIS_KINDS
+                if (j - i < 2 or i == cut and i and gates[i - 1].kind in _BASIS_KINDS
                         or j < count and j == stop and gates[j].kind in _BASIS_KINDS):
                     chunk.append(_Piece(gates[i:j]))
                 else:
@@ -515,7 +514,7 @@ def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
                     break
                 seen.add(gate.qubits[0])
                 j += 1
-            if j - i < 2:
+            if j - i < 2 and n_qubits == 1:
                 chunk.append(first)
             else:
                 layer = sorted(gates[i:j], key=_QUBITS)
@@ -560,18 +559,18 @@ def apply_gates_inplace(
     it hits), in gate order, as ``noise.draw_errors`` yields them: each is
     applied to its rows just after the gate of its index.
 
-    Two kinds of run are fused. Each maximal run of two or more basis gates
-    (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of the
-    most recent run is kept for the next run, so a run repeated step after
-    step is built once. Each maximal run of two or more RX, RY and H gates on
-    distinct qubits is applied as one layer of dense blocks. An error ends
-    the run its gate is in, so the runs are those of the stretches between
-    the errors; the pieces of a basis run it cuts are built for that use
-    alone and the kept map stays. The runs are planned a chunk at a time
-    (see ``_chunks``): the blocks of all layers of a chunk are built
-    together, then the chunk's runs are applied in order. A lone CNOT goes
-    through its per-gate kernel and any other lone gate is applied as a
-    layer of one block. A run is checked in full before any row changes;
+    Every gate is applied in a run. Each maximal run of basis gates (CNOT,
+    X, Z, RZ) is applied as one phase-permutation; the map of the most
+    recent run of two or more is kept for the next run, so a run repeated
+    step after step is built once. Each maximal run of RX, RY and H gates
+    on distinct qubits is applied as one layer of dense blocks. Only a
+    mixing gate on a one-qubit register goes through its per-gate kernel.
+    An error ends the run its gate is in, so the runs are those of the
+    stretches between the errors; the map of a lone basis gate or of a
+    piece of a cut run is built for that use alone and the kept map stays.
+    The runs are planned a chunk at a time (see ``_chunks``): the blocks of
+    all layers of a chunk are built together, then the chunk's runs are
+    applied in order. A run is checked in full before any row changes;
     an error past the last gate or out of gate order raises ValueError when
     the runs reach it.
 
@@ -579,13 +578,12 @@ def apply_gates_inplace(
     register's S frame (see ``_layer_blocks``). The rows enter it before a
     layer and stay in it across diagonal basis runs, which commute with it,
     so a call of Trotter steps enters it once. They leave it before a
-    permuting basis run, a lone gate or an error and at the end of the call,
-    a failed check included. The diagonal is applied as ``phase * rows``,
+    permuting basis run or an error and at the end of the call, a failed
+    check included. The diagonal is applied as ``phase * rows``,
     phase first: in that operand order ``phase * (f * a) * conj(f)`` equals
     ``phase * a`` bit for bit for every power of i ``f``, so where the frame
     is entered and left does not change a bit of the result.
     """
-    flat = rows.reshape(-1)
     scratch = None
     last_run, last_map = (), None
     into = back = None
@@ -627,19 +625,20 @@ def apply_gates_inplace(
                     sub = rows[hit]
                     apply_gate_inplace(sub.reshape(-1), n_qubits, error)
                     rows[hit] = sub
-                # On one qubit the block would span the register, which
-                # ``_block_plan`` never lets a block do (see there).
-                elif part.kind is GateKind.CNOT or n_qubits == 1:
-                    apply_gate_inplace(flat, n_qubits, part)
                 else:
-                    _check_range(part, n_qubits)
-                    if scratch is None:
-                        scratch = np.empty_like(rows)
-                    block = (part.qubits[0], 2, gate_matrix(part))
-                    _apply_blocks(rows, scratch, [block])
+                    # A mixing gate on one qubit, whose block would span the
+                    # register, which ``_block_plan`` never lets a block do.
+                    apply_gate_inplace(rows.reshape(-1), n_qubits, part)
     finally:
         if inside:
             _frame_multiply(rows, back)
+
+
+def batch_rows_within(nbytes: int, n_qubits: int) -> int:
+    """Rows, at least one, of the largest batch that ``apply_gates_inplace``
+    runs within ``nbytes``: the rows, its scratch buffer and the permuted
+    copy a basis run takes, and a chunk's block matrices (``_BLOCK_BYTES``)."""
+    return max(1, (nbytes - _BLOCK_BYTES) // (3 * (16 << n_qubits)))
 
 
 def run(state: QuantumState, circuit: Circuit) -> QuantumState:

@@ -19,7 +19,6 @@ from isingbraid.analysis import (
     commutator_norms,
     dense_hamiltonian,
     dense_summands,
-    depth_upper_bound,
     exact_evolve,
     expm_hermitian,
     operator_norm,
@@ -33,6 +32,7 @@ from isingbraid.protocol import (
     build_field_schedule,
     chain_fidelity,
     compile_scenario,
+    depth_upper_bound,
     domain_amplitudes,
     initialization_circuit,
     readout_counts,

@@ -5,13 +5,11 @@ import pytest
 
 from isingbraid import analysis
 from isingbraid.analysis import (
-    STEP_DEPTH,
     adiabatic_margin,
     commutator_bounds,
     commutator_norms,
     dense_hamiltonian,
     dense_summands,
-    depth_upper_bound,
     exact_evolve,
     expm_hermitian,
     operator_norm,
@@ -21,12 +19,14 @@ from isingbraid.analysis import (
 )
 from isingbraid.circuit import Gate, GateKind
 from isingbraid.protocol import (
+    STEP_DEPTH,
     FieldSchedule,
     LogicalLabel,
     ProtocolParams,
     RotateCoupler,
     SetFields,
     chain_config,
+    depth_upper_bound,
     initial_fields,
     walk_schedule,
 )

@@ -97,10 +97,10 @@ def test_schedule_too_long_to_compile_is_exit_2(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(protocol, "build_field_schedule", refuse)
     cfg = write_cfg(tmp_path, line + "\n")
     assert main(["run", "--config", cfg]) == 2
-    assert "Trotter steps" in capsys.readouterr().err
+    assert "gates, more than the" in capsys.readouterr().err
 
 
-# About 6.4e9 gates in 40,003 steps: under the step limit, over the gate one.
+# About 6.4e9 gates in 40,003 steps.
 MANY_GATES_CFG = "N_s = 40000\ndh = 4.99\nT = 0.2\ndt = 0.2\n"
 
 

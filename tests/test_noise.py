@@ -370,9 +370,10 @@ def test_batched_trajectory_estimator_is_unbiased():
 def test_noisy_fidelity_batches_stay_within_row_budget(monkeypatch):
     import isingbraid.noise as noise
 
-    # Room for two rows and the buffers of their size that a batch holds.
+    # Room for two rows: three arrays of the batch's size and the
+    # executor's chunk of block matrices.
     monkeypatch.setattr(noise, "BATCH_BYTES",
-                        2 * noise._BATCH_BUFFERS * (16 << FAST.n_qubits))
+                        sv._BLOCK_BYTES + 2 * 3 * (16 << FAST.n_qubits))
     sizes = []
 
     def recording(circuit, initial, model, rows, rng):
@@ -393,12 +394,13 @@ def test_full_batch_peaks_within_the_batch_budget(monkeypatch):
     import isingbraid.noise as noise
 
     # The whole EFF braid: fused layers and basis runs, and the coupler
-    # rotations, lone gates that go through the executor's scratch buffer.
+    # rotations, one-gate layers that go through the executor's scratch
+    # buffer.
     p = ProtocolParams(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)
     circuit = compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
     monkeypatch.setattr(noise, "BATCH_BYTES", 4 << 20)
     rows = noise.batch_rows(p.n_qubits)
-    assert rows == (4 << 20) // (3 * (16 << p.n_qubits))
+    assert rows == ((4 << 20) - sv._BLOCK_BYTES) // (3 * (16 << p.n_qubits))
     model = NoiseModel(eps_bitflip=1e-5, eps_phase=1e-5)
     initial = zero_state(p.n_qubits)
     # One row first, so that the executor's caches are not counted.

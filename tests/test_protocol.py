@@ -76,18 +76,6 @@ def test_params_validation():
     assert ProtocolParams(J_C=0.0).J_C == 0.0
 
 
-def test_params_reject_schedules_too_long_to_compile(monkeypatch):
-    from isingbraid import protocol
-
-    assert braid_trotter_steps(ProtocolParams(N_s=22)) == 22030
-    # OPT has 6,030 steps: accepted at that limit, rejected one below.
-    monkeypatch.setattr(protocol, "MAX_TROTTER_STEPS", 6030)
-    ProtocolParams()
-    monkeypatch.setattr(protocol, "MAX_TROTTER_STEPS", 6029)
-    with pytest.raises(ValueError, match="6,030 Trotter steps"):
-        ProtocolParams()
-
-
 @pytest.mark.parametrize("N_s", [6, 10])
 @pytest.mark.parametrize(
     "row", [{}, dict(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)], ids=["OPT", "EFF"]
@@ -113,12 +101,18 @@ def test_params_reject_circuits_too_large_to_compile(monkeypatch):
     from isingbraid import protocol
 
     # OPT at N_s = 22 is accepted: 22,030 steps of 87 gates, three rotations.
+    assert braid_trotter_steps(ProtocolParams(N_s=22)) == 22030
     assert braid_gate_count(ProtocolParams(N_s=22)) == 1_916_613
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
-        # 40,003 steps, under the step limit, of 159,999 gates each.
+        # 40,003 steps of 159,999 gates each.
         with pytest.raises(ValueError, match="6,400,440,000 gates"):
             ProtocolParams(N_s=40000, dh=4.99, T=0.2, dt=0.2)
+        # 5e9 steps per hold; and an update count that overflows a float.
+        with pytest.raises(ValueError, match="gates, more than the"):
+            ProtocolParams(T=1e9)
+        with pytest.raises(ValueError, match="needs inf gates"):
+            ProtocolParams(dh=5e-324)
     # OPT has 138,693 gates: accepted at that limit, rejected one below.
     monkeypatch.setattr(protocol, "MAX_BRAID_GATES", 138_693)
     ProtocolParams()
@@ -272,6 +266,32 @@ def test_chain_fidelity_traces_out_coupler():
     assert chain_fidelity(flipped, tgt, 3) == pytest.approx(
         chain_fidelity(state, tgt, 3), abs=1e-12
     )
+
+
+def _chain_fidelity_by_masks(state, target_chain, coupler_qubit):
+    """``chain_fidelity`` with the coupler's halves picked out by boolean
+    masks over the basis indices."""
+    bit = (np.arange(state.amplitudes.size) >> coupler_qubit) & 1
+    total = 0.0
+    for b in (0, 1):
+        total += abs(np.vdot(target_chain, state.amplitudes[bit == b])) ** 2
+    return float(min(max(total, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("n_s", [6, 10, 14])
+def test_chain_fidelity_equals_its_mask_form_bit_for_bit(n_s):
+    p = ProtocolParams(N_s=n_s)
+    rng = np.random.default_rng(n_s)
+    for label in LogicalLabel:
+        a, b = domain_amplitudes(label, 0.7)
+        tgt = target_chain_state(p, a, b)
+        amps = run(zero_state(p.n_qubits), target_prep_circuit(p, a, b)).amplitudes
+        noise = rng.normal(size=amps.size) + 1j * rng.normal(size=amps.size)
+        amps = amps + 0.3 * noise / math.sqrt(amps.size)
+        state = QuantumState(p.n_qubits, amps / np.linalg.norm(amps))
+        got = chain_fidelity(state, tgt, p.coupler_qubit)
+        assert 0.5 < got < 1.0
+        assert got == _chain_fidelity_by_masks(state, tgt, p.coupler_qubit)
 
 
 def test_resolve_scenario():

@@ -392,7 +392,27 @@ def test_held_frame_matches_gate_by_gate_and_one_row_runs(monkeypatch, n_s):
                  Gate(GateKind.RZ, (2,), 0.3))
     lone = (Gate(GateKind.RY, (n // 2,), 0.8),)
     gates = step + step + other + step + permuting + lone + step + step
-    batch = np.stack([random_state(n, seed).amplitudes for seed in (1, 2, 3)])
+    # In at the first layer; out before the permuting run; in at the next
+    # layer and out at the end of the call.
+    assert _frame_passes_of_checked_run(monkeypatch, n, gates, (1, 2, 3)) == 1 + 1 + 2
+
+
+def test_coupler_rotation_between_steps_stays_in_the_frame(monkeypatch):
+    # The braid's coupler RY between Trotter steps is a layer of one gate,
+    # applied inside the frame like the steps' Zeeman layers.
+    n_s = sv._REAL_QUBITS
+    cfg = ChainConfig(n_s // 2, 1.0, 0.3, tuple(np.linspace(0.2, 1.6, n_s)))
+    step = trotter_step_circuit(cfg, 0.4).gates
+    gates = step + step + (Gate(GateKind.RY, (cfg.chain_len,), 0.7),) + step + step
+    # In at the first layer and out at the end of the call.
+    assert _frame_passes_of_checked_run(monkeypatch, cfg.n_qubits, gates, (6, 7)) == 2
+
+
+def _frame_passes_of_checked_run(monkeypatch, n, gates, seeds):
+    """Run ``gates`` on a batch of random states, one per seed; check it
+    against the per-gate kernels and each row against its one-row run, and
+    return how many frame passes the batch run made."""
+    batch = np.stack([random_state(n, seed).amplitudes for seed in seeds])
     expected = batch.copy()
     for gate in gates:
         apply_gate_inplace(expected.reshape(-1), n, gate)
@@ -404,9 +424,7 @@ def test_held_frame_matches_gate_by_gate_and_one_row_runs(monkeypatch, n_s):
     assert np.allclose(batch, expected, rtol=0, atol=1e-12)
     for single, row in zip(singles, batch):
         assert np.array_equal(single.amplitudes, row)
-    # In at the first layer; out before the permuting run; in at the next
-    # layer and out at the end of the call.
-    assert len(passes) == 1 + 1 + 2
+    return len(passes)
 
 
 def test_trotter_step_at_14_sites_matches_gate_by_gate():
@@ -476,12 +494,14 @@ def test_chunk_budget_does_not_change_the_result(monkeypatch):
 def _check_chunk_budget(monkeypatch, n_s):
     n, gates = _short_braid(n_s)
     batch = np.stack([random_state(n, seed).amplitudes for seed in (5, 6)])
-    # All six layers share one chunk. At N_s = 12 their blocks pass the
-    # budget, so the final coupler ladder starts a second chunk.
+    # All seven layers, the lone RY's included, share one chunk. At N_s = 12
+    # their blocks pass the budget, so the final coupler ladder starts a
+    # second chunk.
     chunks = list(sv._chunks(gates, n))
-    assert [len(layers) for _, layers in chunks] == ([6] if n_s == 6 else [6, 0])
+    assert [len(layers) for _, layers in chunks] == ([7] if n_s == 6 else [7, 0])
     # The Trotter layers' blocks above qubit 0 are real from the threshold
-    # up, complex below. The init layer's H factors are complex in the frame.
+    # up, complex below. The init layer's H factors and the RY are complex
+    # in the frame.
     layers = chunks[0][1]
     real = {}
     for (_, layer), blocks in zip(layers, sv._layer_blocks(layers, n)):
@@ -494,7 +514,7 @@ def _check_chunk_budget(monkeypatch, n_s):
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 1)
     # The last chunk holds the final coupler ladder alone.
     layers_per_chunk = [len(layers) for _, layers in sv._chunks(gates, n)]
-    assert layers_per_chunk == [1] * 6 + [0]
+    assert layers_per_chunk == [1] * 7 + [0]
     one_layer = batch.copy()
     apply_gates_inplace(one_layer, n, gates)
     assert np.array_equal(one_layer, default)
@@ -502,7 +522,7 @@ def _check_chunk_budget(monkeypatch, n_s):
     # A cut at a boundary between two runs gives the same bits; a cut inside
     # a run changes what is fused, and so only the rounding.
     parts = [part for chunk, _ in sv._chunks(gates, n) for part in chunk]
-    bounds = np.cumsum([0] + [1 if isinstance(p, Gate) else len(p) for p in parts])
+    bounds = np.cumsum([0] + [len(p) for p in parts])
     assert len(bounds) == 15 and bounds[-1] == len(gates)
     for cut in range(len(gates) + 1):
         split = batch.copy()
@@ -529,9 +549,7 @@ def _runs_gate_by_gate(gates):
                    and gates[j].qubits[0] not in seen):
                 seen.add(gates[j].qubits[0])
                 j += 1
-        if j - i < 2:
-            runs.append(gates[i])
-        elif gates[i].kind in sv._MIXING_KINDS:
+        if gates[i].kind in sv._MIXING_KINDS:
             runs.append(sorted(gates[i:j], key=lambda g: g.qubits))
         else:
             runs.append(tuple(gates[i:j]))
@@ -590,10 +608,11 @@ def test_errors_cut_the_plan_into_the_runs_of_their_stretches(pieces, data):
     assert plan == expected
     assert [type(run) for run in plan].count(sv._Error) == len(errors)
     # A basis run that an error cuts is yielded as pieces, next to the
-    # error; no other run is.
+    # error, and so is a basis run of one gate; no other run is.
     for k, run in enumerate(plan):
-        if type(run) is sv._Piece:
+        if type(run) is sv._Piece and len(run) > 1:
             assert sv._Error in {type(r) for r in plan[k - 1:k] + plan[k + 1:k + 2]}
+        assert type(run) is not tuple or len(run) > 1
 
 
 def test_chunk_of_mixed_layers_matches_gate_by_gate():
@@ -602,7 +621,8 @@ def test_chunk_of_mixed_layers_matches_gate_by_gate():
     gates += (Gate(GateKind.H, (0,)), Gate(GateKind.RY, (2,), 0.4),
               Gate(GateKind.RX, (6,), -1.1))
     [(_, layers)] = sv._chunks(gates, n)
-    assert len({qubits for qubits, _ in layers}) == 3
+    # The init layer, the Trotter layers, the lone RY and the new layer.
+    assert len({qubits for qubits, _ in layers}) == 4
     state = random_state(n, 7)
     expected = state.amplitudes.copy()
     for gate in gates:
