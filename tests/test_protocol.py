@@ -97,22 +97,37 @@ def test_closed_form_gate_count_matches_the_braid_circuit(row):
     assert braid_gate_count(params) == len(run_.evolution_circuit.gates)
 
 
+def test_params_reject_schedules_too_long_to_compile(monkeypatch):
+    from isingbraid import protocol
+
+    # OPT at N_s = 22 is accepted: 22,030 Trotter steps.
+    assert braid_trotter_steps(ProtocolParams(N_s=22)) == 22030
+    # A step has at least 18 gates (N_s = 6, no coupler), so a schedule of
+    # more than 2**18 steps is over the gate cap.
+    monkeypatch.setattr(protocol, "MAX_BRAID_GATES", 1 << 40)
+    assert braid_trotter_steps(ProtocolParams(T=87.0, J_C=0.0)) > 1 << 18
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="4,721,493 gates"):
+        ProtocolParams(T=87.0, J_C=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        # 5e9 steps per hold; and an update count that overflows a float.
+        with pytest.raises(ValueError, match="gates, more than the"):
+            ProtocolParams(T=1e9)
+        with pytest.raises(ValueError, match="needs inf gates"):
+            ProtocolParams(dh=5e-324)
+
+
 def test_params_reject_circuits_too_large_to_compile(monkeypatch):
     from isingbraid import protocol
 
     # OPT at N_s = 22 is accepted: 22,030 steps of 87 gates, three rotations.
-    assert braid_trotter_steps(ProtocolParams(N_s=22)) == 22030
     assert braid_gate_count(ProtocolParams(N_s=22)) == 1_916_613
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         # 40,003 steps of 159,999 gates each.
         with pytest.raises(ValueError, match="6,400,440,000 gates"):
             ProtocolParams(N_s=40000, dh=4.99, T=0.2, dt=0.2)
-        # 5e9 steps per hold; and an update count that overflows a float.
-        with pytest.raises(ValueError, match="gates, more than the"):
-            ProtocolParams(T=1e9)
-        with pytest.raises(ValueError, match="needs inf gates"):
-            ProtocolParams(dh=5e-324)
     # OPT has 138,693 gates: accepted at that limit, rejected one below.
     monkeypatch.setattr(protocol, "MAX_BRAID_GATES", 138_693)
     ProtocolParams()
