@@ -68,13 +68,15 @@ from isingbraid import analysis  # noqa: E402
 from isingbraid.analysis import exact_evolve  # noqa: E402
 from isingbraid.circuit import Circuit, GateKind  # noqa: E402
 from isingbraid.protocol import (  # noqa: E402
-    FieldSchedule,
     LogicalLabel,
     ProtocolParams,
-    build_field_schedule,
     build_protocol_circuit,
-    chain_config,
     compile_scenario,
+)
+from isingbraid.schedule import (  # noqa: E402
+    FieldSchedule,
+    build_field_schedule,
+    chain_config,
     count_trotter_steps,
     initial_fields,
     walk_schedule,

@@ -27,11 +27,11 @@ from .protocol import (
     LogicalLabel,
     ProtocolParams,
     FidelityReport,
-    build_field_schedule,
     build_protocol_circuit,
     depth_upper_bound,
     run_scenario,
 )
+from .schedule import build_field_schedule
 from .noise import NoiseModel, apply_measurement_error, noisy_fidelity, run_noisy
 from .analysis import (
     adiabatic_margin,

@@ -1,10 +1,12 @@
 """Analytic error bounds, commutator diagnostics and exact-evolution
 oracles.
 
-Dense constructions are restricted to small registers (<= 10 qubits); the
-bound formulas themselves are closed-form and size-independent. The exact
-oracle, ``exact_evolve``, is matrix-free: it applies exp(-i H t) to the
-state by a Chebyshev expansion, whose spectral interval comes from
+Dense constructions are restricted to small registers (at most
+``MAX_DENSE_QUBITS``); the bound formulas themselves are closed-form and
+size-independent. The exact oracle, ``exact_evolve``, follows the field
+schedule by the same walk (``schedule.walk_schedule``) as the gate
+compiler. It is matrix-free: it applies exp(-i H t) to the state by a
+Chebyshev expansion, whose spectral interval comes from
 Gershgorin's bound and whose Bessel coefficients from Miller's backward
 recurrence, and never builds H. The vectors of the expansion's three-term
 recurrence are written in place, block by block, into one work array
@@ -20,11 +22,22 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circuit import Gate, GateKind
-from .statevector import MAX_DENSE_QUBITS, QuantumState, apply_gate_inplace
+from .schedule import (
+    FieldSchedule,
+    RotateCoupler,
+    chain_config,
+    initial_fields,
+    walk_schedule,
+)
+from .statevector import QuantumState, apply_gate_inplace
 from .trotter import ChainConfig, first_layer_pairs, second_layer_pairs, zz_terms
 
 if TYPE_CHECKING:
-    from .protocol import FieldSchedule, ProtocolParams
+    from .protocol import ProtocolParams
+
+# Largest register the dense constructions, and the oracle checked against
+# them, are built for.
+MAX_DENSE_QUBITS = 10
 
 _I2 = np.eye(2, dtype=complex)
 _PAULI = {
@@ -316,9 +329,10 @@ def exact_evolve(
 ) -> "QuantumState":
     """Trotter-free reference: piecewise-constant exact evolution.
 
-    Walks the compiled schedule as ``build_protocol_circuit`` does and
-    applies exp(-i H(f) t) to the state, matrix-free, by one Chebyshev
-    expansion per row of fields of each walked hold (``_chebyshev_expm``):
+    Follows ``walk_schedule``, as the gate compiler
+    (``protocol.build_protocol_circuit``) does, and applies exp(-i H(f) t)
+    to the state, matrix-free, by one Chebyshev expansion per row of
+    fields of each walked hold (``_chebyshev_expm``):
     t is the row's repeat count times dt, so dt for a ``linear`` step and
     the whole hold for a ``stepped`` one, at whose fields H is constant.
     Each coupler rotation is one RY gate. H is never
@@ -336,27 +350,23 @@ def exact_evolve(
     independent of the number of terms). The register stays capped at
     ``MAX_DENSE_QUBITS``
     because the cross-checks of this oracle (``dense_hamiltonian``,
-    ``expm_hermitian``) and every test that compares against it are dense;
-    every field set of the schedule is checked before anything is
-    allocated.
+    ``expm_hermitian``) and every test that compares against it are dense.
+    The call of the walk checks every field set of the schedule before
+    anything is allocated, and each hold's arguments x = r * repeats * dt
+    are checked to be finite before its first expansion.
     """
-    from .protocol import RotateCoupler, chain_config, initial_fields, walk_schedule
-
     if params.N_s + 1 > MAX_DENSE_QUBITS:
         raise ValueError("exact evolution limited to small registers")
     if initial.n_qubits != params.N_s + 1:
         raise ValueError("register mismatch")
     cfg = chain_config(params, initial_fields(params))
-    for event in schedule.events:
-        if not isinstance(event, RotateCoupler):
-            chain_config(params, event.fields)
-
+    entries = walk_schedule(params, schedule)
     d, flips = _diagonal_and_flips(cfg)
     d_max = float(np.abs(d).max())
     n = initial.n_qubits
     work = np.empty((_block_rows(n) + 2, 1 << n), dtype=complex)
     amps = initial.amplitudes.copy()
-    for item in walk_schedule(params, schedule):
+    for item in entries:
         if isinstance(item, RotateCoupler):
             apply_gate_inplace(
                 amps, n, Gate(GateKind.RY, (params.coupler_qubit,), item.angle)
@@ -364,9 +374,13 @@ def exact_evolve(
             continue
         rows, repeats = item
         radii = d_max + np.abs(rows).sum(axis=1)
-        scaled = (rows * (2.0 / radii)[:, None]).astype(complex)
-        for r, h2 in zip(radii.tolist(), scaled):
-            amps = _chebyshev_expm(
-                work, amps, d * (2.0 / r), h2, flips, r * repeats * params.dt
+        xs = radii * repeats * params.dt
+        if not np.isfinite(xs).all():
+            raise ValueError(
+                "exact evolution needs a finite Chebyshev argument r * t for "
+                f"every step of a hold, got {xs.max()}"
             )
+        scaled = (rows * (2.0 / radii)[:, None]).astype(complex)
+        for r, x, h2 in zip(radii.tolist(), xs.tolist(), scaled):
+            amps = _chebyshev_expm(work, amps, d * (2.0 / r), h2, flips, x)
     return QuantumState(n, amps)

@@ -253,6 +253,3 @@ def to_qasm(circuit: Circuit) -> str:
         else:
             lines.append(f"{g.kind.value} q[{g.qubits[0]}];")
     return "\n".join(lines) + "\n"
-
-
-QASM_HEADER_LINES = 3

@@ -21,18 +21,18 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis
+from .analysis import MAX_DENSE_QUBITS
 from .circuit import to_qasm
 from .protocol import (
     SCENARIOS,
     LogicalLabel,
     ProtocolParams,
-    chain_config,
     compile_scenario,
     depth_upper_bound,
-    initial_fields,
     run_scenario,
 )
-from .statevector import MAX_DENSE_QUBITS, RegisterSizeError, check_register
+from .schedule import chain_config, initial_fields
+from .statevector import RegisterSizeError, check_register
 
 
 class ConfigError(ValueError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -67,17 +67,10 @@ class NoiseModel:
     eps_phase_2q: float | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "eps_bitflip",
-            "eps_phase",
-            "eps_bitflip_1q",
-            "eps_bitflip_2q",
-            "eps_phase_1q",
-            "eps_phase_2q",
-        ):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 0.5:
-                raise ValueError(f"{name} = {v} outside [0, 0.5]")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name.startswith("eps_") and v is not None and not 0.0 <= v <= 0.5:
+                raise ValueError(f"{f.name} = {v} outside [0, 0.5]")
         if self.trajectories < 1:
             raise ValueError("trajectories must be >= 1")
 

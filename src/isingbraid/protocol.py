@@ -2,17 +2,17 @@
 transport, mid-protocol coupler rotation, return transport, and logical
 readout.
 
-The ferromagnetic domain (sites with weak transverse field) starts on the
-far left chain, is walked site-by-site to the right chain by simultaneous
-extend/contract field updates, optionally picks up a coupler rotation, and
-is walked back. Fidelity is measured against the expected chain state with
-the coupler traced out.
+The transport and rotation follow the field schedule of ``schedule``; this
+module holds the protocol's parameters and their closed-form braid counts,
+compiles the walked schedule into Trotter steps, and prepares the initial
+and target states of each scenario. Fidelity is measured against the
+expected chain state with the coupler traced out.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 
@@ -36,7 +36,19 @@ from .statevector import (
     sample,
     zero_state,
 )
-from .trotter import ChainConfig, extend_trotter_steps
+from .schedule import (
+    FieldSchedule,
+    RotateCoupler,
+    build_field_schedule,
+    chain_config,
+    count_trotter_steps,
+    initial_fields,
+    rotation_count,
+    steps_per_hold,
+    updates_per_shift,
+    walk_schedule,
+)
+from .trotter import extend_trotter_steps
 
 SCENARIOS = ("translate_no_coupler", "translate_with_coupler", "braid")
 COUPLER_PREPS = ("RX_half_pi", "H", "RY_half_pi")
@@ -162,38 +174,6 @@ class ProtocolParams:
         return tuple(q for q in range(self.n_qubits) if q != self.coupler_qubit)
 
 
-def initial_fields(params: ProtocolParams) -> tuple[float, ...]:
-    """Ferromagnetic domain on the left chain, paramagnetic elsewhere."""
-    half = params.chain_len
-    return (params.h_ferro,) * half + (params.h_para,) * half
-
-
-def chain_config(params: ProtocolParams, fields) -> ChainConfig:
-    return ChainConfig(
-        chain_len=params.chain_len,
-        J=params.J,
-        J_C=params.J_C,
-        fields=tuple(fields),
-    )
-
-
-def updates_per_shift(params: ProtocolParams) -> int:
-    """Field updates needed to move the domain boundary by one site."""
-    return math.ceil((params.h_para - params.h_ferro) / params.dh)
-
-
-def rotation_count(params: ProtocolParams) -> int:
-    return math.ceil(params.theta / params.Gamma) if params.theta > 0 else 0
-
-
-def steps_per_hold(params: ProtocolParams, hold: float | None = None) -> int:
-    """Trotter steps per hold period: nearest integer, at least 1."""
-    hold = params.T if hold is None else hold
-    if hold < params.dt:
-        raise ValueError("sub-step holds unsupported (hold < dt)")
-    return max(1, round(hold / params.dt))
-
-
 def braid_trotter_steps(params: ProtocolParams) -> int:
     """Trotter steps of the braid schedule, the longest scenario, in closed
     form: steps per hold x (N_s updates per shift + rotation count)."""
@@ -236,113 +216,7 @@ def depth_upper_bound(params: ProtocolParams) -> DepthBound:
 
 
 # ---------------------------------------------------------------------------
-# Field schedule
-
-
-@dataclass(frozen=True)
-class SetFields:
-    fields: tuple[float, ...]
-    hold: float
-
-
-@dataclass(frozen=True)
-class RotateCoupler:
-    angle: float
-
-
-@dataclass(frozen=True)
-class FieldSchedule:
-    events: tuple = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def build_field_schedule(
-    params: ProtocolParams, include_rotation: bool
-) -> FieldSchedule:
-    """Rightward shifts, optional stepwise coupler rotation, leftward shifts.
-
-    Each shift consists of simultaneous extend/contract updates of the two
-    domain-boundary fields by dh, clamped to [h_ferro, h_para], each held
-    for T. Rotation events split theta into ceil(theta/Gamma) increments,
-    each followed by one hold at fixed fields.
-    """
-    half = params.chain_len
-    n_updates = updates_per_shift(params)
-    fields = list(initial_fields(params))
-    events: list = []
-
-    def clamp(h: float) -> float:
-        return min(max(h, params.h_ferro), params.h_para)
-
-    def shift(entering: int, leaving: int) -> None:
-        for _ in range(n_updates):
-            fields[entering] = clamp(fields[entering] - params.dh)
-            fields[leaving] = clamp(fields[leaving] + params.dh)
-            events.append(SetFields(tuple(fields), params.T))
-        # Clamping guarantees exact endpoint values after the final update.
-        fields[entering] = params.h_ferro
-        fields[leaving] = params.h_para
-
-    for s in range(half):  # domain occupies sites [s, s + half - 1]
-        shift(entering=s + half, leaving=s)
-
-    if include_rotation and params.theta > 0:
-        k = rotation_count(params)
-        for step in range(k):
-            angle = (
-                params.Gamma
-                if step < k - 1
-                else params.theta - (k - 1) * params.Gamma
-            )
-            events.append(RotateCoupler(angle))
-            events.append(SetFields(tuple(fields), params.T))
-
-    for s in range(half, 0, -1):  # domain occupies sites [s, s + half - 1]
-        shift(entering=s - 1, leaving=s + half - 1)
-
-    return FieldSchedule(tuple(events))
-
-
-def count_trotter_steps(params: ProtocolParams, schedule: FieldSchedule) -> int:
-    return sum(
-        steps_per_hold(params, ev.hold)
-        for ev in schedule.events
-        if isinstance(ev, SetFields)
-    )
-
-
-def walk_schedule(params: ProtocolParams, schedule: FieldSchedule):
-    """Yield each coupler rotation as is and each hold once, as
-    (step fields, repeat count): the step fields are a ``(k, N_s)`` array,
-    one row per distinct Trotter step of the hold, and each row stands for
-    ``repeats`` steps in a row.
-
-    A ``stepped`` hold is one row, the event's fields, repeated for every
-    Trotter step of the hold; a ``linear`` hold is one row per step, at
-    fields interpolated from the previous hold's towards the event's, each
-    taken once. Every hold must give one field per chain site; that is
-    checked for the whole schedule before the first entry is yielded.
-    """
-    for event in schedule.events:
-        if not isinstance(event, RotateCoupler) and len(event.fields) != params.N_s:
-            raise ValueError(
-                f"need {params.N_s} field values, got {len(event.fields)}"
-            )
-    prev = np.asarray(initial_fields(params), dtype=float)
-    for event in schedule.events:
-        if isinstance(event, RotateCoupler):
-            yield event
-            continue
-        n_steps = steps_per_hold(params, event.hold)
-        target = np.asarray(event.fields, dtype=float)
-        if params.update_mode == "linear":
-            m = np.arange(1, n_steps + 1)
-            yield prev + (m / n_steps)[:, None] * (target - prev), 1
-        else:
-            yield target[None, :], n_steps
-        prev = target
+# Compilation
 
 
 def build_protocol_circuit(

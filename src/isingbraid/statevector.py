@@ -16,7 +16,6 @@ import numpy as np
 from .circuit import _QUBITS, Circuit, Gate, GateKind
 
 MAX_QUBITS = 26
-MAX_DENSE_QUBITS = 10
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)

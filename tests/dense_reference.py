@@ -3,9 +3,9 @@ circuit built gate by gate, the distance of two unitaries up to global
 phase, and the Zeeman layer of a Trotter step as a circuit of its own."""
 import numpy as np
 
-from isingbraid.analysis import operator_norm
+from isingbraid.analysis import MAX_DENSE_QUBITS, operator_norm
 from isingbraid.circuit import Circuit, CircuitError, Gate, GateKind
-from isingbraid.statevector import MAX_DENSE_QUBITS, apply_gate_inplace
+from isingbraid.statevector import apply_gate_inplace
 from isingbraid.trotter import ChainConfig
 
 

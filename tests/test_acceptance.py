@@ -29,7 +29,6 @@ from isingbraid.noise import NoiseModel, apply_measurement_error, noisy_fidelity
 from isingbraid.protocol import (
     LogicalLabel,
     ProtocolParams,
-    build_field_schedule,
     chain_fidelity,
     compile_scenario,
     depth_upper_bound,
@@ -40,6 +39,7 @@ from isingbraid.protocol import (
     sampled_fidelity_from_counts,
     target_chain_state,
 )
+from isingbraid.schedule import build_field_schedule
 from isingbraid.statevector import run, zero_state
 from isingbraid.trotter import ChainConfig, trotter_step_circuit
 

@@ -5,6 +5,7 @@ import pytest
 
 from isingbraid import analysis
 from isingbraid.analysis import (
+    MAX_DENSE_QUBITS,
     adiabatic_margin,
     commutator_bounds,
     commutator_norms,
@@ -20,18 +21,19 @@ from isingbraid.analysis import (
 from isingbraid.circuit import Gate, GateKind
 from isingbraid.protocol import (
     STEP_DEPTH,
-    FieldSchedule,
     LogicalLabel,
     ProtocolParams,
+    depth_upper_bound,
+)
+from isingbraid.schedule import (
+    FieldSchedule,
     RotateCoupler,
     SetFields,
     chain_config,
-    depth_upper_bound,
     initial_fields,
     walk_schedule,
 )
 from isingbraid.statevector import (
-    MAX_DENSE_QUBITS,
     QuantumState,
     apply_gate_inplace,
     fidelity,
@@ -152,7 +154,8 @@ def test_exact_evolve_single_hold_vs_trotter_steps():
     initial = zero_state(p.n_qubits)
     exact = exact_evolve(sched, p, initial)
     # 10 Trotter steps at the same fields
-    from isingbraid.protocol import build_protocol_circuit, chain_config
+    from isingbraid.protocol import build_protocol_circuit
+    from isingbraid.schedule import chain_config
     from isingbraid.statevector import run
 
     circ = build_protocol_circuit(p, sched)
@@ -172,7 +175,8 @@ def test_linear_multi_event_schedule_gate_level_matches_exact():
     import warnings
     from dataclasses import replace
 
-    from isingbraid.protocol import compile_scenario, count_trotter_steps
+    from isingbraid.protocol import compile_scenario
+    from isingbraid.schedule import count_trotter_steps
     from isingbraid.statevector import run
 
     fast = ProtocolParams(dh=0.5, T=0.5, dt=0.2)
@@ -357,6 +361,16 @@ def test_exact_evolve_rejects_bad_fields_before_allocating(monkeypatch, mode,
     sched = FieldSchedule((SetFields(initial_fields(p), p.T), RotateCoupler(0.5),
                            SetFields(bad_fields, p.T)))
     with pytest.raises(ValueError, match="field values"):
+        exact_evolve(sched, p, zero_state(p.n_qubits))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_exact_evolve_rejects_a_non_finite_chebyshev_argument(bad):
+    p = ProtocolParams()
+    fields = list(initial_fields(p))
+    fields[2] = bad
+    sched = FieldSchedule((SetFields(tuple(fields), p.T),))
+    with pytest.raises(ValueError, match="finite Chebyshev argument"):
         exact_evolve(sched, p, zero_state(p.n_qubits))
 
 

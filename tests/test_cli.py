@@ -369,7 +369,7 @@ def _parse_qasm(text):
 def test_export_round_trip(tmp_path):
     import numpy as np
 
-    from isingbraid.circuit import QASM_HEADER_LINES
+    from isingbraid.circuit import to_qasm
     from isingbraid.cli import build_params
     from isingbraid.protocol import LogicalLabel, compile_scenario
     from isingbraid.statevector import run, zero_state
@@ -380,7 +380,8 @@ def test_export_round_trip(tmp_path):
     text = out.read_text()
     params = build_params(parse_config(FAST_CFG))
     full = compile_scenario(params, "braid", LogicalLabel.ALL_UP).full_circuit
-    assert len(text.splitlines()) == len(full) + QASM_HEADER_LINES
+    header = to_qasm(Circuit(full.n_qubits, ())).splitlines()
+    assert len(text.splitlines()) == len(full) + len(header)
     # re-simulating the exported gate list reproduces the state bit-exactly
     reparsed = _parse_qasm(text)
     state_a = run(zero_state(params.n_qubits), full)

@@ -1,12 +1,12 @@
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 import isingbraid
 
-# The one import left inside a function: ``exact_evolve`` reaches the
-# schedule walker of ``protocol``, which imports ``analysis`` at its top. It
-# goes when the exact oracle leaves ``analysis``.
-ALLOWED = [("analysis.py", "exact_evolve")]
+PACKAGE = Path(isingbraid.__file__).parent
 
 
 def _imports_in_functions(path):
@@ -20,8 +20,40 @@ def _imports_in_functions(path):
     return found
 
 
-def test_no_import_inside_a_function_but_the_oracle_walker():
-    package = Path(isingbraid.__file__).parent
-    found = [hit for path in sorted(package.glob("*.py"))
+def _runtime_imports(path):
+    """The package modules ``path`` imports at runtime: every relative
+    import, those inside function bodies too, but none under
+    ``if TYPE_CHECKING:``."""
+    tree = ast.parse(path.read_text())
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for stmt in node.body
+        for inner in ast.walk(stmt)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in typing_only:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_no_import_inside_a_function():
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _imports_in_functions(path)]
-    assert found == ALLOWED
+    assert found == []
+
+
+def test_runtime_import_graph_has_no_cycle():
+    graph = {path.stem: _runtime_imports(path) for path in PACKAGE.glob("*.py")}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as err:
+        pytest.fail("import cycle: " + " -> ".join(err.args[1]))
+    # The field schedule sits below both of its consumers, the gate compiler
+    # and the exact oracle.
+    assert graph["schedule"] == {"trotter"}

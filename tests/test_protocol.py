@@ -8,30 +8,32 @@ import pytest
 from isingbraid.circuit import CircuitError, Gate, GateKind, concat, inverse
 from isingbraid.protocol import (
     AdiabaticityWarning,
-    FieldSchedule,
     LogicalLabel,
     ProtocolParams,
-    RotateCoupler,
-    SetFields,
     braid_gate_count,
     braid_trotter_steps,
-    build_field_schedule,
     build_protocol_circuit,
-    chain_config,
     chain_fidelity,
     compile_scenario,
-    count_trotter_steps,
     domain_amplitudes,
-    initial_fields,
     initialization_circuit,
     readout_counts,
     resolve_scenario,
-    rotation_count,
     run_scenario,
     sampled_fidelity_from_counts,
-    steps_per_hold,
     target_chain_state,
     target_prep_circuit,
+)
+from isingbraid.schedule import (
+    FieldSchedule,
+    RotateCoupler,
+    SetFields,
+    build_field_schedule,
+    chain_config,
+    count_trotter_steps,
+    initial_fields,
+    rotation_count,
+    steps_per_hold,
     updates_per_shift,
     walk_schedule,
 )
@@ -426,6 +428,13 @@ def test_wrong_field_count_raises_before_any_entry(mode):
     ))
     with pytest.raises(ValueError, match="got 7"):
         next(walk_schedule(p, sched))
+
+
+def test_walk_schedule_checks_the_schedule_when_called():
+    sched = FieldSchedule((SetFields(initial_fields(FAST), FAST.T),
+                           SetFields((1.0,) * 7, FAST.T)))
+    with pytest.raises(ValueError, match="got 7"):
+        walk_schedule(FAST, sched)
 
 
 def test_run_scenario_rejects_large_register_before_compiling(monkeypatch):

@@ -8,15 +8,12 @@ from scipy import stats
 import isingbraid.statevector as sv
 from isingbraid.circuit import Circuit, Gate, GateKind, inverse
 from isingbraid.protocol import (
-    FieldSchedule,
     LogicalLabel,
     ProtocolParams,
-    RotateCoupler,
-    SetFields,
     build_protocol_circuit,
-    initial_fields,
     initialization_circuit,
 )
+from isingbraid.schedule import FieldSchedule, RotateCoupler, SetFields, initial_fields
 from isingbraid.statevector import (
     MAX_QUBITS,
     QuantumState,
