@@ -227,7 +227,8 @@ def commutator_norms(cfg: ChainConfig) -> CommutatorReport:
 # vector: about ten times the rounding of one amplitude.
 CHEBYSHEV_TOL = 1e-15
 # Most Chebyshev vectors one block of the recurrence holds, and the most
-# bytes its work array may take (``_block_rows``).
+# bytes its work array (``_block_rows``) or the Bessel recurrence of one
+# expansion, at 8 bytes an order, may take.
 CHEBYSHEV_BLOCK_ROWS = 32
 CHEBYSHEV_BLOCK_BYTES = 1 << 21
 _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -247,6 +248,12 @@ def _diagonal_and_flips(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     return d, idx ^ (1 << qubits)[:, None]
 
 
+def _miller_start(x: float) -> int:
+    """The order at which ``_bessel_j`` starts Miller's recurrence for x,
+    x + 10 x**(1/3) + 20; the recurrence holds a list of that many floats."""
+    return int(x + 10.0 * x ** (1.0 / 3.0) + 20.0)
+
+
 def _bessel_j(x: float) -> np.ndarray:
     """J_0(x), ..., J_K(x) for x > 0, K the last order with |J_K| at least
     ``CHEBYSHEV_TOL`` (and at least 1).
@@ -254,10 +261,10 @@ def _bessel_j(x: float) -> np.ndarray:
     Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started
     from J_{top+1} = 0, J_top = 1 at an order well past K, is stable for
     J; the values are rescaled before they overflow and normalised by
-    J_0 + 2 (J_2 + J_4 + ...) = 1. The start order x + 10 x**(1/3) + 20
-    lies past K for every x from 1e-9 to 1e3; starting at x + 20 x**(1/3)
+    J_0 + 2 (J_2 + J_4 + ...) = 1. The start order (``_miller_start``)
+    lies past K for every x from 1e-14 to 1e3; starting at x + 20 x**(1/3)
     + 40 instead moves no coefficient by more than 1e-15."""
-    top = int(x + 10.0 * x ** (1.0 / 3.0) + 20.0)
+    top = _miller_start(x)
     j = [0.0] * (top + 2)
     j[top] = 1.0
     for k in range(top, 0, -1):
@@ -353,7 +360,9 @@ def exact_evolve(
     ``expm_hermitian``) and every test that compares against it are dense.
     The call of the walk checks every field set of the schedule before
     anything is allocated, and each hold's arguments x = r * repeats * dt
-    are checked to be finite before its first expansion.
+    are checked before its first expansion: each must be finite, and its
+    Bessel recurrence (``_miller_start``) must fit in
+    ``CHEBYSHEV_BLOCK_BYTES``, which holds x up to about 2.6e5.
     """
     if params.N_s + 1 > MAX_DENSE_QUBITS:
         raise ValueError("exact evolution limited to small registers")
@@ -375,9 +384,11 @@ def exact_evolve(
         rows, repeats = item
         radii = d_max + np.abs(rows).sum(axis=1)
         xs = radii * repeats * params.dt
-        if not np.isfinite(xs).all():
+        if (not np.isfinite(xs).all()
+                or 8 * _miller_start(xs.max()) > CHEBYSHEV_BLOCK_BYTES):
             raise ValueError(
-                "exact evolution needs a finite Chebyshev argument r * t for "
+                "exact evolution needs a finite Chebyshev argument r * t whose "
+                f"Bessel recurrence fits in {CHEBYSHEV_BLOCK_BYTES} bytes for "
                 f"every step of a hold, got {xs.max()}"
             )
         scaled = (rows * (2.0 / radii)[:, None]).astype(complex)

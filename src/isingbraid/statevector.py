@@ -136,11 +136,15 @@ def zero_state(n: int) -> QuantumState:
 
 
 def _apply_1q_inplace(amps: np.ndarray, q: int, m: np.ndarray) -> None:
+    """Each new half m_k0 a0 + m_k1 a1, in that operand order, with two
+    temporaries of half the size of ``amps``: a0 and one product."""
     view = amps.reshape(-1, 2, 1 << q)
     a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
-    view[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
+    b0, a1 = view[:, 0, :], view[:, 1, :]
+    term = np.multiply(m[0, 1], a1)
+    np.add(np.multiply(m[0, 0], a0, out=b0), term, out=b0)
+    np.multiply(m[1, 1], a1, out=a1)
+    np.add(np.multiply(m[1, 0], a0, out=term), a1, out=a1)
 
 
 def _apply_cnot_inplace(amps: np.ndarray, control: int, target: int) -> None:
@@ -445,7 +449,7 @@ def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
 
 
 class _Piece(tuple):
-    """A lone basis gate or a piece of a basis run cut by an error: its map
+    """A piece, two gates or more, of a basis run cut by an error: its map
     is built for one use and never held in place of a repeated run's."""
 
 
@@ -459,20 +463,19 @@ def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
     layers' block matrices fill about ``_BLOCK_BYTES``.
 
     A run is a maximal run of basis gates (a tuple) or of RX, RY and H gates
-    on distinct qubits (a layer: a list of its gates sorted by qubit), one
-    gate long or more; only a mixing gate on a one-qubit register, whose
-    block would span it, is yielded alone. A basis run equal to the one
-    before it is yielded as that same tuple. Each chunk is yielded as its
-    runs in order and its layers as (sorted qubits, gates); every layer is
-    checked against the register before its chunk is yielded.
+    on distinct qubits (a layer: a list of its gates sorted by qubit). A
+    lone basis gate, and a mixing gate on a one-qubit register, whose block
+    would span it, are yielded as the gate itself. A basis run equal to the
+    one before it is yielded as that same tuple. Each chunk is yielded as
+    its runs in order and its layers as (sorted qubits, gates); every layer
+    is checked against the register before its chunk is yielded.
 
     ``errors``, (gate index, error gate, rows) in gate order, cut the runs:
     a run ends at each gate an error follows, and the errors of that gate
     come next in the chunk, each as an ``_Error``. So the runs are those
-    that each stretch of gates between two errors gives on its own. Lone
-    basis gates and the pieces of a basis run that an error cuts are
-    yielded as ``_Piece`` and never become the run that the next gates are
-    compared with.
+    that each stretch of gates between two errors gives on its own. A
+    piece that an error cuts off a basis run is a ``_Piece`` and never
+    becomes the run that the next gates are compared with.
     """
     chunk: list = []
     layers: list = []
@@ -499,8 +502,10 @@ def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
             else:
                 while j < stop and gates[j].kind in _BASIS_KINDS:
                     j += 1
-                if (j - i < 2 or i == cut and i and gates[i - 1].kind in _BASIS_KINDS
-                        or j < count and j == stop and gates[j].kind in _BASIS_KINDS):
+                if j - i < 2:
+                    chunk.append(first)
+                elif (i == cut and i and gates[i - 1].kind in _BASIS_KINDS
+                      or j < count and j == stop and gates[j].kind in _BASIS_KINDS):
                     chunk.append(_Piece(gates[i:j]))
                 else:
                     last_run = tuple(gates[i:j])
@@ -558,14 +563,13 @@ def apply_gates_inplace(
     it hits), in gate order, as ``noise.draw_errors`` yields them: each is
     applied to its rows just after the gate of its index.
 
-    Every gate is applied in a run. Each maximal run of basis gates (CNOT,
-    X, Z, RZ) is applied as one phase-permutation; the map of the most
-    recent run of two or more is kept for the next run, so a run repeated
-    step after step is built once. Each maximal run of RX, RY and H gates
-    on distinct qubits is applied as one layer of dense blocks. Only a
-    mixing gate on a one-qubit register goes through its per-gate kernel.
-    An error ends the run its gate is in, so the runs are those of the
-    stretches between the errors; the map of a lone basis gate or of a
+    Every gate is applied in a run. Each maximal run of two or more basis
+    gates (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of
+    the most recent one is kept for the next, so a run repeated step after
+    step is built once. Each maximal run of RX, RY and H gates on distinct
+    qubits is applied as one layer of dense blocks. A lone basis gate, and
+    a mixing gate on a one-qubit register, take the per-gate kernel that
+    each error takes. An error ends the run its gate is in; the map of a
     piece of a cut run is built for that use alone and the kept map stays.
     The runs are planned a chunk at a time (see ``_chunks``): the blocks of
     all layers of a chunk are built together, then the chunk's runs are
@@ -577,8 +581,8 @@ def apply_gates_inplace(
     register's S frame (see ``_layer_blocks``). The rows enter it before a
     layer and stay in it across diagonal basis runs, which commute with it,
     so a call of Trotter steps enters it once. They leave it before a
-    permuting basis run or an error and at the end of the call, a failed
-    check included. The diagonal is applied as ``phase * rows``,
+    permuting basis run, a lone gate or an error and at the end of the
+    call, a failed check included. The diagonal is applied as ``phase * rows``,
     phase first: in that operand order ``phase * (f * a) * conj(f)`` equals
     ``phase * a`` bit for bit for every power of i ``f``, so where the frame
     is entered and left does not change a bit of the result.
@@ -602,22 +606,19 @@ def apply_gates_inplace(
                         inside = True
                     _apply_blocks(rows, scratch, next(blocks))
                     continue
-                if kind is tuple:
-                    if part != last_run:
-                        last_run, last_map = part, _basis_map(n_qubits, part)
-                    src, phase = last_map
-                    if src is None:
-                        np.multiply(phase, rows, rows)
-                        continue
-                elif kind is _Piece:
-                    src, phase = _basis_map(n_qubits, part)
+                if kind is tuple and part != last_run:
+                    last_run, last_map = part, _basis_map(n_qubits, part)
+                basis = kind is tuple or kind is _Piece
+                if basis:
+                    src, phase = (last_map if kind is tuple
+                                  else _basis_map(n_qubits, part))
                     if src is None:
                         np.multiply(phase, rows, rows)
                         continue
                 if inside:
                     _frame_multiply(rows, back)
                     inside = False
-                if kind is tuple or kind is _Piece:
+                if basis:
                     np.multiply(phase, rows.take(src, axis=1), rows)
                 elif kind is _Error:
                     _, error, hit = part
@@ -625,8 +626,7 @@ def apply_gates_inplace(
                     apply_gate_inplace(sub.reshape(-1), n_qubits, error)
                     rows[hit] = sub
                 else:
-                    # A mixing gate on one qubit, whose block would span the
-                    # register, which ``_block_plan`` never lets a block do.
+                    # A lone basis gate, or a mixing gate on a one-qubit register.
                     apply_gate_inplace(rows.reshape(-1), n_qubits, part)
     finally:
         if inside:

@@ -199,6 +199,17 @@ def test_exact_evolve_rejects_oversized_register():
     big = replace(OPT, N_s=10)
     with pytest.raises(ValueError):
         exact_evolve(FieldSchedule(()), big, zero_state(11))
+    with pytest.raises(ValueError, match="register mismatch"):
+        exact_evolve(FieldSchedule(()), OPT, zero_state(OPT.n_qubits + 1))
+
+
+def test_dense_constructions_reject_registers_above_the_cap():
+    with pytest.raises(ValueError, match=f"limited to {MAX_DENSE_QUBITS} qubits"):
+        pauli_string(MAX_DENSE_QUBITS + 1, {0: "z"})
+    cfg = ChainConfig(chain_len=5, J=1.0, J_C=0.3, fields=(1.0,) * 10)
+    assert cfg.n_qubits > MAX_DENSE_QUBITS
+    with pytest.raises(ValueError, match="small registers"):
+        commutator_norms(cfg)
 
 
 def random_state(n_qubits: int, seed: int) -> QuantumState:
@@ -265,11 +276,11 @@ def test_exact_evolve_long_stepped_hold_matches_dense_reference(hold):
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
 
-# From x = 1e-9 to x = 1e3, well past the longest hold the tests run. The
-# backward recurrence passes 1e250 and is rescaled below x = 1.5e-5, and
-# would overflow without that below about 6e-7 (x = r t, so dt = 1e-7
-# gives such an x).
-@pytest.mark.parametrize("x", np.logspace(-9, 3, 25))
+# From x = 1e-9 to x = 1e3, well past the longest hold the tests run, and
+# x = 1e-12 and 1e-14. The backward recurrence passes 1e250 and is rescaled
+# only below about x = 5e-12, and would overflow without that below about
+# 1e-14; x = r t, so a valid dt = 1e-13 gives such an x.
+@pytest.mark.parametrize("x", [*np.logspace(-9, 3, 25), 1e-12, 1e-14])
 def test_bessel_coefficients_match_scipy_and_stop_at_the_tolerance(x):
     jv = pytest.importorskip("scipy.special").jv
     j = analysis._bessel_j(x)
@@ -372,6 +383,27 @@ def test_exact_evolve_rejects_a_non_finite_chebyshev_argument(bad):
     sched = FieldSchedule((SetFields(tuple(fields), p.T),))
     with pytest.raises(ValueError, match="finite Chebyshev argument"):
         exact_evolve(sched, p, zero_state(p.n_qubits))
+
+
+@pytest.mark.parametrize("mode, bad", [("linear", 1e300), ("stepped", 1e9)])
+def test_exact_evolve_rejects_a_chebyshev_argument_past_the_recurrence_budget(
+        monkeypatch, mode, bad):
+    # x = r t is about 2e298 and 2e9 here; the recurrence of _bessel_j
+    # would hold a list of about that many floats.
+    def expand(x):
+        pytest.fail(f"expanded at x = {x}")
+
+    monkeypatch.setattr(analysis, "_bessel_j", expand)
+    p = ProtocolParams(update_mode=mode)
+    fields = list(initial_fields(p))
+    fields[2] = bad
+    sched = FieldSchedule((SetFields(tuple(fields), p.T),))
+    with pytest.raises(ValueError, match="finite Chebyshev argument"):
+        exact_evolve(sched, p, zero_state(p.n_qubits))
+    # The budget holds x up to about 2.6e5, far past the 445 of the longest
+    # hold the tests expand.
+    budget = analysis.CHEBYSHEV_BLOCK_BYTES
+    assert 8 * analysis._miller_start(2.6e5) <= budget < 8 * analysis._miller_start(2.7e5)
 
 
 def test_exact_evolve_rejects_negative_coupling_before_allocating(monkeypatch):

@@ -78,6 +78,7 @@ def test_unknown_key_is_exit_2(tmp_path, capsys):
     "dt = -0.5", "theta = nan", "J_C = nan", "J = inf", "theta = inf",
     "T = 1e308", "theta = pi/0", "J_C = -1",
     "theta = .pi", "theta = +.pi", "theta = -.pi",
+    "scenario = braid_twice", "init = L7",
 ])
 def test_invalid_value_is_exit_2(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path, line + "\n")
@@ -156,6 +157,27 @@ def test_sweep_missing_axis_names_the_key(tmp_path, capsys):
     assert "axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("axis = dt\n", "sweep requires key 'values'"),
+    ("axis = update_mode\nvalues = 1,2\n", "axis must be a numeric parameter"),
+    ("axis = dt\nvalues = ,\n", "values list is empty"),
+])
+def test_sweep_without_a_numeric_axis_or_values_is_exit_2(tmp_path, capsys,
+                                                          lines, message):
+    cfg = write_cfg(tmp_path, FAST_CFG + lines)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--depth-only"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_into_a_missing_directory_is_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_CFG)
+    out = tmp_path / "missing" / "depth.json"
+    assert main(["run", "--config", cfg, "--out", str(out), "--depth-only"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_emits_full_report(tmp_path):
     cfg = write_cfg(tmp_path, FAST_CFG)
     out = tmp_path / "report.json"
@@ -168,7 +190,7 @@ def test_run_emits_full_report(tmp_path):
     assert report["depth_evolution_only"] <= report["depth_total"]
 
 
-def test_run_depth_only_skips_simulation(tmp_path):
+def test_run_depth_only_skips_simulation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_CFG)
     out = tmp_path / "depth.json"
     assert main(["run", "--config", cfg, "--out", str(out), "--depth-only"]) == 0
@@ -176,6 +198,10 @@ def test_run_depth_only_skips_simulation(tmp_path):
     assert "exact_fidelity" not in report
     assert report["depth_total"] >= report["depth_evolution_only"] > 0
     assert report["depth_bound"]["integer"] >= report["depth_evolution_only"]
+    # Without --out the same report goes to stdout.
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--depth-only"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_run_depth_only_agrees_with_full_run(tmp_path):

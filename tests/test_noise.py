@@ -57,6 +57,13 @@ def test_model_validation():
         NoiseModel(eps_bitflip_2q=0.7)
 
 
+def test_run_trajectories_rejects_a_mismatched_register():
+    circuit = Circuit(3, (Gate(GateKind.H, (0,)),))
+    with pytest.raises(ValueError, match="register mismatch"):
+        run_trajectories(circuit, zero_state(2), NoiseModel(eps_phase=0.1), 2,
+                         np.random.default_rng(0))
+
+
 def test_per_arity_overrides():
     m = NoiseModel(eps_bitflip=0.1, eps_bitflip_2q=0.3)
     assert m.bitflip_for(1) == 0.1
@@ -438,6 +445,13 @@ def test_measurement_error_matches_per_shot_reference(eps):
     out = apply_measurement_error(counts, eps, seed=8)
     assert out.counts == _measurement_error_per_shot(counts, eps, seed=8)
     assert out.shots == counts.shots and out.n_bits == counts.n_bits
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5, math.nan])
+def test_measurement_error_rejects_eps_outside_the_unit_interval(eps):
+    counts = SampleCounts(counts={"01": 3}, shots=3, n_bits=2)
+    with pytest.raises(ValueError, match=r"eps_meas must be in \[0, 1\]"):
+        apply_measurement_error(counts, eps, seed=0)
 
 
 def test_measurement_error_rejects_counts_too_wide_to_pack():

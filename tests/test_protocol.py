@@ -56,6 +56,15 @@ def test_params_validation():
         ProtocolParams(h_ferro=0.0)
     with pytest.raises(ValueError):
         ProtocolParams(h_ferro=2.0)  # h_ferro > J
+    with pytest.raises(ValueError, match="need h_para > h_ferro"):
+        ProtocolParams(h_ferro=0.5, h_para=0.5)
+    for dh in (0.0, 5.5):
+        with pytest.raises(ValueError, match="need 0 < dh <= h_para"):
+            ProtocolParams(dh=dh)
+    with pytest.raises(ValueError, match="theta must be non-negative"):
+        ProtocolParams(theta=-0.1)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        ProtocolParams(shots=0)
     with pytest.raises(ValueError):
         ProtocolParams(dt=-0.1)
     with pytest.raises(ValueError):

@@ -42,6 +42,15 @@ def random_state(n, seed):
     return QuantumState(n, amps / np.linalg.norm(amps))
 
 
+def _spy_on_basis_maps(monkeypatch):
+    """The gate count of every run whose phase map is built from now on."""
+    sizes = []
+    build = sv._basis_map
+    monkeypatch.setattr(sv, "_basis_map",
+                        lambda n, gates: sizes.append(len(gates)) or build(n, gates))
+    return sizes
+
+
 def test_rotation_matrices_against_closed_forms():
     # RX(pi) = -iX, RY(pi) = -iY, RZ(t) diagonal phases
     assert np.allclose(
@@ -55,6 +64,8 @@ def test_rotation_matrices_against_closed_forms():
         rotation_matrix(GateKind.RZ, t),
         np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
     )
+    with pytest.raises(ValueError, match="not a rotation"):
+        rotation_matrix(GateKind.H, t)
 
 
 def test_gate_matrices_unitary():
@@ -84,6 +95,10 @@ def test_state_validation():
         QuantumState(MAX_QUBITS + 1, np.zeros(4))
     with pytest.raises(ValueError):
         QuantumState(2, np.zeros(3))
+    with pytest.raises(ValueError, match="register mismatch"):
+        run(zero_state(2), Circuit(3, ()))
+    with pytest.raises(ValueError, match="register mismatch"):
+        fidelity(zero_state(2), zero_state(3))
 
 
 def test_zero_state():
@@ -108,10 +123,41 @@ def test_cnot_truth_table():
     assert abs(s2.amplitudes[0b01]) == pytest.approx(1.0)
 
 
-def test_bell_state():
+def test_bell_state(monkeypatch):
     c = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))))
+    # The lone CNOT takes its per-gate kernel; no phase map is built.
+    sizes = _spy_on_basis_maps(monkeypatch)
     s = run(zero_state(2), c)
     assert np.allclose(s.amplitudes, [_SQ2, 0, 0, _SQ2])
+    assert sizes == []
+
+
+def test_one_qubit_kernel_keeps_its_bits_within_one_state_of_temporaries():
+    import tracemalloc
+
+    # The kernel serves lone basis gates of a whole batch, so its
+    # temporaries must fit where a basis run's permuted copy would be: the
+    # copy of a0 and one product, half the state each. numpy's ufunc buffers
+    # for strided halves add a fixed few hundred KiB, an eighth of this state.
+    n = 17
+    amps = random_state(n, 11).amplitudes
+    for q in (0, 5, n - 1):
+        view = amps.reshape(-1, 2, 1 << q)
+        a0, a1 = view[:, 0], view[:, 1]
+        for gate in (Gate(GateKind.RX, (q,), 0.7), Gate(GateKind.X, (q,)),
+                     Gate(GateKind.RZ, (q,), -1.3), Gate(GateKind.H, (q,))):
+            m = gate_matrix(gate)
+            expected = np.stack([m[0, 0] * a0 + m[0, 1] * a1,
+                                 m[1, 0] * a0 + m[1, 1] * a1], axis=1)
+            out = amps.copy()
+            tracemalloc.start()
+            try:
+                apply_gate_inplace(out, n, gate)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.tobytes() == expected.tobytes(), (q, gate)
+            assert peak <= 1.25 * amps.nbytes, (q, gate)
 
 
 def test_apply_gate_agrees_with_dense_unitary():
@@ -223,6 +269,8 @@ def test_sample_keys_ascend_in_basis_order():
 def test_sample_counts_validation():
     with pytest.raises(ValueError):
         SampleCounts(counts={"00": 3}, shots=4, n_bits=2)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        sample(zero_state(2), 0, seed=1)
 
 
 def test_sample_chi_square_goodness_of_fit():
@@ -533,7 +581,8 @@ def _check_chunk_budget(monkeypatch, n_s):
 
 def _runs_gate_by_gate(gates):
     """The runs of ``gates`` as ``_chunks`` defines them, each found by
-    testing the kind of every gate in it."""
+    testing the kind of every gate in it; a basis run of one gate is the
+    gate itself."""
     runs, i = [], 0
     while i < len(gates):
         j = i + 1
@@ -548,6 +597,8 @@ def _runs_gate_by_gate(gates):
                 j += 1
         if gates[i].kind in sv._MIXING_KINDS:
             runs.append(sorted(gates[i:j], key=lambda g: g.qubits))
+        elif j - i == 1:
+            runs.append(gates[i])
         else:
             runs.append(tuple(gates[i:j]))
         i = j
@@ -604,12 +655,44 @@ def test_errors_cut_the_plan_into_the_runs_of_their_stretches(pieces, data):
     expected += _runs_gate_by_gate(gates[start:])
     assert plan == expected
     assert [type(run) for run in plan].count(sv._Error) == len(errors)
-    # A basis run that an error cuts is yielded as pieces, next to the
-    # error, and so is a basis run of one gate; no other run is.
+    # Every piece of a basis run that an error cuts sits next to the error;
+    # pieces and basis runs have two gates or more, a lone gate is itself.
     for k, run in enumerate(plan):
-        if type(run) is sv._Piece and len(run) > 1:
+        if type(run) is sv._Piece:
             assert sv._Error in {type(r) for r in plan[k - 1:k] + plan[k + 1:k + 2]}
-        assert type(run) is not tuple or len(run) > 1
+        assert type(run) not in (tuple, sv._Piece) or len(run) > 1
+
+
+@pytest.mark.parametrize("n", [2, 5, sv._REAL_QUBITS])
+def test_lone_basis_gates_take_the_per_gate_kernel(monkeypatch, n):
+    # A lone CNOT, X, Z and RZ, each between two layers, then a CNOT and X
+    # run that an error cuts into two lone gates.
+    layer = tuple(Gate(GateKind.RY, (q,), 0.3 + 0.2 * q) for q in range(n))
+    lone = (Gate(GateKind.CNOT, (0, n - 1)), Gate(GateKind.X, (1,)),
+            Gate(GateKind.Z, (n - 1,)), Gate(GateKind.RZ, (0,), 0.7))
+    gates = layer + sum(((gate,) + layer for gate in lone), ())
+    errors = [(len(gates), Gate(GateKind.Z, (1,)), [0, 2])]
+    gates += lone[:2] + layer
+    batch = np.stack([random_state(n, seed).amplitudes for seed in (1, 2, 3)])
+    expected = batch.copy()
+    for k, gate in enumerate(gates):
+        apply_gate_inplace(expected.reshape(-1), n, gate)
+        for index, error, hit in errors:
+            if index == k:
+                for row in hit:
+                    apply_gate_inplace(expected[row], n, error)
+    singles = []
+    for r, row in enumerate(batch):
+        single = row.copy().reshape(1, -1)
+        apply_gates_inplace(single, n, gates,
+                            [(i, e, [0]) for i, e, hit in errors if r in hit])
+        singles.append(single[0])
+    sizes = _spy_on_basis_maps(monkeypatch)
+    apply_gates_inplace(batch, n, gates, errors)
+    assert sizes == []
+    assert np.allclose(batch, expected, rtol=0, atol=1e-12)
+    for single, row in zip(singles, batch):
+        assert np.array_equal(single, row)
 
 
 def test_chunk_of_mixed_layers_matches_gate_by_gate():

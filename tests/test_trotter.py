@@ -40,6 +40,9 @@ def test_config_validation():
         ChainConfig(chain_len=3, J=1.0, J_C=-0.1, fields=(1,) * 6)
     with pytest.raises(ValueError):
         ChainConfig(chain_len=3, J=1.0, J_C=0.0, fields=(1,) * 5)
+    for site in (-1, 6):
+        with pytest.raises(ValueError, match=f"site {site} out of range"):
+            CFG6.site_qubit(site)
 
 
 def test_register_layout():
