@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Sweep the per-gate Pauli error rate and record mean trajectory fidelity.
 
-Writes a small CSV: eps,mean_fidelity,stderr,trajectories.
+Writes a small CSV: eps,mean_fidelity,stderr,trajectories. Each point's
+wall-clock seconds go to stdout only, so the CSV stays deterministic for a
+seed.
 """
 
 import argparse
 import math
+import time
 
 from isingbraid.noise import NoiseModel, noisy_fidelity
 from isingbraid.protocol import LogicalLabel, ProtocolParams
@@ -27,10 +30,12 @@ def main():
         eps = float(tok)
         model = NoiseModel(eps_bitflip=eps, eps_phase=eps,
                            trajectories=args.trajectories)
+        start = time.perf_counter()
         mean, stderr = noisy_fidelity(params, "braid", LogicalLabel.ALL_UP,
                                       model, seed=args.seed)
+        seconds = time.perf_counter() - start
         rows.append((eps, mean, stderr))
-        print(f"eps={eps:g}  F={mean:.4f} +/- {stderr:.4f}")
+        print(f"eps={eps:g}  F={mean:.4f} +/- {stderr:.4f}  {seconds:.3f} s")
 
     with open(args.out, "w") as f:
         f.write("eps,mean_fidelity,stderr,trajectories\n")

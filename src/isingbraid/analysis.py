@@ -382,8 +382,10 @@ def exact_evolve(
             )
             continue
         rows, repeats = item
-        radii = d_max + np.abs(rows).sum(axis=1)
-        xs = radii * repeats * params.dt
+        # A huge field overflows to inf here, which the check below rejects.
+        with np.errstate(over="ignore"):
+            radii = d_max + np.abs(rows).sum(axis=1)
+            xs = radii * repeats * params.dt
         if (not np.isfinite(xs).all()
                 or 8 * _miller_start(xs.max()) > CHEBYSHEV_BLOCK_BYTES):
             raise ValueError(

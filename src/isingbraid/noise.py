@@ -9,19 +9,21 @@ fidelity under the corresponding stochastic Pauli channel.
 Trajectories advance together: a batch of them is one C-contiguous
 ``(rows, 2**n)`` amplitude array. The whole batch goes once through
 ``statevector.apply_gates_inplace``, the executor ``statevector.run`` uses,
-with the drawn errors: each error ends the fused run its gate is in and
-goes only to the rows it hits, and the executor goes on from there with
-the map of the repeated step run still held. The errors are drawn as the
-executor reaches them, one chunk of gates at a time, so the draw's memory
-does not grow with gates x trajectories. A single trajectory
-(``run_noisy``) is the one-row batch.
+with the drawn errors. Every row runs the fused runs of the noiseless
+circuit; only the rows an error hits replay its run, cut at their own
+errors, from a copy taken before it. So a trajectory's bits depend on its
+own errors alone: each row of a batch equals the one-row batch of its
+errors, and a single trajectory (``run_noisy``) is that one-row batch. The
+errors are drawn as the executor reaches them, one chunk of error slots at
+a time, and a draw costs about as much as the errors it yields.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,7 +47,10 @@ from .statevector import (
 # Memory of one batch of trajectories in ``noisy_fidelity``; a batch always
 # holds at least one row.
 BATCH_BYTES = 32 << 20
-# Memory of the uniform draws for one chunk of error slots.
+# Memory of the drawn hits of one chunk of error slots: a chunk has 16 bytes
+# per slot and row. A hit takes about 150 bytes of Python objects while its
+# chunk is sorted, so the hits fit for error rates up to about 0.05; the
+# rates of the paper's regime draw a few hits a chunk.
 _DRAW_BYTES = 64 << 10
 _PAULIS = (GateKind.X, GateKind.Z)
 
@@ -104,30 +109,55 @@ def draw_errors(
     Yields (gate index, error gate, rows it hits): each touched qubit of
     each gate, in order, gets an X with probability ``bitflip_for(arity)``
     and then a Z with ``phase_for(arity)``, independently for every row.
+
+    The slots are drawn a chunk at a time, as the executor reaches them. In
+    each chunk, each class of error (arity, Pauli) draws its number of hits
+    from the binomial law of its slots x rows trials, then that many
+    distinct (slot, row) positions, every set of them equally likely: the
+    same law as one Bernoulli draw per trial, at a cost that goes with the
+    hits drawn and not with the gates x trajectories. A class of
+    probability zero draws nothing, and a model of zero rates leaves
+    ``rng`` untouched.
     """
     arity, qubit_of = _slots(circuit.gates)
     # One slot per touched qubit of each gate, in gate order.
     gate_of = np.repeat(np.arange(arity.size), arity)
     slot_arity = np.repeat(arity, arity)
-    # probs[a - 1, pauli] for a gate of arity a, shaped to broadcast over rows.
-    probs = np.array(
-        [[[model.bitflip_for(a)], [model.phase_for(a)]] for a in (1, 2)]
-    )
+    # The classes in the order (1, X), (1, Z), (2, X), (2, Z).
+    probs = [f(a) for a in (1, 2) for f in (model.bitflip_for, model.phase_for)]
+    if not any(probs):
+        return
     chunk = max(1, _DRAW_BYTES // (16 * rows))
-    for start in range(0, len(gate_of), chunk):
-        p = probs[slot_arity[start:start + chunk] - 1]
-        hits = np.flatnonzero(rng.random((len(p), 2, rows)) < p)
-        if not hits.size:
-            continue
-        # Hits come by slot, then X before Z, then row: each run of equal
-        # keys 2 * slot + pauli is one error gate and the rows it hits.
-        key, row = np.divmod(hits, rows)
-        key += 2 * start
-        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-        for a, b in zip([0] + cuts, cuts + [len(key)]):
-            s, pauli_index = divmod(int(key[a]), 2)
-            gate = Gate(_PAULIS[pauli_index], (int(qubit_of[s]),))
-            yield int(gate_of[s]), gate, row[a:b]
+    for start in range(0, slot_arity.size, chunk):
+        arities = slot_arity[start:start + chunk]
+        twos = int(arities.sum()) - arities.size
+        hits = []
+        for cls, p in enumerate(probs):
+            trials = (twos if cls > 1 else arities.size - twos) * rows
+            count = rng.binomial(trials, p) if p and trials else 0
+            if count:
+                slots = (arities == cls // 2 + 1).nonzero()[0].tolist()
+                pauli = cls % 2
+                for position in _distinct(rng, trials, count):
+                    s, row = divmod(position, rows)
+                    hits.append((2 * (start + slots[s]) + pauli, row))
+        # Hits by slot, then X before Z, then row: each run of equal keys
+        # 2 * slot + pauli is one error gate and the rows it hits.
+        hits.sort()
+        for key, group in groupby(hits, key=itemgetter(0)):
+            s, pauli = divmod(key, 2)
+            gate = Gate._trusted(_PAULIS[pauli], (int(qubit_of[s]),))
+            yield int(gate_of[s]), gate, np.array([row for _, row in group])
+
+
+def _distinct(rng: np.random.Generator, trials: int, count: int) -> set[int]:
+    """``count`` distinct integers below ``trials``, every such set equally
+    likely (R. Floyd's algorithm): one bounded integer draw each."""
+    picked: set[int] = set()
+    for j in range(trials - count, trials):
+        t = int(rng.integers(j + 1))
+        picked.add(j if t in picked else t)
+    return picked
 
 
 def run_trajectories(
@@ -141,8 +171,8 @@ def run_trajectories(
     together; row r of the returned ``(rows, 2**n)`` array is trajectory r.
 
     The whole batch goes through ``statevector.apply_gates_inplace`` once,
-    with the drawn errors: each error cuts the run its gate is in and goes
-    to the rows it hits, and the executor runs on from there."""
+    with the drawn errors; each row's bits are those of its own errors run
+    alone."""
     if circuit.n_qubits != initial.n_qubits:
         raise ValueError("register mismatch")
     amps = np.empty((rows, initial.amplitudes.size), dtype=complex)
@@ -163,8 +193,8 @@ def run_noisy(
 
 def batch_rows(n_qubits: int) -> int:
     """Rows of a full batch: as many as the executor runs within
-    ``BATCH_BYTES``, and at least one."""
-    return batch_rows_within(BATCH_BYTES, n_qubits)
+    ``BATCH_BYTES`` beside one chunk of drawn errors, and at least one."""
+    return batch_rows_within(BATCH_BYTES - _DRAW_BYTES, n_qubits)
 
 
 def noisy_fidelity(

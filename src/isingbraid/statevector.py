@@ -7,6 +7,7 @@ Conventions: qubit 0 is the least-significant bit of the basis index
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +44,9 @@ _REAL_QUBITS = 12
 # bytes, not in layers, keeps a chunk's matrices small at every register
 # size: a Trotter step's blocks take 2 KiB at 7 qubits and 10 KiB at 15.
 _BLOCK_BYTES = 64 << 10
+# Bytes of the maps of cut-off pieces of basis runs that ``_PIECE_MAPS``
+# keeps: 340 maps of a 7-qubit register, five of a 13-qubit one.
+_PIECE_BYTES = 1 << 20
 # i**k for k mod 4.
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 # The column that turns a row into the pair (row, -row).
@@ -448,17 +452,44 @@ def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
     view *= column
 
 
-class _Piece(tuple):
-    """A piece, two gates or more, of a basis run cut by an error: its map
-    is built for one use and never held in place of a repeated run's."""
+class _PieceMaps:
+    """The maps ``_basis_map`` builds for pieces of basis runs that errors
+    cut off, least recently used first, at most ``_PIECE_BYTES`` of them
+    together. An entry is keyed by the register size and the ids of the
+    piece's gates, and holds those gates, so no id is reused while it
+    lives. The field-free gates of every Trotter step are the same objects
+    (``trotter._step_layout``), so the pieces of their runs are built once
+    for every batch and every call that cuts them alike."""
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+    def get(self, n_qubits: int, gates: tuple[Gate, ...]):
+        key = (n_qubits, *map(id, gates))
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            return entry[1]
+        piece_map = _basis_map(n_qubits, gates)
+        size = sum(a.nbytes for a in piece_map if a is not None)
+        if size <= _PIECE_BYTES:
+            while self.nbytes + size > _PIECE_BYTES:
+                _, (_, _, freed) = self.entries.popitem(last=False)
+                self.nbytes -= freed
+            self.entries[key] = (gates, piece_map, size)
+            self.nbytes += size
+        return piece_map
 
 
-class _Error(tuple):
-    """One error of ``apply_gates_inplace``'s ``errors``: (gate index,
-    one-qubit error gate, indices of the rows it hits)."""
+_PIECE_MAPS = _PieceMaps()
 
 
-def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
+def _chunks(gates: Sequence[Gate], n_qubits: int):
     """Split ``gates`` lazily into runs and yield them in chunks whose
     layers' block matrices fill about ``_BLOCK_BYTES``.
 
@@ -468,51 +499,38 @@ def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
     would span it, are yielded as the gate itself. A basis run equal to the
     one before it is yielded as that same tuple. Each chunk is yielded as
     its runs in order and its layers as (sorted qubits, gates); every layer
-    is checked against the register before its chunk is yielded.
-
-    ``errors``, (gate index, error gate, rows) in gate order, cut the runs:
-    a run ends at each gate an error follows, and the errors of that gate
-    come next in the chunk, each as an ``_Error``. So the runs are those
-    that each stretch of gates between two errors gives on its own. A
-    piece that an error cuts off a basis run is a ``_Piece`` and never
-    becomes the run that the next gates are compared with.
+    is checked against the register before its chunk is yielded. Errors
+    play no part in the plan: every row runs these runs, and the rows an
+    error hits replay the pieces of its run (``_apply_run_with_errors``).
     """
     chunk: list = []
     layers: list = []
     nbytes = 0
     last_run: tuple = ()
     i, count = 0, len(gates)
-    errors = iter(errors)
-    # The next error; runs stop at ``stop``, just past its gate.
-    error = next(errors, None)
-    stop = _stop(error, 0, count)
-    cut = 0  # where the last cut fell
     while i < count:
         first = gates[i]
         j = i + 1
         if first.kind in _BASIS_KINDS:
             # Gates that repeat the last basis run, as step after step does,
-            # are that run again when the gate after them or a cut ends it;
-            # their kinds are not looked at again.
+            # are that run again when the gate after them ends it; their
+            # kinds are not looked at again.
             end = i + len(last_run)
-            if (last_run and end <= stop and gates[i:end] == last_run
-                    and (end == stop or gates[end].kind not in _BASIS_KINDS)):
+            if (last_run and end <= count and gates[i:end] == last_run
+                    and (end == count or gates[end].kind not in _BASIS_KINDS)):
                 chunk.append(last_run)
                 j = end
             else:
-                while j < stop and gates[j].kind in _BASIS_KINDS:
+                while j < count and gates[j].kind in _BASIS_KINDS:
                     j += 1
                 if j - i < 2:
                     chunk.append(first)
-                elif (i == cut and i and gates[i - 1].kind in _BASIS_KINDS
-                      or j < count and j == stop and gates[j].kind in _BASIS_KINDS):
-                    chunk.append(_Piece(gates[i:j]))
                 else:
                     last_run = tuple(gates[i:j])
                     chunk.append(last_run)
         else:
             seen = {first.qubits[0]}
-            while j < stop:
+            while j < count:
                 gate = gates[j]
                 if gate.kind not in _MIXING_KINDS or gate.qubits[0] in seen:
                     break
@@ -527,28 +545,118 @@ def _chunks(gates: Sequence[Gate], n_qubits: int, errors: Iterable = ()):
                 chunk.append(layer)
                 layers.append((qubits, layer))
         i = j
-        if i == stop:
-            while error is not None and error[0] == i - 1:
-                chunk.append(_Error(error))
-                error = next(errors, None)
-            stop, cut = _stop(error, i, count), i
         if nbytes >= _BLOCK_BYTES:
             yield chunk, layers
             chunk, layers, nbytes = [], [], 0
-    if error is not None:
-        raise ValueError(f"error after gate {error[0]}, past the last of {count} gates")
     if chunk:
         yield chunk, layers
 
 
-def _stop(error, i: int, count: int) -> int:
-    """Where the runs from gate ``i`` on stop: just past the gate of the
-    next error ``error``, or at ``count`` when there is none."""
-    if error is None:
-        return count
-    if error[0] < i:
-        raise ValueError(f"error after gate {error[0]} out of gate order")
-    return min(error[0] + 1, count)
+def _apply_run(rows, scratch, n_qubits: int, part, op, frame, inside: bool) -> bool:
+    """Apply one run ``part`` to the batch ``rows``: a layer (a list) by
+    its blocks ``op``, a basis run of two gates or more by its map ``op`` =
+    (src, phase), a lone gate (``op`` None) by its per-gate kernel.
+    ``scratch`` is a buffer of the batch's shape for a layer. ``inside``
+    tells whether the rows are in the S frame ``frame``, (into, back)
+    columns of ``_frame`` or None below ``_REAL_QUBITS``; returns whether
+    they are in it after the run.
+
+    A layer enters the frame. A diagonal map is applied as ``phase *
+    rows``, phase first, inside the frame or not: in that operand order
+    ``phase * (f * a) * conj(f)`` equals ``phase * a`` bit for bit for every
+    power of i ``f``. Any other run leaves the frame first.
+    """
+    if type(part) is list:
+        if frame is not None and not inside:
+            _frame_multiply(rows, frame[0])
+            inside = True
+        _apply_blocks(rows, scratch, op)
+        return inside
+    if op is not None and op[0] is None:
+        np.multiply(op[1], rows, rows)
+        return inside
+    if inside:
+        _frame_multiply(rows, frame[1])
+    if op is None:
+        apply_gate_inplace(rows.reshape(-1), n_qubits, part)
+    else:
+        src, phase = op
+        np.multiply(phase, rows.take(src, axis=1), rows)
+    return False
+
+
+def _piece(part, gates: Sequence[Gate], n_qubits: int):
+    """The piece ``gates`` of the run ``part`` between two cuts, as a run
+    and its op for ``_apply_run``: a piece of a layer is a layer, a piece of
+    a basis run a basis run (its map from ``_PIECE_MAPS``) or a lone gate."""
+    if type(part) is list:
+        layer = sorted(gates, key=_QUBITS)
+        qubits = tuple(g.qubits[0] for g in layer)
+        return layer, _layer_blocks([(qubits, layer)], n_qubits)[0]
+    if len(gates) == 1:
+        return gates[0], None
+    gates = tuple(gates)
+    return gates, _PIECE_MAPS.get(n_qubits, gates)
+
+
+def _apply_run_with_errors(rows, scratch, n_qubits, gates, start, end, part, op,
+                           hits, frame, inside: bool) -> bool:
+    """Apply the run ``part``, gates ``start`` to ``end`` of ``gates``, to
+    every row of ``rows``, and the errors ``hits`` on its gates, each (gate
+    index, error gate, rows it hits) in gate order, to the rows they hit;
+    returns, as ``_apply_run`` does, whether the rows are in the S frame
+    after it.
+
+    The rows are grouped by the errors that hit them. A group hit only
+    after the run's last gate takes its errors after the run. Any other
+    group is copied before the run and replayed from the copy: the run cut
+    at the group's errors, its pieces applied by ``_apply_run`` with the
+    errors between them, then brought into the frame state the run leaves
+    the batch in, which multiplies by powers of i and is exact. So a row's
+    bits depend on its own errors only, as in a one-row batch.
+    """
+    if len(hits) == 1:
+        groups = {(0,): hits[0][2]}
+    else:
+        patterns: dict[int, list[int]] = {}
+        for k, (_, _, hit) in enumerate(hits):
+            for r in np.asarray(hit).tolist():
+                patterns.setdefault(r, []).append(k)
+        groups = {}
+        for r, pattern in patterns.items():
+            groups.setdefault(tuple(pattern), []).append(r)
+    # The rows hit before the run's last gate, whose first error comes first
+    # in gate order, are replayed from a copy taken before the run.
+    saved = {pattern: rows[members] for pattern, members in groups.items()
+             if hits[pattern[0]][0] < end - 1}
+    before = inside
+    inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
+    for pattern, members in groups.items():
+        sub = saved.get(pattern)
+        if sub is None:
+            # Rows hit only after the run; when that is every row, they
+            # take their errors in place.
+            sub = rows if len(members) == len(rows) else rows[members]
+            state, i = inside, end
+        else:
+            state, i = before, start
+        for k in pattern:
+            index, error, _ = hits[k]
+            if index >= i:
+                piece, piece_op = _piece(part, gates[i:index + 1], n_qubits)
+                state = _apply_run(sub, scratch[:len(sub)], n_qubits, piece,
+                                   piece_op, frame, state)
+                i = index + 1
+            state = _apply_run(sub, None, n_qubits, error, None, frame, state)
+        if i < end:
+            piece, piece_op = _piece(part, gates[i:end], n_qubits)
+            state = _apply_run(sub, scratch[:len(sub)], n_qubits, piece, piece_op,
+                               frame, state)
+        if state != inside:
+            _frame_multiply(sub, frame[0] if inside else frame[1])
+        if sub is not rows:
+            rows[members] = sub
+    return inside
 
 
 def apply_gates_inplace(
@@ -569,75 +677,85 @@ def apply_gates_inplace(
     step is built once. Each maximal run of RX, RY and H gates on distinct
     qubits is applied as one layer of dense blocks. A lone basis gate, and
     a mixing gate on a one-qubit register, take the per-gate kernel that
-    each error takes. An error ends the run its gate is in; the map of a
-    piece of a cut run is built for that use alone and the kept map stays.
-    The runs are planned a chunk at a time (see ``_chunks``): the blocks of
-    all layers of a chunk are built together, then the chunk's runs are
-    applied in order. A run is checked in full before any row changes;
-    an error past the last gate or out of gate order raises ValueError when
-    the runs reach it.
+    each error takes. The runs are planned a chunk at a time (see
+    ``_chunks``): the blocks of all layers of a chunk are built together,
+    then the chunk's runs are applied in order. A run is checked in full
+    before any row changes; an error past the last gate or out of gate
+    order raises ValueError when the runs reach it.
+
+    Errors do not change the runs: a run with errors on its gates is
+    applied whole to every row, and only the rows they hit are replayed,
+    the run cut at their own errors (see ``_apply_run_with_errors``). The
+    maps of those pieces are kept in ``_PIECE_MAPS``. Every row's bits are
+    those of a one-row batch with its own errors, whatever the other rows
+    draw.
 
     On registers of ``_REAL_QUBITS`` or more the layers act in the
     register's S frame (see ``_layer_blocks``). The rows enter it before a
     layer and stay in it across diagonal basis runs, which commute with it,
     so a call of Trotter steps enters it once. They leave it before a
-    permuting basis run, a lone gate or an error and at the end of the
-    call, a failed check included. The diagonal is applied as ``phase * rows``,
-    phase first: in that operand order ``phase * (f * a) * conj(f)`` equals
-    ``phase * a`` bit for bit for every power of i ``f``, so where the frame
-    is entered and left does not change a bit of the result.
+    permuting basis run or a lone gate and at the end of the call, a failed
+    check included. Where the frame is entered and left does not change a
+    bit of the result (see ``_apply_run``).
     """
     scratch = None
     last_run, last_map = (), None
-    into = back = None
-    if n_qubits >= _REAL_QUBITS:
-        into, back = _frame(n_qubits - _BLOCK_QUBITS)
+    frame = _frame(n_qubits - _BLOCK_QUBITS) if n_qubits >= _REAL_QUBITS else None
     inside = False
+    errors = iter(errors)
+    error = next(errors, None)
+    taken = 0  # the gate index of the last error taken
+    end = 0  # past the last gate of the run at hand, while errors are left
     try:
-        for chunk, layers in _chunks(gates, n_qubits, errors):
+        for chunk, layers in _chunks(gates, n_qubits):
             blocks = iter(_layer_blocks(layers, n_qubits))
             for part in chunk:
                 kind = type(part)
                 if kind is list:
                     if scratch is None:
                         scratch = np.empty_like(rows)
-                    if into is not None and not inside:
-                        _frame_multiply(rows, into)
-                        inside = True
-                    _apply_blocks(rows, scratch, next(blocks))
-                    continue
-                if kind is tuple and part != last_run:
-                    last_run, last_map = part, _basis_map(n_qubits, part)
-                basis = kind is tuple or kind is _Piece
-                if basis:
-                    src, phase = (last_map if kind is tuple
-                                  else _basis_map(n_qubits, part))
-                    if src is None:
-                        np.multiply(phase, rows, rows)
-                        continue
-                if inside:
-                    _frame_multiply(rows, back)
-                    inside = False
-                if basis:
-                    np.multiply(phase, rows.take(src, axis=1), rows)
-                elif kind is _Error:
-                    _, error, hit = part
-                    sub = rows[hit]
-                    apply_gate_inplace(sub.reshape(-1), n_qubits, error)
-                    rows[hit] = sub
+                    op = next(blocks)
+                elif kind is tuple:
+                    if part != last_run:
+                        last_run, last_map = part, _basis_map(n_qubits, part)
+                    op = last_map
                 else:
-                    # A lone basis gate, or a mixing gate on a one-qubit register.
-                    apply_gate_inplace(rows.reshape(-1), n_qubits, part)
+                    op = None
+                # Gate positions matter only while errors are left.
+                if error is not None:
+                    start = end
+                    end += 1 if op is None else len(part)
+                if error is None or error[0] >= end:
+                    inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
+                    continue
+                hits = []
+                while error is not None and error[0] < end:
+                    if error[0] < taken:
+                        raise ValueError(f"error after gate {error[0]} out of gate order")
+                    taken = error[0]
+                    hits.append(error)
+                    error = next(errors, None)
+                if scratch is None:
+                    scratch = np.empty_like(rows)
+                inside = _apply_run_with_errors(rows, scratch, n_qubits, gates, start,
+                                                end, part, op, hits, frame, inside)
+        if error is not None:
+            raise ValueError(
+                f"error after gate {error[0]}, past the last of {len(gates)} gates")
     finally:
         if inside:
-            _frame_multiply(rows, back)
+            _frame_multiply(rows, frame[1])
 
 
 def batch_rows_within(nbytes: int, n_qubits: int) -> int:
     """Rows, at least one, of the largest batch that ``apply_gates_inplace``
-    runs within ``nbytes``: the rows, its scratch buffer and the permuted
-    copy a basis run takes, and a chunk's block matrices (``_BLOCK_BYTES``)."""
-    return max(1, (nbytes - _BLOCK_BYTES) // (3 * (16 << n_qubits)))
+    runs within ``nbytes``: per row, the row, its scratch buffer, the
+    permuted copy a basis run takes, and the copy of a row that errors hit
+    (every row, at worst), whose replay reuses the scratch buffer and takes
+    at most one more copy once the run's own is freed; beside them, a
+    chunk's block matrices (``_BLOCK_BYTES``) and the piece maps
+    (``_PIECE_BYTES``)."""
+    return max(1, (nbytes - _BLOCK_BYTES - _PIECE_BYTES) // (4 * (16 << n_qubits)))
 
 
 def run(state: QuantumState, circuit: Circuit) -> QuantumState:

@@ -278,24 +278,39 @@ def _eff_braid(n_sites):
     return compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
 
 
+def _own_errors_run(circuit, initial, errors, r):
+    """Row ``r`` of a batch run alone: a one-row batch with the errors that
+    hit that row."""
+    amps = initial.amplitudes.copy().reshape(1, -1)
+    apply_gates_inplace(amps, initial.n_qubits, circuit.gates,
+                        [(i, error, [0]) for i, error, hit in errors if r in hit])
+    return amps[0]
+
+
 # N_s = 12 puts 13 qubits in the S frame, where layers run in real
-# arithmetic and errors make the rows leave the frame.
+# arithmetic and the rows an error hits leave the frame and enter it again.
 @pytest.mark.parametrize("n_sites, rows", [(6, 20), (12, 3)])
 def test_trajectories_equal_the_stretch_by_stretch_reference(n_sites, rows):
     circuit = _eff_braid(n_sites)
     initial = zero_state(circuit.n_qubits)
     model = NoiseModel(eps_bitflip=1e-3, eps_phase=1e-3)
     batch = run_trajectories(circuit, initial, model, rows, np.random.default_rng(8))
-    ref = _stretch_by_stretch(circuit, initial, model, rows, np.random.default_rng(8))
-    assert batch.tobytes() == ref.tobytes()
+    errors = list(draw_errors(circuit, model, rows, np.random.default_rng(8)))
+    assert len({r for _, _, hit in errors for r in hit}) == rows
+    # Every row has the bits of its own errors run alone, whatever the
+    # other rows draw.
+    for r in range(rows):
+        own = _own_errors_run(circuit, initial, errors, r)
+        assert batch[r].tobytes() == own.tobytes(), r
     one = run_noisy(circuit, initial, model, [8, 1])
     ref = _stretch_by_stretch(circuit, initial, model, 1, np.random.default_rng([8, 1]))
     assert one.amplitudes.tobytes() == ref.tobytes()
 
 
 def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):
-    # Thirty steps of one layer and one basis run: every error inside a copy
-    # of the run cuts it, and the run itself is still built once.
+    # Thirty steps of one layer and one basis run: the rows an error hits
+    # inside a copy of the run replay it cut there, and the run itself is
+    # still built once. The pieces are kept, so each is built once too.
     g = Gate
     step = (
         g(GateKind.RX, (0,), 0.3), g(GateKind.RX, (1,), 0.5), g(GateKind.RX, (2,), 0.7),
@@ -306,8 +321,8 @@ def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):
     step_run = step[3:]
     model = NoiseModel(eps_bitflip=0.02, eps_phase=0.02)
     rows = 4
-    cuts = {index % len(step) for index, _, _ in
-            draw_errors(circuit, model, rows, np.random.default_rng(4))}
+    errors = list(draw_errors(circuit, model, rows, np.random.default_rng(4)))
+    cuts = {index % len(step) for index, _, _ in errors}
     # Errors after the run's first five gates cut it.
     assert len(cuts & set(range(3, len(step) - 1))) >= 3
     built = []
@@ -317,13 +332,15 @@ def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):
         built.append(tuple(gates))
         return basis_map(n_qubits, gates)
 
+    sv._PIECE_MAPS.clear()
     monkeypatch.setattr(sv, "_basis_map", spy)
     batch = run_trajectories(circuit, zero_state(3), model, rows, np.random.default_rng(4))
     assert built.count(step_run) == 1
-    assert len(built) > 10
+    assert len(built) == len(set(built)) > 3
     monkeypatch.setattr(sv, "_basis_map", basis_map)
-    ref = _stretch_by_stretch(circuit, zero_state(3), model, rows, np.random.default_rng(4))
-    assert batch.tobytes() == ref.tobytes()
+    for r in range(rows):
+        own = _own_errors_run(circuit, zero_state(3), errors, r)
+        assert batch[r].tobytes() == own.tobytes(), r
 
 
 def _replay(circuit, errors, rows):
@@ -374,13 +391,99 @@ def test_batched_trajectory_estimator_is_unbiased():
     assert vals.mean() == pytest.approx(exact, abs=3 * stderr)
 
 
+# Gates of both arities: four one-qubit and three two-qubit gates a copy.
+_MIXED = Circuit(3, (
+    Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RX, (2,), 0.3),
+    Gate(GateKind.CNOT, (1, 2)), Gate(GateKind.RZ, (1,), 0.2), Gate(GateKind.X, (2,)),
+    Gate(GateKind.CNOT, (2, 0)),
+) * 40)
+
+
+@pytest.mark.parametrize("model", [
+    NoiseModel(eps_bitflip=1e-3, eps_phase=2e-3),
+    NoiseModel(eps_bitflip=0.01, eps_phase=0.03, eps_bitflip_2q=0.1,
+               eps_phase_1q=0.0),
+    NoiseModel(eps_bitflip=0.5, eps_phase=0.5),
+    NoiseModel(eps_bitflip=0.5, eps_phase=0.0, eps_phase_2q=0.2),
+])
+@pytest.mark.parametrize("slots_per_chunk", [None, 3])
+def test_draws_hit_each_class_at_its_rate(monkeypatch, model, slots_per_chunk):
+    import isingbraid.noise as noise
+
+    rows = 50
+    if slots_per_chunk is not None:
+        monkeypatch.setattr(noise, "_DRAW_BYTES", 16 * rows * slots_per_chunk)
+    errors = list(draw_errors(_MIXED, model, rows, np.random.default_rng(12)))
+    hits = {(a, kind): 0 for a in (1, 2) for kind in noise._PAULIS}
+    order = []
+    for index, error, hit in errors:
+        gate = _MIXED.gates[index]
+        assert error.qubits[0] in gate.qubits
+        hits[len(gate.qubits), error.kind] += len(hit)
+        # Slot, then X before Z; the rows of one error distinct and sorted.
+        order.append((index, gate.qubits.index(error.qubits[0]),
+                      noise._PAULIS.index(error.kind)))
+        assert list(hit) == sorted(set(hit)) and 0 <= hit[0] and hit[-1] < rows
+    assert order == sorted(set(order))
+    slots = {a: rows * sum(len(g.qubits) for g in _MIXED.gates if len(g.qubits) == a)
+             for a in (1, 2)}
+    for (a, kind), count in hits.items():
+        p = model.bitflip_for(a) if kind is GateKind.X else model.phase_for(a)
+        n = slots[a]
+        assert abs(count - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (a, kind, count)
+
+
+def test_zero_rates_draw_nothing():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert list(draw_errors(_MIXED, NoiseModel(), 20, rng)) == []
+    assert rng.bit_generator.state == state
+
+
+def test_piece_maps_stay_within_their_byte_cap(monkeypatch):
+    # Room for four maps of a permuting piece on three qubits; the pieces of
+    # the step run below are many more.
+    cap = 4 * 8 * (8 + 16)
+    monkeypatch.setattr(sv, "_PIECE_BYTES", cap)
+    maps = sv._PieceMaps()
+    monkeypatch.setattr(sv, "_PIECE_MAPS", maps)
+    get = maps.get
+    built = []
+
+    def checked(n_qubits, gates):
+        out = get(n_qubits, gates)
+        built.append(tuple(gates))
+        sizes = [size for _, _, size in maps.entries.values()]
+        assert maps.nbytes == sum(sizes) <= cap
+        return out
+
+    maps.get = checked
+    circuit = Circuit(3, (
+        Gate(GateKind.RX, (0,), 0.3), Gate(GateKind.RX, (1,), 0.5),
+        Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RZ, (1,), 0.4),
+        Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CNOT, (1, 2)),
+        Gate(GateKind.RZ, (2,), -0.6), Gate(GateKind.CNOT, (1, 2)),
+        Gate(GateKind.X, (0,)),
+    ) * 30)
+    model = NoiseModel(eps_bitflip=0.05, eps_phase=0.05)
+    run_trajectories(circuit, zero_state(3), model, 6, np.random.default_rng(1))
+    assert len(set(built)) > 4 and 0 < len(maps.entries) <= 4
+    # A map larger than the cap is built and not kept.
+    monkeypatch.setattr(sv, "_PIECE_BYTES", 8)
+    maps.clear()
+    src, phase = get(3, circuit.gates[2:5])
+    assert phase.shape == (8,) and not maps.entries and maps.nbytes == 0
+
+
 def test_noisy_fidelity_batches_stay_within_row_budget(monkeypatch):
     import isingbraid.noise as noise
 
-    # Room for two rows: three arrays of the batch's size and the
-    # executor's chunk of block matrices.
+    # Room for two rows: four arrays of the batch's size, one chunk of
+    # drawn errors, the executor's chunk of block matrices and its piece
+    # maps.
     monkeypatch.setattr(noise, "BATCH_BYTES",
-                        sv._BLOCK_BYTES + 2 * 3 * (16 << FAST.n_qubits))
+                        noise._DRAW_BYTES + sv._BLOCK_BYTES + sv._PIECE_BYTES
+                        + 2 * 4 * (16 << FAST.n_qubits))
     sizes = []
 
     def recording(circuit, initial, model, rows, rng):
@@ -407,20 +510,23 @@ def test_full_batch_peaks_within_the_batch_budget(monkeypatch):
     circuit = compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
     monkeypatch.setattr(noise, "BATCH_BYTES", 4 << 20)
     rows = noise.batch_rows(p.n_qubits)
-    assert rows == ((4 << 20) - sv._BLOCK_BYTES) // (3 * (16 << p.n_qubits))
-    model = NoiseModel(eps_bitflip=1e-5, eps_phase=1e-5)
+    assert rows == ((4 << 20) - noise._DRAW_BYTES - sv._BLOCK_BYTES
+                    - sv._PIECE_BYTES) // (4 * (16 << p.n_qubits))
     initial = zero_state(p.n_qubits)
-    # One row first, so that the executor's caches are not counted.
-    run_trajectories(circuit, initial, model, 1, np.random.default_rng(2))
-    tracemalloc.start()
-    try:
-        run_trajectories(circuit, initial, model, rows, np.random.default_rng(2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Beside the batch, the error draw holds a few integers per gate (about
-    # 75 bytes per gate of this circuit).
-    assert peak <= noise.BATCH_BYTES + 96 * len(circuit)
+    # Errors from rare to a few in every run of every row.
+    for eps in (1e-5, 1e-4, 1e-3):
+        model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
+        # One row first, so that the executor's caches are not counted.
+        run_trajectories(circuit, initial, model, 1, np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            run_trajectories(circuit, initial, model, rows, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beside the batch, the error draw holds a few integers per gate
+        # (about 75 bytes per gate of this circuit).
+        assert peak <= noise.BATCH_BYTES + 96 * len(circuit), eps
 
 
 def _measurement_error_per_shot(counts, eps_meas, seed):

@@ -43,7 +43,9 @@ def random_state(n, seed):
 
 
 def _spy_on_basis_maps(monkeypatch):
-    """The gate count of every run whose phase map is built from now on."""
+    """The gate count of every run whose phase map is built from now on,
+    with no piece map kept from before."""
+    sv._PIECE_MAPS.clear()
     sizes = []
     build = sv._basis_map
     monkeypatch.setattr(sv, "_basis_map",
@@ -641,32 +643,40 @@ def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=16), st.data())
-def test_errors_cut_the_plan_into_the_runs_of_their_stretches(pieces, data):
+def test_each_row_replays_the_runs_cut_at_its_own_errors(pieces, data):
     gates = _gates_of_pieces(pieces)
+    rows = 3
     after = sorted(data.draw(st.lists(st.integers(0, len(gates) - 1), max_size=6)))
-    # The rows an error hits are not looked at by the plan.
-    errors = [(i, Gate(GateKind.X, (0,)), k) for k, i in enumerate(after)]
-    plan = [run for chunk, _ in sv._chunks(gates, 3, errors) for run in chunk]
-    expected, start = [], 0
-    for index in sorted(set(after)):
-        expected += _runs_gate_by_gate(gates[start:index + 1])
-        expected += [e for e in errors if e[0] == index]
-        start = index + 1
-    expected += _runs_gate_by_gate(gates[start:])
-    assert plan == expected
-    assert [type(run) for run in plan].count(sv._Error) == len(errors)
-    # Every piece of a basis run that an error cuts sits next to the error;
-    # pieces and basis runs have two gates or more, a lone gate is itself.
-    for k, run in enumerate(plan):
-        if type(run) is sv._Piece:
-            assert sv._Error in {type(r) for r in plan[k - 1:k] + plan[k + 1:k + 2]}
-        assert type(run) not in (tuple, sv._Piece) or len(run) > 1
+    errors = [(i, Gate(data.draw(st.sampled_from([GateKind.X, GateKind.Z])),
+                       (data.draw(st.integers(0, 2)),)),
+               data.draw(st.lists(st.integers(0, rows - 1), min_size=1,
+                                  max_size=rows, unique=True).map(sorted)))
+              for i in after]
+    batch = np.stack([random_state(3, seed).amplitudes for seed in range(rows)])
+    expected = batch.copy()
+    for k, gate in enumerate(gates):
+        apply_gate_inplace(expected.reshape(-1), 3, gate)
+        for index, error, hit in errors:
+            if index == k:
+                for r in hit:
+                    apply_gate_inplace(expected[r], 3, error)
+    own = []
+    for r, row in enumerate(batch):
+        single = row.copy().reshape(1, -1)
+        apply_gates_inplace(single, 3, gates,
+                            [(i, e, [0]) for i, e, hit in errors if r in hit])
+        own.append(single[0])
+    apply_gates_inplace(batch, 3, gates, errors)
+    # Each row has the bits of its own errors run alone.
+    for r in range(rows):
+        assert batch[r].tobytes() == own[r].tobytes()
+    assert np.allclose(batch, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 5, sv._REAL_QUBITS])
 def test_lone_basis_gates_take_the_per_gate_kernel(monkeypatch, n):
     # A lone CNOT, X, Z and RZ, each between two layers, then a CNOT and X
-    # run that an error cuts into two lone gates.
+    # run that an error cuts into two lone gates in the rows it hits.
     layer = tuple(Gate(GateKind.RY, (q,), 0.3 + 0.2 * q) for q in range(n))
     lone = (Gate(GateKind.CNOT, (0, n - 1)), Gate(GateKind.X, (1,)),
             Gate(GateKind.Z, (n - 1,)), Gate(GateKind.RZ, (0,), 0.7))
@@ -689,7 +699,8 @@ def test_lone_basis_gates_take_the_per_gate_kernel(monkeypatch, n):
         singles.append(single[0])
     sizes = _spy_on_basis_maps(monkeypatch)
     apply_gates_inplace(batch, n, gates, errors)
-    assert sizes == []
+    # Only the whole CNOT and X run, which every row takes, has a map.
+    assert sizes == [2]
     assert np.allclose(batch, expected, rtol=0, atol=1e-12)
     for single, row in zip(singles, batch):
         assert np.array_equal(single, row)
