@@ -228,7 +228,7 @@ def commutator_norms(cfg: ChainConfig) -> CommutatorReport:
 CHEBYSHEV_TOL = 1e-15
 # Most Chebyshev vectors one block of the recurrence holds, and the most
 # bytes its work array (``_block_rows``) or the Bessel recurrence of one
-# expansion, at 8 bytes an order, may take.
+# expansion (``_bessel_bytes``) may take.
 CHEBYSHEV_BLOCK_ROWS = 32
 CHEBYSHEV_BLOCK_BYTES = 1 << 21
 _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -250,8 +250,15 @@ def _diagonal_and_flips(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _miller_start(x: float) -> int:
     """The order at which ``_bessel_j`` starts Miller's recurrence for x,
-    x + 10 x**(1/3) + 20; the recurrence holds a list of that many floats."""
+    x + 10 x**(1/3) + 20."""
     return int(x + 10.0 * x ** (1.0 / 3.0) + 20.0)
+
+
+def _bessel_bytes(x: float) -> int:
+    """The bytes ``_bessel_j`` allocates for x: the top + 2 floats of its
+    recurrence and 2 KiB for the objects around them, which take 1.6 KiB
+    under ``tracemalloc`` at every x."""
+    return 8 * (_miller_start(x) + 2) + 2048
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -263,17 +270,25 @@ def _bessel_j(x: float) -> np.ndarray:
     J; the values are rescaled before they overflow and normalised by
     J_0 + 2 (J_2 + J_4 + ...) = 1. The start order (``_miller_start``)
     lies past K for every x from 1e-14 to 1e3; starting at x + 20 x**(1/3)
-    + 40 instead moves no coefficient by more than 1e-15."""
+    + 40 instead moves no coefficient by more than 1e-15.
+
+    The recurrence runs in one float64 array, read and written as Python
+    floats through a memoryview, and K is found by a scan down from the
+    top, so a call allocates nothing else of its length: 8 bytes an order
+    (``_bessel_bytes``)."""
     top = _miller_start(x)
-    j = [0.0] * (top + 2)
+    jk = np.zeros(top + 2)
+    j = memoryview(jk)
     j[top] = 1.0
     for k in range(top, 0, -1):
         j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
         if abs(j[k - 1]) > 1e250:
-            j[k - 1:] = [v * 1e-250 for v in j[k - 1:]]
-    jk = np.array(j[:-1])
+            jk[k - 1:] *= 1e-250
+    jk = jk[:-1]
     jk /= jk[0] + 2.0 * jk[2::2].sum()
-    last = np.flatnonzero(np.abs(jk) >= CHEBYSHEV_TOL)[-1]
+    last = top
+    while abs(j[last]) < CHEBYSHEV_TOL:
+        last -= 1
     return jk[: max(last, 1) + 1]
 
 
@@ -361,7 +376,7 @@ def exact_evolve(
     The call of the walk checks every field set of the schedule before
     anything is allocated, and each hold's arguments x = r * repeats * dt
     are checked before its first expansion: each must be finite, and its
-    Bessel recurrence (``_miller_start``) must fit in
+    Bessel recurrence (``_bessel_bytes``) must fit in
     ``CHEBYSHEV_BLOCK_BYTES``, which holds x up to about 2.6e5.
     """
     if params.N_s + 1 > MAX_DENSE_QUBITS:
@@ -387,7 +402,7 @@ def exact_evolve(
             radii = d_max + np.abs(rows).sum(axis=1)
             xs = radii * repeats * params.dt
         if (not np.isfinite(xs).all()
-                or 8 * _miller_start(xs.max()) > CHEBYSHEV_BLOCK_BYTES):
+                or _bessel_bytes(xs.max()) > CHEBYSHEV_BLOCK_BYTES):
             raise ValueError(
                 "exact evolution needs a finite Chebyshev argument r * t whose "
                 f"Bessel recurrence fits in {CHEBYSHEV_BLOCK_BYTES} bytes for "

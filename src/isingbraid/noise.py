@@ -10,12 +10,16 @@ Trajectories advance together: a batch of them is one C-contiguous
 ``(rows, 2**n)`` amplitude array. The whole batch goes once through
 ``statevector.apply_gates_inplace``, the executor ``statevector.run`` uses,
 with the drawn errors. Every row runs the fused runs of the noiseless
-circuit; only the rows an error hits replay its run, cut at their own
-errors, from a copy taken before it. So a trajectory's bits depend on its
-own errors alone: each row of a batch equals the one-row batch of its
-errors, and a single trajectory (``run_noisy``) is that one-row batch. The
-errors are drawn as the executor reaches them, one chunk of error slots at
-a time, and a draw costs about as much as the errors it yields.
+circuit. A Pauli error commutes with every later gate not on its qubit, so
+a row an error hits takes its errors after their run, unless a later gate
+of the run acts on the qubit of one of them; only then does the row replay
+the run, cut at its own errors, from a copy taken before it. Each drawn
+error lies on its own gate's qubit, so errors drawn on a layer never replay
+it. A trajectory's bits depend on its own errors alone: each row of a batch
+equals the one-row batch of its errors, and a single trajectory
+(``run_noisy``) is that one-row batch. The errors are drawn as the
+executor reaches them, one chunk of error slots at a time, and a draw
+costs about as much as the errors it yields.
 """
 from __future__ import annotations
 
@@ -172,7 +176,9 @@ def run_trajectories(
 
     The whole batch goes through ``statevector.apply_gates_inplace`` once,
     with the drawn errors; each row's bits are those of its own errors run
-    alone."""
+    alone. ``rows`` below one is rejected before anything is allocated."""
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
     if circuit.n_qubits != initial.n_qubits:
         raise ValueError("register mismatch")
     amps = np.empty((rows, initial.amplitudes.size), dtype=complex)

@@ -501,7 +501,8 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
     its runs in order and its layers as (sorted qubits, gates); every layer
     is checked against the register before its chunk is yielded. Errors
     play no part in the plan: every row runs these runs, and the rows an
-    error hits replay the pieces of its run (``_apply_run_with_errors``).
+    error hits take it after its run or replay the run's pieces
+    (``_apply_run_with_errors``).
     """
     chunk: list = []
     layers: list = []
@@ -585,18 +586,17 @@ def _apply_run(rows, scratch, n_qubits: int, part, op, frame, inside: bool) -> b
     return False
 
 
-def _piece(part, gates: Sequence[Gate], n_qubits: int):
-    """The piece ``gates`` of the run ``part`` between two cuts, as a run
-    and its op for ``_apply_run``: a piece of a layer is a layer, a piece of
-    a basis run a basis run (its map from ``_PIECE_MAPS``) or a lone gate."""
-    if type(part) is list:
-        layer = sorted(gates, key=_QUBITS)
-        qubits = tuple(g.qubits[0] for g in layer)
-        return layer, _layer_blocks([(qubits, layer)], n_qubits)[0]
-    if len(gates) == 1:
-        return gates[0], None
-    gates = tuple(gates)
-    return gates, _PIECE_MAPS.get(n_qubits, gates)
+def _apply_piece(rows, n_qubits: int, part, gates: Sequence[Gate]) -> None:
+    """Apply the piece ``gates`` of the run ``part`` to the batch ``rows``
+    out of the S frame: a piece of two or more gates of a basis run by its
+    map from ``_PIECE_MAPS``, any other piece gate by gate."""
+    if type(part) is tuple and len(gates) > 1:
+        gates = tuple(gates)
+        _apply_run(rows, None, n_qubits, gates, _PIECE_MAPS.get(n_qubits, gates),
+                   None, False)
+    else:
+        for gate in gates:
+            apply_gate_inplace(rows.reshape(-1), n_qubits, gate)
 
 
 def _apply_run_with_errors(rows, scratch, n_qubits, gates, start, end, part, op,
@@ -607,13 +607,19 @@ def _apply_run_with_errors(rows, scratch, n_qubits, gates, start, end, part, op,
     returns, as ``_apply_run`` does, whether the rows are in the S frame
     after it.
 
-    The rows are grouped by the errors that hit them. A group hit only
-    after the run's last gate takes its errors after the run. Any other
-    group is copied before the run and replayed from the copy: the run cut
-    at the group's errors, its pieces applied by ``_apply_run`` with the
-    errors between them, then brought into the frame state the run leaves
-    the batch in, which multiplies by powers of i and is exact. So a row's
-    bits depend on its own errors only, as in a one-row batch.
+    A Pauli error commutes with every later gate that does not act on its
+    qubit. So the rows are grouped by the errors that hit them, and a group
+    takes its errors after the run unless a later gate of the run acts on
+    the qubit of one of them. Only a group of that second kind is copied
+    before the run and replayed from the copy: the run cut at the group's
+    errors, a piece of two or more basis gates applied by its map, any
+    other piece gate by gate, the errors between them. ``noise.draw_errors``
+    puts every error on a qubit its gate touches, so errors drawn on a
+    layer, whose gates act on distinct qubits, never replay it. A group
+    leaves the S frame once before its errors or its replay and enters it
+    again once if the run leaves the batch in it, which multiplies by
+    powers of i and is exact. So a row's bits depend on its own errors
+    only, as in a one-row batch.
     """
     if len(hits) == 1:
         groups = {(0,): hits[0][2]}
@@ -625,35 +631,34 @@ def _apply_run_with_errors(rows, scratch, n_qubits, gates, start, end, part, op,
         groups = {}
         for r, pattern in patterns.items():
             groups.setdefault(tuple(pattern), []).append(r)
-    # The rows hit before the run's last gate, whose first error comes first
-    # in gate order, are replayed from a copy taken before the run.
+    # Errors on a qubit that a later gate of the run acts on.
+    late = [any(error.qubits[0] in g.qubits for g in gates[index + 1:end])
+            for index, error, _ in hits]
     saved = {pattern: rows[members] for pattern, members in groups.items()
-             if hits[pattern[0]][0] < end - 1}
+             if any(late[k] for k in pattern)}
     before = inside
     inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
     for pattern, members in groups.items():
         sub = saved.get(pattern)
         if sub is None:
-            # Rows hit only after the run; when that is every row, they
-            # take their errors in place.
+            # Rows that take their errors after the run; when that is every
+            # row, they take them in place.
             sub = rows if len(members) == len(rows) else rows[members]
             state, i = inside, end
         else:
             state, i = before, start
+        if state:
+            _frame_multiply(sub, frame[1])
         for k in pattern:
             index, error, _ = hits[k]
             if index >= i:
-                piece, piece_op = _piece(part, gates[i:index + 1], n_qubits)
-                state = _apply_run(sub, scratch[:len(sub)], n_qubits, piece,
-                                   piece_op, frame, state)
+                _apply_piece(sub, n_qubits, part, gates[i:index + 1])
                 i = index + 1
-            state = _apply_run(sub, None, n_qubits, error, None, frame, state)
+            apply_gate_inplace(sub.reshape(-1), n_qubits, error)
         if i < end:
-            piece, piece_op = _piece(part, gates[i:end], n_qubits)
-            state = _apply_run(sub, scratch[:len(sub)], n_qubits, piece, piece_op,
-                               frame, state)
-        if state != inside:
-            _frame_multiply(sub, frame[0] if inside else frame[1])
+            _apply_piece(sub, n_qubits, part, gates[i:end])
+        if inside:
+            _frame_multiply(sub, frame[0])
         if sub is not rows:
             rows[members] = sub
     return inside
@@ -668,8 +673,9 @@ def apply_gates_inplace(
     """Apply ``gates`` in order to every row of the C-contiguous
     ``(rows, 2**n_qubits)`` batch ``rows``, and after them the one-qubit
     ``errors``, each given as (gate index, error gate, indices of the rows
-    it hits), in gate order, as ``noise.draw_errors`` yields them: each is
-    applied to its rows just after the gate of its index.
+    it hits), in gate order, as ``noise.draw_errors`` yields them: each acts
+    on its rows just after the gate of its index. An error may lie on any
+    qubit.
 
     Every gate is applied in a run. Each maximal run of two or more basis
     gates (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of
@@ -684,11 +690,13 @@ def apply_gates_inplace(
     order raises ValueError when the runs reach it.
 
     Errors do not change the runs: a run with errors on its gates is
-    applied whole to every row, and only the rows they hit are replayed,
-    the run cut at their own errors (see ``_apply_run_with_errors``). The
-    maps of those pieces are kept in ``_PIECE_MAPS``. Every row's bits are
-    those of a one-row batch with its own errors, whatever the other rows
-    draw.
+    applied whole to every row. A Pauli error commutes with every later
+    gate not on its qubit, so the rows it hits take it after its run,
+    unless a later gate of that run acts on the qubit of one of their
+    errors; only those rows are copied before the run and replay it, cut
+    at their own errors (see ``_apply_run_with_errors``). The maps of the
+    basis pieces are kept in ``_PIECE_MAPS``. Every row's bits are those of
+    a one-row batch with its own errors, whatever the other rows draw.
 
     On registers of ``_REAL_QUBITS`` or more the layers act in the
     register's S frame (see ``_layer_blocks``). The rows enter it before a
@@ -735,8 +743,6 @@ def apply_gates_inplace(
                     taken = error[0]
                     hits.append(error)
                     error = next(errors, None)
-                if scratch is None:
-                    scratch = np.empty_like(rows)
                 inside = _apply_run_with_errors(rows, scratch, n_qubits, gates, start,
                                                 end, part, op, hits, frame, inside)
         if error is not None:
@@ -751,10 +757,11 @@ def batch_rows_within(nbytes: int, n_qubits: int) -> int:
     """Rows, at least one, of the largest batch that ``apply_gates_inplace``
     runs within ``nbytes``: per row, the row, its scratch buffer, the
     permuted copy a basis run takes, and the copy of a row that errors hit
-    (every row, at worst), whose replay reuses the scratch buffer and takes
-    at most one more copy once the run's own is freed; beside them, a
-    chunk's block matrices (``_BLOCK_BYTES``) and the piece maps
-    (``_PIECE_BYTES``)."""
+    (every row, at worst). A replay takes no scratch buffer: its basis
+    pieces take one permuted copy, and its other gates the per-gate
+    kernel's temporaries of the same size, once the run's own copy is
+    freed. Beside them, a chunk's block matrices (``_BLOCK_BYTES``) and
+    the piece maps (``_PIECE_BYTES``)."""
     return max(1, (nbytes - _BLOCK_BYTES - _PIECE_BYTES) // (4 * (16 << n_qubits)))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -318,6 +319,15 @@ def test_bessel_coefficients_match_a_recurrence_started_higher(x):
     assert np.abs(j - ref[:j.size]).max() <= 1e-15
 
 
+# The recurrence held in a list of Python floats is the reference: held in
+# one float64 array, it does the same arithmetic in the same order.
+@pytest.mark.parametrize("x", [1e-14, 1e-12, 1e-3, 10.0, 445.0, 3e4])
+def test_bessel_coefficients_equal_the_list_recurrence_bit_for_bit(x):
+    j = analysis._bessel_j(x)
+    ref = _bessel_j_from(x, analysis._miller_start(x))
+    assert j.tobytes() == ref[:j.size].tobytes()
+
+
 def test_chebyshev_block_stays_within_its_byte_budget():
     for n in range(1, 25):
         rows = analysis._block_rows(n)
@@ -409,6 +419,29 @@ def test_exact_evolve_rejects_a_chebyshev_argument_past_the_recurrence_budget(
     # hold the tests expand.
     budget = analysis.CHEBYSHEV_BLOCK_BYTES
     assert 8 * analysis._miller_start(2.6e5) <= budget < 8 * analysis._miller_start(2.7e5)
+
+
+def _bessel_peak(x):
+    """The ``tracemalloc`` peak of one ``_bessel_j`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        analysis._bessel_j(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bessel_recurrence_peaks_within_its_budget_at_the_largest_accepted_x():
+    budget = analysis.CHEBYSHEV_BLOCK_BYTES
+    # The largest x that the check of exact_evolve accepts, to within 1.
+    lo, hi = 1.0, 1e6
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if analysis._bessel_bytes(mid) <= budget else (lo, mid)
+    assert analysis._bessel_bytes(lo) <= budget < analysis._bessel_bytes(hi)
+    for x in (445.0, lo):
+        assert _bessel_peak(x) <= analysis._bessel_bytes(x), x
+    assert _bessel_peak(lo) <= budget
 
 
 def test_exact_evolve_rejects_negative_coupling_before_allocating(monkeypatch):

@@ -27,6 +27,7 @@ from isingbraid.statevector import (
     run,
     zero_state,
 )
+from isingbraid.trotter import ChainConfig, trotter_step_circuit
 
 FAST = ProtocolParams(dh=0.5, T=0.5, dt=0.2, shots=2000)
 
@@ -55,6 +56,20 @@ def test_model_validation():
         NoiseModel(trajectories=0)
     with pytest.raises(ValueError):
         NoiseModel(eps_bitflip_2q=0.7)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("rows", [0, -1])
+def test_run_trajectories_rejects_fewer_than_one_row(monkeypatch, rows, eps):
+    import isingbraid.noise as noise
+
+    def draw(*args):
+        pytest.fail("drew errors before the rows were checked")
+
+    monkeypatch.setattr(noise, "draw_errors", draw)
+    model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
+    with pytest.raises(ValueError, match="rows must be >= 1"):
+        run_trajectories(BELL, zero_state(2), model, rows, np.random.default_rng(1))
 
 
 def test_run_trajectories_rejects_a_mismatched_register():
@@ -253,7 +268,7 @@ def test_errors_inside_basis_runs_split_them():
         assert np.allclose(batch[r], replay.amplitudes, rtol=0, atol=1e-12)
 
 
-def _stretch_by_stretch(circuit, initial, model, rows, rng):
+def _stretch_by_stretch(circuit, initial, errors, rows):
     """Trajectories as the executor ran them before it took the errors:
     one ``apply_gates_inplace`` call per stretch of gates between two
     errors, each error then applied to the rows it hits."""
@@ -262,7 +277,7 @@ def _stretch_by_stretch(circuit, initial, model, rows, rng):
     amps[:] = initial.amplitudes
     gates = circuit.gates
     start = 0
-    for index, error, hit in draw_errors(circuit, model, rows, rng):
+    for index, error, hit in errors:
         if index >= start:
             apply_gates_inplace(amps, n, gates[start:index + 1])
             start = index + 1
@@ -302,9 +317,92 @@ def test_trajectories_equal_the_stretch_by_stretch_reference(n_sites, rows):
     for r in range(rows):
         own = _own_errors_run(circuit, initial, errors, r)
         assert batch[r].tobytes() == own.tobytes(), r
+    # The reference applies each error just after its gate; the executor
+    # applies one whose qubit no later gate of its run acts on after the
+    # run, which changes only the rounding.
     one = run_noisy(circuit, initial, model, [8, 1])
-    ref = _stretch_by_stretch(circuit, initial, model, 1, np.random.default_rng([8, 1]))
-    assert one.amplitudes.tobytes() == ref.tobytes()
+    ref = _stretch_by_stretch(
+        circuit, initial, draw_errors(circuit, model, 1, np.random.default_rng([8, 1])), 1)
+    np.testing.assert_allclose(one.amplitudes, ref[0], rtol=0, atol=1e-12)
+
+
+def _run_spans(gates, n):
+    """Each run the executor plans for ``gates``, with the index of its
+    first gate and the index past its last."""
+    start = 0
+    for chunk, _ in sv._chunks(gates, n):
+        for part in chunk:
+            end = start + (len(part) if type(part) in (list, tuple) else 1)
+            yield part, start, end
+            start = end
+
+
+# Every error lies on a qubit that a later gate of its basis run acts on,
+# so the rows it hits replay the run cut there, by the maps and per-gate
+# kernels of a call that stops at the error.
+@pytest.mark.parametrize("n_sites", [6, 12])
+def test_errors_replaying_their_basis_run_equal_the_stretch_by_stretch_reference(
+        n_sites):
+    circuit = _eff_braid(n_sites)
+    gates = circuit.gates
+    late = [(k, q) for part, start, end in _run_spans(gates, circuit.n_qubits)
+            if type(part) is tuple for k in range(start, end - 1)
+            for q in gates[k].qubits if any(q in g.qubits for g in gates[k + 1:end])]
+    picked = late[::len(late) // 12][:12]
+    errors = [(k, Gate((GateKind.X, GateKind.Z)[j % 2], (q,)), np.array([0]))
+              for j, (k, q) in enumerate(picked)]
+    initial = zero_state(circuit.n_qubits)
+    one = initial.amplitudes.copy().reshape(1, -1)
+    apply_gates_inplace(one, circuit.n_qubits, gates, errors)
+    ref = _stretch_by_stretch(circuit, initial, errors, 1)
+    assert one.tobytes() == ref.tobytes()
+
+
+# N_s = 12 puts the layers in the S frame.
+@pytest.mark.parametrize("n_sites", [6, 12])
+def test_errors_inside_a_layer_are_taken_after_it_without_a_replay(monkeypatch,
+                                                                   n_sites):
+    # Errors on the qubits of RX gates that are not the last of their
+    # layer: no later gate of the layer acts on those qubits, so the rows
+    # they hit take them after the layer, with no copy and no replay.
+    cfg = ChainConfig(n_sites // 2, 1.0, 0.3, tuple(np.linspace(0.2, 1.6, n_sites)))
+    gates = trotter_step_circuit(cfg, 0.4).gates * 3
+    n, rows = cfg.n_qubits, 3
+    errors = []
+    for part, start, end in _run_spans(gates, n):
+        if type(part) is list:
+            for k in range(start, end - 1):
+                q = gates[k].qubits
+                errors.append((k, Gate(GateKind.X, q), [k % rows]))
+                errors.append((k, Gate(GateKind.Z, q), sorted({0, (k + 1) % rows})))
+    assert len(errors) >= 6 * (n_sites - 1)
+    rng = np.random.default_rng(9)
+    batch = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    expected = batch.copy()
+    for k, gate in enumerate(gates):
+        apply_gate_inplace(expected.reshape(-1), n, gate)
+        for index, error, hit in errors:
+            if index == k:
+                for r in hit:
+                    apply_gate_inplace(expected[r], n, error)
+    own = []
+    for r, row in enumerate(batch):
+        single = row.copy().reshape(1, -1)
+        apply_gates_inplace(single, n, gates,
+                            [(i, e, [0]) for i, e, hit in errors if r in hit])
+        own.append(single[0])
+    calls = []
+    build, piece = sv._layer_blocks, sv._apply_piece
+    monkeypatch.setattr(sv, "_layer_blocks",
+                        lambda *a: calls.append("blocks") or build(*a))
+    monkeypatch.setattr(sv, "_apply_piece", lambda *a: calls.append("replay") or piece(*a))
+    apply_gates_inplace(batch.copy(), n, gates)
+    noiseless = len(calls)
+    apply_gates_inplace(batch, n, gates, errors)
+    assert calls == ["blocks"] * (2 * noiseless)
+    for r in range(rows):
+        assert batch[r].tobytes() == own[r].tobytes(), r
+    np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
 
 
 def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):

@@ -51,3 +51,41 @@ def test_noise_sweep_writes_one_row_per_eps(tmp_path):
     assert float(cells[0][1]) == pytest.approx(0.29085565387899537, abs=1e-12)
     assert float(cells[0][2]) == 0.0
     assert 0.0 <= float(cells[1][1]) < float(cells[0][1])
+
+
+def _csv_rows(path):
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    return [dict(zip(names, row.split(","))) for row in rows]
+
+
+def test_depth_scaling_writes_depths_without_fidelities(tmp_path):
+    out = tmp_path / "depth.csv"
+    lines = run_script("depth_scaling.py", "--sizes", "6,10", "--out", str(out))
+    assert lines[-1] == f"wrote {out}"
+    rows = _csv_rows(out)
+    assert [row["axis_value"] for row in rows] == ["6", "10"]
+    first = rows[0]
+    assert (first["depth_total"], first["depth_evolution"], first["trotter_steps"]) == (
+        "54276", "54273", "6030")
+    assert all(row["exact_fidelity"] == "nan" for row in rows)
+
+
+def test_trotter_step_sweep_writes_one_row_per_dt(tmp_path):
+    out = tmp_path / "dt.csv"
+    lines = run_script("trotter_step_sweep.py", "--values", "0.7", "--out", str(out))
+    assert lines[-1] == f"wrote {out}"
+    [row] = _csv_rows(out)
+    assert (row["axis_value"], row["scenario"], row["init"]) == ("0.7", "braid", "ALL_UP")
+    assert 0.0 <= float(row["exact_fidelity"]) <= 1.0
+
+
+def test_scenario_table_prints_five_scenario_rows():
+    lines = run_script("scenario_table.py", "--fast")
+    assert lines[0].startswith("# N_s=6")
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [
+        ["translate_no_coupler", "ALL_UP"], ["translate_no_coupler", "L0"],
+        ["translate_with_coupler", "ALL_UP"], ["translate_with_coupler", "L0"],
+        ["braid", "ALL_UP"]]
+    assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
