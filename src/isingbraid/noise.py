@@ -10,12 +10,10 @@ Trajectories advance together: a batch of them is one C-contiguous
 ``(rows, 2**n)`` amplitude array. The whole batch goes once through
 ``statevector.apply_gates_inplace``, the executor ``statevector.run`` uses,
 with the drawn errors. Every row runs the fused runs of the noiseless
-circuit. A Pauli error commutes with every later gate not on its qubit, so
-a row an error hits takes its errors after their run, unless a later gate
-of the run acts on the qubit of one of them; only then does the row replay
-the run, cut at its own errors, from a copy taken before it. Each drawn
-error lies on its own gate's qubit, so errors drawn on a layer never replay
-it. A trajectory's bits depend on its own errors alone: each row of a batch
+circuit, each once, and the rows an error hits take it after its run,
+conjugated through the run's gates after the error's own. Each drawn error
+lies on a qubit of its own gate, so only errors on basis runs take a map.
+A trajectory's bits depend on its own errors alone: each row of a batch
 equals the one-row batch of its errors, and a single trajectory
 (``run_noisy``) is that one-row batch. The errors are drawn as the
 executor reaches them, one chunk of error slots at a time, and a draw

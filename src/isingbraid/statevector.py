@@ -44,8 +44,9 @@ _REAL_QUBITS = 12
 # bytes, not in layers, keeps a chunk's matrices small at every register
 # size: a Trotter step's blocks take 2 KiB at 7 qubits and 10 KiB at 15.
 _BLOCK_BYTES = 64 << 10
-# Bytes of the maps of cut-off pieces of basis runs that ``_PIECE_MAPS``
-# keeps: 340 maps of a 7-qubit register, five of a 13-qubit one.
+# Bytes of the maps of errors conjugated through pieces of basis runs that
+# ``_PIECE_MAPS`` keeps: 340 maps of a 7-qubit register, five of a 13-qubit
+# one.
 _PIECE_BYTES = 1 << 20
 # i**k for k mod 4.
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
@@ -453,13 +454,15 @@ def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
 
 
 class _PieceMaps:
-    """The maps ``_basis_map`` builds for pieces of basis runs that errors
-    cut off, least recently used first, at most ``_PIECE_BYTES`` of them
-    together. An entry is keyed by the register size and the ids of the
-    piece's gates, and holds those gates, so no id is reused while it
-    lives. The field-free gates of every Trotter step are the same objects
-    (``trotter._step_layout``), so the pieces of their runs are built once
-    for every batch and every call that cuts them alike."""
+    """The maps ``_basis_map`` builds for errors taken after their basis
+    run (see ``_apply_errors``), least recently used first, at most
+    ``_PIECE_BYTES`` of them together. An entry is keyed by the register
+    size, the error's kind and qubit and the ids of the gates of the run
+    after the error's gate, the piece U that conjugates it, and holds those
+    gates, so no id is reused while it lives. The field-free gates of every
+    Trotter step are the same objects (``trotter._step_layout``), so the map
+    of an error at one place of their runs is built once for every batch
+    and every call."""
 
     def __init__(self) -> None:
         self.entries: OrderedDict = OrderedDict()
@@ -469,21 +472,24 @@ class _PieceMaps:
         self.entries.clear()
         self.nbytes = 0
 
-    def get(self, n_qubits: int, gates: tuple[Gate, ...]):
-        key = (n_qubits, *map(id, gates))
+    def get(self, n_qubits: int, error: Gate, piece: tuple[Gate, ...]):
+        """The map of U E U^-1, U the gates ``piece`` and E the one-qubit
+        Pauli ``error``: of the gates U^-1, E, U in that order."""
+        key = (n_qubits, error.kind, error.qubits[0], *map(id, piece))
         entry = self.entries.get(key)
         if entry is not None:
             self.entries.move_to_end(key)
             return entry[1]
-        piece_map = _basis_map(n_qubits, gates)
-        size = sum(a.nbytes for a in piece_map if a is not None)
+        undo = tuple(g.inverse() for g in reversed(piece))
+        error_map = _basis_map(n_qubits, (*undo, error, *piece))
+        size = sum(a.nbytes for a in error_map if a is not None)
         if size <= _PIECE_BYTES:
             while self.nbytes + size > _PIECE_BYTES:
                 _, (_, _, freed) = self.entries.popitem(last=False)
                 self.nbytes -= freed
-            self.entries[key] = (gates, piece_map, size)
+            self.entries[key] = (piece, error_map, size)
             self.nbytes += size
-        return piece_map
+        return error_map
 
 
 _PIECE_MAPS = _PieceMaps()
@@ -501,8 +507,7 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
     its runs in order and its layers as (sorted qubits, gates); every layer
     is checked against the register before its chunk is yielded. Errors
     play no part in the plan: every row runs these runs, and the rows an
-    error hits take it after its run or replay the run's pieces
-    (``_apply_run_with_errors``).
+    error hits take it after its run (``_apply_errors``).
     """
     chunk: list = []
     layers: list = []
@@ -555,17 +560,11 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
 
 def _apply_run(rows, scratch, n_qubits: int, part, op, frame, inside: bool) -> bool:
     """Apply one run ``part`` to the batch ``rows``: a layer (a list) by
-    its blocks ``op``, a basis run of two gates or more by its map ``op`` =
-    (src, phase), a lone gate (``op`` None) by its per-gate kernel.
-    ``scratch`` is a buffer of the batch's shape for a layer. ``inside``
-    tells whether the rows are in the S frame ``frame``, (into, back)
-    columns of ``_frame`` or None below ``_REAL_QUBITS``; returns whether
-    they are in it after the run.
-
-    A layer enters the frame. A diagonal map is applied as ``phase *
-    rows``, phase first, inside the frame or not: in that operand order
-    ``phase * (f * a) * conj(f)`` equals ``phase * a`` bit for bit for every
-    power of i ``f``. Any other run leaves the frame first.
+    its blocks ``op``, any other run as ``_apply_basis`` does. ``scratch``
+    is a buffer of the batch's shape for a layer. ``inside`` tells whether
+    the rows are in the S frame ``frame``, (into, back) columns of
+    ``_frame`` or None below ``_REAL_QUBITS``; returns whether they are in
+    it after the run. A layer enters the frame.
     """
     if type(part) is list:
         if frame is not None and not inside:
@@ -573,6 +572,20 @@ def _apply_run(rows, scratch, n_qubits: int, part, op, frame, inside: bool) -> b
             inside = True
         _apply_blocks(rows, scratch, op)
         return inside
+    return _apply_basis(rows, n_qubits, part, op, frame, inside)
+
+
+def _apply_basis(rows, n_qubits: int, part, op, frame, inside: bool) -> bool:
+    """Apply a basis run of two gates or more by its map ``op`` = (src,
+    phase), or the gate ``part`` (``op`` None) by its per-gate kernel, to
+    the batch ``rows``, whose frame state is as in ``_apply_run``; returns
+    whether they are in the frame after it.
+
+    A diagonal map is applied as ``phase * rows``, phase first, inside the
+    frame or not: in that operand order ``phase * (f * a) * conj(f)``
+    equals ``phase * a`` bit for bit for every power of i ``f``. Anything
+    else leaves the frame first.
+    """
     if op is not None and op[0] is None:
         np.multiply(op[1], rows, rows)
         return inside
@@ -586,82 +599,36 @@ def _apply_run(rows, scratch, n_qubits: int, part, op, frame, inside: bool) -> b
     return False
 
 
-def _apply_piece(rows, n_qubits: int, part, gates: Sequence[Gate]) -> None:
-    """Apply the piece ``gates`` of the run ``part`` to the batch ``rows``
-    out of the S frame: a piece of two or more gates of a basis run by its
-    map from ``_PIECE_MAPS``, any other piece gate by gate."""
-    if type(part) is tuple and len(gates) > 1:
-        gates = tuple(gates)
-        _apply_run(rows, None, n_qubits, gates, _PIECE_MAPS.get(n_qubits, gates),
-                   None, False)
-    else:
-        for gate in gates:
-            apply_gate_inplace(rows.reshape(-1), n_qubits, gate)
+def _apply_errors(rows, n_qubits: int, gates: Sequence[Gate], end: int, hits,
+                  frame, inside: bool) -> None:
+    """Apply the errors ``hits`` on the gates of the run that ends before
+    gate ``end`` of ``gates``, each (gate index, error gate, rows it hits)
+    in gate order, to the rows they hit, once the run is applied to every
+    row of ``rows``. ``inside`` tells whether the rows are in the S frame
+    ``frame`` (see ``_apply_run``).
 
-
-def _apply_run_with_errors(rows, scratch, n_qubits, gates, start, end, part, op,
-                           hits, frame, inside: bool) -> bool:
-    """Apply the run ``part``, gates ``start`` to ``end`` of ``gates``, to
-    every row of ``rows``, and the errors ``hits`` on its gates, each (gate
-    index, error gate, rows it hits) in gate order, to the rows they hit;
-    returns, as ``_apply_run`` does, whether the rows are in the S frame
-    after it.
-
-    A Pauli error commutes with every later gate that does not act on its
-    qubit. So the rows are grouped by the errors that hit them, and a group
-    takes its errors after the run unless a later gate of the run acts on
-    the qubit of one of them. Only a group of that second kind is copied
-    before the run and replayed from the copy: the run cut at the group's
-    errors, a piece of two or more basis gates applied by its map, any
-    other piece gate by gate, the errors between them. ``noise.draw_errors``
-    puts every error on a qubit its gate touches, so errors drawn on a
-    layer, whose gates act on distinct qubits, never replay it. A group
-    leaves the S frame once before its errors or its replay and enters it
-    again once if the run leaves the batch in it, which multiplies by
-    powers of i and is exact. So a row's bits depend on its own errors
-    only, as in a one-row batch.
+    An error E after gate k is U E U^-1 after the run, U the gates of the
+    run after k, and the errors of a run are taken in gate order. When no
+    gate of U acts on E's qubit that is E itself, applied by its per-gate
+    kernel; otherwise it is the phase-permutation of U^-1, E, U from
+    ``_PIECE_MAPS``. An error lies on a qubit of its own gate and a layer's
+    gates act on distinct qubits, so only errors on basis runs take a map.
+    A diagonal map is applied inside the frame; the rows an error hits
+    leave it for any other error and enter it again after, which
+    multiplies by powers of i and is exact. So a row's bits depend on its
+    own errors only, as in a one-row batch.
     """
-    if len(hits) == 1:
-        groups = {(0,): hits[0][2]}
-    else:
-        patterns: dict[int, list[int]] = {}
-        for k, (_, _, hit) in enumerate(hits):
-            for r in np.asarray(hit).tolist():
-                patterns.setdefault(r, []).append(k)
-        groups = {}
-        for r, pattern in patterns.items():
-            groups.setdefault(tuple(pattern), []).append(r)
-    # Errors on a qubit that a later gate of the run acts on.
-    late = [any(error.qubits[0] in g.qubits for g in gates[index + 1:end])
-            for index, error, _ in hits]
-    saved = {pattern: rows[members] for pattern, members in groups.items()
-             if any(late[k] for k in pattern)}
-    before = inside
-    inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
-    for pattern, members in groups.items():
-        sub = saved.get(pattern)
-        if sub is None:
-            # Rows that take their errors after the run; when that is every
-            # row, they take them in place.
-            sub = rows if len(members) == len(rows) else rows[members]
-            state, i = inside, end
-        else:
-            state, i = before, start
-        if state:
-            _frame_multiply(sub, frame[1])
-        for k in pattern:
-            index, error, _ = hits[k]
-            if index >= i:
-                _apply_piece(sub, n_qubits, part, gates[i:index + 1])
-                i = index + 1
-            apply_gate_inplace(sub.reshape(-1), n_qubits, error)
-        if i < end:
-            _apply_piece(sub, n_qubits, part, gates[i:end])
-        if inside:
+    for index, error, hit in hits:
+        piece = tuple(gates[index + 1:end])
+        q = error.qubits[0]
+        op = None
+        if any(q in g.qubits for g in piece):
+            op = _PIECE_MAPS.get(n_qubits, error, piece)
+        sub = rows if len(hit) == len(rows) else rows[hit]
+        if not _apply_basis(sub, n_qubits, error, op, frame, inside) and inside:
             _frame_multiply(sub, frame[0])
         if sub is not rows:
-            rows[members] = sub
-    return inside
+            rows[hit] = sub
 
 
 def apply_gates_inplace(
@@ -674,29 +641,28 @@ def apply_gates_inplace(
     ``(rows, 2**n_qubits)`` batch ``rows``, and after them the one-qubit
     ``errors``, each given as (gate index, error gate, indices of the rows
     it hits), in gate order, as ``noise.draw_errors`` yields them: each acts
-    on its rows just after the gate of its index. An error may lie on any
-    qubit.
+    on its rows just after the gate of its index, on a qubit of that gate.
 
     Every gate is applied in a run. Each maximal run of two or more basis
     gates (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of
     the most recent one is kept for the next, so a run repeated step after
     step is built once. Each maximal run of RX, RY and H gates on distinct
     qubits is applied as one layer of dense blocks. A lone basis gate, and
-    a mixing gate on a one-qubit register, take the per-gate kernel that
-    each error takes. The runs are planned a chunk at a time (see
-    ``_chunks``): the blocks of all layers of a chunk are built together,
-    then the chunk's runs are applied in order. A run is checked in full
-    before any row changes; an error past the last gate or out of gate
-    order raises ValueError when the runs reach it.
+    a mixing gate on a one-qubit register, take their per-gate kernel. The
+    runs are planned a chunk at a time (see ``_chunks``): the blocks of all
+    layers of a chunk are built together, then the chunk's runs are applied
+    in order. A run and its errors are checked in full before any row
+    changes: an error on a qubit its gate does not act on raises ValueError
+    then, and one past the last gate or out of gate order when the runs
+    reach it.
 
-    Errors do not change the runs: a run with errors on its gates is
-    applied whole to every row. A Pauli error commutes with every later
-    gate not on its qubit, so the rows it hits take it after its run,
-    unless a later gate of that run acts on the qubit of one of their
-    errors; only those rows are copied before the run and replay it, cut
-    at their own errors (see ``_apply_run_with_errors``). The maps of the
-    basis pieces are kept in ``_PIECE_MAPS``. Every row's bits are those of
-    a one-row batch with its own errors, whatever the other rows draw.
+    Errors do not change the runs: every run is applied whole to every row,
+    and then each error of the run to the rows it hits, conjugated through
+    the run's gates after its own: as itself when none of them acts on its
+    qubit, else as the phase-permutation of that conjugate, kept in
+    ``_PIECE_MAPS`` (see ``_apply_errors``). No run is applied twice. Every
+    row's bits are those of a one-row batch with its own errors, whatever
+    the other rows draw.
 
     On registers of ``_REAL_QUBITS`` or more the layers act in the
     register's S frame (see ``_layer_blocks``). The rows enter it before a
@@ -704,7 +670,7 @@ def apply_gates_inplace(
     so a call of Trotter steps enters it once. They leave it before a
     permuting basis run or a lone gate and at the end of the call, a failed
     check included. Where the frame is entered and left does not change a
-    bit of the result (see ``_apply_run``).
+    bit of the result (see ``_apply_basis``).
     """
     scratch = None
     last_run, last_map = (), None
@@ -731,20 +697,23 @@ def apply_gates_inplace(
                     op = None
                 # Gate positions matter only while errors are left.
                 if error is not None:
-                    start = end
                     end += 1 if op is None else len(part)
                 if error is None or error[0] >= end:
                     inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
                     continue
                 hits = []
                 while error is not None and error[0] < end:
-                    if error[0] < taken:
-                        raise ValueError(f"error after gate {error[0]} out of gate order")
-                    taken = error[0]
+                    index, qubits = error[0], error[1].qubits
+                    if index < taken:
+                        raise ValueError(f"error after gate {index} out of gate order")
+                    if qubits[0] not in gates[index].qubits:
+                        raise ValueError(f"error on qubit {qubits[0]} after gate "
+                                         f"{index}, which acts on {gates[index].qubits}")
+                    taken = index
                     hits.append(error)
                     error = next(errors, None)
-                inside = _apply_run_with_errors(rows, scratch, n_qubits, gates, start,
-                                                end, part, op, hits, frame, inside)
+                inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
+                _apply_errors(rows, n_qubits, gates, end, hits, frame, inside)
         if error is not None:
             raise ValueError(
                 f"error after gate {error[0]}, past the last of {len(gates)} gates")
@@ -755,13 +724,12 @@ def apply_gates_inplace(
 
 def batch_rows_within(nbytes: int, n_qubits: int) -> int:
     """Rows, at least one, of the largest batch that ``apply_gates_inplace``
-    runs within ``nbytes``: per row, the row, its scratch buffer, the
-    permuted copy a basis run takes, and the copy of a row that errors hit
-    (every row, at worst). A replay takes no scratch buffer: its basis
-    pieces take one permuted copy, and its other gates the per-gate
-    kernel's temporaries of the same size, once the run's own copy is
-    freed. Beside them, a chunk's block matrices (``_BLOCK_BYTES``) and
-    the piece maps (``_PIECE_BYTES``)."""
+    runs within ``nbytes``: per row, the row, its scratch buffer, the copy
+    of the rows an error hits (every row, at worst) and the permuted copy
+    of them that the error's map takes, or the per-gate kernel's
+    temporaries of the same size. A basis run's own permuted copy is freed
+    before its errors are taken. Beside them, a chunk's block matrices
+    (``_BLOCK_BYTES``) and the error maps (``_PIECE_BYTES``)."""
     return max(1, (nbytes - _BLOCK_BYTES - _PIECE_BYTES) // (4 * (16 << n_qubits)))
 
 

@@ -337,25 +337,40 @@ def _run_spans(gates, n):
             start = end
 
 
-# Every error lies on a qubit that a later gate of its basis run acts on,
-# so the rows it hits replay the run cut there, by the maps and per-gate
-# kernels of a call that stops at the error.
+# Each error on one step's basis run, at every position, on each qubit of
+# its gate, of each kind, hits a row of its own. The rows whose error a
+# later gate of the run acts on take it after the run as a map, which
+# changes only the rounding against the reference; N_s = 12 takes the maps
+# in the S frame. The circuit is the braid through the layer after that
+# run, so that a one-row run per error stays cheap.
 @pytest.mark.parametrize("n_sites", [6, 12])
 def test_errors_replaying_their_basis_run_equal_the_stretch_by_stretch_reference(
         n_sites):
     circuit = _eff_braid(n_sites)
+    n = circuit.n_qubits
+    spans = [(start, end) for part, start, end in _run_spans(circuit.gates, n)
+             if type(part) is tuple]
+    # The third basis run, a whole step's, after the init layer and two
+    # steps.
+    start, end = spans[2]
+    circuit = Circuit(n, circuit.gates[:spans[3][0]])
     gates = circuit.gates
-    late = [(k, q) for part, start, end in _run_spans(gates, circuit.n_qubits)
-            if type(part) is tuple for k in range(start, end - 1)
-            for q in gates[k].qubits if any(q in g.qubits for g in gates[k + 1:end])]
-    picked = late[::len(late) // 12][:12]
-    errors = [(k, Gate((GateKind.X, GateKind.Z)[j % 2], (q,)), np.array([0]))
-              for j, (k, q) in enumerate(picked)]
-    initial = zero_state(circuit.n_qubits)
-    one = initial.amplitudes.copy().reshape(1, -1)
-    apply_gates_inplace(one, circuit.n_qubits, gates, errors)
-    ref = _stretch_by_stretch(circuit, initial, errors, 1)
-    assert one.tobytes() == ref.tobytes()
+    slots = [(k, q, kind) for k in range(start, end) for q in gates[k].qubits
+             for kind in (GateKind.X, GateKind.Z)]
+    late = [k for k, q, _ in slots if any(q in g.qubits for g in gates[k + 1:end])]
+    # Errors taken as maps, diagonal (Z) and permuting (X) ones, and errors
+    # taken as themselves.
+    assert 0 < len(late) < len(slots)
+    errors = [(k, Gate(kind, (q,)), np.array([r])) for r, (k, q, kind) in enumerate(slots)]
+    initial = zero_state(n)
+    batch = np.empty((len(slots), 1 << n), dtype=complex)
+    batch[:] = initial.amplitudes
+    apply_gates_inplace(batch, n, gates, errors)
+    for r in range(len(slots)):
+        own = _own_errors_run(circuit, initial, errors, r)
+        assert batch[r].tobytes() == own.tobytes(), slots[r]
+    ref = _stretch_by_stretch(circuit, initial, errors, len(slots))
+    np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-12)
 
 
 # N_s = 12 puts the layers in the S frame.
@@ -364,7 +379,7 @@ def test_errors_inside_a_layer_are_taken_after_it_without_a_replay(monkeypatch,
                                                                    n_sites):
     # Errors on the qubits of RX gates that are not the last of their
     # layer: no later gate of the layer acts on those qubits, so the rows
-    # they hit take them after the layer, with no copy and no replay.
+    # they hit take them after the layer as themselves, with no map.
     cfg = ChainConfig(n_sites // 2, 1.0, 0.3, tuple(np.linspace(0.2, 1.6, n_sites)))
     gates = trotter_step_circuit(cfg, 0.4).gates * 3
     n, rows = cfg.n_qubits, 3
@@ -392,14 +407,17 @@ def test_errors_inside_a_layer_are_taken_after_it_without_a_replay(monkeypatch,
                             [(i, e, [0]) for i, e, hit in errors if r in hit])
         own.append(single[0])
     calls = []
-    build, piece = sv._layer_blocks, sv._apply_piece
+    build, basis_map = sv._layer_blocks, sv._basis_map
     monkeypatch.setattr(sv, "_layer_blocks",
                         lambda *a: calls.append("blocks") or build(*a))
-    monkeypatch.setattr(sv, "_apply_piece", lambda *a: calls.append("replay") or piece(*a))
+    monkeypatch.setattr(sv, "_basis_map", lambda *a: calls.append("map") or basis_map(*a))
+    sv._PIECE_MAPS.clear()
     apply_gates_inplace(batch.copy(), n, gates)
-    noiseless = len(calls)
+    noiseless = list(calls)
+    assert "map" in noiseless
     apply_gates_inplace(batch, n, gates, errors)
-    assert calls == ["blocks"] * (2 * noiseless)
+    # The same blocks and run maps, and no map for an error.
+    assert calls == noiseless * 2
     for r in range(rows):
         assert batch[r].tobytes() == own[r].tobytes(), r
     np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
@@ -407,8 +425,9 @@ def test_errors_inside_a_layer_are_taken_after_it_without_a_replay(monkeypatch,
 
 def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):
     # Thirty steps of one layer and one basis run: the rows an error hits
-    # inside a copy of the run replay it cut there, and the run itself is
-    # still built once. The pieces are kept, so each is built once too.
+    # inside a copy of the run take it after the run, conjugated through
+    # the rest of it, and the run itself is still built once. The maps of
+    # those conjugates are kept, so each is built once too.
     g = Gate
     step = (
         g(GateKind.RX, (0,), 0.3), g(GateKind.RX, (1,), 0.5), g(GateKind.RX, (2,), 0.7),
@@ -421,7 +440,7 @@ def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):
     rows = 4
     errors = list(draw_errors(circuit, model, rows, np.random.default_rng(4)))
     cuts = {index % len(step) for index, _, _ in errors}
-    # Errors after the run's first five gates cut it.
+    # Errors after the run's first five gates.
     assert len(cuts & set(range(3, len(step) - 1))) >= 3
     built = []
     basis_map = sv._basis_map
@@ -439,6 +458,26 @@ def test_errors_do_not_rebuild_the_repeated_step_run(monkeypatch):
     for r in range(rows):
         own = _own_errors_run(circuit, zero_state(3), errors, r)
         assert batch[r].tobytes() == own.tobytes(), r
+
+
+# At a rate where most runs of every row have errors, errors change no run:
+# each run is applied once to the whole batch, as without errors.
+@pytest.mark.parametrize("n_sites, rows", [(6, 8), (12, 2)])
+def test_errors_apply_each_run_once(monkeypatch, n_sites, rows):
+    circuit = _eff_braid(n_sites)
+    n = circuit.n_qubits
+    model = NoiseModel(eps_bitflip=0.1, eps_phase=0.1)
+    calls = []
+    apply_run = sv._apply_run
+    monkeypatch.setattr(sv, "_apply_run", lambda *a: calls.append(a[3]) or apply_run(*a))
+    batch = np.zeros((rows, 1 << n), dtype=complex)
+    batch[:, 0] = 1.0
+    apply_gates_inplace(batch.copy(), n, circuit.gates)
+    noiseless = len(calls)
+    errors = list(draw_errors(circuit, model, rows, np.random.default_rng(6)))
+    assert len(errors) > noiseless
+    apply_gates_inplace(batch, n, circuit.gates, errors)
+    assert calls[noiseless:] == calls[:noiseless]
 
 
 def _replay(circuit, errors, rows):
@@ -539,8 +578,8 @@ def test_zero_rates_draw_nothing():
 
 
 def test_piece_maps_stay_within_their_byte_cap(monkeypatch):
-    # Room for four maps of a permuting piece on three qubits; the pieces of
-    # the step run below are many more.
+    # Room for four maps of a permuting conjugate on three qubits, or six
+    # diagonal ones; the errors on the step run below have many more.
     cap = 4 * 8 * (8 + 16)
     monkeypatch.setattr(sv, "_PIECE_BYTES", cap)
     maps = sv._PieceMaps()
@@ -548,11 +587,14 @@ def test_piece_maps_stay_within_their_byte_cap(monkeypatch):
     get = maps.get
     built = []
 
-    def checked(n_qubits, gates):
-        out = get(n_qubits, gates)
-        built.append(tuple(gates))
+    def checked(n_qubits, error, piece):
+        out = get(n_qubits, error, piece)
+        built.append((error.kind, error.qubits, *map(id, piece)))
         sizes = [size for _, _, size in maps.entries.values()]
         assert maps.nbytes == sum(sizes) <= cap
+        # Each entry holds the gates whose ids key it.
+        assert all(key[3:] == tuple(map(id, gates))
+                   for key, (gates, _, _) in maps.entries.items())
         return out
 
     maps.get = checked
@@ -565,12 +607,13 @@ def test_piece_maps_stay_within_their_byte_cap(monkeypatch):
     ) * 30)
     model = NoiseModel(eps_bitflip=0.05, eps_phase=0.05)
     run_trajectories(circuit, zero_state(3), model, 6, np.random.default_rng(1))
-    assert len(set(built)) > 4 and 0 < len(maps.entries) <= 4
+    assert len(set(built)) > 6 and 0 < len(maps.entries) <= cap // (8 * 16)
     # A map larger than the cap is built and not kept.
     monkeypatch.setattr(sv, "_PIECE_BYTES", 8)
     maps.clear()
-    src, phase = get(3, circuit.gates[2:5])
-    assert phase.shape == (8,) and not maps.entries and maps.nbytes == 0
+    src, phase = get(3, Gate(GateKind.X, (0,)), circuit.gates[3:5])
+    assert src is not None and phase.shape == (8,)
+    assert not maps.entries and maps.nbytes == 0
 
 
 def test_noisy_fidelity_batches_stay_within_row_budget(monkeypatch):
@@ -611,8 +654,8 @@ def test_full_batch_peaks_within_the_batch_budget(monkeypatch):
     assert rows == ((4 << 20) - noise._DRAW_BYTES - sv._BLOCK_BYTES
                     - sv._PIECE_BYTES) // (4 * (16 << p.n_qubits))
     initial = zero_state(p.n_qubits)
-    # Errors from rare to a few in every run of every row.
-    for eps in (1e-5, 1e-4, 1e-3):
+    # Errors from rare to many in every run of every row.
+    for eps in (1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
         model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
         # One row first, so that the executor's caches are not counted.
         run_trajectories(circuit, initial, model, 1, np.random.default_rng(2))

@@ -38,19 +38,21 @@ def test_step_cost_runs_one_round_at_six_sites():
 
 def test_noise_sweep_writes_one_row_per_eps(tmp_path):
     out = tmp_path / "sweep.csv"
-    lines = run_script("noise_sweep.py", "--eps", "0,1e-3", "--trajectories", "4",
+    # 0.1 puts errors on most gates of every trajectory.
+    lines = run_script("noise_sweep.py", "--eps", "0,1e-3,0.1", "--trajectories", "4",
                        "--out", str(out))
-    assert [line.split()[0] for line in lines[:2]] == ["eps=0", "eps=0.001"]
+    assert [line.split()[0] for line in lines[:3]] == ["eps=0", "eps=0.001", "eps=0.1"]
     assert lines[-1] == f"wrote {out}"
     header, *rows = out.read_text().splitlines()
     assert header == "eps,mean_fidelity,stderr,trajectories"
     cells = [row.split(",") for row in rows]
-    assert [(c[0], c[3]) for c in cells] == [("0", "4"), ("0.001", "4")]
+    assert [(c[0], c[3]) for c in cells] == [("0", "4"), ("0.001", "4"), ("0.1", "4")]
     # Without noise every trajectory is the noiseless state: the EFF
     # braid's fidelity at N_s = 6, with a zero stderr.
     assert float(cells[0][1]) == pytest.approx(0.29085565387899537, abs=1e-12)
     assert float(cells[0][2]) == 0.0
     assert 0.0 <= float(cells[1][1]) < float(cells[0][1])
+    assert 0.0 <= float(cells[2][1]) < float(cells[0][1])
 
 
 def _csv_rows(path):

@@ -643,12 +643,13 @@ def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=16), st.data())
-def test_each_row_replays_the_runs_cut_at_its_own_errors(pieces, data):
+def test_each_row_equals_its_one_row_run_and_the_gate_level_reference(pieces, data):
     gates = _gates_of_pieces(pieces)
     rows = 3
     after = sorted(data.draw(st.lists(st.integers(0, len(gates) - 1), max_size=6)))
+    # Each error on a qubit of its own gate, as the noise model draws them.
     errors = [(i, Gate(data.draw(st.sampled_from([GateKind.X, GateKind.Z])),
-                       (data.draw(st.integers(0, 2)),)),
+                       (data.draw(st.sampled_from(gates[i].qubits)),)),
                data.draw(st.lists(st.integers(0, rows - 1), min_size=1,
                                   max_size=rows, unique=True).map(sorted)))
               for i in after]
@@ -674,14 +675,16 @@ def test_each_row_replays_the_runs_cut_at_its_own_errors(pieces, data):
 
 
 @pytest.mark.parametrize("n", [2, 5, sv._REAL_QUBITS])
-def test_lone_basis_gates_take_the_per_gate_kernel(monkeypatch, n):
+def test_lone_basis_gates_and_errors_no_later_gate_touches_build_no_map(monkeypatch,
+                                                                        n):
     # A lone CNOT, X, Z and RZ, each between two layers, then a CNOT and X
-    # run that an error cuts into two lone gates in the rows it hits.
+    # run with an error after the CNOT on its control, which the X does not
+    # act on: the rows it hits take it after the run, as itself.
     layer = tuple(Gate(GateKind.RY, (q,), 0.3 + 0.2 * q) for q in range(n))
     lone = (Gate(GateKind.CNOT, (0, n - 1)), Gate(GateKind.X, (1,)),
             Gate(GateKind.Z, (n - 1,)), Gate(GateKind.RZ, (0,), 0.7))
     gates = layer + sum(((gate,) + layer for gate in lone), ())
-    errors = [(len(gates), Gate(GateKind.Z, (1,)), [0, 2])]
+    errors = [(len(gates), Gate(GateKind.Z, (0,)), [0, 2])]
     gates += lone[:2] + layer
     batch = np.stack([random_state(n, seed).amplitudes for seed in (1, 2, 3)])
     expected = batch.copy()
@@ -746,6 +749,23 @@ def test_errors_past_the_last_gate_or_out_of_gate_order_raise():
         rows = zero_state(2).amplitudes.reshape(1, -1).copy()
         with pytest.raises(ValueError, match=match):
             apply_gates_inplace(rows, 2, gates, errors)
+
+
+@pytest.mark.parametrize("gates, error", [
+    # A layer, with the error on the qubit of the layer's other gate.
+    ((Gate(GateKind.RX, (0,), 0.3), Gate(GateKind.RY, (1,), 0.2)),
+     (0, Gate(GateKind.Z, (1,)), [1])),
+    # A basis run, with the error after its RZ on the qubit of its X.
+    ((Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RZ, (1,), 0.4),
+      Gate(GateKind.X, (0,))), (1, Gate(GateKind.X, (0,)), [0])),
+], ids=["layer", "basis_run"])
+def test_error_off_the_qubits_of_its_gate_is_rejected_before_any_row_changes(
+        gates, error):
+    rows = np.stack([random_state(2, seed).amplitudes for seed in (3, 4)])
+    before = rows.copy()
+    with pytest.raises(ValueError, match=r"error on qubit \d after gate \d, which acts"):
+        apply_gates_inplace(rows, 2, gates, [error])
+    assert np.array_equal(rows, before)
 
 
 def test_out_of_range_gate_in_mixing_layer_raises():
