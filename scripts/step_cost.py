@@ -22,11 +22,11 @@ h_para = 1.5) and prints:
   and coupler gates), the one-time cost that the steady step leaves out.
 
 The second table walks the first two holds of the EFF braid schedule with
-linear updates (six steps of dt = 0.7) at N_s = 6 and 8 and prints, for
+linear updates (six steps of dt = 0.7) at N_s = 6 and 10 and prints, for
 ``analysis.exact_evolve`` (a matrix-free Chebyshev expansion per step):
 
 - oracle ms/step: its time per step, over ``ORACLE_CALLS`` calls in a
-  row, since one call of six steps takes only about 2 ms;
+  row, since one call of six steps at N_s = 6 takes only about 2 ms;
 - products/step: its H·v products per step, one per Chebyshev term past
   the first, counted from the Bessel coefficients it asks for;
 - us/product: its time over its products, so each product's share of the
@@ -90,7 +90,7 @@ from isingbraid.statevector import (  # noqa: E402
 )
 from isingbraid.trotter import trotter_step_circuit  # noqa: E402
 
-ORACLE_SIZES = (6, 8)
+ORACLE_SIZES = (6, 10)
 # Trotter steps after which the executor is compared with the oracle.
 DIFF_STEPS = 4
 # exact_evolve calls in one timing of the second table.

@@ -2,17 +2,18 @@
 oracles.
 
 Dense constructions are restricted to small registers (at most
-``MAX_DENSE_QUBITS``); the bound formulas themselves are closed-form and
-size-independent. The exact oracle, ``exact_evolve``, follows the field
-schedule by the same walk (``schedule.walk_schedule``) as the gate
-compiler. It is matrix-free: it applies exp(-i H t) to the state by a
-Chebyshev expansion, whose spectral interval comes from
-Gershgorin's bound and whose Bessel coefficients from Miller's backward
-recurrence, and never builds H. The vectors of the expansion's three-term
-recurrence are written in place, block by block, into one work array
-allocated once per call, and each block's terms are summed by one
-product. It keeps the same register cap, because the dense Hamiltonian
-and exponential it is checked against stop there.
+``MAX_DENSE_QUBITS``), checked before any matrix is allocated; the bound
+formulas themselves are closed-form and size-independent. The exact
+oracle, ``exact_evolve``, follows the field schedule by the same walk
+(``schedule.walk_schedule``) as the gate compiler. It is matrix-free: it
+applies exp(-i H t) to the state by a Chebyshev expansion, whose spectral
+interval comes from Gershgorin's bound and whose Bessel coefficients from
+Miller's backward recurrence, and never builds H. The vectors of the
+expansion's three-term recurrence are written in place, block by block,
+into one work array allocated once per call, and each block's terms are
+summed by one product. Its register is bounded by what it allocates, not
+by the dense cap: every input is checked, and its peak bytes estimated,
+before anything of the register's size is allocated.
 """
 from __future__ import annotations
 
@@ -29,14 +30,13 @@ from .schedule import (
     initial_fields,
     walk_schedule,
 )
-from .statevector import QuantumState, apply_gate_inplace
+from .statevector import MAX_QUBITS, QuantumState, apply_gate_inplace, check_register
 from .trotter import ChainConfig, first_layer_pairs, second_layer_pairs, zz_terms
 
 if TYPE_CHECKING:
     from .protocol import ProtocolParams
 
-# Largest register the dense constructions, and the oracle checked against
-# them, are built for.
+# Largest register the dense constructions are built for.
 MAX_DENSE_QUBITS = 10
 
 _I2 = np.eye(2, dtype=complex)
@@ -47,10 +47,16 @@ _PAULI = {
 }
 
 
-def pauli_string(n_qubits: int, ops: dict[int, str]) -> np.ndarray:
-    """Dense matrix of a Pauli string, little-endian qubit ordering."""
+def _check_dense(n_qubits: int) -> None:
+    """Reject a register above ``MAX_DENSE_QUBITS``, before any dense
+    matrix of its size is allocated."""
     if n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"dense construction limited to {MAX_DENSE_QUBITS} qubits")
+
+
+def pauli_string(n_qubits: int, ops: dict[int, str]) -> np.ndarray:
+    """Dense matrix of a Pauli string, little-endian qubit ordering."""
+    _check_dense(n_qubits)
     m = np.array([[1.0 + 0j]])
     for q in range(n_qubits):
         m = np.kron(_PAULI[ops[q]] if q in ops else _I2, m)
@@ -60,6 +66,7 @@ def pauli_string(n_qubits: int, ops: dict[int, str]) -> np.ndarray:
 def dense_zz_layer(cfg: ChainConfig, pairs) -> np.ndarray:
     """-J sum over ``pairs`` of Z_i Z_j on the full register."""
     n = cfg.n_qubits
+    _check_dense(n)
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for i, j in pairs:
         h -= cfg.J * pauli_string(
@@ -71,6 +78,7 @@ def dense_zz_layer(cfg: ChainConfig, pairs) -> np.ndarray:
 def dense_zeeman(cfg: ChainConfig) -> np.ndarray:
     """-sum_n h_n X_n on the full register."""
     n = cfg.n_qubits
+    _check_dense(n)
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for site, hn in enumerate(cfg.fields):
         if hn != 0.0:
@@ -81,6 +89,7 @@ def dense_zeeman(cfg: ChainConfig) -> np.ndarray:
 def dense_coupler(cfg: ChainConfig) -> np.ndarray:
     """-J_C Z_left-end Z_coupler Z_right-start on the full register."""
     n = cfg.n_qubits
+    _check_dense(n)
     if cfg.J_C == 0.0:
         return np.zeros((1 << n, 1 << n), dtype=complex)
     return -cfg.J_C * pauli_string(
@@ -226,10 +235,12 @@ def commutator_norms(cfg: ChainConfig) -> CommutatorReport:
 # Smallest Chebyshev coefficient |J_k| an expansion keeps, for a unit start
 # vector: about ten times the rounding of one amplitude.
 CHEBYSHEV_TOL = 1e-15
-# Most Chebyshev vectors one block of the recurrence holds, and the most
-# bytes its work array (``_block_rows``) or the Bessel recurrence of one
-# expansion (``_bessel_bytes``) may take.
-CHEBYSHEV_BLOCK_ROWS = 32
+# Bytes that bound two buffers of the oracle, each for its own reason. The
+# work array (``_block_rows``) holds as many Chebyshev vectors as fit, so a
+# small register sums a whole expansion in one product, and the array stays
+# a small part of the peak on a large one. The Bessel recurrence of one
+# expansion (``_bessel_bytes``) grows with its argument x, which this bounds
+# at about 2.6e5, so a finite but huge field is rejected, not expanded.
 CHEBYSHEV_BLOCK_BYTES = 1 << 21
 _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
 
@@ -293,12 +304,34 @@ def _bessel_j(x: float) -> np.ndarray:
 
 
 def _block_rows(n_qubits: int) -> int:
-    """B, the Chebyshev vectors one block of the work array holds: at most
-    ``CHEBYSHEV_BLOCK_ROWS``, and fewer where the B + 2 rows of the array
-    would pass ``CHEBYSHEV_BLOCK_BYTES``; it does not grow with the number
-    of terms."""
-    fit = CHEBYSHEV_BLOCK_BYTES // (16 << n_qubits) - 2
-    return max(1, min(CHEBYSHEV_BLOCK_ROWS, fit))
+    """B, the Chebyshev vectors one block of the work array holds: as many
+    as fit, with the two that start a block, in ``CHEBYSHEV_BLOCK_BYTES``,
+    and at least one. It does not grow with the number of terms. From 16
+    qubits up B is 1, and the array's three rows pass the budget; the
+    estimate of ``exact_evolve`` (``_evolve_bytes``) counts them."""
+    return max(1, CHEBYSHEV_BLOCK_BYTES // (16 << n_qubits) - 2)
+
+
+def _evolve_bytes(n_qubits: int, bessel: int, holds: list[int]) -> int:
+    """An upper estimate of the peak bytes ``exact_evolve`` allocates on a
+    register of ``n_qubits`` qubits for a walk whose holds have ``holds``
+    rows of fields, and whose largest Bessel recurrence takes ``bessel``
+    bytes (``_bessel_bytes``).
+
+    Per amplitude: d (8 bytes), the flips (8 a site), the gather of one
+    product (16 a site), the B + 2 rows of the work array and seven more
+    complex vectors (the state, the expansion's sum and the temporaries of
+    one term). Per row of fields: its values, r and x, kept for the call
+    (8 a site and 16), and 512 bytes a hold for the objects that keep
+    them; the scaled copies of the widest hold's rows while it runs (24 a
+    site). Beyond those: the Bessel recurrence and the coefficients formed
+    from it, five times its bytes, and 64 KiB for the call's smaller
+    objects."""
+    sites = n_qubits - 1
+    per_amplitude = 8 + 24 * sites + 16 * (_block_rows(n_qubits) + 2) + 112
+    rows = (8 * sites + 16) * sum(holds) + 24 * sites * max(holds, default=0)
+    return ((per_amplitude << n_qubits) + rows + 512 * len(holds) + 6 * bessel
+            + (64 << 10))
 
 
 def _chebyshev_expm(
@@ -362,32 +395,60 @@ def exact_evolve(
     call, and H v = d v - sum_n h_n v[flip_n] costs O(N_s 2**n). By
     Gershgorin's bound H lies in [-r, r], r = max |d| + sum_n |h_n|, taken
     for all rows of a hold at once, and the expansion runs on H / r for
-    x = r t; r > 0 because J > 0. The interval is centred on 0 with no
+    x = r t; r > 0 because J > 0. The largest |d| is sum |c| over the terms
+    c Z...Z of ``zz_terms``, exactly: every c is at most 0, and the all-up
+    basis state reaches the sum. The interval is centred on 0 with no
     loss: flipping every other site of each chain, and the coupler where
     needed, negates d, so d's range is symmetric. Each row's d and h are
     scaled by 2 / r once (h made complex), so a term of the recurrence is
     a multiply, a gather-and-product and two subtractions in place, into
     a row of one ``(B + 2, 2**n)`` work array allocated once per call
-    after the checks (B from ``_block_rows``, capped in rows and bytes,
-    independent of the number of terms). The register stays capped at
-    ``MAX_DENSE_QUBITS``
-    because the cross-checks of this oracle (``dense_hamiltonian``,
-    ``expm_hermitian``) and every test that compares against it are dense.
-    The call of the walk checks every field set of the schedule before
-    anything is allocated, and each hold's arguments x = r * repeats * dt
-    are checked before its first expansion: each must be finite, and its
-    Bessel recurrence (``_bessel_bytes``) must fit in
-    ``CHEBYSHEV_BLOCK_BYTES``, which holds x up to about 2.6e5.
+    (B from ``_block_rows``, independent of the number of terms).
+
+    Everything is checked before anything of the register's size is
+    allocated: the register (``check_register``), every field set of the
+    schedule (by the call of the walk), each hold's arguments
+    x = r * repeats * dt (each finite, with a Bessel recurrence,
+    ``_bessel_bytes``, that fits in ``CHEBYSHEV_BLOCK_BYTES``, which holds
+    x up to about 2.6e5), and then the call's estimated peak
+    (``_evolve_bytes``), which must not pass the bytes of the largest
+    state the engine holds, 16 * 2**MAX_QUBITS. That admits N_s = 18
+    (about 300 MiB) and rejects N_s = 20 (about 1.3 GiB). The walk is kept
+    with each hold's radii and arguments, so the schedule is walked and
+    checked once.
     """
-    if params.N_s + 1 > MAX_DENSE_QUBITS:
-        raise ValueError("exact evolution limited to small registers")
-    if initial.n_qubits != params.N_s + 1:
+    n = params.N_s + 1
+    check_register(n)
+    if initial.n_qubits != n:
         raise ValueError("register mismatch")
     cfg = chain_config(params, initial_fields(params))
-    entries = walk_schedule(params, schedule)
+    d_max = sum(abs(c) for _, c in zz_terms(cfg))
+    entries, holds, bessel = [], [], 0
+    for item in walk_schedule(params, schedule):
+        if not isinstance(item, RotateCoupler):
+            rows, repeats = item
+            # A huge field overflows to inf here, which the check below rejects.
+            with np.errstate(over="ignore"):
+                radii = d_max + np.abs(rows).sum(axis=1)
+                xs = radii * repeats * params.dt
+            if (not np.isfinite(xs).all()
+                    or _bessel_bytes(xs.max()) > CHEBYSHEV_BLOCK_BYTES):
+                raise ValueError(
+                    "exact evolution needs a finite Chebyshev argument r * t whose "
+                    f"Bessel recurrence fits in {CHEBYSHEV_BLOCK_BYTES} bytes for "
+                    f"every step of a hold, got {xs.max()}"
+                )
+            bessel = max(bessel, _bessel_bytes(xs.max()))
+            holds.append(len(rows))
+            item = (rows, radii, xs)
+        entries.append(item)
+    need = _evolve_bytes(n, bessel, holds)
+    if need > 16 << MAX_QUBITS:
+        raise ValueError(
+            f"exact evolution of {n} qubits would need about {need} bytes, more "
+            f"than the {16 << MAX_QUBITS} of the largest state the engine holds"
+        )
     d, flips = _diagonal_and_flips(cfg)
-    d_max = float(np.abs(d).max())
-    n = initial.n_qubits
     work = np.empty((_block_rows(n) + 2, 1 << n), dtype=complex)
     amps = initial.amplitudes.copy()
     for item in entries:
@@ -396,18 +457,7 @@ def exact_evolve(
                 amps, n, Gate(GateKind.RY, (params.coupler_qubit,), item.angle)
             )
             continue
-        rows, repeats = item
-        # A huge field overflows to inf here, which the check below rejects.
-        with np.errstate(over="ignore"):
-            radii = d_max + np.abs(rows).sum(axis=1)
-            xs = radii * repeats * params.dt
-        if (not np.isfinite(xs).all()
-                or _bessel_bytes(xs.max()) > CHEBYSHEV_BLOCK_BYTES):
-            raise ValueError(
-                "exact evolution needs a finite Chebyshev argument r * t whose "
-                f"Bessel recurrence fits in {CHEBYSHEV_BLOCK_BYTES} bytes for "
-                f"every step of a hold, got {xs.max()}"
-            )
+        rows, radii, xs = item
         scaled = (rows * (2.0 / radii)[:, None]).astype(complex)
         for r, x, h2 in zip(radii.tolist(), xs.tolist(), scaled):
             amps = _chebyshev_expm(work, amps, d * (2.0 / r), h2, flips, x)

@@ -93,8 +93,9 @@ class Gate:
         return len(self.qubits)
 
     def inverse(self) -> "Gate":
+        # A checked gate's negated angle is still a finite float.
         if self.kind in ROTATION_KINDS:
-            return Gate(self.kind, self.qubits, -self.angle)
+            return Gate._trusted(self.kind, self.qubits, -self.angle)
         return self
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,11 +32,13 @@ from isingbraid.schedule import (
     FieldSchedule,
     RotateCoupler,
     SetFields,
+    build_field_schedule,
     chain_config,
     initial_fields,
     walk_schedule,
 )
 from isingbraid.statevector import (
+    MAX_QUBITS,
     QuantumState,
     apply_gate_inplace,
     fidelity,
@@ -195,12 +198,18 @@ def test_linear_multi_event_schedule_gate_level_matches_exact():
     assert np.linalg.norm(exact.amplitudes - trotterized.amplitudes) <= bound
 
 
-def test_exact_evolve_rejects_oversized_register():
-    from dataclasses import replace
+def test_exact_evolve_rejects_oversized_register(monkeypatch):
+    def allocate(cfg):
+        pytest.fail("allocated before the register's bytes were checked")
 
-    big = replace(OPT, N_s=10)
-    with pytest.raises(ValueError):
-        exact_evolve(FieldSchedule(()), big, zero_state(11))
+    monkeypatch.setattr(analysis, "_diagonal_and_flips", allocate)
+    # N_s = 20 would need about 1.3 GiB, more than the 1 GiB of the largest
+    # state the engine holds; N_s = 18 needs about 300 MiB and is admitted.
+    big = replace(OPT, N_s=20)
+    need = analysis._evolve_bytes(big.n_qubits, 0, [])
+    assert need > 16 << MAX_QUBITS >= analysis._evolve_bytes(19, 0, [])
+    with pytest.raises(ValueError, match=f"would need about {need} bytes"):
+        exact_evolve(FieldSchedule(()), big, zero_state(big.n_qubits))
     with pytest.raises(ValueError, match="register mismatch"):
         exact_evolve(FieldSchedule(()), OPT, zero_state(OPT.n_qubits + 1))
 
@@ -212,6 +221,27 @@ def test_dense_constructions_reject_registers_above_the_cap():
     assert cfg.n_qubits > MAX_DENSE_QUBITS
     with pytest.raises(ValueError, match="small registers"):
         commutator_norms(cfg)
+
+
+# Each builder checks the cap before it allocates its 2**11 x 2**11 matrix
+# (64 MiB), the coupler's also where J_C = 0 makes it a zero matrix.
+@pytest.mark.parametrize("build", [
+    lambda cfg: analysis.dense_zz_layer(cfg, analysis.first_layer_pairs(cfg)),
+    analysis.dense_zeeman,
+    analysis.dense_coupler,
+    lambda cfg: analysis.dense_coupler(replace(cfg, J_C=0.0)),
+], ids=["zz_layer", "zeeman", "coupler", "coupler-J_C=0"])
+def test_dense_builders_reject_registers_above_the_cap_before_allocating(build):
+    cfg = ChainConfig(chain_len=5, J=1.0, J_C=0.3, fields=(1.0,) * 10)
+    assert cfg.n_qubits == MAX_DENSE_QUBITS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limited to {MAX_DENSE_QUBITS} qubits"):
+            build(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def random_state(n_qubits: int, seed: int) -> QuantumState:
@@ -249,6 +279,114 @@ def test_exact_evolve_matches_dense_reference(n_s, mode):
     initial = random_state(p.n_qubits, n_s)
     out = exact_evolve(sched, p, initial)
     assert np.abs(out.amplitudes - dense_evolve(sched, p, initial)).max() <= 1e-10
+
+
+def sparse_pauli(n_qubits, ops):
+    """A Pauli string as a sparse matrix, qubit 0 the least significant."""
+    sparse = pytest.importorskip("scipy.sparse")
+    paulis = {"i": np.eye(2), "x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]],
+              "z": [[1, 0], [0, -1]]}
+    m = sparse.identity(1, dtype=complex, format="csr")
+    for q in range(n_qubits):
+        m = sparse.kron(np.array(paulis[ops.get(q, "i")], dtype=complex), m,
+                        format="csr")
+    return m
+
+
+def sparse_hamiltonian(params, fields):
+    """H of the register layout (left chain on qubits 0 .. L-1, the coupler
+    on L, the right chain on L+1 .. 2L), written out term by term:
+    -J Z Z on each bond within a chain, -J_C Z Z Z across the coupler, and
+    -h X on each chain site."""
+    n, half = params.n_qubits, params.chain_len
+    sites = [*range(half), *range(half + 1, n)]
+    bonds = [(q, q + 1) for q in sites if q + 1 in sites and q != half - 1]
+    h = sum(-params.J * sparse_pauli(n, {a: "z", b: "z"}) for a, b in bonds)
+    h = h - params.J_C * sparse_pauli(n, {half - 1: "z", half: "z", half + 1: "z"})
+    for q, hq in zip(sites, fields):
+        h = h - hq * sparse_pauli(n, {q: "x"})
+    return h
+
+
+@pytest.mark.parametrize("mode", ["linear", "stepped"])
+def test_exact_evolve_at_ten_sites_matches_a_sparse_reference(mode):
+    expm_multiply = pytest.importorskip("scipy.sparse.linalg").expm_multiply
+    p = ProtocolParams(N_s=10, dt=0.3, T=0.6, update_mode=mode)
+    rng = np.random.default_rng(10)
+    holds = [tuple(rng.uniform(0.0, p.h_para, p.N_s)) for _ in range(2)]
+    angle = math.pi / 3
+    sched = FieldSchedule((SetFields(holds[0], p.T), RotateCoupler(angle),
+                           SetFields(holds[1], p.T)))
+    initial = random_state(p.n_qubits, 10)
+    out = exact_evolve(sched, p, initial)
+    # The walk gives the rows of fields; each is applied by expm_multiply.
+    amps = initial.amplitudes
+    ry = (math.cos(angle / 2) * sparse_pauli(p.n_qubits, {})
+          - 1j * math.sin(angle / 2) * sparse_pauli(p.n_qubits, {p.chain_len: "y"}))
+    for item in walk_schedule(p, sched):
+        if isinstance(item, RotateCoupler):
+            amps = ry @ amps
+            continue
+        rows, repeats = item
+        for fields in rows:
+            h = sparse_hamiltonian(p, fields)
+            amps = expm_multiply(-1j * repeats * p.dt * h, amps)
+    assert np.abs(out.amplitudes - amps).max() <= 1e-10
+
+
+# The first events of the EFF braid, the whole braid (276 rows of fields in
+# 92 holds), and one long stepped hold whose Bessel recurrence (x about
+# 1e4) is a sizeable part of the estimate.
+@pytest.mark.parametrize("n_s, mode, events, hold", [
+    (6, "linear", 4, None), (8, "linear", 4, None), (10, "stepped", 4, None),
+    (12, "linear", 4, None), (6, "linear", None, None), (6, "stepped", 0, 500.0)])
+def test_exact_evolve_peaks_within_its_estimate(monkeypatch, n_s, mode, events,
+                                                hold):
+    p = replace(EFF, N_s=n_s, update_mode=mode)
+    braid = build_field_schedule(p, include_rotation=True).events
+    if hold is not None:
+        sched = FieldSchedule((SetFields(initial_fields(p), hold),))
+    elif events is None:
+        sched = FieldSchedule(braid)
+    else:
+        sched = FieldSchedule(braid[:events] + (RotateCoupler(0.4),))
+    estimates = []
+    estimate = analysis._evolve_bytes
+
+    def recorded(n_qubits, bessel, holds):
+        estimates.append(estimate(n_qubits, bessel, holds))
+        return estimates[-1]
+
+    monkeypatch.setattr(analysis, "_evolve_bytes", recorded)
+    initial = zero_state(p.n_qubits)
+    tracemalloc.start()
+    try:
+        exact_evolve(sched, p, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [need] = estimates
+    assert peak <= need
+    # And not far above: the peak is 0.90-0.99 of it in these cases.
+    assert need <= 1.25 * peak
+
+
+@pytest.mark.parametrize("mode", ["linear", "stepped"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_exact_evolve_rejects_a_bad_last_hold_before_allocating(monkeypatch, mode,
+                                                               bad):
+    def allocate(cfg):
+        pytest.fail("allocated before the last hold was checked")
+
+    monkeypatch.setattr(analysis, "_diagonal_and_flips", allocate)
+    p = ProtocolParams(update_mode=mode)
+    fields = list(initial_fields(p))
+    fields[-1] = bad
+    sched = FieldSchedule((SetFields(initial_fields(p), p.T), RotateCoupler(0.5),
+                           SetFields(initial_fields(p), p.T),
+                           SetFields(tuple(fields), p.T)))
+    with pytest.raises(ValueError, match="finite Chebyshev argument"):
+        exact_evolve(sched, p, zero_state(p.n_qubits))
 
 
 def test_exact_evolve_basis_state_without_fields_is_diagonal_phase():
@@ -328,12 +466,27 @@ def test_bessel_coefficients_equal_the_list_recurrence_bit_for_bit(x):
     assert j.tobytes() == ref[:j.size].tobytes()
 
 
+# The oracle's Gershgorin radius takes max |d| as sum |c| over the terms of
+# zz_terms, without building d: every c is at most 0 and the all-up state
+# reaches the sum, in the same order of additions.
+@pytest.mark.parametrize("chain_len", [3, 4, 5, 6])
+def test_largest_diagonal_is_the_sum_of_the_term_sizes(chain_len):
+    for J in (0.7, 1.0, 1.3):
+        for J_C in (0.0, 0.123, 0.3, 1.0):
+            cfg = ChainConfig(chain_len, J, J_C, (0.0,) * (2 * chain_len))
+            d, _ = analysis._diagonal_and_flips(cfg)
+            terms = analysis.zz_terms(cfg)
+            assert float(np.abs(d).max()) == sum(abs(c) for _, c in terms)
+
+
 def test_chebyshev_block_stays_within_its_byte_budget():
+    budget = analysis.CHEBYSHEV_BLOCK_BYTES
     for n in range(1, 25):
         rows = analysis._block_rows(n)
-        assert 1 <= rows <= analysis.CHEBYSHEV_BLOCK_ROWS
-        assert rows == 1 or (rows + 2) * 16 << n <= analysis.CHEBYSHEV_BLOCK_BYTES
-    assert analysis._block_rows(MAX_DENSE_QUBITS) == analysis.CHEBYSHEV_BLOCK_ROWS
+        assert rows >= 1
+        assert rows == 1 or (rows + 2) * 16 << n <= budget
+        # As many rows as fit.
+        assert (rows + 3) * 16 << n > budget
 
 
 # The expansion of one stepped hold fills the first block of the work array
@@ -343,12 +496,16 @@ def test_chebyshev_block_stays_within_its_byte_budget():
                          ids=["one-block", "one-hand-over", "two-hand-overs"])
 def test_exact_evolve_block_hand_over_matches_dense_reference(monkeypatch, extra):
     p = ProtocolParams(dt=0.01)
+    # A budget of 34 rows, so B = 32: the search below for a hold of
+    # B + 2 + extra terms stays short, and the blocks hand over.
+    monkeypatch.setattr(analysis, "CHEBYSHEV_BLOCK_BYTES", 34 * 16 << p.n_qubits)
     fields = tuple(np.random.default_rng(7).uniform(0.0, p.h_para, p.N_s))
     # Gershgorin's radius of H: the largest |diagonal| of the field-free H
     # plus the sum of the fields.
     free = dense_hamiltonian(chain_config(p, (0.0,) * p.N_s))
     radius = np.abs(free.diagonal()).max() + np.sum(fields)
     block = analysis._block_rows(p.n_qubits)
+    assert block == 32
     want = block + 2 + extra(block)
     steps = next(m for m in range(1, 10_000)
                  if analysis._bessel_j(radius * m * p.dt).size >= want)

@@ -107,6 +107,15 @@ def test_inverse_is_unitary_inverse():
     assert np.allclose(u @ v, np.eye(8), atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", [GateKind.RX, GateKind.RY, GateKind.RZ])
+def test_inverse_of_a_rotation_equals_the_checked_gate(kind):
+    g = Gate(kind, (2,), 0.3)
+    inv = g.inverse()
+    assert inv == Gate(kind, (2,), -0.3)
+    assert type(inv.angle) is float and inv.qubits == (2,)
+    assert inv.inverse() == g
+
+
 def test_depth_simple_cases():
     assert depth(Circuit(3, ())) == 0
     c = Circuit(

@@ -577,6 +577,32 @@ def test_zero_rates_draw_nothing():
     assert rng.bit_generator.state == state
 
 
+def test_piece_maps_build_no_checked_gate(monkeypatch):
+    # The inverses of the piece's gates are built trusted: a map build
+    # constructs no gate through the checking constructor.
+    piece = (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RZ, (1,), 0.4),
+             Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RZ, (2,), -0.6))
+    error = Gate(GateKind.X, (1,))
+    checked = []
+    post_init = Gate.__post_init__
+
+    def counted(gate):
+        checked.append(gate)
+        post_init(gate)
+
+    monkeypatch.setattr(Gate, "__post_init__", counted)
+    maps = sv._PieceMaps()
+    src, phase = maps.get(3, error, piece)
+    assert checked == []
+    # X on qubit 1 conjugated by the piece: the map of the same gates
+    # built from checked inverses.
+    monkeypatch.setattr(Gate, "__post_init__", post_init)
+    undo = tuple(Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
+                 for g in reversed(piece))
+    ref_src, ref_phase = sv._basis_map(3, (*undo, error, *piece))
+    assert np.array_equal(src, ref_src) and np.array_equal(phase, ref_phase)
+
+
 def test_piece_maps_stay_within_their_byte_cap(monkeypatch):
     # Room for four maps of a permuting conjugate on three qubits, or six
     # diagonal ones; the errors on the step run below have many more.

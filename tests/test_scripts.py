@@ -29,7 +29,7 @@ def test_step_cost_runs_one_round_at_six_sites():
     # third, each time as its median and its spread.
     assert rows[1][:2] == ["6", "7"]
     assert len(rows[1]) == 2 + 2 * 4 + 1
-    assert [row[:2] for row in rows[3:5]] == [["6", "7"], ["8", "9"]]
+    assert [row[:2] for row in rows[3:5]] == [["6", "7"], ["10", "11"]]
     assert len(rows[3]) == 2 + 2 + 1 + 2
     assert [row[:2] for row in rows[6:8]] == [["linear", "6030"], ["stepped", "6030"]]
     assert len(rows[6]) == 2 + 2 * 4
