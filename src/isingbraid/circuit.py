@@ -102,6 +102,16 @@ class Gate:
 _QUBITS = operator.attrgetter("qubits")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: a count or a seed taken as ``operator.index``
+    takes it, so ``numpy.int64`` passes and a float does not. Anything else
+    raises a ValueError that names ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GateCounts:
     one_qubit: int

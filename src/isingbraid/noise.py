@@ -29,7 +29,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .circuit import _QUBITS, Circuit, Gate, GateKind
+from .circuit import _QUBITS, Circuit, Gate, GateKind, _integer
 from .protocol import (
     LogicalLabel,
     ProtocolParams,
@@ -78,7 +78,9 @@ class NoiseModel:
             v = getattr(self, f.name)
             if f.name.startswith("eps_") and v is not None and not 0.0 <= v <= 0.5:
                 raise ValueError(f"{f.name} = {v} outside [0, 0.5]")
-        if self.trajectories < 1:
+        trajectories = _integer("trajectories", self.trajectories)
+        object.__setattr__(self, "trajectories", trajectories)
+        if trajectories < 1:
             raise ValueError("trajectories must be >= 1")
 
     def bitflip_for(self, arity: int) -> float:
@@ -175,6 +177,7 @@ def run_trajectories(
     The whole batch goes through ``statevector.apply_gates_inplace`` once,
     with the drawn errors; each row's bits are those of its own errors run
     alone. ``rows`` below one is rejected before anything is allocated."""
+    rows = _integer("rows", rows)
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
     if circuit.n_qubits != initial.n_qubits:

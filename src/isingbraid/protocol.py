@@ -24,6 +24,7 @@ from .circuit import (
     Gate,
     GateCounts,
     GateKind,
+    _integer,
     concat,
     depths_and_counts,
     inverse,
@@ -97,7 +98,9 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "int":
+                object.__setattr__(self, f.name, _integer(f.name, value))
+            elif f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.N_s < 6 or self.N_s % 2 != 0:
             raise ValueError("N_s must be an even count >= 6")
@@ -130,6 +133,8 @@ class ProtocolParams:
             raise ValueError("theta must be non-negative")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:  # numpy takes no negative seed
+            raise ValueError("seed must be >= 0")
         if self.update_mode not in UPDATE_MODES:
             raise ValueError(f"update_mode must be one of {UPDATE_MODES}")
         if self.coupler_prep not in COUPLER_PREPS:

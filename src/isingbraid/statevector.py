@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import _QUBITS, Circuit, Gate, GateKind
+from .circuit import _QUBITS, Circuit, Gate, GateKind, _integer
 
 MAX_QUBITS = 26
 
@@ -92,6 +92,7 @@ class RegisterSizeError(ValueError):
 def check_register(n_qubits: int) -> None:
     """Reject a register the dense engine cannot hold, before anything of
     its size is allocated."""
+    n_qubits = _integer("register size", n_qubits)
     if not 1 <= n_qubits <= MAX_QUBITS:
         gib = 16 * 2.0**n_qubits / 2**30
         raise RegisterSizeError(
@@ -558,28 +559,12 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
         yield chunk, layers
 
 
-def _apply_run(rows, scratch, n_qubits: int, part, op, frame, inside: bool) -> bool:
-    """Apply one run ``part`` to the batch ``rows``: a layer (a list) by
-    its blocks ``op``, any other run as ``_apply_basis`` does. ``scratch``
-    is a buffer of the batch's shape for a layer. ``inside`` tells whether
-    the rows are in the S frame ``frame``, (into, back) columns of
-    ``_frame`` or None below ``_REAL_QUBITS``; returns whether they are in
-    it after the run. A layer enters the frame.
-    """
-    if type(part) is list:
-        if frame is not None and not inside:
-            _frame_multiply(rows, frame[0])
-            inside = True
-        _apply_blocks(rows, scratch, op)
-        return inside
-    return _apply_basis(rows, n_qubits, part, op, frame, inside)
-
-
 def _apply_basis(rows, n_qubits: int, part, op, frame, inside: bool) -> bool:
     """Apply a basis run of two gates or more by its map ``op`` = (src,
     phase), or the gate ``part`` (``op`` None) by its per-gate kernel, to
-    the batch ``rows``, whose frame state is as in ``_apply_run``; returns
-    whether they are in the frame after it.
+    the batch ``rows``. ``inside`` tells whether the rows are in the S frame
+    ``frame``, (into, back) columns of ``_frame`` or None below
+    ``_REAL_QUBITS``; returns whether they are in it after the part.
 
     A diagonal map is applied as ``phase * rows``, phase first, inside the
     frame or not: in that operand order ``phase * (f * a) * conj(f)``
@@ -605,7 +590,7 @@ def _apply_errors(rows, n_qubits: int, gates: Sequence[Gate], end: int, hits,
     gate ``end`` of ``gates``, each (gate index, error gate, rows it hits)
     in gate order, to the rows they hit, once the run is applied to every
     row of ``rows``. ``inside`` tells whether the rows are in the S frame
-    ``frame`` (see ``_apply_run``).
+    ``frame`` (see ``_apply_basis``).
 
     An error E after gate k is U E U^-1 after the run, U the gates of the
     run after k, and the errors of a run are taken in gate order. When no
@@ -645,16 +630,17 @@ def apply_gates_inplace(
 
     Every gate is applied in a run. Each maximal run of two or more basis
     gates (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of
-    the most recent one is kept for the next, so a run repeated step after
-    step is built once. Each maximal run of RX, RY and H gates on distinct
-    qubits is applied as one layer of dense blocks. A lone basis gate, and
-    a mixing gate on a one-qubit register, take their per-gate kernel. The
-    runs are planned a chunk at a time (see ``_chunks``): the blocks of all
-    layers of a chunk are built together, then the chunk's runs are applied
-    in order. A run and its errors are checked in full before any row
-    changes: an error on a qubit its gate does not act on raises ValueError
-    then, and one past the last gate or out of gate order when the runs
-    reach it.
+    the most recent one is kept, and the plan yields a run equal to it as
+    the same tuple, so a run repeated step after step is built once and
+    its gates are not compared again. Each maximal run of RX, RY and H
+    gates on distinct qubits is applied as one layer of dense blocks. A
+    lone basis gate, and a mixing gate on a one-qubit register, take their
+    per-gate kernel. The runs are planned a chunk at a time (see
+    ``_chunks``): the blocks of all layers of a chunk are built together,
+    then the chunk's runs are applied in order. A run and its errors are
+    checked in full before any row changes: an error on a qubit its gate
+    does not act on raises ValueError then, and one past the last gate or
+    out of gate order when the runs reach it.
 
     Errors do not change the runs: every run is applied whole to every row,
     and then each error of the run to the rows it hits, conjugated through
@@ -686,22 +672,18 @@ def apply_gates_inplace(
             for part in chunk:
                 kind = type(part)
                 if kind is list:
-                    if scratch is None:
-                        scratch = np.empty_like(rows)
                     op = next(blocks)
                 elif kind is tuple:
-                    if part != last_run:
+                    # The plan yields a repeated run as the same tuple.
+                    if part is not last_run:
                         last_run, last_map = part, _basis_map(n_qubits, part)
                     op = last_map
                 else:
                     op = None
+                hits = []
                 # Gate positions matter only while errors are left.
                 if error is not None:
                     end += 1 if op is None else len(part)
-                if error is None or error[0] >= end:
-                    inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
-                    continue
-                hits = []
                 while error is not None and error[0] < end:
                     index, qubits = error[0], error[1].qubits
                     if index < taken:
@@ -712,8 +694,17 @@ def apply_gates_inplace(
                     taken = index
                     hits.append(error)
                     error = next(errors, None)
-                inside = _apply_run(rows, scratch, n_qubits, part, op, frame, inside)
-                _apply_errors(rows, n_qubits, gates, end, hits, frame, inside)
+                if kind is list:
+                    if scratch is None:
+                        scratch = np.empty_like(rows)
+                    if frame is not None and not inside:
+                        _frame_multiply(rows, frame[0])
+                        inside = True
+                    _apply_blocks(rows, scratch, op)
+                else:
+                    inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
+                if hits:
+                    _apply_errors(rows, n_qubits, gates, end, hits, frame, inside)
         if error is not None:
             raise ValueError(
                 f"error after gate {error[0]}, past the last of {len(gates)} gates")
@@ -759,6 +750,7 @@ def index_to_bitstring(index: int, n_bits: int) -> str:
 
 def sample(state: QuantumState, shots: int, seed: int) -> SampleCounts:
     """Draw i.i.d. shots from the Born distribution; deterministic given seed."""
+    shots = _integer("shots", shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = np.abs(state.amplitudes) ** 2

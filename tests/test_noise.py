@@ -58,6 +58,14 @@ def test_model_validation():
         NoiseModel(eps_bitflip_2q=0.7)
 
 
+def test_counts_that_are_not_integers_are_rejected():
+    with pytest.raises(ValueError, match="trajectories must be an integer"):
+        NoiseModel(trajectories=2.5)
+    assert type(NoiseModel(trajectories=np.int64(3)).trajectories) is int
+    with pytest.raises(ValueError, match="rows must be an integer"):
+        run_trajectories(BELL, zero_state(2), NoiseModel(), 2.5, np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("rows", [0, -1])
 def test_run_trajectories_rejects_fewer_than_one_row(monkeypatch, rows, eps):
@@ -467,9 +475,22 @@ def test_errors_apply_each_run_once(monkeypatch, n_sites, rows):
     circuit = _eff_braid(n_sites)
     n = circuit.n_qubits
     model = NoiseModel(eps_bitflip=0.1, eps_phase=0.1)
+    # What the executor applies: each basis run's tuple and each layer. An
+    # error is never a tuple, and this braid plans no lone gate.
     calls = []
-    apply_run = sv._apply_run
-    monkeypatch.setattr(sv, "_apply_run", lambda *a: calls.append(a[3]) or apply_run(*a))
+    apply_basis, apply_blocks = sv._apply_basis, sv._apply_blocks
+
+    def basis(*args):  # (rows, n_qubits, part, op, frame, inside)
+        if type(args[2]) is tuple:
+            calls.append(args[2])
+        return apply_basis(*args)
+
+    def blocks(*args):
+        calls.append("layer")
+        apply_blocks(*args)
+
+    monkeypatch.setattr(sv, "_apply_basis", basis)
+    monkeypatch.setattr(sv, "_apply_blocks", blocks)
     batch = np.zeros((rows, 1 << n), dtype=complex)
     batch[:, 0] = 1.0
     apply_gates_inplace(batch.copy(), n, circuit.gates)

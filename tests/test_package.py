@@ -57,3 +57,29 @@ def test_runtime_import_graph_has_no_cycle():
     # The field schedule sits below both of its consumers, the gate compiler
     # and the exact oracle.
     assert graph["schedule"] == {"trotter"}
+
+
+def _private_names(tree):
+    """Module-level private functions, classes and constants of ``tree``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_helper_is_read_in_the_package():
+    """A private helper that only tests read is dead code of the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    defined = {(name, file) for file, tree in trees.items() for name in _private_names(tree)}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(defined) > 50
+    assert sorted(d for d in defined if d[0] not in read) == []

@@ -65,6 +65,8 @@ def test_params_validation():
         ProtocolParams(theta=-0.1)
     with pytest.raises(ValueError, match="shots must be >= 1"):
         ProtocolParams(shots=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ProtocolParams(seed=-1)
     with pytest.raises(ValueError):
         ProtocolParams(dt=-0.1)
     with pytest.raises(ValueError):
@@ -85,6 +87,20 @@ def test_params_validation():
         ProtocolParams(T=1e308)
     # A coupler switched off is allowed.
     assert ProtocolParams(J_C=0.0).J_C == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, bad", [("N_s", 6.0), ("shots", 100.5), ("seed", 2.5), ("seed", "3")])
+def test_params_reject_counts_that_are_not_integers(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ProtocolParams(**{name: bad})
+
+
+def test_params_store_integer_counts_as_int():
+    # A numpy integer is taken, and stored as the int a report can write.
+    p = ProtocolParams(N_s=np.int64(6), shots=np.int64(100), seed=np.int64(3))
+    assert [type(v) for v in (p.N_s, p.shots, p.seed)] == [int, int, int]
+    assert p.seed == 3
 
 
 @pytest.mark.parametrize("N_s", [6, 10])

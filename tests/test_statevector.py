@@ -11,6 +11,7 @@ from isingbraid.protocol import (
     LogicalLabel,
     ProtocolParams,
     build_protocol_circuit,
+    compile_scenario,
     initialization_circuit,
 )
 from isingbraid.schedule import FieldSchedule, RotateCoupler, SetFields, initial_fields
@@ -273,6 +274,13 @@ def test_sample_counts_validation():
         SampleCounts(counts={"00": 3}, shots=4, n_bits=2)
     with pytest.raises(ValueError, match="shots must be >= 1"):
         sample(zero_state(2), 0, seed=1)
+
+
+def test_counts_that_are_not_integers_are_rejected():
+    with pytest.raises(ValueError, match="register size must be an integer"):
+        zero_state(2.0)
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        sample(zero_state(2), 2.5, 1)
 
 
 def test_sample_chi_square_goodness_of_fit():
@@ -619,6 +627,21 @@ def test_repeated_basis_runs_are_planned_as_the_same_run():
     repeats = [(a, b) for a, b in zip(basis, basis[1:]) if a == b]
     assert repeats and all(a is b for a, b in repeats)
     assert _planned_runs(list(gates), n) == runs
+
+
+def test_executor_builds_a_map_per_run_that_differs_from_the_last(monkeypatch):
+    # The OPT braid repeats its step runs hold after hold: the executor
+    # reuses a map by the identity of the planned run, as often as a
+    # comparison of the gates would.
+    p = ProtocolParams(update_mode="linear")
+    circuit = compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
+    basis = [r for r in _planned_runs(circuit.gates, p.n_qubits) if type(r) is tuple]
+    changes = sum(a != b for a, b in zip([()] + basis, basis))
+    built = []
+    basis_map = sv._basis_map
+    monkeypatch.setattr(sv, "_basis_map", lambda *a: built.append(a[1]) or basis_map(*a))
+    run(zero_state(p.n_qubits), circuit)
+    assert len(built) == changes < len(basis) // 2
 
 
 def _gates_of_pieces(pieces):
