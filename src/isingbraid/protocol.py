@@ -229,21 +229,19 @@ def build_protocol_circuit(
 ) -> Circuit:
     """Compile the schedule into the full evolution circuit (no init/readout).
 
-    Each hold of ``walk_schedule`` appends its Trotter steps, each row of
-    fields repeated as often as the entry says, to one flat gate list, and
-    each step reuses the RX gates of the step before wherever their angle
-    is unchanged; coupler rotation events append a single RY on the
-    coupler qubit.
+    The whole walk of ``walk_schedule`` goes to one ``extend_trotter_steps``
+    call, which appends each hold's Trotter steps, each row of fields
+    repeated as often as the entry says, to one flat gate list, with the
+    Zeeman angles of the whole walk computed once; each coupler rotation
+    event appends a single RY on the coupler qubit. Each step reuses the RX
+    gates of the step before wherever their angle is unchanged.
     """
     cfg = chain_config(params, initial_fields(params))
+    walk = (Gate(GateKind.RY, (params.coupler_qubit,), item.angle)
+            if isinstance(item, RotateCoupler) else item
+            for item in walk_schedule(params, schedule))
     gates: list[Gate] = []
-    zeeman = None
-    for item in walk_schedule(params, schedule):
-        if isinstance(item, RotateCoupler):
-            gates.append(Gate(GateKind.RY, (params.coupler_qubit,), item.angle))
-            continue
-        fields, repeats = item
-        zeeman = extend_trotter_steps(gates, cfg, fields, params.dt, repeats, zeeman)
+    extend_trotter_steps(gates, cfg, walk, params.dt)
     return Circuit._trusted(params.n_qubits, tuple(gates))
 
 

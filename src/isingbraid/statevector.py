@@ -11,6 +11,9 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import attrgetter, ne
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +55,8 @@ _PIECE_BYTES = 1 << 20
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 # The column that turns a row into the pair (row, -row).
 _SIGNS = np.array([[1.0], [-1.0]])
-# einsum subscripts of a batch of Kronecker products of w 2x2 factors, the
-# factor of the highest qubit first: "...ae,...bf->...abef" for w = 2.
-_KRON = {
-    w: ",".join(f"...{chr(97 + j)}{chr(97 + w + j)}" for j in range(w))
-    + "->..." + "".join(chr(97 + j) for j in range(2 * w))
-    for w in range(1, _BLOCK_QUBITS + 1)
-}
+_KIND = attrgetter("kind")
+_ANGLE = attrgetter("angle")
 
 
 def rotation_matrix(kind: GateKind, angle: float) -> np.ndarray:
@@ -290,21 +288,22 @@ def _basis_map(n_qubits: int, gates: Sequence[Gate]):
     return src.reshape(-1), phase.reshape(-1)
 
 
-def _layer_matrices(layer: Sequence[Gate]) -> np.ndarray:
-    """The 2x2 matrices of a run of RX, RY and H gates, as one
-    ``(len(layer), 2, 2)`` array."""
-    kinds = [g.kind for g in layer]
-    half = 0.5 * np.array([0.0 if g.angle is None else g.angle for g in layer])
+def _layer_matrices(kinds: Sequence[GateKind], angles) -> np.ndarray:
+    """The 2x2 matrices of k layers of RX, RY and H gates, as one
+    ``(len(kinds), 2, 2, k)`` array, the layers last: ``kinds`` gives the
+    kind of each gate of a layer and ``angles``, a ``(len(kinds), k)``
+    array, its angle in each layer (any value for H)."""
+    half = np.multiply(angles, 0.5)
     c, s = np.cos(half), np.sin(half)
-    m = np.zeros((len(layer), 2, 2), dtype=complex)
+    m = np.zeros((len(kinds), 2, 2, half.shape[1]), dtype=complex)
     m.real[:, 0, 0] = m.real[:, 1, 1] = c
     m.imag[:, 0, 1] = m.imag[:, 1, 0] = -s
-    if GateKind.RY in kinds:
-        ry = np.array([k is GateKind.RY for k in kinds])
-        m[ry, 0, 1] = -s[ry]
-        m[ry, 1, 0] = s[ry]
-    if GateKind.H in kinds:
-        m[np.array([k is GateKind.H for k in kinds])] = _H
+    for j, kind in enumerate(kinds):
+        if kind is GateKind.RY:
+            m[j, 0, 1] = -s[j]
+            m[j, 1, 0] = s[j]
+        elif kind is GateKind.H:
+            m[j] = _H[:, :, None]
     return m
 
 
@@ -355,94 +354,128 @@ def _block_plan(qubits: tuple[int, ...], n_qubits: int):
     return tuple(blocks), nbytes
 
 
-def _layer_blocks(
-    layers: list[tuple[tuple[int, ...], list[Gate]]], n_qubits: int
-) -> list[list]:
-    """The dense blocks of every layer of a chunk, given as (sorted qubits,
-    gates in that order), in layer order. Each layer is a list of (lowest
-    qubit, dimension, matrix) blocks, as ``_apply_blocks`` takes them.
+def _layer_blocks(layers: list, n_qubits: int) -> list[list]:
+    """The dense blocks of each entry of a chunk's ``layers``, in order.
+    An entry is (sorted qubits, the kinds of their gates, a ``(len(qubits),
+    k)`` array of their angles) and stands for k layers on those qubits
+    with those kinds: the layers of a stretch of repeated steps, or one
+    layer. For each entry the result lists each of its k layers as a tuple
+    of (key, matrix) blocks, as ``_apply_blocks`` takes them; a key is
+    (lowest qubit, dimension, real).
 
-    Layers on the same qubits share one block plan, so their 2x2 matrices
-    are built by one ``_layer_matrices`` call and each block position's
-    Kronecker products by one batched ``einsum``.
+    The 2x2 matrices of an entry are built by one ``_layer_matrices``
+    call, and the Kronecker products of each block position by broadcast
+    products over all k layers at once, the factor of the highest qubit
+    first, with the layers as the last axis so each product runs along
+    them. Adding 0.0 to a product of two factors or more makes each of its
+    zeros +0.0, as a sum of products starting from zero does, so the signs
+    of exact zeros in the rows do not depend on how the products were
+    formed. Each block is then a C-contiguous matrix; the block at qubit 0
+    is given transposed, the right operand of its product.
 
     On registers of ``_REAL_QUBITS`` or more the blocks act on rows in the
     frame S = diag(1, i) on every qubit from ``_BLOCK_QUBITS`` up (see
     ``_frame``). Each factor M on such a qubit is taken into the frame as
     S M conj(S), its off-diagonals times -i and i, which is exact; RX(t)
     becomes the real RY(t). A block above qubit 0 is real when all of its
-    factors are, and is then applied in real arithmetic. The block at qubit
-    0 lies below the frame and stays complex: it is one product whose row
-    count grows with the batch, and a real product of that shape rounds
-    differently for different row counts, which would make a row's bits
-    depend on its batch.
+    factors are, decided layer by layer, and is then applied in real
+    arithmetic. The block at qubit 0 lies below the frame and stays
+    complex: it is one product whose row count grows with the batch, and a
+    real product of that shape rounds differently for different row
+    counts, which would make a row's bits depend on its batch.
     """
     framed = n_qubits >= _REAL_QUBITS
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for index, (qubits, _) in enumerate(layers):
-        groups.setdefault(qubits, []).append(index)
-    blocks_of: list[list] = [[] for _ in layers]
-    for qubits, members in groups.items():
-        count = len(members)
+    out = []
+    for qubits, kinds, angles in layers:
         plan, _ = _block_plan(qubits, n_qubits)
-        mats = _layer_matrices([g for k in members for g in layers[k][1]])
-        mats = mats.reshape(count, len(qubits), 2, 2)
+        mats = _layer_matrices(kinds, angles)
+        count = mats.shape[3]
         if framed:
             inside = [q >= _BLOCK_QUBITS for q in qubits]
-            mats[:, inside, 0, 1] *= -1j
-            mats[:, inside, 1, 0] *= 1j
+            mats[inside, 0, 1] *= -1j
+            mats[inside, 1, 0] *= 1j
+        positions = []
         for lo, width, gates, offsets in plan:
             if offsets is None:
-                factors = mats[:, gates]
+                factors = mats[gates]
             else:
                 # Qubits of the span that no gate of the layer touches.
-                factors = np.tile(np.eye(2, dtype=complex), (count, width, 1, 1))
-                factors[:, offsets] = mats[:, gates]
-            # Which layers' blocks are real, decided layer by layer, so a
-            # layer's bits do not depend on the layers of its chunk.
-            real = np.zeros(count, dtype=bool)
+                factors = np.zeros((width, 2, 2, count), dtype=complex)
+                factors[:, 0, 0] = factors[:, 1, 1] = 1.0
+                factors[offsets] = mats[gates]
+            mixed = False
             if framed and lo:
-                real = ~factors.imag.any(axis=(1, 2, 3))
+                real = ~factors.imag.any(axis=(0, 1, 2))
                 if real.all():
                     factors = factors.real
+                mixed = real.any() and not real.all()
+            blocks = factors[width - 1]
+            for w in range(width - 2, -1, -1):
+                dim = 2 * len(blocks)
+                blocks = (blocks[:, None, :, None]
+                          * factors[w, None, :, None]).reshape(dim, dim, count)
+            if width > 1:
+                blocks += 0.0
             dim = 1 << width
-            # The factor of the highest qubit first.
-            operands = [factors[:, w] for w in range(width - 1, -1, -1)]
-            blocks = np.einsum(_KRON[width], *operands).reshape(count, dim, dim)
-            for k, block, is_real in zip(members, blocks, real):
-                if is_real and block.dtype == complex:
-                    block = block.real.copy()
-                blocks_of[k].append((lo, dim, block))
-    return blocks_of
+            key = (lo, dim, blocks.dtype != complex)
+            blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1))
+            if not lo:
+                positions.append(zip(repeat(key), blocks.transpose(0, 2, 1)))
+            elif mixed:
+                as_real = (lo, dim, True)
+                positions.append([(as_real, block.real.copy()) if is_real else (key, block)
+                                  for block, is_real in zip(blocks, real)])
+            else:
+                positions.append(zip(repeat(key), blocks))
+        out.append(list(zip(*positions)))
+    return out
 
 
-def _apply_blocks(rows: np.ndarray, scratch: np.ndarray, blocks: list) -> None:
-    """Apply one layer's dense blocks to the batch ``rows``. ``scratch`` is
-    a buffer of the batch's shape. A complex block is applied by a complex
-    product, a real one by a real product on the real and imaginary parts.
-    The blocks of ``_layer_blocks`` expect a register of ``_REAL_QUBITS``
-    or more to be in its S frame, where ``apply_gates_inplace`` puts it.
+class _Views(dict):
+    """The views of a C-contiguous batch ``rows`` and of a scratch buffer
+    of its shape that the blocks of each key of ``_layer_blocks``
+    multiply, made on first use and kept for one executor call: ``(-1,
+    dim)`` at qubit 0, ``(-1, dim, 2**lo)`` for a complex block above it,
+    and for a real block the real and imaginary parts of the batch as
+    twice as many real columns, ``(-1, dim, 2 << lo)``."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        super().__init__()
+        self.rows = rows
+        self.scratch = np.empty_like(rows)
+
+    def __missing__(self, key):
+        lo, dim, real = key
+        rows, scratch = self.rows, self.scratch
+        if real:
+            rows, scratch = rows.view(np.float64), scratch.view(np.float64)
+        shape = (-1, dim, (2 if real else 1) << lo) if lo else (-1, dim)
+        pair = self[key] = (rows.reshape(shape), scratch.reshape(shape))
+        return pair
+
+
+def _apply_blocks(views: _Views, blocks) -> None:
+    """Apply one layer's dense ``blocks`` of ``_layer_blocks`` to the batch
+    of ``views``, through its scratch buffer. A complex block is applied by
+    a complex product, a real one by a real product on the real and
+    imaginary parts. The blocks of ``_layer_blocks`` expect a register of
+    ``_REAL_QUBITS`` or more to be in its S frame, where
+    ``apply_gates_inplace`` puts it.
 
     The blocks are applied by one fixed sequence of products, so a layer
     gives the same bits whatever runs before or after it and however many
     rows the batch has.
     """
-    src, dst = rows, scratch
-    for lo, dim, block in blocks:
-        if lo == 0:
-            np.matmul(src.reshape(-1, dim), block.T, out=dst.reshape(-1, dim))
-        elif block.dtype == complex:
-            shape = (-1, dim, 1 << lo)
-            np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
+    src = 0
+    for key, block in blocks:
+        pair = views[key]
+        if key[0]:
+            np.matmul(block, pair[src], out=pair[1 - src])
         else:
-            # The real and imaginary parts of the batch as twice as many
-            # real columns.
-            shape = (-1, dim, 2 << lo)
-            np.matmul(block, src.view(np.float64).reshape(shape),
-                      out=dst.view(np.float64).reshape(shape))
-        src, dst = dst, src
-    if src is not rows:
-        rows[...] = src
+            np.matmul(pair[src], block, out=pair[1 - src])
+        src = 1 - src
+    if src:
+        views.rows[...] = views.scratch
 
 
 def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
@@ -496,26 +529,118 @@ class _PieceMaps:
 _PIECE_MAPS = _PieceMaps()
 
 
+class _Stretch(NamedTuple):
+    """``steps`` Trotter-like steps in a row, each the basis run ``run``
+    (the tuple planned for it before) and then a layer of ``width`` gates
+    with the kinds and qubits of the layer planned after it."""
+
+    run: tuple
+    width: int
+    steps: int
+
+
+def _leading(column: tuple, item) -> int:
+    """How many items at the start of ``column`` equal ``item``: one
+    C-level compare when all of them do."""
+    n = len(column)
+    if column == (item,) * n:
+        return n
+    return next(compress(range(n), map(ne, column, repeat(item))))
+
+
+def _repeated_steps(gates: Sequence[Gate], start: int, run: tuple,
+                    layer: Sequence[Gate], most: int):
+    """How many of the ``most`` steps of ``gates`` from ``start`` repeat
+    the basis run ``run`` gate for gate and then the gates of ``layer``
+    kind for kind and qubit for qubit, and the angles of each gate of
+    ``layer`` over those steps, in its order.
+
+    Each gate position of a step is checked over all the steps at once, as
+    one strided slice compared by C-level compares: a position whose gate
+    stays the same takes one compare, whose identity shortcut makes it
+    cheap, and needs no angle read. The first gate of each run must be the
+    same object as ``run``'s: equal gates that are other objects, as in a
+    circuit built gate by gate, compare by a Python call each, so such
+    steps are planned run by run.
+    """
+    if gates[start] is not run[0]:
+        return 0, []
+    period = len(run) + len(layer)
+    for offset, gate in enumerate(run):
+        most = _leading(tuple(gates[start + offset:start + most * period:period]), gate)
+    columns = []
+    for offset, gate in enumerate(layer, len(run)):
+        column = tuple(gates[start + offset:start + most * period:period])
+        if _leading(column, gate) < most:
+            most = min(_leading(tuple(map(_KIND, column)), gate.kind),
+                       _leading(tuple(map(_QUBITS, column)), gate.qubits))
+            columns.append(column)
+        else:
+            columns.append(None)
+    angles = [[0.0] * most if gate.kind is GateKind.H
+              else [gate.angle] * most if column is None
+              else list(map(_ANGLE, column[:most]))
+              for gate, column in zip(layer, columns)]
+    return most, angles
+
+
 def _chunks(gates: Sequence[Gate], n_qubits: int):
     """Split ``gates`` lazily into runs and yield them in chunks whose
     layers' block matrices fill about ``_BLOCK_BYTES``.
 
     A run is a maximal run of basis gates (a tuple) or of RX, RY and H gates
     on distinct qubits (a layer: a list of its gates sorted by qubit). A
-    lone basis gate, and a mixing gate on a one-qubit register, whose block
-    would span it, are yielded as the gate itself. A basis run equal to the
-    one before it is yielded as that same tuple. Each chunk is yielded as
-    its runs in order and its layers as (sorted qubits, gates); every layer
-    is checked against the register before its chunk is yielded. Errors
-    play no part in the plan: every row runs these runs, and the rows an
-    error hits take it after its run (``_apply_errors``).
+    lone gate of either kind is yielded as the gate itself. A basis run
+    equal to the one before it is yielded as that same tuple.
+
+    Once a basis run R of two gates or more is followed by a layer, the
+    steps after them that repeat both are yielded as one ``_Stretch``, as
+    far as the chunk's budget reaches, and the next chunk goes on with it:
+    R gate for gate, its first gate the same object, and the layer kind
+    for kind and qubit for qubit. The steps are checked and their angles
+    read one gate position at a time over all of them
+    (``_repeated_steps``), so Trotter steps are planned in a few passes per
+    chunk, not gate by gate. Their runs are the ones found gate by gate:
+    each R is ended by a layer gate, and the last layer by the gate after
+    it, which is checked.
+
+    Each chunk is yielded as its parts in order and its layers as the
+    entries of ``_layer_blocks``: one per layer alone and one per stretch.
+    Every layer is checked against the register before its chunk is
+    yielded. Errors play no part in the plan: every row runs these runs,
+    and the rows an error hits take it after its run (``_apply_errors``).
     """
     chunk: list = []
     layers: list = []
     nbytes = 0
     last_run: tuple = ()
+    run_end = -1  # past the last gate of ``last_run`` where it was planned
+    resume = -1  # where a stretch may start
     i, count = 0, len(gates)
     while i < count:
+        if nbytes >= _BLOCK_BYTES:
+            yield chunk, layers
+            chunk, layers, nbytes = [], [], 0
+        if i == resume:
+            qubits, kinds, size = shape
+            width = len(template)
+            period = len(last_run) + width
+            most = min((count - i) // period, -(-(_BLOCK_BYTES - nbytes) // size))
+            steps, angles = _repeated_steps(gates, i, last_run, template, most)
+            end = i + steps * period
+            if (steps and end < count and gates[end].kind in _MIXING_KINDS
+                    and gates[end].qubits[0] not in qubits):
+                steps -= 1
+                end -= period
+            if steps:
+                order = sorted(range(width), key=[g.qubits for g in template].__getitem__)
+                chunk.append(_Stretch(last_run, width, steps))
+                layers.append((qubits, kinds, [angles[t][:steps] for t in order]))
+                nbytes += steps * size
+            # The next chunk goes on with the stretch if the budget cut it.
+            resume = end if steps and steps == most else -1
+            i = end
+            continue
         first = gates[i]
         j = i + 1
         if first.kind in _BASIS_KINDS:
@@ -526,7 +651,7 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
             if (last_run and end <= count and gates[i:end] == last_run
                     and (end == count or gates[end].kind not in _BASIS_KINDS)):
                 chunk.append(last_run)
-                j = end
+                j = run_end = end
             else:
                 while j < count and gates[j].kind in _BASIS_KINDS:
                     j += 1
@@ -535,6 +660,7 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
                 else:
                     last_run = tuple(gates[i:j])
                     chunk.append(last_run)
+                    run_end = j
         else:
             seen = {first.qubits[0]}
             while j < count:
@@ -543,26 +669,58 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
                     break
                 seen.add(gate.qubits[0])
                 j += 1
-            if j - i < 2 and n_qubits == 1:
+            if j - i < 2:
                 chunk.append(first)
             else:
                 layer = sorted(gates[i:j], key=_QUBITS)
                 qubits = tuple(g.qubits[0] for g in layer)
-                nbytes += _block_plan(qubits, n_qubits)[1]
+                kinds = tuple(map(_KIND, layer))
+                size = _block_plan(qubits, n_qubits)[1]
+                nbytes += size
                 chunk.append(layer)
-                layers.append((qubits, layer))
+                layers.append((qubits, kinds, [
+                    [0.0 if g.angle is None else g.angle] for g in layer]))
+                if i == run_end:
+                    template = gates[i:j]
+                    shape = (qubits, kinds, size)
+                    resume = j
         i = j
-        if nbytes >= _BLOCK_BYTES:
-            yield chunk, layers
-            chunk, layers, nbytes = [], [], 0
     if chunk:
         yield chunk, layers
 
 
+def _runs(gates: Sequence[Gate], n_qubits: int):
+    """Every run of the plan of ``gates`` (``_chunks``) in order, a stretch
+    as its steps' runs, each as (its gate count, the gate or basis run, how
+    it is applied). A layer is (count, None, its blocks); a basis run of two
+    gates or more comes with its map, kept while the same tuple comes
+    again, so a run repeated step after step is built once; a lone gate
+    comes with None."""
+    last_run, last_map = (), None
+    for chunk, layers in _chunks(gates, n_qubits):
+        blocks = iter(_layer_blocks(layers, n_qubits))
+        for part in chunk:
+            kind = type(part)
+            if kind is list:
+                yield len(part), None, next(blocks)[0]
+            elif kind is tuple or kind is _Stretch:
+                run = part if kind is tuple else part.run
+                if run is not last_run:
+                    last_run, last_map = run, _basis_map(n_qubits, run)
+                if kind is tuple:
+                    yield len(run), run, last_map
+                    continue
+                for step in next(blocks):
+                    yield len(run), run, last_map
+                    yield part.width, None, step
+            else:
+                yield 1, part, None
+
+
 def _apply_basis(rows, n_qubits: int, part, op, frame, inside: bool) -> bool:
     """Apply a basis run of two gates or more by its map ``op`` = (src,
-    phase), or the gate ``part`` (``op`` None) by its per-gate kernel, to
-    the batch ``rows``. ``inside`` tells whether the rows are in the S frame
+    phase), or the lone gate ``part`` (``op`` None), of any kind, by its
+    per-gate kernel, to the batch ``rows``. ``inside`` tells whether the rows are in the S frame
     ``frame``, (into, back) columns of ``_frame`` or None below
     ``_REAL_QUBITS``; returns whether they are in it after the part.
 
@@ -628,16 +786,16 @@ def apply_gates_inplace(
     it hits), in gate order, as ``noise.draw_errors`` yields them: each acts
     on its rows just after the gate of its index, on a qubit of that gate.
 
-    Every gate is applied in a run. Each maximal run of two or more basis
-    gates (CNOT, X, Z, RZ) is applied as one phase-permutation; the map of
-    the most recent one is kept, and the plan yields a run equal to it as
-    the same tuple, so a run repeated step after step is built once and
-    its gates are not compared again. Each maximal run of RX, RY and H
-    gates on distinct qubits is applied as one layer of dense blocks. A
-    lone basis gate, and a mixing gate on a one-qubit register, take their
-    per-gate kernel. The runs are planned a chunk at a time (see
-    ``_chunks``): the blocks of all layers of a chunk are built together,
-    then the chunk's runs are applied in order. A run and its errors are
+    Every gate is applied in a run (see ``_chunks`` and ``_runs``). Each
+    maximal run of two or more basis gates (CNOT, X, Z, RZ) is applied as
+    one phase-permutation; the map of the most recent one is kept, so a run
+    repeated step after step is built once. Each maximal run of two or more
+    RX, RY and H gates on distinct qubits is applied as one layer of dense
+    blocks. A lone gate takes its per-gate kernel. The runs are planned a
+    chunk at a time, repeated steps as one stretch: the blocks of all
+    layers of a chunk are built together, then the chunk's runs are applied
+    in order, each layer through views of the rows and of one scratch
+    buffer made once per call (``_Views``). A run and its errors are
     checked in full before any row changes: an error on a qubit its gate
     does not act on raises ValueError then, and one past the last gate or
     out of gate order when the runs reach it.
@@ -658,8 +816,7 @@ def apply_gates_inplace(
     check included. Where the frame is entered and left does not change a
     bit of the result (see ``_apply_basis``).
     """
-    scratch = None
-    last_run, last_map = (), None
+    views = None
     frame = _frame(n_qubits - _BLOCK_QUBITS) if n_qubits >= _REAL_QUBITS else None
     inside = False
     errors = iter(errors)
@@ -667,44 +824,32 @@ def apply_gates_inplace(
     taken = 0  # the gate index of the last error taken
     end = 0  # past the last gate of the run at hand, while errors are left
     try:
-        for chunk, layers in _chunks(gates, n_qubits):
-            blocks = iter(_layer_blocks(layers, n_qubits))
-            for part in chunk:
-                kind = type(part)
-                if kind is list:
-                    op = next(blocks)
-                elif kind is tuple:
-                    # The plan yields a repeated run as the same tuple.
-                    if part is not last_run:
-                        last_run, last_map = part, _basis_map(n_qubits, part)
-                    op = last_map
-                else:
-                    op = None
-                hits = []
-                # Gate positions matter only while errors are left.
-                if error is not None:
-                    end += 1 if op is None else len(part)
-                while error is not None and error[0] < end:
-                    index, qubits = error[0], error[1].qubits
-                    if index < taken:
-                        raise ValueError(f"error after gate {index} out of gate order")
-                    if qubits[0] not in gates[index].qubits:
-                        raise ValueError(f"error on qubit {qubits[0]} after gate "
-                                         f"{index}, which acts on {gates[index].qubits}")
-                    taken = index
-                    hits.append(error)
-                    error = next(errors, None)
-                if kind is list:
-                    if scratch is None:
-                        scratch = np.empty_like(rows)
-                    if frame is not None and not inside:
-                        _frame_multiply(rows, frame[0])
-                        inside = True
-                    _apply_blocks(rows, scratch, op)
-                else:
-                    inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
-                if hits:
-                    _apply_errors(rows, n_qubits, gates, end, hits, frame, inside)
+        for size, part, op in _runs(gates, n_qubits):
+            hits = []
+            # Gate positions matter only while errors are left.
+            if error is not None:
+                end += size
+            while error is not None and error[0] < end:
+                index, qubits = error[0], error[1].qubits
+                if index < taken:
+                    raise ValueError(f"error after gate {index} out of gate order")
+                if qubits[0] not in gates[index].qubits:
+                    raise ValueError(f"error on qubit {qubits[0]} after gate "
+                                     f"{index}, which acts on {gates[index].qubits}")
+                taken = index
+                hits.append(error)
+                error = next(errors, None)
+            if part is None:
+                if views is None:
+                    views = _Views(rows)
+                if frame is not None and not inside:
+                    _frame_multiply(rows, frame[0])
+                    inside = True
+                _apply_blocks(views, op)
+            else:
+                inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
+            if hits:
+                _apply_errors(rows, n_qubits, gates, end, hits, frame, inside)
         if error is not None:
             raise ValueError(
                 f"error after gate {error[0]}, past the last of {len(gates)} gates")

@@ -134,52 +134,75 @@ def _step_layout(
 def extend_trotter_steps(
     gates: list[Gate],
     cfg: ChainConfig,
-    fields,
+    holds,
     dt: float,
-    repeats: int = 1,
     zeeman: list[Gate] | None = None,
 ) -> list[Gate]:
     """Append first-order steps to ``gates``, each ZZ layer 1, ZZ layer 2,
-    Zeeman, coupler term: ``repeats`` steps at each row of ``fields``, the
-    rows in order. Returns the RX gates of the last step, in site order.
+    Zeeman, coupler term, for each entry of ``holds`` in order, as
+    ``walk_schedule`` walks a schedule: a hold (fields, repeats) appends
+    ``repeats`` steps at each row of ``fields``, a ``(k, n_sites)`` array of
+    transverse fields that stands in for ``cfg.fields``; a ``Gate`` entry
+    (a coupler rotation) is appended as it is. ``cfg`` gives the layout and
+    the couplings. Returns the RX gates of the last step, in site order.
 
-    ``fields`` is a ``(k, n_sites)`` array of transverse fields, one row
-    per step, and stands in for ``cfg.fields``; ``cfg`` gives the layout
-    and the couplings. The Zeeman angles -2 h dt of all rows are computed
-    as one array and checked once, so the RX gates are built without
-    checking each again. A site whose angle has the same bits as in the
-    step before keeps that step's RX gate; ``zeeman`` gives the RX gates
-    of the step before the first row, if there is one (as returned by the
-    previous call). Only the RX gates whose angle changes are new objects;
-    the field-free gates are the same objects in every step with equal
-    chain length, J, J_C and dt.
+    The Zeeman angles -2 h dt of every hold are computed as one array and
+    checked once, before any gate is appended, so the RX gates are built
+    without checking each again; they are turned into Python floats a hold
+    at a time. A site whose angle has the same bits as in the step before,
+    within a hold or across holds and rotations, keeps that step's RX
+    gate; ``zeeman`` gives the RX gates of the step before the first hold,
+    if there is one (as returned by the previous call). Only the RX gates
+    whose angle changes are new objects; the field-free gates are the same
+    objects in every step with equal chain length, J, J_C and dt.
     """
     zz, sites, coupler = _step_layout(cfg.chain_len, cfg.J, cfg.J_C, dt)
-    angles = (-2.0 * np.asarray(fields, dtype=float)) * dt
-    if angles.ndim != 2 or angles.shape[1] != len(sites):
-        raise CircuitError(
-            f"need {len(sites)} field values per step, got shape {angles.shape}"
-        )
+    walk, rows = [], []
+    for entry in holds:
+        if isinstance(entry, Gate):
+            walk.append(entry)
+            continue
+        fields, repeats = entry
+        fields = np.asarray(fields, dtype=float)
+        if fields.ndim != 2 or fields.shape[1] != len(sites):
+            raise CircuitError(
+                f"need {len(sites)} field values per step, got shape {fields.shape}"
+            )
+        rows.append(fields)
+        walk.append((len(fields), repeats))
+    angles = np.concatenate(rows) if rows else np.empty((0, len(sites)))
+    del rows
+    angles *= -2.0
+    angles *= dt
     if not np.isfinite(angles).all():
         raise CircuitError("RX requires a finite angle")
     # Angles are compared by their bits, so that 0.0 and -0.0 stay apart.
     bits = angles.view(np.int64)
     changed = np.empty(angles.shape, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=changed[1:])
-    if zeeman is None:
-        changed[0] = True
-        zeeman = [None] * len(sites)
-    else:
-        before = np.array([g.angle for g in zeeman]).view(np.int64)
-        np.not_equal(bits[0], before, out=changed[0])
+    if len(changed):
+        if zeeman is None:
+            changed[0] = True
+            zeeman = [None] * len(sites)
+        else:
+            before = np.array([g.angle for g in zeeman]).view(np.int64)
+            np.not_equal(bits[0], before, out=changed[0])
     rx, trusted = GateKind.RX, Gate._trusted
-    for row, new in zip(angles.tolist(), changed.tolist()):
-        zeeman = [trusted(rx, q, a) if c else g
-                  for q, a, c, g in zip(sites, row, new, zeeman)]
-        for _ in range(repeats):
-            gates += zz
-            gates += zeeman
-            gates += coupler
+    start = 0
+    for entry in walk:
+        if isinstance(entry, Gate):
+            gates.append(entry)
+            continue
+        count, repeats = entry
+        stop = start + count
+        for row, new in zip(angles[start:stop].tolist(), changed[start:stop].tolist()):
+            zeeman = [trusted(rx, q, a) if c else g
+                      for q, a, c, g in zip(sites, row, new, zeeman)]
+            for _ in range(repeats):
+                gates += zz
+                gates += zeeman
+                gates += coupler
+        start = stop
     return zeeman
 
 
@@ -187,5 +210,5 @@ def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:
     """One first-order step at ``cfg.fields``: ZZ layer 1, ZZ layer 2,
     Zeeman, coupler term (see ``extend_trotter_steps``)."""
     gates: list[Gate] = []
-    extend_trotter_steps(gates, cfg, (cfg.fields,), dt)
+    extend_trotter_steps(gates, cfg, [((cfg.fields,), 1)], dt)
     return Circuit._trusted(cfg.n_qubits, tuple(gates))

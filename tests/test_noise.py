@@ -336,10 +336,19 @@ def test_trajectories_equal_the_stretch_by_stretch_reference(n_sites, rows):
 
 def _run_spans(gates, n):
     """Each run the executor plans for ``gates``, with the index of its
-    first gate and the index past its last."""
+    first gate and the index past its last; a stretch of repeated steps as
+    the runs of each step, its layers as lists of their gates."""
     start = 0
     for chunk, _ in sv._chunks(gates, n):
         for part in chunk:
+            if type(part) is sv._Stretch:
+                for _ in range(part.steps):
+                    end = start + len(part.run)
+                    yield part.run, start, end
+                    start, end = end, end + part.width
+                    yield list(gates[start:end]), start, end
+                    start = end
+                continue
             end = start + (len(part) if type(part) in (list, tuple) else 1)
             yield part, start, end
             start = end
@@ -476,7 +485,8 @@ def test_errors_apply_each_run_once(monkeypatch, n_sites, rows):
     n = circuit.n_qubits
     model = NoiseModel(eps_bitflip=0.1, eps_phase=0.1)
     # What the executor applies: each basis run's tuple and each layer. An
-    # error is never a tuple, and this braid plans no lone gate.
+    # error is never a tuple, and neither is a lone gate: the braid's
+    # coupler rotations.
     calls = []
     apply_basis, apply_blocks = sv._apply_basis, sv._apply_blocks
 
@@ -692,8 +702,8 @@ def test_full_batch_peaks_within_the_batch_budget(monkeypatch):
     import isingbraid.noise as noise
 
     # The whole EFF braid: fused layers and basis runs, and the coupler
-    # rotations, one-gate layers that go through the executor's scratch
-    # buffer.
+    # rotations, lone gates that take the per-gate kernel and its
+    # temporaries.
     p = ProtocolParams(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)
     circuit = compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
     monkeypatch.setattr(noise, "BATCH_BYTES", 4 << 20)

@@ -7,6 +7,7 @@ from scipy import stats
 
 import isingbraid.statevector as sv
 from isingbraid.circuit import Circuit, Gate, GateKind, inverse
+from isingbraid.noise import NoiseModel, draw_errors
 from isingbraid.protocol import (
     LogicalLabel,
     ProtocolParams,
@@ -452,15 +453,16 @@ def test_held_frame_matches_gate_by_gate_and_one_row_runs(monkeypatch, n_s):
     assert _frame_passes_of_checked_run(monkeypatch, n, gates, (1, 2, 3)) == 1 + 1 + 2
 
 
-def test_coupler_rotation_between_steps_stays_in_the_frame(monkeypatch):
-    # The braid's coupler RY between Trotter steps is a layer of one gate,
-    # applied inside the frame like the steps' Zeeman layers.
+def test_coupler_rotation_between_steps_leaves_the_frame(monkeypatch):
+    # The braid's coupler RY between Trotter steps is a lone gate: it takes
+    # its per-gate kernel out of the frame, as a lone basis gate does.
     n_s = sv._REAL_QUBITS
     cfg = ChainConfig(n_s // 2, 1.0, 0.3, tuple(np.linspace(0.2, 1.6, n_s)))
     step = trotter_step_circuit(cfg, 0.4).gates
     gates = step + step + (Gate(GateKind.RY, (cfg.chain_len,), 0.7),) + step + step
-    # In at the first layer and out at the end of the call.
-    assert _frame_passes_of_checked_run(monkeypatch, cfg.n_qubits, gates, (6, 7)) == 2
+    # In at the first layer, out before the RY, in at the next layer and
+    # out at the end of the call.
+    assert _frame_passes_of_checked_run(monkeypatch, cfg.n_qubits, gates, (6, 7)) == 4
 
 
 def _frame_passes_of_checked_run(monkeypatch, n, gates, seeds):
@@ -549,35 +551,37 @@ def test_chunk_budget_does_not_change_the_result(monkeypatch):
 def _check_chunk_budget(monkeypatch, n_s):
     n, gates = _short_braid(n_s)
     batch = np.stack([random_state(n, seed).amplitudes for seed in (5, 6)])
-    # All seven layers, the lone RY's included, share one chunk. At N_s = 12
-    # their blocks pass the budget, so the final coupler ladder starts a
-    # second chunk.
+    # All six layers share one chunk; the coupler RY is a lone gate. At
+    # N_s = 12 their blocks pass the budget, so the final coupler ladder
+    # starts a second chunk.
     chunks = list(sv._chunks(gates, n))
-    assert [len(layers) for _, layers in chunks] == ([7] if n_s == 6 else [7, 0])
+    assert [_layer_count(layers) for _, layers in chunks] == (
+        [6] if n_s == 6 else [6, 0])
     # The Trotter layers' blocks above qubit 0 are real from the threshold
-    # up, complex below. The init layer's H factors and the RY are complex
-    # in the frame.
+    # up, complex below. The init layer's H factors are complex in the
+    # frame.
     layers = chunks[0][1]
     real = {}
-    for (_, layer), blocks in zip(layers, sv._layer_blocks(layers, n)):
-        trotter = all(g.kind is GateKind.RX for g in layer)
+    for (_, kinds, _), steps in zip(layers, sv._layer_blocks(layers, n)):
+        trotter = all(kind is GateKind.RX for kind in kinds)
         real.setdefault(trotter, set()).update(
-            block.dtype == np.float64 for lo, _, block in blocks if lo)
+            block.dtype == np.float64 for step in steps for (lo, _, _), block in step
+            if lo)
     assert real == {True: {n >= sv._REAL_QUBITS}, False: {False}}
     default = batch.copy()
     apply_gates_inplace(default, n, gates)
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 1)
     # The last chunk holds the final coupler ladder alone.
-    layers_per_chunk = [len(layers) for _, layers in sv._chunks(gates, n)]
-    assert layers_per_chunk == [1] * 7 + [0]
+    layers_per_chunk = [_layer_count(layers) for _, layers in sv._chunks(gates, n)]
+    assert layers_per_chunk == [1] * 6 + [0]
     one_layer = batch.copy()
     apply_gates_inplace(one_layer, n, gates)
     assert np.array_equal(one_layer, default)
     monkeypatch.undo()
     # A cut at a boundary between two runs gives the same bits; a cut inside
     # a run changes what is fused, and so only the rounding.
-    parts = [part for chunk, _ in sv._chunks(gates, n) for part in chunk]
-    bounds = np.cumsum([0] + [len(p) for p in parts])
+    runs = _planned_runs(gates, n)
+    bounds = np.cumsum([0] + [1 if type(r) is Gate else len(r) for r in runs])
     assert len(bounds) == 15 and bounds[-1] == len(gates)
     for cut in range(len(gates) + 1):
         split = batch.copy()
@@ -589,10 +593,15 @@ def _check_chunk_budget(monkeypatch, n_s):
             assert np.allclose(split, default, rtol=0, atol=1e-12), (n_s, cut)
 
 
+def _layer_count(layers):
+    """The layers of a chunk's entries for ``_layer_blocks``."""
+    return sum(len(angles[0]) for _, _, angles in layers)
+
+
 def _runs_gate_by_gate(gates):
     """The runs of ``gates`` as ``_chunks`` defines them, each found by
-    testing the kind of every gate in it; a basis run of one gate is the
-    gate itself."""
+    testing the kind of every gate in it; a run of one gate is the gate
+    itself."""
     runs, i = [], 0
     while i < len(gates):
         j = i + 1
@@ -605,10 +614,10 @@ def _runs_gate_by_gate(gates):
                    and gates[j].qubits[0] not in seen):
                 seen.add(gates[j].qubits[0])
                 j += 1
-        if gates[i].kind in sv._MIXING_KINDS:
-            runs.append(sorted(gates[i:j], key=lambda g: g.qubits))
-        elif j - i == 1:
+        if j - i == 1:
             runs.append(gates[i])
+        elif gates[i].kind in sv._MIXING_KINDS:
+            runs.append(sorted(gates[i:j], key=lambda g: g.qubits))
         else:
             runs.append(tuple(gates[i:j]))
         i = j
@@ -616,7 +625,23 @@ def _runs_gate_by_gate(gates):
 
 
 def _planned_runs(gates, n):
-    return [run for chunk, _ in sv._chunks(gates, n) for run in chunk]
+    """The runs ``_chunks`` plans for ``gates``, each stretch of repeated
+    steps as the runs of its steps: its basis run, the same tuple, and each
+    layer as the list of its gates sorted by qubit."""
+    runs, start = [], 0
+    for chunk, _ in sv._chunks(gates, n):
+        for part in chunk:
+            if type(part) is not sv._Stretch:
+                runs.append(part)
+                start += 1 if type(part) is Gate else len(part)
+                continue
+            for _ in range(part.steps):
+                start += len(part.run)
+                runs.append(part.run)
+                layer = gates[start:start + part.width]
+                runs.append(sorted(layer, key=lambda g: g.qubits))
+                start += part.width
+    return runs
 
 
 def test_repeated_basis_runs_are_planned_as_the_same_run():
@@ -642,6 +667,177 @@ def test_executor_builds_a_map_per_run_that_differs_from_the_last(monkeypatch):
     monkeypatch.setattr(sv, "_basis_map", lambda *a: built.append(a[1]) or basis_map(*a))
     run(zero_state(p.n_qubits), circuit)
     assert len(built) == changes < len(basis) // 2
+
+
+def _braid(n_s, update_mode, **kw):
+    p = ProtocolParams(N_s=n_s, update_mode=update_mode, **kw)
+    return compile_scenario(p, "braid", LogicalLabel.ALL_UP).prepared_circuit
+
+
+def _eff_braid(n_s, update_mode):
+    return _braid(n_s, update_mode, dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2)
+
+
+def test_linear_braid_is_planned_in_hundreds_of_parts_not_a_part_per_run():
+    # Repeated Trotter steps are planned a stretch at a time: a change that
+    # falls back to planning them run by run fails here.
+    circuit = _braid(6, "linear")
+    parts = [part for chunk, _ in sv._chunks(circuit.gates, 7) for part in chunk]
+    assert sum(type(part) is sv._Stretch for part in parts) > 100
+    assert len(parts) < 1000 < 10_000 < len(_runs_gate_by_gate(circuit.gates))
+
+
+def _fresh(gates):
+    """The same gates as new objects: no gate is shared, so no stretch
+    forms and every step is planned run by run."""
+    return tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)
+
+
+def _assert_stretches_change_no_bit(circuit, rows=3, eps=0.0):
+    """Run ``circuit`` and its gates as new objects, on the same batch of
+    random states and with the same drawn errors (none for ``eps`` 0), and
+    check the two batches are equal bit for bit."""
+    n, gates = circuit.n_qubits, circuit.gates
+    fresh = _fresh(gates)
+    assert not any(type(part) is sv._Stretch
+                   for chunk, _ in sv._chunks(fresh, n) for part in chunk)
+    errors = []
+    if eps:
+        model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
+        errors = list(draw_errors(circuit, model, rows, np.random.default_rng(3)))
+        assert errors
+    batch = np.stack([random_state(n, seed).amplitudes for seed in range(rows)])
+    planned = batch.copy()
+    apply_gates_inplace(planned, n, gates, errors)
+    apply_gates_inplace(batch, n, fresh, errors)
+    assert planned.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+def test_stretches_change_no_bit_of_the_linear_opt_braid(eps):
+    circuit = _braid(6, "linear")
+    assert any(type(part) is sv._Stretch
+               for chunk, _ in sv._chunks(circuit.gates, 7) for part in chunk)
+    _assert_stretches_change_no_bit(circuit, eps=eps)
+
+
+# N_s = 12 runs its layers in the S frame.
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_stretches_change_no_bit_of_the_stepped_eff_braid_in_the_frame(eps):
+    circuit = _eff_braid(12, "stepped")
+    assert circuit.n_qubits >= sv._REAL_QUBITS
+    _assert_stretches_change_no_bit(circuit, rows=2, eps=eps)
+
+
+def test_coupler_rotation_cuts_a_stretch_without_changing_a_bit():
+    cfg = ChainConfig(3, 1.0, 0.3, tuple(np.linspace(0.2, 1.6, 6)))
+    step = trotter_step_circuit(cfg, 0.4).gates
+    rotation = (Gate(GateKind.RY, (cfg.chain_len,), 0.7),)
+    circuit = Circuit(7, step * 5 + rotation + step * 5)
+    parts = [part for chunk, _ in sv._chunks(circuit.gates, 7) for part in chunk]
+    # A stretch, the rotation's coupler run and the lone RY, then the
+    # steps after it start a stretch of their own.
+    at = parts.index(rotation[0])
+    assert type(parts[at - 2]) is sv._Stretch and type(parts[at - 1]) is tuple
+    assert type(parts[-2]) is sv._Stretch
+    for eps in (0.0, 0.05):
+        _assert_stretches_change_no_bit(circuit, eps=eps)
+
+
+def test_stretch_ends_before_a_last_layer_that_a_later_gate_widens():
+    # Steps of a CNOT-RZ-CNOT ladder and an RY-RX layer on qubits 1 and 0;
+    # an H on qubit 2 after the last step joins its layer, so that step is
+    # planned run by run.
+    g = Gate
+    ladder = (g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.3),
+              g(GateKind.CNOT, (0, 1)))
+    steps = sum((ladder + (g(GateKind.RY, (1,), 0.1 * k), g(GateKind.RX, (0,), -0.2 * k))
+                 for k in range(1, 7)), ())
+    gates = steps + (g(GateKind.H, (2,)),)
+    parts = [part for chunk, _ in sv._chunks(gates, 3) for part in chunk]
+    assert [part.steps for part in parts if type(part) is sv._Stretch] == [4]
+    assert len(parts[-1]) == 3
+    assert _planned_runs(gates, 3) == _runs_gate_by_gate(gates)
+    state = random_state(3, 2)
+    expected = state.amplitudes.copy()
+    for gate in gates:
+        apply_gate_inplace(expected, 3, gate)
+    assert np.allclose(run(state, Circuit(3, gates)).amplitudes, expected,
+                       rtol=0, atol=1e-12)
+    _assert_stretches_change_no_bit(Circuit(3, gates))
+
+
+@pytest.mark.parametrize("change", ["run_angle", "layer_kind", "layer_qubit"])
+def test_stretch_ends_at_a_step_whose_run_or_layer_differs(change):
+    # Steps of one ladder and a layer, the ladder's CNOTs the same objects
+    # throughout; from the fourth step on, one thing differs.
+    g = Gate
+    cx = g(GateKind.CNOT, (0, 1))
+    ladder = (cx, g(GateKind.RZ, (1,), 0.3), cx)
+    other = ladder
+    if change == "run_angle":
+        other = (cx, g(GateKind.RZ, (1,), 0.5), cx)
+    kind = GateKind.RX if change == "layer_kind" else GateKind.RY
+    qubit = 2 if change == "layer_qubit" else 1
+
+    def step(k, run, kind=GateKind.RY, qubit=1):
+        return run + (g(kind, (qubit,), 0.1 * k), g(GateKind.RX, (0,), -0.2 * k))
+
+    gates = (sum((step(k, ladder) for k in range(1, 4)), ())
+             + sum((step(k, other, kind, qubit) for k in range(4, 7)), ()))
+    stretches = [part.steps for chunk, _ in sv._chunks(gates, 3) for part in chunk
+                 if type(part) is sv._Stretch]
+    assert stretches[0] == 2
+    assert _planned_runs(gates, 3) == _runs_gate_by_gate(gates)
+    state = random_state(3, 5)
+    expected = state.amplitudes.copy()
+    for gate in gates:
+        apply_gate_inplace(expected, 3, gate)
+    assert np.allclose(run(state, Circuit(3, gates)).amplitudes, expected,
+                       rtol=0, atol=1e-12)
+    _assert_stretches_change_no_bit(Circuit(3, gates))
+
+
+def test_stretch_of_real_and_complex_layers_in_the_frame_changes_no_bit():
+    # RY layers in the S frame: a block above qubit 0 is complex, unless
+    # every angle is zero, so every other step of the stretch is real.
+    n = sv._REAL_QUBITS
+    g = Gate
+    ladder = (g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.3),
+              g(GateKind.CNOT, (0, 1)))
+    gates = sum((ladder + tuple(g(GateKind.RY, (q,), 0.0 if k % 2 else 0.2 * k + 0.1 * q)
+                                for q in range(n)) for k in range(6)), ())
+    [(parts, layers)] = sv._chunks(gates, n)
+    assert type(parts[-1]) is sv._Stretch and parts[-1].steps == 5
+    real = [[block.dtype == np.float64 for (lo, _, _), block in step if lo]
+            for step in sv._layer_blocks(layers, n)[-1]]
+    assert real == [[True, True], [False, False]] * 2 + [[True, True]]
+    state = random_state(n, 3)
+    expected = state.amplitudes.copy()
+    for gate in gates:
+        apply_gate_inplace(expected, n, gate)
+    assert np.allclose(run(state, Circuit(n, gates)).amplitudes, expected,
+                       rtol=0, atol=1e-12)
+    _assert_stretches_change_no_bit(Circuit(n, gates))
+
+
+def test_chunk_budget_cuts_a_stretch_without_changing_a_bit(monkeypatch):
+    circuit = _braid(6, "linear", T=0.6)
+    gates = circuit.gates
+    expected = random_state(7, 4).amplitudes.reshape(1, -1).copy()
+    apply_gates_inplace(expected, 7, gates)
+    # Three layers' blocks and a byte: a stretch takes at most four steps
+    # of a chunk and goes on in the next.
+    layer_bytes = sv._block_plan((0, 1, 2, 4, 5, 6), 7)[1]
+    monkeypatch.setattr(sv, "_BLOCK_BYTES", 3 * layer_bytes + 1)
+    steps = [part.steps for chunk, _ in sv._chunks(gates, 7) for part in chunk
+             if type(part) is sv._Stretch]
+    assert max(steps) == 4 and len(steps) > 10
+    assert _planned_runs(gates, 7) == _runs_gate_by_gate(gates)
+    _assert_stretches_change_no_bit(circuit)
+    cut = random_state(7, 4).amplitudes.reshape(1, -1).copy()
+    apply_gates_inplace(cut, 7, gates)
+    assert cut.tobytes() == expected.tobytes()
 
 
 def _gates_of_pieces(pieces):
@@ -738,8 +934,9 @@ def test_chunk_of_mixed_layers_matches_gate_by_gate():
     gates += (Gate(GateKind.H, (0,)), Gate(GateKind.RY, (2,), 0.4),
               Gate(GateKind.RX, (6,), -1.1))
     [(_, layers)] = sv._chunks(gates, n)
-    # The init layer, the Trotter layers, the lone RY and the new layer.
-    assert len({qubits for qubits, _ in layers}) == 4
+    # The init layer, the Trotter layers and the new layer; the RY is a
+    # lone gate.
+    assert len({qubits for qubits, _, _ in layers}) == 3
     state = random_state(n, 7)
     expected = state.amplitudes.copy()
     for gate in gates:

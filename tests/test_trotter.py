@@ -167,7 +167,7 @@ def test_extended_steps_repeat_the_step_circuit():
     rows = ((0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.5, 1.0, 1.5, 2.0, 2.5, 3.5))
     head = Gate(GateKind.H, (0,))
     gates = [head]
-    zeeman = extend_trotter_steps(gates, CFG6, np.array(rows), DT, repeats=3)
+    zeeman = extend_trotter_steps(gates, CFG6, [(np.array(rows), 3)], DT)
     steps = [trotter_step_circuit(replace(CFG6, fields=f), DT).gates for f in rows]
     assert gates == [head, *steps[0] * 3, *steps[1] * 3]
     rx = [g for g in steps[1] if g.kind is GateKind.RX]
@@ -186,9 +186,9 @@ def test_steps_share_an_rx_gate_exactly_when_its_angle_bits_repeat():
         (0.5, 1.1, 0.0, 2.0, 2.6, 3.0),
     ])
     gates = []
-    first = extend_trotter_steps(gates, CFG6, rows[:2], DT)
+    first = extend_trotter_steps(gates, CFG6, [(rows[:2], 1)], DT)
     # The next call goes on from the RX gates of the step before.
-    last = extend_trotter_steps(gates, CFG6, rows[2:], DT, zeeman=first)
+    last = extend_trotter_steps(gates, CFG6, [(rows[2:], 1)], DT, zeeman=first)
     rx = [g for g in gates if g.kind is GateKind.RX]
     steps = [rx[k:k + 6] for k in range(0, len(rx), 6)]
     assert steps[1] == first and steps[3] == last
@@ -214,10 +214,14 @@ def test_step_rejects_non_finite_fields(bad):
 def test_extend_steps_rejects_wrong_field_count():
     gates = []
     with pytest.raises(CircuitError, match="need 6 field values"):
-        extend_trotter_steps(gates, CFG6, [(1.0,)], DT)
+        extend_trotter_steps(gates, CFG6, [([(1.0,)], 1)], DT)
     # One step's fields are a row of a 2-D array, not a 1-D one.
     with pytest.raises(CircuitError, match=r"got shape \(6,\)"):
-        extend_trotter_steps(gates, CFG6, CFG6.fields, DT)
+        extend_trotter_steps(gates, CFG6, [(CFG6.fields, 1)], DT)
+    # A walk is checked whole before any of its gates is appended.
+    walk = [([CFG6.fields], 2), Gate(GateKind.RY, (3,), 0.5), ([(1.0,)], 1)]
+    with pytest.raises(CircuitError, match="need 6 field values"):
+        extend_trotter_steps(gates, CFG6, walk, DT)
     assert gates == []
 
 
