@@ -557,14 +557,11 @@ def _repeated_steps(gates: Sequence[Gate], start: int, run: tuple,
 
     Each gate position of a step is checked over all the steps at once, as
     one strided slice compared by C-level compares: a position whose gate
-    stays the same takes one compare, whose identity shortcut makes it
-    cheap, and needs no angle read. The first gate of each run must be the
-    same object as ``run``'s: equal gates that are other objects, as in a
-    circuit built gate by gate, compare by a Python call each, so such
-    steps are planned run by run.
+    stays the same takes one compare and needs no angle read. The compare
+    of a gate with itself, as in a compiled circuit, whose steps share
+    their gates, takes the identity shortcut; equal gates that are other
+    objects compare by a Python call each.
     """
-    if gates[start] is not run[0]:
-        return 0, []
     period = len(run) + len(layer)
     for offset, gate in enumerate(run):
         most = _leading(tuple(gates[start + offset:start + most * period:period]), gate)
@@ -596,13 +593,12 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
     Once a basis run R of two gates or more is followed by a layer, the
     steps after them that repeat both are yielded as one ``_Stretch``, as
     far as the chunk's budget reaches, and the next chunk goes on with it:
-    R gate for gate, its first gate the same object, and the layer kind
-    for kind and qubit for qubit. The steps are checked and their angles
-    read one gate position at a time over all of them
-    (``_repeated_steps``), so Trotter steps are planned in a few passes per
-    chunk, not gate by gate. Their runs are the ones found gate by gate:
-    each R is ended by a layer gate, and the last layer by the gate after
-    it, which is checked.
+    R gate for gate and the layer kind for kind and qubit for qubit. The
+    steps are checked and their angles read one gate position at a time
+    over all of them (``_repeated_steps``), so Trotter steps are planned in
+    a few passes per chunk, not gate by gate. Their runs are the ones found
+    gate by gate: each R is ended by a layer gate, and the last layer by
+    the gate after it, which is checked.
 
     Each chunk is yielded as its parts in order and its layers as the
     entries of ``_layer_blocks``: one per layer alone and one per stretch.
@@ -644,23 +640,16 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
         first = gates[i]
         j = i + 1
         if first.kind in _BASIS_KINDS:
-            # Gates that repeat the last basis run, as step after step does,
-            # are that run again when the gate after them ends it; their
-            # kinds are not looked at again.
-            end = i + len(last_run)
-            if (last_run and end <= count and gates[i:end] == last_run
-                    and (end == count or gates[end].kind not in _BASIS_KINDS)):
-                chunk.append(last_run)
-                j = run_end = end
+            while j < count and gates[j].kind in _BASIS_KINDS:
+                j += 1
+            if j - i < 2:
+                chunk.append(first)
             else:
-                while j < count and gates[j].kind in _BASIS_KINDS:
-                    j += 1
-                if j - i < 2:
-                    chunk.append(first)
-                else:
-                    last_run = tuple(gates[i:j])
-                    chunk.append(last_run)
-                    run_end = j
+                run = tuple(gates[i:j])
+                if run != last_run:
+                    last_run = run
+                chunk.append(last_run)
+                run_end = j
         else:
             seen = {first.qubits[0]}
             while j < count:

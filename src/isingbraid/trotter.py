@@ -136,25 +136,23 @@ def extend_trotter_steps(
     cfg: ChainConfig,
     holds,
     dt: float,
-    zeeman: list[Gate] | None = None,
-) -> list[Gate]:
+) -> None:
     """Append first-order steps to ``gates``, each ZZ layer 1, ZZ layer 2,
     Zeeman, coupler term, for each entry of ``holds`` in order, as
     ``walk_schedule`` walks a schedule: a hold (fields, repeats) appends
     ``repeats`` steps at each row of ``fields``, a ``(k, n_sites)`` array of
     transverse fields that stands in for ``cfg.fields``; a ``Gate`` entry
     (a coupler rotation) is appended as it is. ``cfg`` gives the layout and
-    the couplings. Returns the RX gates of the last step, in site order.
+    the couplings.
 
     The Zeeman angles -2 h dt of every hold are computed as one array and
     checked once, before any gate is appended, so the RX gates are built
     without checking each again; they are turned into Python floats a hold
     at a time. A site whose angle has the same bits as in the step before,
     within a hold or across holds and rotations, keeps that step's RX
-    gate; ``zeeman`` gives the RX gates of the step before the first hold,
-    if there is one (as returned by the previous call). Only the RX gates
-    whose angle changes are new objects; the field-free gates are the same
-    objects in every step with equal chain length, J, J_C and dt.
+    gate. Only the RX gates whose angle changes are new objects; the
+    field-free gates are the same objects in every step with equal chain
+    length, J, J_C and dt.
     """
     zz, sites, coupler = _step_layout(cfg.chain_len, cfg.J, cfg.J_C, dt)
     walk, rows = [], []
@@ -180,13 +178,8 @@ def extend_trotter_steps(
     bits = angles.view(np.int64)
     changed = np.empty(angles.shape, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=changed[1:])
-    if len(changed):
-        if zeeman is None:
-            changed[0] = True
-            zeeman = [None] * len(sites)
-        else:
-            before = np.array([g.angle for g in zeeman]).view(np.int64)
-            np.not_equal(bits[0], before, out=changed[0])
+    changed[:1] = True
+    zeeman = [None] * len(sites)
     rx, trusted = GateKind.RX, Gate._trusted
     start = 0
     for entry in walk:
@@ -203,7 +196,6 @@ def extend_trotter_steps(
                 gates += zeeman
                 gates += coupler
         start = stop
-    return zeeman
 
 
 def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:

@@ -685,32 +685,35 @@ def test_linear_braid_is_planned_in_hundreds_of_parts_not_a_part_per_run():
     parts = [part for chunk, _ in sv._chunks(circuit.gates, 7) for part in chunk]
     assert sum(type(part) is sv._Stretch for part in parts) > 100
     assert len(parts) < 1000 < 10_000 < len(_runs_gate_by_gate(circuit.gates))
-
-
-def _fresh(gates):
-    """The same gates as new objects: no gate is shared, so no stretch
-    forms and every step is planned run by run."""
-    return tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)
+    # Equal gates that are other objects repeat a step as well.
+    fresh = tuple(Gate(g.kind, g.qubits, g.angle) for g in circuit.gates)
+    assert [part for chunk, _ in sv._chunks(fresh, 7) for part in chunk] == parts
 
 
 def _assert_stretches_change_no_bit(circuit, rows=3, eps=0.0):
-    """Run ``circuit`` and its gates as new objects, on the same batch of
-    random states and with the same drawn errors (none for ``eps`` 0), and
-    check the two batches are equal bit for bit."""
+    """Run ``circuit`` as planned and with no stretch, every step planned
+    run by run, on the same batch of random states and with the same drawn
+    errors (none for ``eps`` 0), and check the two batches are equal bit
+    for bit. The planner also forms stretches of equal gates that are
+    other objects, so the ones of a rebuild from new ``Gate`` objects
+    change no bit either."""
     n, gates = circuit.n_qubits, circuit.gates
-    fresh = _fresh(gates)
-    assert not any(type(part) is sv._Stretch
-                   for chunk, _ in sv._chunks(fresh, n) for part in chunk)
+    fresh = tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)
     errors = []
     if eps:
         model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
         errors = list(draw_errors(circuit, model, rows, np.random.default_rng(3)))
         assert errors
     batch = np.stack([random_state(n, seed).amplitudes for seed in range(rows)])
-    planned = batch.copy()
+    planned, rebuilt = batch.copy(), batch.copy()
     apply_gates_inplace(planned, n, gates, errors)
-    apply_gates_inplace(batch, n, fresh, errors)
-    assert planned.tobytes() == batch.tobytes()
+    apply_gates_inplace(rebuilt, n, fresh, errors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sv, "_repeated_steps", lambda *a: (0, []))
+        assert not any(type(part) is sv._Stretch
+                       for chunk, _ in sv._chunks(gates, n) for part in chunk)
+        apply_gates_inplace(batch, n, gates, errors)
+    assert planned.tobytes() == batch.tobytes() == rebuilt.tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-4])
