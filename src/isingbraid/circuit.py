@@ -11,6 +11,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, compress, repeat
 from typing import Iterator, Sequence
 
 
@@ -31,6 +32,10 @@ class GateKind(Enum):
 # A tuple, not a set: membership then compares identities instead of hashing
 # enums through the Python-level ``Enum.__hash__``.
 ROTATION_KINDS = (GateKind.RX, GateKind.RY, GateKind.RZ)
+# Gates that send each basis state to one basis state times a phase.
+_BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
+# The other one-qubit gates; a run of them on distinct qubits is one layer.
+_MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
 
 
 @dataclass(frozen=True)
@@ -126,15 +131,17 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
+        n_qubits = _integer("register size", self.n_qubits)
+        if n_qubits < 1:
             raise CircuitError("register needs at least one qubit")
         gates = tuple(self.gates)
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "gates", gates)
-        if gates and max(map(max, map(_QUBITS, gates))) >= self.n_qubits:
-            g = next(g for g in gates if max(g.qubits) >= self.n_qubits)
+        if gates and max(map(max, map(_QUBITS, gates))) >= n_qubits:
+            g = next(g for g in gates if max(g.qubits) >= n_qubits)
             raise CircuitError(
                 f"gate {g.kind.name} on {g.qubits} exceeds register size "
-                f"{self.n_qubits}"
+                f"{n_qubits}"
             )
 
     @classmethod
@@ -175,10 +182,77 @@ def inverse(circuit: Circuit) -> Circuit:
     )
 
 
-def _walk(busy: list[int], gates: Sequence[Gate]) -> int:
-    """Schedule ``gates`` as soon as possible onto the frontier ``busy``
-    (the last layer used on each qubit), in place. Returns the number of
-    two-qubit gates among them."""
+def _run_end(gates: Sequence[Gate], i: int, stop: int) -> int:
+    """Past the last gate of the run of ``gates[:stop]`` that starts at
+    ``i``: the basis gates in a row, or the RX, RY and H gates in a row on
+    distinct qubits (a layer)."""
+    j = i + 1
+    if gates[i].kind in _BASIS_KINDS:
+        while j < stop and gates[j].kind in _BASIS_KINDS:
+            j += 1
+    else:
+        seen = {gates[i].qubits[0]}
+        while j < stop:
+            gate = gates[j]
+            if gate.kind not in _MIXING_KINDS or gate.qubits[0] in seen:
+                break
+            seen.add(gate.qubits[0])
+            j += 1
+    return j
+
+
+def _leading(column: tuple, item) -> int:
+    """How many items at the start of ``column`` equal ``item``: one
+    C-level compare when all of them do. Otherwise the items that are
+    ``item`` itself, as the shared gates of a compiled circuit's steps
+    are, are passed over by C-level identity checks, and each other item
+    up to the first that differs takes one compare."""
+    n = len(column)
+    if column == (item,) * n:
+        return n
+    for k in compress(range(n), map(operator.is_not, column, repeat(item))):
+        if column[k] != item:
+            break
+    return k
+
+
+def _repeated_steps(gates: Sequence[Gate], start: int, run: tuple,
+                    layer: Sequence[Gate], most: int) -> tuple[int, list]:
+    """How many of the ``most`` steps of ``gates`` from ``start`` repeat
+    the step ``run`` + ``layer``: the basis run ``run`` gate for gate, then
+    the gates of ``layer`` qubit for qubit. Returns that count and, for
+    each gate of ``layer`` in its order, None where every one of the
+    ``most`` steps has that gate (or one equal to it) in its place, or else
+    the gates in its place in each step, a tuple at least that count long.
+    The depth walk needs only the count; the executor reads the kinds and
+    angles of its layers from the tuples.
+
+    Each gate position of a step is checked over all the steps at once, as
+    one strided slice compared by C-level compares: a position whose gate
+    stays the same takes one compare. The compare of a gate with itself,
+    as in a compiled circuit, whose steps share their gates, takes the
+    identity shortcut; equal gates that are other objects compare by a
+    Python call each. A layer position whose gates change is checked by
+    its qubit tuples, again one C-level compare.
+    """
+    period = len(run) + len(layer)
+    for offset, gate in enumerate(run):
+        most = _leading(tuple(gates[start + offset:start + most * period:period]), gate)
+    columns = []
+    for offset, gate in enumerate(layer, len(run)):
+        column = tuple(gates[start + offset:start + most * period:period])
+        if _leading(column, gate) < most:
+            most = _leading(tuple(map(_QUBITS, column)), gate.qubits)
+            columns.append(column)
+        else:
+            columns.append(None)
+    return most, columns
+
+
+def _walk_gates(busy: list[int], gates: Sequence[Gate]) -> int:
+    """Schedule ``gates`` one at a time as soon as possible onto the
+    frontier ``busy`` (the last layer used on each qubit), in place.
+    Returns the number of two-qubit gates among them."""
     two = 0
     for g in gates:
         qubits = g.qubits
@@ -192,6 +266,72 @@ def _walk(busy: list[int], gates: Sequence[Gate]) -> int:
     return two
 
 
+def _walk(busy: list[int], gates: Sequence[Gate], start: int, stop: int) -> int:
+    """Schedule ``gates[start:stop]`` as soon as possible onto the frontier
+    ``busy``, in place, as ``_walk_gates`` does, but a stretch of repeated
+    steps at a time. Returns the number of two-qubit gates among them.
+
+    A stretch is found as the executor's planner finds one: a basis run of
+    two gates or more, then a layer of two or more RX, RY and H gates on
+    distinct qubits, then every step after them that repeats the run gate
+    for gate and the layer qubit for qubit. Its length is probed by
+    ``_repeated_steps`` over 1, 2, 4, ... more steps until a probe falls
+    short, so a stretch costs about its own length in C-level compares.
+
+    Its steps are then walked in blocks of 1, 2, 4, ... steps, the last
+    step of each block on its own, only until such a step adds the same c
+    to every qubit the step touches. A step's gates read and set only
+    those qubits, and walking them commutes with adding one constant to
+    all of them, so each later step adds c again: the rest of the stretch
+    adds c times its steps to those qubits, and its two-qubit gates are
+    one step's times its steps. A stretch whose steps never shift
+    uniformly (two groups of qubits that no gate of the step links, moving
+    at different rates, say) is walked gate by gate to its end, checked
+    once per block. Gates outside stretches are walked one at a time.
+    """
+    two, i = 0, start
+    while i < stop:
+        j = _run_end(gates, i, stop)
+        k = j
+        if j - i >= 2 and j < stop and gates[i].kind in _BASIS_KINDS:
+            k = _run_end(gates, j, stop)
+        if k - j < 2:
+            two += _walk_gates(busy, gates[i:k])
+            i = k
+            continue
+        step, period = gates[i:k], k - i
+        run, layer = step[:j - i], step[j - i:]
+        steps = most = 1
+        while True:
+            most = min(most, (stop - i) // period - steps)
+            if most < 1:
+                break
+            found = _repeated_steps(gates, i + steps * period, run, layer, most)[0]
+            steps += found
+            if found < most:
+                break
+            most *= 2
+        touched = tuple(set(chain.from_iterable(map(_QUBITS, step))))
+        done, block = 0, 1
+        while done < steps:
+            done += block
+            last = i + (done - 1) * period
+            two += _walk_gates(busy, gates[last - (block - 1) * period:last])
+            before = [busy[q] for q in touched]
+            per = _walk_gates(busy, step)
+            two += per
+            c = busy[touched[0]] - before[0]
+            if all(busy[q] - b == c for q, b in zip(touched, before)):
+                rest = steps - done
+                for q in touched:
+                    busy[q] += c * rest
+                two += per * rest
+                break
+            block = min(2 * block, steps - done)
+        i += steps * period
+    return two
+
+
 def depths_and_counts(
     head: Circuit, body: Circuit, tail: Circuit
 ) -> tuple[int, int, GateCounts]:
@@ -201,33 +341,34 @@ def depths_and_counts(
     Depth is the number of layers under greedy as-soon-as-possible
     scheduling: a gate joins the earliest layer after the last layer
     touching any of its qubits, so two gates sharing a qubit are never
-    reordered. The body is walked from the head's frontier and from zero
-    together, doubling the stretch walked between two looks at the
-    frontiers. Once they differ by the same constant c on every qubit, only
-    the frontier from zero goes on: each gate sets its qubits to one more
-    than their maximum, so every later difference stays c. Frontiers that
-    never meet that way (a qubit the body leaves idle, say) are both walked
-    to the end.
+    reordered. Repeated steps are walked a stretch at a time (``_walk``);
+    the result is that of the gate-by-gate walk. The body is walked from
+    the head's frontier and from zero together, doubling the part walked
+    between two looks at the frontiers. Once they differ by the same
+    constant c on every qubit, only the frontier from zero goes on: each
+    gate sets its qubits to one more than their maximum, so every later
+    difference stays c. Frontiers that never meet that way (a qubit the
+    body leaves idle, say) are both walked to the end.
     """
     n = body.n_qubits
     if head.n_qubits != n or tail.n_qubits != n:
         raise CircuitError("register size mismatch")
     lead = [0] * n
-    two = _walk(lead, head.gates)
+    two = _walk(lead, head.gates, 0, len(head))
     own = [0] * n
     gates, done, size = body.gates, 0, 1
     while done < len(gates):
         c = lead[0] - own[0]
         if all(x - y == c for x, y in zip(lead, own)):
-            two += _walk(own, gates[done:])
+            two += _walk(own, gates, done, len(gates))
             lead = [y + c for y in own]
             break
-        part = gates[done:done + size]
-        two += _walk(own, part)
-        _walk(lead, part)
-        done += size
+        end = min(done + size, len(gates))
+        two += _walk(own, gates, done, end)
+        _walk(lead, gates, done, end)
+        done = end
         size *= 2
-    two += _walk(lead, tail.gates)
+    two += _walk(lead, tail.gates, 0, len(tail))
     one = len(head) + len(body) + len(tail) - two
     return max(lead), max(own), GateCounts(one_qubit=one, two_qubit=two)
 

@@ -11,13 +11,24 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import attrgetter, ne
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import _QUBITS, Circuit, Gate, GateKind, _integer
+from .circuit import (
+    _BASIS_KINDS,
+    _MIXING_KINDS,
+    _QUBITS,
+    Circuit,
+    Gate,
+    GateKind,
+    _integer,
+    _leading,
+    _repeated_steps,
+    _run_end,
+)
 
 MAX_QUBITS = 26
 
@@ -25,11 +36,6 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-# Gates that send each basis state to one basis state times a phase. A tuple,
-# not a set: membership then compares identities instead of hashing enums.
-_BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
-# The other one-qubit gates; a run of them on distinct qubits is one layer.
-_MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
 # Most adjacent qubits a layer block spans: one 2**k x 2**k matrix.
 _BLOCK_QUBITS = 4
 # Registers of at least this many qubits apply their one-qubit layers in
@@ -539,54 +545,13 @@ class _Stretch(NamedTuple):
     steps: int
 
 
-def _leading(column: tuple, item) -> int:
-    """How many items at the start of ``column`` equal ``item``: one
-    C-level compare when all of them do."""
-    n = len(column)
-    if column == (item,) * n:
-        return n
-    return next(compress(range(n), map(ne, column, repeat(item))))
-
-
-def _repeated_steps(gates: Sequence[Gate], start: int, run: tuple,
-                    layer: Sequence[Gate], most: int):
-    """How many of the ``most`` steps of ``gates`` from ``start`` repeat
-    the basis run ``run`` gate for gate and then the gates of ``layer``
-    kind for kind and qubit for qubit, and the angles of each gate of
-    ``layer`` over those steps, in its order.
-
-    Each gate position of a step is checked over all the steps at once, as
-    one strided slice compared by C-level compares: a position whose gate
-    stays the same takes one compare and needs no angle read. The compare
-    of a gate with itself, as in a compiled circuit, whose steps share
-    their gates, takes the identity shortcut; equal gates that are other
-    objects compare by a Python call each.
-    """
-    period = len(run) + len(layer)
-    for offset, gate in enumerate(run):
-        most = _leading(tuple(gates[start + offset:start + most * period:period]), gate)
-    columns = []
-    for offset, gate in enumerate(layer, len(run)):
-        column = tuple(gates[start + offset:start + most * period:period])
-        if _leading(column, gate) < most:
-            most = min(_leading(tuple(map(_KIND, column)), gate.kind),
-                       _leading(tuple(map(_QUBITS, column)), gate.qubits))
-            columns.append(column)
-        else:
-            columns.append(None)
-    angles = [[0.0] * most if gate.kind is GateKind.H
-              else [gate.angle] * most if column is None
-              else list(map(_ANGLE, column[:most]))
-              for gate, column in zip(layer, columns)]
-    return most, angles
-
-
 def _chunks(gates: Sequence[Gate], n_qubits: int):
     """Split ``gates`` lazily into runs and yield them in chunks whose
     layers' block matrices fill about ``_BLOCK_BYTES``.
 
     A run is a maximal run of basis gates (a tuple) or of RX, RY and H gates
-    on distinct qubits (a layer: a list of its gates sorted by qubit). A
+    on distinct qubits (a layer: a list of its gates sorted by qubit), as
+    ``circuit._run_end`` cuts it. A
     lone gate of either kind is yielded as the gate itself. A basis run
     equal to the one before it is yielded as that same tuple.
 
@@ -594,11 +559,14 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
     steps after them that repeat both are yielded as one ``_Stretch``, as
     far as the chunk's budget reaches, and the next chunk goes on with it:
     R gate for gate and the layer kind for kind and qubit for qubit. The
-    steps are checked and their angles read one gate position at a time
-    over all of them (``_repeated_steps``), so Trotter steps are planned in
-    a few passes per chunk, not gate by gate. Their runs are the ones found
-    gate by gate: each R is ended by a layer gate, and the last layer by
-    the gate after it, which is checked.
+    steps are checked one gate position at a time over all of them: R and
+    the layer's qubits by the finder the depth walk shares
+    (``circuit._repeated_steps``), then the kinds of each layer position
+    whose gates change, read from the column the finder returns, as their
+    angles are. So Trotter steps are planned in a few passes per chunk, not
+    gate by gate. Their runs are the ones found gate by gate: each R is
+    ended by a layer gate, and the last layer by the gate after it, which
+    is checked.
 
     Each chunk is yielded as its parts in order and its layers as the
     entries of ``_layer_blocks``: one per layer alone and one per stretch.
@@ -622,7 +590,12 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
             width = len(template)
             period = len(last_run) + width
             most = min((count - i) // period, -(-(_BLOCK_BYTES - nbytes) // size))
-            steps, angles = _repeated_steps(gates, i, last_run, template, most)
+            steps, columns = _repeated_steps(gates, i, last_run, template, most)
+            # The finder checks the layers' qubits; their blocks are built
+            # with the template's kinds.
+            for gate, column in zip(template, columns):
+                if column is not None:
+                    steps = min(steps, _leading(tuple(map(_KIND, column)), gate.kind))
             end = i + steps * period
             if (steps and end < count and gates[end].kind in _MIXING_KINDS
                     and gates[end].qubits[0] not in qubits):
@@ -631,48 +604,39 @@ def _chunks(gates: Sequence[Gate], n_qubits: int):
             if steps:
                 order = sorted(range(width), key=[g.qubits for g in template].__getitem__)
                 chunk.append(_Stretch(last_run, width, steps))
-                layers.append((qubits, kinds, [angles[t][:steps] for t in order]))
+                angles = [[0.0] * steps if gate.kind is GateKind.H
+                          else [gate.angle] * steps if column is None
+                          else list(map(_ANGLE, column[:steps]))
+                          for gate, column in zip(template, columns)]
+                layers.append((qubits, kinds, [angles[t] for t in order]))
                 nbytes += steps * size
             # The next chunk goes on with the stretch if the budget cut it.
             resume = end if steps and steps == most else -1
             i = end
             continue
         first = gates[i]
-        j = i + 1
-        if first.kind in _BASIS_KINDS:
-            while j < count and gates[j].kind in _BASIS_KINDS:
-                j += 1
-            if j - i < 2:
-                chunk.append(first)
-            else:
-                run = tuple(gates[i:j])
-                if run != last_run:
-                    last_run = run
-                chunk.append(last_run)
-                run_end = j
+        j = _run_end(gates, i, count)
+        if j - i < 2:
+            chunk.append(first)
+        elif first.kind in _BASIS_KINDS:
+            run = tuple(gates[i:j])
+            if run != last_run:
+                last_run = run
+            chunk.append(last_run)
+            run_end = j
         else:
-            seen = {first.qubits[0]}
-            while j < count:
-                gate = gates[j]
-                if gate.kind not in _MIXING_KINDS or gate.qubits[0] in seen:
-                    break
-                seen.add(gate.qubits[0])
-                j += 1
-            if j - i < 2:
-                chunk.append(first)
-            else:
-                layer = sorted(gates[i:j], key=_QUBITS)
-                qubits = tuple(g.qubits[0] for g in layer)
-                kinds = tuple(map(_KIND, layer))
-                size = _block_plan(qubits, n_qubits)[1]
-                nbytes += size
-                chunk.append(layer)
-                layers.append((qubits, kinds, [
-                    [0.0 if g.angle is None else g.angle] for g in layer]))
-                if i == run_end:
-                    template = gates[i:j]
-                    shape = (qubits, kinds, size)
-                    resume = j
+            layer = sorted(gates[i:j], key=_QUBITS)
+            qubits = tuple(g.qubits[0] for g in layer)
+            kinds = tuple(map(_KIND, layer))
+            size = _block_plan(qubits, n_qubits)[1]
+            nbytes += size
+            chunk.append(layer)
+            layers.append((qubits, kinds, [
+                [0.0 if g.angle is None else g.angle] for g in layer]))
+            if i == run_end:
+                template = gates[i:j]
+                shape = (qubits, kinds, size)
+                resume = j
         i = j
     if chunk:
         yield chunk, layers

@@ -64,6 +64,15 @@ def test_circuit_rejects_out_of_range_gate():
         Circuit(0)
 
 
+def test_circuit_register_size_must_be_an_integer():
+    with pytest.raises(ValueError, match="register size must be an integer"):
+        Circuit(2.5, (Gate(GateKind.H, (0,)),))
+    c = Circuit(np.int64(3), (Gate(GateKind.CNOT, (0, 2)),))
+    assert type(c.n_qubits) is int and c.n_qubits == 3
+    assert to_qasm(c).splitlines()[2] == "qreg q[3];"
+    assert depth(c) == 1
+
+
 def test_concat_gate_order_and_length():
     a = Circuit(2, (Gate(GateKind.H, (0,)),))
     b = Circuit(2, (Gate(GateKind.CNOT, (0, 1)),))
@@ -197,6 +206,117 @@ def test_one_walk_matches_per_circuit_depths_and_counts(data):
     assert alone == depth(body) == _reference_depth(body)
     two = sum(g.arity == 2 for g in full)
     assert counts == gate_counts(full) == GateCounts(len(full) - two, two)
+
+
+def _draw_step(data, n):
+    """A step as the executor plans one: a basis run of two gates or more,
+    then a layer of two or more RX, RY and H gates on distinct qubits, all
+    on a drawn subset of the register, so the other qubits stay idle."""
+    qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+    run = []
+    for _ in range(data.draw(st.integers(2, 5))):
+        kind = data.draw(st.sampled_from([GateKind.CNOT, GateKind.RZ, GateKind.X]))
+        if kind is GateKind.CNOT:
+            run.append(Gate(kind, tuple(data.draw(st.permutations(qubits))[:2])))
+        else:
+            angle = 0.2 if kind is GateKind.RZ else None
+            run.append(Gate(kind, (data.draw(st.sampled_from(qubits)),), angle))
+    layer = [Gate(kind, (q,), None if kind is GateKind.H else 0.1)
+             for q in data.draw(st.lists(st.sampled_from(qubits), min_size=2, unique=True))
+             for kind in [data.draw(st.sampled_from(
+                 [GateKind.RX, GateKind.RY, GateKind.H]))]]
+    return run, layer
+
+
+def _moved(gate, n):
+    """``gate`` with its last qubit moved to the next qubit that is not
+    its control (a CNOT of a 2-qubit register has no other place)."""
+    *rest, last = gate.qubits
+    last = (last + 1) % n
+    if rest and rest[0] == last:
+        last = (last + 1) % n
+    return Gate(gate.kind, (*rest, last), gate.angle)
+
+
+def _repeats(run, layer, count, fresh):
+    """``count`` steps of ``run`` + ``layer``; with ``fresh``, each step's
+    layer is new gates with new angles, as a compiled circuit's Zeeman
+    layer is when its fields change."""
+    gates = []
+    for r in range(count):
+        gates += run
+        gates += [Gate(g.kind, g.qubits, None if g.angle is None else g.angle + r)
+                  for g in layer] if fresh else layer
+    return gates
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stretch_walk_matches_the_gate_by_gate_walk(data):
+    n = data.draw(st.integers(2, 6))
+    everywhere = list(range(n))
+    gates = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        run, layer = _draw_step(data, n)
+        fresh = data.draw(st.booleans())
+        gates += _repeats(run, layer, data.draw(st.integers(1, 70)), fresh)
+        if data.draw(st.booleans()):
+            # A step that breaks the stretch by one qubit, then more steps.
+            step = run + layer
+            at = data.draw(st.integers(0, len(step) - 1))
+            gates += step[:at] + [_moved(step[at], n)] + step[at + 1:]
+            gates += _repeats(run, layer, data.draw(st.integers(0, 40)), fresh)
+        # Lone gates between stretches.
+        gates += _draw_circuit(data, n, everywhere, 2).gates
+    body = Circuit(n, tuple(gates))
+    head = _draw_circuit(data, n, everywhere, 8)
+    tail = _draw_circuit(data, n, everywhere, 8)
+    full = concat([head, body, tail])
+    total, alone, counts = depths_and_counts(head, body, tail)
+    assert (total, alone) == (_reference_depth(full), _reference_depth(body))
+    assert depth(body) == alone
+    two = sum(g.arity == 2 for g in full)
+    assert counts == GateCounts(len(full) - two, two)
+
+
+@pytest.mark.parametrize("step", [
+    [(0, 1), (1, 2), (0,), (1,), (2,)],
+    [(0, 1), (0, 1), (0,), (2,)],
+], ids=["linked", "never-uniform"])
+def test_stretch_walk_matches_however_soon_the_shift_turns_uniform(step):
+    """Walked from zero, the linked steps add 3 to every qubit from the
+    second step on, and from the head's frontier from the third; the other
+    steps add 3 to qubits 0 and 1 and 1 to qubit 2, never one constant."""
+    gates = [Gate(GateKind.RX, q, 0.1) if len(q) == 1 else Gate(GateKind.CNOT, q)
+             for q in step]
+    body = Circuit(3, tuple(gates) * 500)
+    head = Circuit(3, (Gate(GateKind.H, (2,)),) * 7)
+    # Long enough that the total depth is read off qubit 2.
+    tail = Circuit(3, (Gate(GateKind.H, (2,)),) * 2000)
+    total, alone, counts = depths_and_counts(head, body, tail)
+    assert total == _reference_depth(concat([head, body, tail]))
+    assert alone == _reference_depth(body)
+    assert counts.two_qubit == 500 * sum(len(q) == 2 for q in step)
+
+
+def test_depth_walk_skips_the_repeated_steps_of_the_opt_braid(monkeypatch):
+    from isingbraid import circuit
+    from isingbraid.protocol import LogicalLabel, ProtocolParams, compile_scenario
+
+    run_ = compile_scenario(ProtocolParams(update_mode="linear"), "braid",
+                            LogicalLabel.ALL_UP)
+    walked = []
+    walk_gates = circuit._walk_gates
+
+    def counted(busy, gates):
+        walked.append(len(gates))
+        return walk_gates(busy, gates)
+
+    monkeypatch.setattr(circuit, "_walk_gates", counted)
+    structure = run_.structure()
+    assert (structure["depth_total"], structure["depth_evolution_only"]) == (54276, 54273)
+    # 138,693 evolution gates; a gate-by-gate walk hands them all over.
+    assert 0 < sum(walked) < 2000
 
 
 def test_one_walk_rejects_mismatched_registers():

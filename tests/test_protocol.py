@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isingbraid.circuit import CircuitError, Gate, GateKind, concat, inverse
+from isingbraid.circuit import CircuitError, Gate, GateKind, concat, depth, inverse
 from isingbraid.protocol import (
+    SCENARIOS,
     AdiabaticityWarning,
     LogicalLabel,
     ProtocolParams,
@@ -15,6 +16,7 @@ from isingbraid.protocol import (
     build_protocol_circuit,
     chain_fidelity,
     compile_scenario,
+    depth_upper_bound,
     domain_amplitudes,
     initialization_circuit,
     readout_counts,
@@ -122,6 +124,20 @@ def test_closed_form_gate_count_matches_the_braid_circuit(row):
     params = ProtocolParams(**row)
     run_ = compile_scenario(params, "braid", LogicalLabel.ALL_UP)
     assert braid_gate_count(params) == len(run_.evolution_circuit.gates)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("mode", ["stepped", "linear"])
+@pytest.mark.parametrize(
+    "row", [dict(N_s=6), dict(N_s=10, dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2),
+            dict(N_s=14, dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2),
+            dict(N_s=6, J_C=0.0), dict(N_s=6, theta=0.0)],
+    ids=["OPT", "EFF-10", "EFF-14", "no-coupler", "no-rotation"],
+)
+def test_closed_form_depth_bound_holds_for_the_compiled_evolution(row, mode, scenario):
+    params = ProtocolParams(update_mode=mode, **row)
+    run_ = compile_scenario(params, scenario, LogicalLabel.ALL_UP)
+    assert depth(run_.evolution_circuit) <= depth_upper_bound(params).integer
 
 
 def test_params_reject_schedules_too_long_to_compile(monkeypatch):
