@@ -217,15 +217,10 @@ def _leading(column: tuple, item) -> int:
 
 
 def _repeated_steps(gates: Sequence[Gate], start: int, run: tuple,
-                    layer: Sequence[Gate], most: int) -> tuple[int, list]:
+                    layer: Sequence[Gate], most: int) -> int:
     """How many of the ``most`` steps of ``gates`` from ``start`` repeat
     the step ``run`` + ``layer``: the basis run ``run`` gate for gate, then
-    the gates of ``layer`` qubit for qubit. Returns that count and, for
-    each gate of ``layer`` in its order, None where every one of the
-    ``most`` steps has that gate (or one equal to it) in its place, or else
-    the gates in its place in each step, a tuple at least that count long.
-    The depth walk needs only the count; the executor reads the kinds and
-    angles of its layers from the tuples.
+    the gates of ``layer`` qubit for qubit.
 
     Each gate position of a step is checked over all the steps at once, as
     one strided slice compared by C-level compares: a position whose gate
@@ -238,15 +233,62 @@ def _repeated_steps(gates: Sequence[Gate], start: int, run: tuple,
     period = len(run) + len(layer)
     for offset, gate in enumerate(run):
         most = _leading(tuple(gates[start + offset:start + most * period:period]), gate)
-    columns = []
     for offset, gate in enumerate(layer, len(run)):
         column = tuple(gates[start + offset:start + most * period:period])
         if _leading(column, gate) < most:
             most = _leading(tuple(map(_QUBITS, column)), gate.qubits)
-            columns.append(column)
-        else:
-            columns.append(None)
-    return most, columns
+    return most
+
+
+def _steps(gates: Sequence[Gate], start: int, stop: int):
+    """Every run of ``gates[start:stop]`` in order, as (i, j, k, steps).
+
+    With ``steps`` 0 the run is ``gates[i:j]``, as ``_run_end`` cuts it: a
+    basis run, a layer or a lone gate (and ``k`` is ``j``). Otherwise a
+    basis run of two gates or more, ``gates[i:j]``, is followed by a layer
+    of two gates or more, ``gates[j:k]``, and the run is ``steps`` steps of
+    ``k - i`` gates, the first of them included: each step repeats the
+    basis run gate for gate and then the layer qubit for qubit.
+
+    The steps are probed by ``_repeated_steps`` over 1, 2, 4, ... more
+    steps until a probe falls short, so a stretch costs about its own
+    length in C-level compares. A last step whose layer the gate after it
+    would widen, a mixing gate on another qubit, is left to the runs after
+    the stretch. So the steps' basis runs and layers are the runs that
+    ``_run_end`` cuts wherever the layers hold RX, RY and H gates only.
+    Their kinds are not read here: they may change from step to step, and
+    a caller that needs them, as the executor does, reads them.
+    """
+    i = start
+    while i < stop:
+        j = _run_end(gates, i, stop)
+        k = j
+        if j - i >= 2 and j < stop and gates[i].kind in _BASIS_KINDS:
+            k = _run_end(gates, j, stop)
+        if k - j < 2:
+            yield i, j, j, 0
+            if k > j:
+                yield j, k, k, 0
+            i = k
+            continue
+        period = k - i
+        run, layer = tuple(gates[i:j]), gates[j:k]
+        steps = most = 1
+        while True:
+            most = min(most, (stop - i) // period - steps)
+            if most < 1:
+                break
+            found = _repeated_steps(gates, i + steps * period, run, layer, most)
+            steps += found
+            if found < most:
+                break
+            most *= 2
+        end = i + steps * period
+        if (steps > 1 and end < stop and gates[end].kind in _MIXING_KINDS
+                and gates[end].qubits not in map(_QUBITS, layer)):
+            steps -= 1
+        yield i, j, k, steps
+        i += steps * period
 
 
 def _walk_gates(busy: list[int], gates: Sequence[Gate]) -> int:
@@ -271,46 +313,24 @@ def _walk(busy: list[int], gates: Sequence[Gate], start: int, stop: int) -> int:
     ``busy``, in place, as ``_walk_gates`` does, but a stretch of repeated
     steps at a time. Returns the number of two-qubit gates among them.
 
-    A stretch is found as the executor's planner finds one: a basis run of
-    two gates or more, then a layer of two or more RX, RY and H gates on
-    distinct qubits, then every step after them that repeats the run gate
-    for gate and the layer qubit for qubit. Its length is probed by
-    ``_repeated_steps`` over 1, 2, 4, ... more steps until a probe falls
-    short, so a stretch costs about its own length in C-level compares.
-
-    Its steps are then walked in blocks of 1, 2, 4, ... steps, the last
-    step of each block on its own, only until such a step adds the same c
-    to every qubit the step touches. A step's gates read and set only
-    those qubits, and walking them commutes with adding one constant to
-    all of them, so each later step adds c again: the rest of the stretch
-    adds c times its steps to those qubits, and its two-qubit gates are
-    one step's times its steps. A stretch whose steps never shift
-    uniformly (two groups of qubits that no gate of the step links, moving
-    at different rates, say) is walked gate by gate to its end, checked
-    once per block. Gates outside stretches are walked one at a time.
+    The stretches are the ones the executor runs: ``_steps`` finds them.
+    Their steps are walked in blocks of 1, 2, 4, ... steps, the last step
+    of each block on its own, only until such a step adds the same c to
+    every qubit the step touches. A step's gates read and set only those
+    qubits, and walking them commutes with adding one constant to all of
+    them, so each later step adds c again: the rest of the stretch adds c
+    times its steps to those qubits, and its two-qubit gates are one
+    step's times its steps. A stretch whose steps never shift uniformly
+    (two groups of qubits that no gate of the step links, moving at
+    different rates, say) is walked gate by gate to its end, checked once
+    per block. Runs outside stretches are walked one gate at a time.
     """
-    two, i = 0, start
-    while i < stop:
-        j = _run_end(gates, i, stop)
-        k = j
-        if j - i >= 2 and j < stop and gates[i].kind in _BASIS_KINDS:
-            k = _run_end(gates, j, stop)
-        if k - j < 2:
-            two += _walk_gates(busy, gates[i:k])
-            i = k
+    two = 0
+    for i, j, k, steps in _steps(gates, start, stop):
+        if not steps:
+            two += _walk_gates(busy, gates[i:j])
             continue
         step, period = gates[i:k], k - i
-        run, layer = step[:j - i], step[j - i:]
-        steps = most = 1
-        while True:
-            most = min(most, (stop - i) // period - steps)
-            if most < 1:
-                break
-            found = _repeated_steps(gates, i + steps * period, run, layer, most)[0]
-            steps += found
-            if found < most:
-                break
-            most *= 2
         touched = tuple(set(chain.from_iterable(map(_QUBITS, step))))
         done, block = 0, 1
         while done < steps:
@@ -328,7 +348,6 @@ def _walk(busy: list[int], gates: Sequence[Gate], start: int, stop: int) -> int:
                 two += per * rest
                 break
             block = min(2 * block, steps - done)
-        i += steps * period
     return two
 
 

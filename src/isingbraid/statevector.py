@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import (
-    _BASIS_KINDS,
     _MIXING_KINDS,
     _QUBITS,
     Circuit,
@@ -26,8 +24,7 @@ from .circuit import (
     GateKind,
     _integer,
     _leading,
-    _repeated_steps,
-    _run_end,
+    _steps,
 )
 
 MAX_QUBITS = 26
@@ -49,9 +46,10 @@ _BLOCK_QUBITS = 4
 # was set when every layer took two frame passes, so results below it are
 # unchanged.
 _REAL_QUBITS = 12
-# Bytes of block matrices that one chunk of layers builds at once. A cap in
-# bytes, not in layers, keeps a chunk's matrices small at every register
-# size: a Trotter step's blocks take 2 KiB at 7 qubits and 10 KiB at 15.
+# Bytes of block matrices that one piece of a stretch's layers builds at
+# once. A cap in bytes, not in layers, keeps a piece's matrices small at
+# every register size: a Trotter step's blocks take 2 KiB at 7 qubits and
+# 10 KiB at 15.
 _BLOCK_BYTES = 64 << 10
 # Bytes of the maps of errors conjugated through pieces of basis runs that
 # ``_PIECE_MAPS`` keeps: 340 maps of a 7-qubit register, five of a 13-qubit
@@ -360,24 +358,24 @@ def _block_plan(qubits: tuple[int, ...], n_qubits: int):
     return tuple(blocks), nbytes
 
 
-def _layer_blocks(layers: list, n_qubits: int) -> list[list]:
-    """The dense blocks of each entry of a chunk's ``layers``, in order.
-    An entry is (sorted qubits, the kinds of their gates, a ``(len(qubits),
-    k)`` array of their angles) and stands for k layers on those qubits
-    with those kinds: the layers of a stretch of repeated steps, or one
-    layer. For each entry the result lists each of its k layers as a tuple
-    of (key, matrix) blocks, as ``_apply_blocks`` takes them; a key is
-    (lowest qubit, dimension, real).
+def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
+                  n_qubits: int) -> list:
+    """The dense blocks of k layers on the sorted ``qubits``, each gate of
+    a layer with its kind of ``kinds``, and with its angle in each layer
+    from the ``(len(qubits), k)`` array ``angles``: the layers of a piece
+    of a stretch of repeated steps, or one layer. The result lists each of
+    the k layers as a tuple of (key, matrix) blocks, as ``_apply_blocks``
+    takes them; a key is (lowest qubit, dimension, real).
 
-    The 2x2 matrices of an entry are built by one ``_layer_matrices``
-    call, and the Kronecker products of each block position by broadcast
-    products over all k layers at once, the factor of the highest qubit
-    first, with the layers as the last axis so each product runs along
-    them. Adding 0.0 to a product of two factors or more makes each of its
-    zeros +0.0, as a sum of products starting from zero does, so the signs
-    of exact zeros in the rows do not depend on how the products were
-    formed. Each block is then a C-contiguous matrix; the block at qubit 0
-    is given transposed, the right operand of its product.
+    The 2x2 matrices are built by one ``_layer_matrices`` call, and the
+    Kronecker products of each block position by broadcast products over
+    all k layers at once, the factor of the highest qubit first, with the
+    layers as the last axis so each product runs along them. Adding 0.0 to
+    a product of two factors or more makes each of its zeros +0.0, as a
+    sum of products starting from zero does, so the signs of exact zeros
+    in the rows do not depend on how the products were formed. Each block
+    is then a C-contiguous matrix; the block at qubit 0 is given
+    transposed, the right operand of its product.
 
     On registers of ``_REAL_QUBITS`` or more the blocks act on rows in the
     frame S = diag(1, i) on every qubit from ``_BLOCK_QUBITS`` up (see
@@ -391,50 +389,47 @@ def _layer_blocks(layers: list, n_qubits: int) -> list[list]:
     counts, which would make a row's bits depend on its batch.
     """
     framed = n_qubits >= _REAL_QUBITS
-    out = []
-    for qubits, kinds, angles in layers:
-        plan, _ = _block_plan(qubits, n_qubits)
-        mats = _layer_matrices(kinds, angles)
-        count = mats.shape[3]
-        if framed:
-            inside = [q >= _BLOCK_QUBITS for q in qubits]
-            mats[inside, 0, 1] *= -1j
-            mats[inside, 1, 0] *= 1j
-        positions = []
-        for lo, width, gates, offsets in plan:
-            if offsets is None:
-                factors = mats[gates]
-            else:
-                # Qubits of the span that no gate of the layer touches.
-                factors = np.zeros((width, 2, 2, count), dtype=complex)
-                factors[:, 0, 0] = factors[:, 1, 1] = 1.0
-                factors[offsets] = mats[gates]
-            mixed = False
-            if framed and lo:
-                real = ~factors.imag.any(axis=(0, 1, 2))
-                if real.all():
-                    factors = factors.real
-                mixed = real.any() and not real.all()
-            blocks = factors[width - 1]
-            for w in range(width - 2, -1, -1):
-                dim = 2 * len(blocks)
-                blocks = (blocks[:, None, :, None]
-                          * factors[w, None, :, None]).reshape(dim, dim, count)
-            if width > 1:
-                blocks += 0.0
-            dim = 1 << width
-            key = (lo, dim, blocks.dtype != complex)
-            blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1))
-            if not lo:
-                positions.append(zip(repeat(key), blocks.transpose(0, 2, 1)))
-            elif mixed:
-                as_real = (lo, dim, True)
-                positions.append([(as_real, block.real.copy()) if is_real else (key, block)
-                                  for block, is_real in zip(blocks, real)])
-            else:
-                positions.append(zip(repeat(key), blocks))
-        out.append(list(zip(*positions)))
-    return out
+    plan, _ = _block_plan(qubits, n_qubits)
+    mats = _layer_matrices(kinds, angles)
+    count = mats.shape[3]
+    if framed:
+        inside = [q >= _BLOCK_QUBITS for q in qubits]
+        mats[inside, 0, 1] *= -1j
+        mats[inside, 1, 0] *= 1j
+    positions = []
+    for lo, width, gates, offsets in plan:
+        if offsets is None:
+            factors = mats[gates]
+        else:
+            # Qubits of the span that no gate of the layer touches.
+            factors = np.zeros((width, 2, 2, count), dtype=complex)
+            factors[:, 0, 0] = factors[:, 1, 1] = 1.0
+            factors[offsets] = mats[gates]
+        mixed = False
+        if framed and lo:
+            real = ~factors.imag.any(axis=(0, 1, 2))
+            if real.all():
+                factors = factors.real
+            mixed = real.any() and not real.all()
+        blocks = factors[width - 1]
+        for w in range(width - 2, -1, -1):
+            dim = 2 * len(blocks)
+            blocks = (blocks[:, None, :, None]
+                      * factors[w, None, :, None]).reshape(dim, dim, count)
+        if width > 1:
+            blocks += 0.0
+        dim = 1 << width
+        key = (lo, dim, blocks.dtype != complex)
+        blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1))
+        if not lo:
+            positions.append(zip(repeat(key), blocks.transpose(0, 2, 1)))
+        elif mixed:
+            as_real = (lo, dim, True)
+            positions.append([(as_real, block.real.copy()) if is_real else (key, block)
+                              for block, is_real in zip(blocks, real)])
+        else:
+            positions.append(zip(repeat(key), blocks))
+    return list(zip(*positions))
 
 
 class _Views(dict):
@@ -535,139 +530,81 @@ class _PieceMaps:
 _PIECE_MAPS = _PieceMaps()
 
 
-class _Stretch(NamedTuple):
-    """``steps`` Trotter-like steps in a row, each the basis run ``run``
-    (the tuple planned for it before) and then a layer of ``width`` gates
-    with the kinds and qubits of the layer planned after it."""
+def _runs(gates: Sequence[Gate], n_qubits: int):
+    """Every run of ``gates`` in order, as ``circuit._steps`` finds them,
+    a stretch of repeated steps as the two runs of each step, each run as
+    (its gate count, the gate or basis run, how it is applied). A layer is
+    (count, None, its blocks); a basis run of two gates or more comes with
+    its map, kept while an equal run comes again, which is then given as
+    the same tuple, so a run repeated step after step is built once; a
+    lone gate comes with None.
 
-    run: tuple
-    width: int
-    steps: int
+    A lone layer's blocks are built alone, a stretch's a piece of steps at
+    a time, each piece at most about ``_BLOCK_BYTES`` of blocks.
+    ``_steps`` checks a stretch's layers by their qubits only: a piece
+    takes the kinds of its first step's layer and ends before the first
+    step whose kinds differ, read from the same strided columns of the
+    steps as the angles. A position whose gate stays the same costs one
+    compare and no read, and a compiled circuit's shared gates make that
+    compare an identity check. A step whose layer holds a basis gate is no
+    step of a stretch, and the runs from it on are found anew.
 
-
-def _chunks(gates: Sequence[Gate], n_qubits: int):
-    """Split ``gates`` lazily into runs and yield them in chunks whose
-    layers' block matrices fill about ``_BLOCK_BYTES``.
-
-    A run is a maximal run of basis gates (a tuple) or of RX, RY and H gates
-    on distinct qubits (a layer: a list of its gates sorted by qubit), as
-    ``circuit._run_end`` cuts it. A
-    lone gate of either kind is yielded as the gate itself. A basis run
-    equal to the one before it is yielded as that same tuple.
-
-    Once a basis run R of two gates or more is followed by a layer, the
-    steps after them that repeat both are yielded as one ``_Stretch``, as
-    far as the chunk's budget reaches, and the next chunk goes on with it:
-    R gate for gate and the layer kind for kind and qubit for qubit. The
-    steps are checked one gate position at a time over all of them: R and
-    the layer's qubits by the finder the depth walk shares
-    (``circuit._repeated_steps``), then the kinds of each layer position
-    whose gates change, read from the column the finder returns, as their
-    angles are. So Trotter steps are planned in a few passes per chunk, not
-    gate by gate. Their runs are the ones found gate by gate: each R is
-    ended by a layer gate, and the last layer by the gate after it, which
-    is checked.
-
-    Each chunk is yielded as its parts in order and its layers as the
-    entries of ``_layer_blocks``: one per layer alone and one per stretch.
-    Every layer is checked against the register before its chunk is
-    yielded. Errors play no part in the plan: every row runs these runs,
+    Every layer is checked against the register before its blocks are
+    applied. Errors play no part in the plan: every row runs these runs,
     and the rows an error hits take it after its run (``_apply_errors``).
     """
-    chunk: list = []
-    layers: list = []
-    nbytes = 0
-    last_run: tuple = ()
-    run_end = -1  # past the last gate of ``last_run`` where it was planned
-    resume = -1  # where a stretch may start
-    i, count = 0, len(gates)
-    while i < count:
-        if nbytes >= _BLOCK_BYTES:
-            yield chunk, layers
-            chunk, layers, nbytes = [], [], 0
-        if i == resume:
-            qubits, kinds, size = shape
-            width = len(template)
-            period = len(last_run) + width
-            most = min((count - i) // period, -(-(_BLOCK_BYTES - nbytes) // size))
-            steps, columns = _repeated_steps(gates, i, last_run, template, most)
-            # The finder checks the layers' qubits; their blocks are built
-            # with the template's kinds.
-            for gate, column in zip(template, columns):
-                if column is not None:
-                    steps = min(steps, _leading(tuple(map(_KIND, column)), gate.kind))
-            end = i + steps * period
-            if (steps and end < count and gates[end].kind in _MIXING_KINDS
-                    and gates[end].qubits[0] not in qubits):
-                steps -= 1
-                end -= period
-            if steps:
-                order = sorted(range(width), key=[g.qubits for g in template].__getitem__)
-                chunk.append(_Stretch(last_run, width, steps))
-                angles = [[0.0] * steps if gate.kind is GateKind.H
-                          else [gate.angle] * steps if column is None
-                          else list(map(_ANGLE, column[:steps]))
-                          for gate, column in zip(template, columns)]
-                layers.append((qubits, kinds, [angles[t] for t in order]))
-                nbytes += steps * size
-            # The next chunk goes on with the stretch if the budget cut it.
-            resume = end if steps and steps == most else -1
-            i = end
-            continue
-        first = gates[i]
-        j = _run_end(gates, i, count)
-        if j - i < 2:
-            chunk.append(first)
-        elif first.kind in _BASIS_KINDS:
+    last_run, last_map = (), None
+    start, count = 0, len(gates)
+    while start < count:
+        found, start = _steps(gates, start, count), count
+        for i, j, k, steps in found:
+            if j - i == 1:
+                yield 1, gates[i], None
+                continue
+            if not steps and gates[i].kind in _MIXING_KINDS:
+                layer = sorted(gates[i:j], key=_QUBITS)
+                angles = [[0.0 if g.angle is None else g.angle] for g in layer]
+                [blocks] = _layer_blocks(tuple(g.qubits[0] for g in layer),
+                                         tuple(map(_KIND, layer)), angles, n_qubits)
+                yield j - i, None, blocks
+                continue
             run = tuple(gates[i:j])
             if run != last_run:
-                last_run = run
-            chunk.append(last_run)
-            run_end = j
-        else:
-            layer = sorted(gates[i:j], key=_QUBITS)
-            qubits = tuple(g.qubits[0] for g in layer)
-            kinds = tuple(map(_KIND, layer))
-            size = _block_plan(qubits, n_qubits)[1]
-            nbytes += size
-            chunk.append(layer)
-            layers.append((qubits, kinds, [
-                [0.0 if g.angle is None else g.angle] for g in layer]))
-            if i == run_end:
-                template = gates[i:j]
-                shape = (qubits, kinds, size)
-                resume = j
-        i = j
-    if chunk:
-        yield chunk, layers
-
-
-def _runs(gates: Sequence[Gate], n_qubits: int):
-    """Every run of the plan of ``gates`` (``_chunks``) in order, a stretch
-    as its steps' runs, each as (its gate count, the gate or basis run, how
-    it is applied). A layer is (count, None, its blocks); a basis run of two
-    gates or more comes with its map, kept while the same tuple comes
-    again, so a run repeated step after step is built once; a lone gate
-    comes with None."""
-    last_run, last_map = (), None
-    for chunk, layers in _chunks(gates, n_qubits):
-        blocks = iter(_layer_blocks(layers, n_qubits))
-        for part in chunk:
-            kind = type(part)
-            if kind is list:
-                yield len(part), None, next(blocks)[0]
-            elif kind is tuple or kind is _Stretch:
-                run = part if kind is tuple else part.run
-                if run is not last_run:
-                    last_run, last_map = run, _basis_map(n_qubits, run)
-                if kind is tuple:
-                    yield len(run), run, last_map
-                    continue
-                for step in next(blocks):
-                    yield len(run), run, last_map
-                    yield part.width, None, step
-            else:
-                yield 1, part, None
+                last_run, last_map = run, _basis_map(n_qubits, run)
+            if not steps:
+                yield j - i, last_run, last_map
+                continue
+            period = k - i
+            order = sorted(range(j, k), key=lambda t: gates[t].qubits)
+            qubits = tuple(gates[t].qubits[0] for t in order)
+            most = -(-_BLOCK_BYTES // _block_plan(qubits, n_qubits)[1])
+            done = 0
+            while done < steps:
+                places = [t + done * period for t in order]
+                first = [gates[at] for at in places]
+                kinds = tuple(map(_KIND, first))
+                if not all(kind in _MIXING_KINDS for kind in kinds):
+                    start = i + done * period
+                    break
+                size = min(most, steps - done)
+                columns = []
+                for at, gate in zip(places, first):
+                    column = tuple(gates[at:at + size * period:period])
+                    if _leading(column, gate) < size:
+                        size = _leading(tuple(map(_KIND, column)), gate.kind)
+                        columns.append(column)
+                    else:
+                        columns.append(None)
+                angles = [[0.0] * size if gate.kind is GateKind.H
+                          else [gate.angle] * size if column is None
+                          else list(map(_ANGLE, column[:size]))
+                          for gate, column in zip(first, columns)]
+                for blocks in _layer_blocks(qubits, kinds, angles, n_qubits):
+                    yield j - i, last_run, last_map
+                    yield k - j, None, blocks
+                done += size
+            if start < count:
+                break
 
 
 def _apply_basis(rows, n_qubits: int, part, op, frame, inside: bool) -> bool:
@@ -739,19 +676,18 @@ def apply_gates_inplace(
     it hits), in gate order, as ``noise.draw_errors`` yields them: each acts
     on its rows just after the gate of its index, on a qubit of that gate.
 
-    Every gate is applied in a run (see ``_chunks`` and ``_runs``). Each
-    maximal run of two or more basis gates (CNOT, X, Z, RZ) is applied as
-    one phase-permutation; the map of the most recent one is kept, so a run
+    Every gate is applied in a run (see ``_runs``). Each maximal run of two
+    or more basis gates (CNOT, X, Z, RZ) is applied as one
+    phase-permutation; the map of the most recent one is kept, so a run
     repeated step after step is built once. Each maximal run of two or more
     RX, RY and H gates on distinct qubits is applied as one layer of dense
-    blocks. A lone gate takes its per-gate kernel. The runs are planned a
-    chunk at a time, repeated steps as one stretch: the blocks of all
-    layers of a chunk are built together, then the chunk's runs are applied
-    in order, each layer through views of the rows and of one scratch
-    buffer made once per call (``_Views``). A run and its errors are
-    checked in full before any row changes: an error on a qubit its gate
-    does not act on raises ValueError then, and one past the last gate or
-    out of gate order when the runs reach it.
+    blocks. A lone gate takes its per-gate kernel. Repeated steps are
+    planned as one stretch, and the blocks of its layers are built a piece
+    of steps at a time. Each layer is applied through views of the rows and
+    of one scratch buffer made once per call (``_Views``). A run and its
+    errors are checked in full before any row changes: an error on a qubit
+    its gate does not act on raises ValueError then, and one past the last
+    gate or out of gate order when the runs reach it.
 
     Errors do not change the runs: every run is applied whole to every row,
     and then each error of the run to the rows it hits, conjugated through
@@ -817,7 +753,7 @@ def batch_rows_within(nbytes: int, n_qubits: int) -> int:
     of the rows an error hits (every row, at worst) and the permuted copy
     of them that the error's map takes, or the per-gate kernel's
     temporaries of the same size. A basis run's own permuted copy is freed
-    before its errors are taken. Beside them, a chunk's block matrices
+    before its errors are taken. Beside them, a piece's block matrices
     (``_BLOCK_BYTES``) and the error maps (``_PIECE_BYTES``)."""
     return max(1, (nbytes - _BLOCK_BYTES - _PIECE_BYTES) // (4 * (16 << n_qubits)))
 

@@ -339,19 +339,10 @@ def _run_spans(gates, n):
     first gate and the index past its last; a stretch of repeated steps as
     the runs of each step, its layers as lists of their gates."""
     start = 0
-    for chunk, _ in sv._chunks(gates, n):
-        for part in chunk:
-            if type(part) is sv._Stretch:
-                for _ in range(part.steps):
-                    end = start + len(part.run)
-                    yield part.run, start, end
-                    start, end = end, end + part.width
-                    yield list(gates[start:end]), start, end
-                    start = end
-                continue
-            end = start + (len(part) if type(part) in (list, tuple) else 1)
-            yield part, start, end
-            start = end
+    for size, part, _ in sv._runs(gates, n):
+        end = start + size
+        yield list(gates[start:end]) if part is None else part, start, end
+        start = end
 
 
 # Each error on one step's basis run, at every position, on each qubit of

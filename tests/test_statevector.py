@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import isingbraid.circuit as ir
 import isingbraid.statevector as sv
 from isingbraid.circuit import Circuit, Gate, GateKind, inverse
 from isingbraid.noise import NoiseModel, draw_errors
@@ -519,7 +520,7 @@ def test_failed_check_mid_call_leaves_rows_out_of_frame():
     gates = step + step + (Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.X, (n,)))
     # The last Trotter layer ends the part of the call that is applied: the
     # step's trailing basis gates join the failing run.
-    cut = max(i for i, g in enumerate(gates) if g.kind in sv._MIXING_KINDS) + 1
+    cut = max(i for i, g in enumerate(gates) if g.kind in ir._MIXING_KINDS) + 1
     batch = np.stack([random_state(n, seed).amplitudes for seed in (4, 5)])
     expected = batch.copy()
     apply_gates_inplace(expected, n, gates[:cut])
@@ -542,27 +543,26 @@ def _short_braid(n_s=6):
     return p.n_qubits, init.gates + build_protocol_circuit(p, sched).gates
 
 
-def test_chunk_budget_does_not_change_the_result(monkeypatch):
+def test_piece_budget_does_not_change_the_result(monkeypatch):
     # N_s = 12 is a register above the threshold of the real-arithmetic path.
     for n_s in (6, 12):
-        _check_chunk_budget(monkeypatch, n_s)
+        _check_piece_budget(monkeypatch, n_s)
 
 
-def _check_chunk_budget(monkeypatch, n_s):
+def _check_piece_budget(monkeypatch, n_s):
     n, gates = _short_braid(n_s)
     batch = np.stack([random_state(n, seed).amplitudes for seed in (5, 6)])
-    # All six layers share one chunk; the coupler RY is a lone gate. At
-    # N_s = 12 their blocks pass the budget, so the final coupler ladder
-    # starts a second chunk.
-    chunks = list(sv._chunks(gates, n))
-    assert [_layer_count(layers) for _, layers in chunks] == (
-        [6] if n_s == 6 else [6, 0])
+    # The init layer alone, then the Trotter layers: the first step's,
+    # whose basis run is the step's leading gates alone, a stretch of the
+    # next two, and after the lone coupler RY two steps whose basis runs
+    # differ.
+    built = _built_layers(gates, n)
+    assert [len(angles[0]) for _, _, angles, _ in built] == [1, 1, 2, 1, 1]
     # The Trotter layers' blocks above qubit 0 are real from the threshold
     # up, complex below. The init layer's H factors are complex in the
     # frame.
-    layers = chunks[0][1]
     real = {}
-    for (_, kinds, _), steps in zip(layers, sv._layer_blocks(layers, n)):
+    for _, kinds, _, steps in built:
         trotter = all(kind is GateKind.RX for kind in kinds)
         real.setdefault(trotter, set()).update(
             block.dtype == np.float64 for step in steps for (lo, _, _), block in step
@@ -571,9 +571,8 @@ def _check_chunk_budget(monkeypatch, n_s):
     default = batch.copy()
     apply_gates_inplace(default, n, gates)
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 1)
-    # The last chunk holds the final coupler ladder alone.
-    layers_per_chunk = [_layer_count(layers) for _, layers in sv._chunks(gates, n)]
-    assert layers_per_chunk == [1] * 6 + [0]
+    # Each piece holds one layer.
+    assert [len(angles[0]) for _, _, angles, _ in _built_layers(gates, n)] == [1] * 6
     one_layer = batch.copy()
     apply_gates_inplace(one_layer, n, gates)
     assert np.array_equal(one_layer, default)
@@ -593,30 +592,45 @@ def _check_chunk_budget(monkeypatch, n_s):
             assert np.allclose(split, default, rtol=0, atol=1e-12), (n_s, cut)
 
 
-def _layer_count(layers):
-    """The layers of a chunk's entries for ``_layer_blocks``."""
-    return sum(len(angles[0]) for _, _, angles in layers)
+def _built_layers(gates, n):
+    """The layers whose blocks ``_runs`` builds for ``gates``, in order, a
+    lone layer or a piece of a stretch at a time, each as the arguments of
+    its ``_layer_blocks`` call and the blocks: (qubits, kinds, angles of
+    each qubit in each layer, blocks of each layer)."""
+    built = []
+    build = sv._layer_blocks
+
+    def spy(qubits, kinds, angles, n_qubits):
+        blocks = build(qubits, kinds, angles, n_qubits)
+        built.append((qubits, kinds, angles, blocks))
+        return blocks
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sv, "_layer_blocks", spy)
+        for _ in sv._runs(gates, n):
+            pass
+    return built
 
 
 def _runs_gate_by_gate(gates):
-    """The runs of ``gates`` as ``_chunks`` defines them, each found by
+    """The runs of ``gates`` as the executor plans them, each found by
     testing the kind of every gate in it; a run of one gate is the gate
     itself."""
     runs, i = [], 0
     while i < len(gates):
         j = i + 1
-        if gates[i].kind in sv._BASIS_KINDS:
-            while j < len(gates) and gates[j].kind in sv._BASIS_KINDS:
+        if gates[i].kind in ir._BASIS_KINDS:
+            while j < len(gates) and gates[j].kind in ir._BASIS_KINDS:
                 j += 1
         else:
             seen = {gates[i].qubits[0]}
-            while (j < len(gates) and gates[j].kind in sv._MIXING_KINDS
+            while (j < len(gates) and gates[j].kind in ir._MIXING_KINDS
                    and gates[j].qubits[0] not in seen):
                 seen.add(gates[j].qubits[0])
                 j += 1
         if j - i == 1:
             runs.append(gates[i])
-        elif gates[i].kind in sv._MIXING_KINDS:
+        elif gates[i].kind in ir._MIXING_KINDS:
             runs.append(sorted(gates[i:j], key=lambda g: g.qubits))
         else:
             runs.append(tuple(gates[i:j]))
@@ -625,22 +639,15 @@ def _runs_gate_by_gate(gates):
 
 
 def _planned_runs(gates, n):
-    """The runs ``_chunks`` plans for ``gates``, each stretch of repeated
-    steps as the runs of its steps: its basis run, the same tuple, and each
-    layer as the list of its gates sorted by qubit."""
+    """The runs ``_runs`` plans for ``gates``, each stretch of repeated
+    steps as the runs of its steps: a basis run as the tuple it is given
+    as, a layer as the list of its gates sorted by qubit and a lone gate as
+    itself."""
     runs, start = [], 0
-    for chunk, _ in sv._chunks(gates, n):
-        for part in chunk:
-            if type(part) is not sv._Stretch:
-                runs.append(part)
-                start += 1 if type(part) is Gate else len(part)
-                continue
-            for _ in range(part.steps):
-                start += len(part.run)
-                runs.append(part.run)
-                layer = gates[start:start + part.width]
-                runs.append(sorted(layer, key=lambda g: g.qubits))
-                start += part.width
+    for size, part, _ in sv._runs(gates, n):
+        runs.append(sorted(gates[start:start + size], key=lambda g: g.qubits)
+                    if part is None else part)
+        start += size
     return runs
 
 
@@ -679,24 +686,43 @@ def _eff_braid(n_s, update_mode):
 
 
 def test_linear_braid_is_planned_in_hundreds_of_parts_not_a_part_per_run():
-    # Repeated Trotter steps are planned a stretch at a time: a change that
-    # falls back to planning them run by run fails here.
-    circuit = _braid(6, "linear")
-    parts = [part for chunk, _ in sv._chunks(circuit.gates, 7) for part in chunk]
-    assert sum(type(part) is sv._Stretch for part in parts) > 100
-    assert len(parts) < 1000 < 10_000 < len(_runs_gate_by_gate(circuit.gates))
+    # Repeated Trotter steps are found a stretch at a time and built a
+    # piece of a stretch at a time: a change that falls back to planning
+    # them run by run fails here. Nearly all of the 6,030 steps lie in
+    # stretches.
+    gates = _braid(6, "linear").gates
+    found = list(ir._steps(gates, 0, len(gates)))
+    assert sum(steps for *_, steps in found) > 6000
+    assert len(found) < 100 < len(_built_layers(gates, 7)) < 1000
+    assert 10_000 < len(_runs_gate_by_gate(gates))
     # Equal gates that are other objects repeat a step as well.
-    fresh = tuple(Gate(g.kind, g.qubits, g.angle) for g in circuit.gates)
-    assert [part for chunk, _ in sv._chunks(fresh, 7) for part in chunk] == parts
+    fresh = tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)
+    assert list(ir._steps(fresh, 0, len(fresh))) == found
+
+
+def test_executor_and_depth_walk_share_one_step_finder(monkeypatch):
+    # Both find the linear OPT braid's repeated steps by ``circuit._steps``,
+    # so one run probes ``_repeated_steps`` about as often as one depth
+    # walk does, not once per budget of blocks.
+    scenario = compile_scenario(ProtocolParams(update_mode="linear"), "braid",
+                                LogicalLabel.ALL_UP)
+    calls = []
+    probe = ir._repeated_steps
+    monkeypatch.setattr(ir, "_repeated_steps", lambda *a: calls.append(a) or probe(*a))
+    run(zero_state(7), scenario.prepared_circuit)
+    ran = len(calls)
+    scenario.structure()
+    walked = len(calls) - ran
+    assert 0 < ran < 100 and abs(ran - walked) <= 5, (ran, walked)
 
 
 def _assert_stretches_change_no_bit(circuit, rows=3, eps=0.0):
-    """Run ``circuit`` as planned and with no stretch, every step planned
-    run by run, on the same batch of random states and with the same drawn
-    errors (none for ``eps`` 0), and check the two batches are equal bit
-    for bit. The planner also forms stretches of equal gates that are
-    other objects, so the ones of a rebuild from new ``Gate`` objects
-    change no bit either."""
+    """Run ``circuit`` as planned and with no repeated step found, every
+    step planned alone, run by run, on the same batch of random states and
+    with the same drawn errors (none for ``eps`` 0), and check the two
+    batches are equal bit for bit. The planner also forms stretches of
+    equal gates that are other objects, so the ones of a rebuild from new
+    ``Gate`` objects change no bit either."""
     n, gates = circuit.n_qubits, circuit.gates
     fresh = tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)
     errors = []
@@ -709,9 +735,8 @@ def _assert_stretches_change_no_bit(circuit, rows=3, eps=0.0):
     apply_gates_inplace(planned, n, gates, errors)
     apply_gates_inplace(rebuilt, n, fresh, errors)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sv, "_repeated_steps", lambda *a: (0, []))
-        assert not any(type(part) is sv._Stretch
-                       for chunk, _ in sv._chunks(gates, n) for part in chunk)
+        patch.setattr(ir, "_repeated_steps", lambda *a: 0)
+        assert all(steps <= 1 for *_, steps in ir._steps(gates, 0, len(gates)))
         apply_gates_inplace(batch, n, gates, errors)
     assert planned.tobytes() == batch.tobytes() == rebuilt.tobytes()
 
@@ -719,8 +744,7 @@ def _assert_stretches_change_no_bit(circuit, rows=3, eps=0.0):
 @pytest.mark.parametrize("eps", [0.0, 1e-4])
 def test_stretches_change_no_bit_of_the_linear_opt_braid(eps):
     circuit = _braid(6, "linear")
-    assert any(type(part) is sv._Stretch
-               for chunk, _ in sv._chunks(circuit.gates, 7) for part in chunk)
+    assert any(steps > 1 for *_, steps in ir._steps(circuit.gates, 0, len(circuit)))
     _assert_stretches_change_no_bit(circuit, eps=eps)
 
 
@@ -737,12 +761,13 @@ def test_coupler_rotation_cuts_a_stretch_without_changing_a_bit():
     step = trotter_step_circuit(cfg, 0.4).gates
     rotation = (Gate(GateKind.RY, (cfg.chain_len,), 0.7),)
     circuit = Circuit(7, step * 5 + rotation + step * 5)
-    parts = [part for chunk, _ in sv._chunks(circuit.gates, 7) for part in chunk]
+    found = list(ir._steps(circuit.gates, 0, len(circuit)))
     # A stretch, the rotation's coupler run and the lone RY, then the
     # steps after it start a stretch of their own.
-    at = parts.index(rotation[0])
-    assert type(parts[at - 2]) is sv._Stretch and type(parts[at - 1]) is tuple
-    assert type(parts[-2]) is sv._Stretch
+    at = [i for i, *_ in found].index(len(step) * 5)
+    assert found[at][1] - found[at][0] == 1
+    assert found[at - 2][3] > 1 and found[at - 1][3] == 0
+    assert found[-2][3] > 1
     for eps in (0.0, 0.05):
         _assert_stretches_change_no_bit(circuit, eps=eps)
 
@@ -750,16 +775,16 @@ def test_coupler_rotation_cuts_a_stretch_without_changing_a_bit():
 def test_stretch_ends_before_a_last_layer_that_a_later_gate_widens():
     # Steps of a CNOT-RZ-CNOT ladder and an RY-RX layer on qubits 1 and 0;
     # an H on qubit 2 after the last step joins its layer, so that step is
-    # planned run by run.
+    # found alone, with a layer of three gates.
     g = Gate
     ladder = (g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.3),
               g(GateKind.CNOT, (0, 1)))
     steps = sum((ladder + (g(GateKind.RY, (1,), 0.1 * k), g(GateKind.RX, (0,), -0.2 * k))
                  for k in range(1, 7)), ())
     gates = steps + (g(GateKind.H, (2,)),)
-    parts = [part for chunk, _ in sv._chunks(gates, 3) for part in chunk]
-    assert [part.steps for part in parts if type(part) is sv._Stretch] == [4]
-    assert len(parts[-1]) == 3
+    found = list(ir._steps(gates, 0, len(gates)))
+    assert [steps for *_, steps in found] == [5, 1]
+    assert found[-1][2] - found[-1][1] == 3
     assert _planned_runs(gates, 3) == _runs_gate_by_gate(gates)
     state = random_state(3, 2)
     expected = state.amplitudes.copy()
@@ -770,17 +795,22 @@ def test_stretch_ends_before_a_last_layer_that_a_later_gate_widens():
     _assert_stretches_change_no_bit(Circuit(3, gates))
 
 
-@pytest.mark.parametrize("change", ["run_angle", "layer_kind", "layer_qubit"])
+@pytest.mark.parametrize("change", ["run_angle", "layer_kind", "layer_qubit",
+                                    "layer_basis_gate"])
 def test_stretch_ends_at_a_step_whose_run_or_layer_differs(change):
     # Steps of one ladder and a layer, the ladder's CNOTs the same objects
-    # throughout; from the fourth step on, one thing differs.
+    # throughout; from the fourth step on, one thing differs. The finder
+    # checks a layer by its qubits, so a change of kind ends a piece of the
+    # stretch, not the stretch; an RZ in the layer joins the ladder, and
+    # the runs from its step on are found anew.
     g = Gate
     cx = g(GateKind.CNOT, (0, 1))
     ladder = (cx, g(GateKind.RZ, (1,), 0.3), cx)
     other = ladder
     if change == "run_angle":
         other = (cx, g(GateKind.RZ, (1,), 0.5), cx)
-    kind = GateKind.RX if change == "layer_kind" else GateKind.RY
+    kind = {"layer_kind": GateKind.RX, "layer_basis_gate": GateKind.RZ}.get(
+        change, GateKind.RY)
     qubit = 2 if change == "layer_qubit" else 1
 
     def step(k, run, kind=GateKind.RY, qubit=1):
@@ -788,9 +818,11 @@ def test_stretch_ends_at_a_step_whose_run_or_layer_differs(change):
 
     gates = (sum((step(k, ladder) for k in range(1, 4)), ())
              + sum((step(k, other, kind, qubit) for k in range(4, 7)), ()))
-    stretches = [part.steps for chunk, _ in sv._chunks(gates, 3) for part in chunk
-                 if type(part) is sv._Stretch]
-    assert stretches[0] == 2
+    same_qubits = change in ("layer_kind", "layer_basis_gate")
+    assert ([steps for *_, steps in ir._steps(gates, 0, len(gates))]
+            == ([6] if same_qubits else [3, 3]))
+    assert ([len(angles[0]) for _, _, angles, _ in _built_layers(gates, 3)]
+            == ([3] if change == "layer_basis_gate" else [3, 3]))
     assert _planned_runs(gates, 3) == _runs_gate_by_gate(gates)
     state = random_state(3, 5)
     expected = state.amplitudes.copy()
@@ -810,11 +842,11 @@ def test_stretch_of_real_and_complex_layers_in_the_frame_changes_no_bit():
               g(GateKind.CNOT, (0, 1)))
     gates = sum((ladder + tuple(g(GateKind.RY, (q,), 0.0 if k % 2 else 0.2 * k + 0.1 * q)
                                 for q in range(n)) for k in range(6)), ())
-    [(parts, layers)] = sv._chunks(gates, n)
-    assert type(parts[-1]) is sv._Stretch and parts[-1].steps == 5
+    [(_, _, angles, steps)] = _built_layers(gates, n)
+    assert len(angles[0]) == 6
     real = [[block.dtype == np.float64 for (lo, _, _), block in step if lo]
-            for step in sv._layer_blocks(layers, n)[-1]]
-    assert real == [[True, True], [False, False]] * 2 + [[True, True]]
+            for step in steps]
+    assert real == [[False, False], [True, True]] * 3
     state = random_state(n, 3)
     expected = state.amplitudes.copy()
     for gate in gates:
@@ -824,18 +856,17 @@ def test_stretch_of_real_and_complex_layers_in_the_frame_changes_no_bit():
     _assert_stretches_change_no_bit(Circuit(n, gates))
 
 
-def test_chunk_budget_cuts_a_stretch_without_changing_a_bit(monkeypatch):
+def test_piece_budget_cuts_a_stretch_without_changing_a_bit(monkeypatch):
     circuit = _braid(6, "linear", T=0.6)
     gates = circuit.gates
     expected = random_state(7, 4).amplitudes.reshape(1, -1).copy()
     apply_gates_inplace(expected, 7, gates)
-    # Three layers' blocks and a byte: a stretch takes at most four steps
-    # of a chunk and goes on in the next.
+    # Three layers' blocks and a byte: a piece takes at most four steps of
+    # a stretch, and the stretch goes on in the next piece.
     layer_bytes = sv._block_plan((0, 1, 2, 4, 5, 6), 7)[1]
     monkeypatch.setattr(sv, "_BLOCK_BYTES", 3 * layer_bytes + 1)
-    steps = [part.steps for chunk, _ in sv._chunks(gates, 7) for part in chunk
-             if type(part) is sv._Stretch]
-    assert max(steps) == 4 and len(steps) > 10
+    pieces = [len(angles[0]) for _, _, angles, _ in _built_layers(gates, 7)]
+    assert max(pieces) == 4 and len(pieces) > 10
     assert _planned_runs(gates, 7) == _runs_gate_by_gate(gates)
     _assert_stretches_change_no_bit(circuit)
     cut = random_state(7, 4).amplitudes.reshape(1, -1).copy()
@@ -845,26 +876,31 @@ def test_chunk_budget_cuts_a_stretch_without_changing_a_bit(monkeypatch):
 
 def _gates_of_pieces(pieces):
     """Three-qubit gates from pieces: a basis run that comes back, alone or
-    followed by more basis gates, a layer, and lone gates of either kind."""
+    followed by more basis gates, a layer, lone gates of either kind, and
+    the basis run followed by the layer's qubits with other kinds: an RY
+    for the RX, which ends a piece of a stretch, or an RZ, which joins the
+    basis run."""
     g = Gate
     ladder = (g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.3),
               g(GateKind.CNOT, (0, 1)))
     layer = (g(GateKind.RX, (0,), 0.2), g(GateKind.RY, (2,), 0.5),
              g(GateKind.H, (1,)))
     parts = [ladder, ladder, layer, (g(GateKind.X, (2,)),),
-             (g(GateKind.RX, (1,), -0.4),), ladder[:2]]
+             (g(GateKind.RX, (1,), -0.4),), ladder[:2],
+             ladder + (g(GateKind.RY, (0,), 0.2),) + layer[1:],
+             ladder + (g(GateKind.RZ, (0,), 0.2),) + layer[1:]]
     return tuple(gate for k in pieces for gate in parts[k])
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 5), max_size=16))
+@given(st.lists(st.integers(0, 7), max_size=16))
 def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
     gates = _gates_of_pieces(pieces)
     assert _planned_runs(gates, 3) == _runs_gate_by_gate(gates)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=16), st.data())
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=16), st.data())
 def test_each_row_equals_its_one_row_run_and_the_gate_level_reference(pieces, data):
     gates = _gates_of_pieces(pieces)
     rows = 3
@@ -931,15 +967,14 @@ def test_lone_basis_gates_and_errors_no_later_gate_touches_build_no_map(monkeypa
         assert np.array_equal(single, row)
 
 
-def test_chunk_of_mixed_layers_matches_gate_by_gate():
+def test_mixed_layers_match_gate_by_gate():
     n, gates = _short_braid()
     # One more layer whose blocks leave qubits of their span untouched.
     gates += (Gate(GateKind.H, (0,)), Gate(GateKind.RY, (2,), 0.4),
               Gate(GateKind.RX, (6,), -1.1))
-    [(_, layers)] = sv._chunks(gates, n)
     # The init layer, the Trotter layers and the new layer; the RY is a
     # lone gate.
-    assert len({qubits for qubits, _, _ in layers}) == 3
+    assert len({qubits for qubits, *_ in _built_layers(gates, n)}) == 3
     state = random_state(n, 7)
     expected = state.amplitudes.copy()
     for gate in gates:
