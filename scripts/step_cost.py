@@ -39,8 +39,10 @@ The third table compiles the OPT braid at N_s = 6 (the default parameters)
 in each update mode and prints the ms to build its evolution circuit
 (``build_protocol_circuit``), that time per Trotter step in µs, the
 executor's ms per step over one ``statevector.run`` of the whole braid
-(initialization and evolution), and the ms of ``ScenarioRun.structure``
-(both depths and the gate counts).
+(initialization and evolution), the ms of the executor's plan of that
+circuit alone (the ``statevector._runs`` walk: finding the stretches and
+building the pieces' blocks and the runs' maps, with nothing applied), and
+the ms of ``ScenarioRun.structure`` (both depths and the gate counts).
 
 The measurements run in ``--rounds`` interleaved rounds: each round takes
 every measurement of every table once, so a drift of the machine's speed
@@ -84,6 +86,7 @@ from isingbraid.schedule import (  # noqa: E402
 from isingbraid.statevector import (  # noqa: E402
     QuantumState,
     _basis_map,
+    _runs,
     apply_gate_inplace,
     run,
     zero_state,
@@ -206,10 +209,13 @@ class BraidCase:
         compiled = self.compiled
         build = timed(lambda: build_protocol_circuit(self.params, compiled.schedule))
         simulate = timed(lambda: run(self.zero, compiled.prepared_circuit))
+        gates, n = compiled.prepared_circuit.gates, self.params.n_qubits
+        plan = timed(lambda: sum(1 for _ in _runs(gates, n)))
         return {
             "build": 1e3 * build,
             "per_step": 1e6 * build / self.steps,
             "executor": 1e3 * simulate / self.steps,
+            "plan": 1e3 * plan,
             "structure": 1e3 * timed(compiled.structure),
         }
 
@@ -265,12 +271,13 @@ def main(argv=None) -> int:
               f"{case.products / case.steps:>14.1f} {summary(v['product'], 16, 2)}")
     print()
     print(f"{'OPT N_s = 6':<12} {'steps':>6} {'compile ms':>14} "
-          f"{'us/step':>12} {'executor ms/step':>17} {'structure ms':>14}")
+          f"{'us/step':>12} {'executor ms/step':>17} {'plan ms':>12} "
+          f"{'structure ms':>14}")
     for mode in ("linear", "stepped"):
         case, v = next(rows)
         print(f"{mode:<12} {case.steps:>6} {summary(v['build'], 14, 1)} "
               f"{summary(v['per_step'], 12, 1)} {summary(v['executor'], 17, 4)} "
-              f"{summary(v['structure'], 14, 1)}")
+              f"{summary(v['plan'], 12, 1)} {summary(v['structure'], 14, 1)}")
     print(f"\nmedian (spread) of {args.rounds} interleaved round(s)")
     return 0
 

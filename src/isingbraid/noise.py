@@ -96,9 +96,11 @@ def _slots(gates: tuple[Gate, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The arity of each gate and the qubit of each error slot (each touched
     qubit of each gate, in gate order), from one pass over the gates' qubit
     tuples. Their list is dropped on return, so no per-gate Python object
-    stays alive while the trajectories run."""
+    stays alive while the trajectories run. An arity is 1 or 2, so it is
+    kept as one byte: the arrays of a batch's slots stay alive while the
+    whole batch runs."""
     qubits = list(map(_QUBITS, gates))
-    arity = np.fromiter(map(len, qubits), dtype=np.intp, count=len(qubits))
+    arity = np.fromiter(map(len, qubits), dtype=np.int8, count=len(qubits))
     qubit_of = np.fromiter(
         chain.from_iterable(qubits), dtype=np.intp, count=int(arity.sum())
     )
@@ -121,16 +123,16 @@ def draw_errors(
     same law as one Bernoulli draw per trial, at a cost that goes with the
     hits drawn and not with the gates x trajectories. A class of
     probability zero draws nothing, and a model of zero rates leaves
-    ``rng`` untouched.
+    ``rng`` untouched and reads no gate.
     """
-    arity, qubit_of = _slots(circuit.gates)
-    # One slot per touched qubit of each gate, in gate order.
-    gate_of = np.repeat(np.arange(arity.size), arity)
-    slot_arity = np.repeat(arity, arity)
     # The classes in the order (1, X), (1, Z), (2, X), (2, Z).
     probs = [f(a) for a in (1, 2) for f in (model.bitflip_for, model.phase_for)]
     if not any(probs):
         return
+    arity, qubit_of = _slots(circuit.gates)
+    # One slot per touched qubit of each gate, in gate order.
+    gate_of = np.repeat(np.arange(arity.size), arity)
+    slot_arity = np.repeat(arity, arity)
     chunk = max(1, _DRAW_BYTES // (16 * rows))
     for start in range(0, slot_arity.size, chunk):
         arities = slot_arity[start:start + chunk]

@@ -11,7 +11,6 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -49,8 +48,14 @@ _REAL_QUBITS = 12
 # Bytes of block matrices that one piece of a stretch's layers builds at
 # once. A cap in bytes, not in layers, keeps a piece's matrices small at
 # every register size: a Trotter step's blocks take 2 KiB at 7 qubits and
-# 10 KiB at 15.
-_BLOCK_BYTES = 64 << 10
+# 10 KiB at 15, so a piece holds 64 steps at 7 qubits and 13 at 15. Each
+# piece costs one block build and one call of the piece loop: the linear
+# OPT braid's plan builds 102 pieces, against 196 at 64 KiB and 55 at
+# 256 KiB. A piece's blocks and their build's temporaries set the
+# executor's peak memory on a small register: at 256 KiB a 20-row noise
+# op at N_s = 6 peaked 0.43 MB higher (traced) than at 64 KiB, at 128 KiB
+# 0.14 MB higher.
+_BLOCK_BYTES = 128 << 10
 # Bytes of the maps of errors conjugated through pieces of basis runs that
 # ``_PIECE_MAPS`` keeps: 340 maps of a 7-qubit register, five of a 13-qubit
 # one.
@@ -363,9 +368,13 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
     """The dense blocks of k layers on the sorted ``qubits``, each gate of
     a layer with its kind of ``kinds``, and with its angle in each layer
     from the ``(len(qubits), k)`` array ``angles``: the layers of a piece
-    of a stretch of repeated steps, or one layer. The result lists each of
-    the k layers as a tuple of (key, matrix) blocks, as ``_apply_blocks``
-    takes them; a key is (lowest qubit, dimension, real).
+    of a stretch of repeated steps, or one layer. The result lists the k
+    layers in parts of consecutive layers, each (count, blocks): ``blocks``
+    holds one (key, stack) per block position, as the piece loop
+    (``_apply_piece``) takes them, ``stack[t]`` the block of the part's
+    layer t; a key is (lowest qubit, dimension, real). A part is all k
+    layers unless a block position is real in some of them and complex in
+    others; it then ends where any position changes.
 
     The 2x2 matrices are built by one ``_layer_matrices`` call, and the
     Kronecker products of each block position by broadcast products over
@@ -373,9 +382,10 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
     layers as the last axis so each product runs along them. Adding 0.0 to
     a product of two factors or more makes each of its zeros +0.0, as a
     sum of products starting from zero does, so the signs of exact zeros
-    in the rows do not depend on how the products were formed. Each block
-    is then a C-contiguous matrix; the block at qubit 0 is given
-    transposed, the right operand of its product.
+    in the rows do not depend on how the products were formed. Each stack
+    is then laid out layers first, each block a C-contiguous matrix; the
+    stack at qubit 0 is given transposed, each block the right operand of
+    its product.
 
     On registers of ``_REAL_QUBITS`` or more the blocks act on rows in the
     frame S = diag(1, i) on every qubit from ``_BLOCK_QUBITS`` up (see
@@ -405,12 +415,13 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
             factors = np.zeros((width, 2, 2, count), dtype=complex)
             factors[:, 0, 0] = factors[:, 1, 1] = 1.0
             factors[offsets] = mats[gates]
-        mixed = False
+        mixed = None
         if framed and lo:
             real = ~factors.imag.any(axis=(0, 1, 2))
             if real.all():
                 factors = factors.real
-            mixed = real.any() and not real.all()
+            elif real.any():
+                mixed = real
         blocks = factors[width - 1]
         for w in range(width - 2, -1, -1):
             dim = 2 * len(blocks)
@@ -421,15 +432,18 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
         dim = 1 << width
         key = (lo, dim, blocks.dtype != complex)
         blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1))
-        if not lo:
-            positions.append(zip(repeat(key), blocks.transpose(0, 2, 1)))
-        elif mixed:
-            as_real = (lo, dim, True)
-            positions.append([(as_real, block.real.copy()) if is_real else (key, block)
-                              for block, is_real in zip(blocks, real)])
-        else:
-            positions.append(zip(repeat(key), blocks))
-    return list(zip(*positions))
+        positions.append((key, blocks if lo else blocks.transpose(0, 2, 1), mixed))
+    changes = [real[1:] != real[:-1] for _, _, real in positions if real is not None]
+    if not changes:
+        return [(count, tuple((key, stack) for key, stack, _ in positions))]
+    bounds = [0, *(np.flatnonzero(np.any(changes, axis=0)) + 1).tolist(), count]
+    parts = []
+    for a, b in zip(bounds, bounds[1:]):
+        parts.append((b - a, tuple(
+            ((key[0], key[1], True), stack[a:b].real.copy())
+            if real is not None and real[a] else (key, stack[a:b])
+            for key, stack, real in positions)))
+    return parts
 
 
 class _Views(dict):
@@ -453,30 +467,6 @@ class _Views(dict):
         shape = (-1, dim, (2 if real else 1) << lo) if lo else (-1, dim)
         pair = self[key] = (rows.reshape(shape), scratch.reshape(shape))
         return pair
-
-
-def _apply_blocks(views: _Views, blocks) -> None:
-    """Apply one layer's dense ``blocks`` of ``_layer_blocks`` to the batch
-    of ``views``, through its scratch buffer. A complex block is applied by
-    a complex product, a real one by a real product on the real and
-    imaginary parts. The blocks of ``_layer_blocks`` expect a register of
-    ``_REAL_QUBITS`` or more to be in its S frame, where
-    ``apply_gates_inplace`` puts it.
-
-    The blocks are applied by one fixed sequence of products, so a layer
-    gives the same bits whatever runs before or after it and however many
-    rows the batch has.
-    """
-    src = 0
-    for key, block in blocks:
-        pair = views[key]
-        if key[0]:
-            np.matmul(block, pair[src], out=pair[1 - src])
-        else:
-            np.matmul(pair[src], block, out=pair[1 - src])
-        src = 1 - src
-    if src:
-        views.rows[...] = views.scratch
 
 
 def _frame_multiply(rows: np.ndarray, column: np.ndarray) -> None:
@@ -532,15 +522,20 @@ _PIECE_MAPS = _PieceMaps()
 
 def _runs(gates: Sequence[Gate], n_qubits: int):
     """Every run of ``gates`` in order, as ``circuit._steps`` finds them,
-    a stretch of repeated steps as the two runs of each step, each run as
-    (its gate count, the gate or basis run, how it is applied). A layer is
-    (count, None, its blocks); a basis run of two gates or more comes with
-    its map, kept while an equal run comes again, which is then given as
-    the same tuple, so a run repeated step after step is built once; a
-    lone gate comes with None.
+    in pieces of steps. A piece is (steps, size, period, part, op, blocks):
+    ``steps`` steps of ``period`` gates each, every step the basis run or
+    lone gate ``part`` of ``size`` gates and then a layer of the other
+    ``period - size`` gates, whose blocks in step t are ``stack[t]`` of
+    each (key, stack) of ``blocks`` (see ``_layer_blocks``). A basis run
+    of two gates or more comes with its map ``op``, kept while an equal
+    run comes again, which is then given as the same tuple, so a run
+    repeated step after step is built once; a lone gate comes with None.
+    A lone layer is a one-step piece with no part (``size`` 0), and a lone
+    basis run or gate a one-step piece with no blocks.
 
     A lone layer's blocks are built alone, a stretch's a piece of steps at
-    a time, each piece at most about ``_BLOCK_BYTES`` of blocks.
+    a time, each piece at most about ``_BLOCK_BYTES`` of blocks, so a
+    stretch is yielded as a few pieces and no step as an item of its own.
     ``_steps`` checks a stretch's layers by their qubits only: a piece
     takes the kinds of its first step's layer and ends before the first
     step whose kinds differ, read from the same strided columns of the
@@ -559,20 +554,20 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
         found, start = _steps(gates, start, count), count
         for i, j, k, steps in found:
             if j - i == 1:
-                yield 1, gates[i], None
+                yield 1, 1, 1, gates[i], None, ()
                 continue
             if not steps and gates[i].kind in _MIXING_KINDS:
                 layer = sorted(gates[i:j], key=_QUBITS)
                 angles = [[0.0 if g.angle is None else g.angle] for g in layer]
-                [blocks] = _layer_blocks(tuple(g.qubits[0] for g in layer),
-                                         tuple(map(_KIND, layer)), angles, n_qubits)
-                yield j - i, None, blocks
+                [(_, blocks)] = _layer_blocks(tuple(g.qubits[0] for g in layer),
+                                              tuple(map(_KIND, layer)), angles, n_qubits)
+                yield 1, 0, j - i, None, None, blocks
                 continue
             run = tuple(gates[i:j])
             if run != last_run:
                 last_run, last_map = run, _basis_map(n_qubits, run)
             if not steps:
-                yield j - i, last_run, last_map
+                yield 1, j - i, j - i, last_run, last_map, ()
                 continue
             period = k - i
             order = sorted(range(j, k), key=lambda t: gates[t].qubits)
@@ -599,9 +594,10 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
                           else [gate.angle] * size if column is None
                           else list(map(_ANGLE, column[:size]))
                           for gate, column in zip(first, columns)]
-                for blocks in _layer_blocks(qubits, kinds, angles, n_qubits):
-                    yield j - i, last_run, last_map
-                    yield k - j, None, blocks
+                # No name here keeps a piece's blocks while the next are built.
+                yield from ((layers, j - i, period, last_run, last_map, blocks)
+                            for layers, blocks in _layer_blocks(qubits, kinds, angles,
+                                                                n_qubits))
                 done += size
             if start < count:
                 break
@@ -630,6 +626,58 @@ def _apply_basis(rows, n_qubits: int, part, op, frame, inside: bool) -> bool:
         src, phase = op
         np.multiply(phase, rows.take(src, axis=1), rows)
     return False
+
+
+def _apply_piece(views: _Views, n_qubits: int, piece, first: int, last: int,
+                 frame, inside: bool) -> bool:
+    """Apply the halves ``first`` to ``last`` of a piece of ``_runs`` to
+    the batch of ``views``: half 2t is the basis run or lone gate of step
+    t, half 2t + 1 its layer. ``inside`` tells whether the rows are in the
+    S frame ``frame`` (see ``_apply_basis``); returns whether they are in
+    it after the halves. The rows enter the frame before a layer.
+
+    Each block position's views of the rows and of the scratch buffer are
+    resolved once per call, and the halves then run in one loop. A layer's
+    blocks are applied by one fixed sequence of products, the rows and the
+    scratch buffer taking turns as input and output, so a layer gives the
+    same bits whatever runs before or after it and however many rows the
+    batch has. A complex block is applied by a complex product, a real one
+    by a real product on the real and imaginary parts. The blocks of
+    ``_layer_blocks`` expect a register of ``_REAL_QUBITS`` or more to be
+    in its S frame.
+    """
+    _, _, _, part, op, blocks = piece
+    rows = views.rows
+    if not blocks:
+        if first == 0 < last:
+            inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
+        return inside
+    products = []
+    for p, (key, stack) in enumerate(blocks):
+        pair = views[key]
+        products.append((stack, *(pair[::-1] if p % 2 else pair), key[0] != 0))
+    back = len(products) % 2
+    phase = op[1] if op is not None and op[0] is None else None
+    matmul = np.matmul
+    for half in range(first, last):
+        step = half >> 1
+        if not half & 1:
+            if phase is not None:
+                np.multiply(phase, rows, rows)
+            elif part is not None:
+                inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
+            continue
+        if frame is not None and not inside:
+            _frame_multiply(rows, frame[0])
+            inside = True
+        for stack, src, dst, left in products:
+            if left:
+                matmul(stack[step], src, out=dst)
+            else:
+                matmul(src, stack[step], out=dst)
+        if back:
+            rows[...] = views.scratch
+    return inside
 
 
 def _apply_errors(rows, n_qubits: int, gates: Sequence[Gate], end: int, hits,
@@ -683,19 +731,24 @@ def apply_gates_inplace(
     RX, RY and H gates on distinct qubits is applied as one layer of dense
     blocks. A lone gate takes its per-gate kernel. Repeated steps are
     planned as one stretch, and the blocks of its layers are built a piece
-    of steps at a time. Each layer is applied through views of the rows and
-    of one scratch buffer made once per call (``_Views``). A run and its
-    errors are checked in full before any row changes: an error on a qubit
-    its gate does not act on raises ValueError then, and one past the last
-    gate or out of gate order when the runs reach it.
+    of steps at a time. Each piece is applied by one loop over its steps
+    (``_apply_piece``), through views of the rows and of one scratch buffer
+    made once per call (``_Views``); a lone layer, basis run or gate is a
+    piece of one step. A run and its errors are checked in full before any
+    row changes: an error on a qubit its gate does not act on raises
+    ValueError then, and one past the last gate or out of gate order when
+    the runs reach it.
 
     Errors do not change the runs: every run is applied whole to every row,
     and then each error of the run to the rows it hits, conjugated through
     the run's gates after its own: as itself when none of them acts on its
     qubit, else as the phase-permutation of that conjugate, kept in
-    ``_PIECE_MAPS`` (see ``_apply_errors``). No run is applied twice. Every
-    row's bits are those of a one-row batch with its own errors, whatever
-    the other rows draw.
+    ``_PIECE_MAPS`` (see ``_apply_errors``). The next error is compared
+    with the end of each piece once; when it falls inside, the piece loop
+    stops after that error's run, the errors of the run are taken, and the
+    loop goes on from the next run of the piece. No run is applied twice.
+    Every row's bits are those of a one-row batch with its own errors,
+    whatever the other rows draw.
 
     On registers of ``_REAL_QUBITS`` or more the layers act in the
     register's S frame (see ``_layer_blocks``). The rows enter it before a
@@ -705,40 +758,41 @@ def apply_gates_inplace(
     check included. Where the frame is entered and left does not change a
     bit of the result (see ``_apply_basis``).
     """
-    views = None
+    views = _Views(rows)
     frame = _frame(n_qubits - _BLOCK_QUBITS) if n_qubits >= _REAL_QUBITS else None
     inside = False
     errors = iter(errors)
     error = next(errors, None)
     taken = 0  # the gate index of the last error taken
-    end = 0  # past the last gate of the run at hand, while errors are left
+    at = 0  # the index of the first gate of the piece at hand
     try:
-        for size, part, op in _runs(gates, n_qubits):
-            hits = []
-            # Gate positions matter only while errors are left.
-            if error is not None:
-                end += size
+        for piece in _runs(gates, n_qubits):
+            steps, size, period = piece[:3]
+            end = at + steps * period
+            half = 0  # the halves of the piece applied so far
             while error is not None and error[0] < end:
-                index, qubits = error[0], error[1].qubits
-                if index < taken:
-                    raise ValueError(f"error after gate {index} out of gate order")
-                if qubits[0] not in gates[index].qubits:
-                    raise ValueError(f"error on qubit {qubits[0]} after gate "
-                                     f"{index}, which acts on {gates[index].qubits}")
-                taken = index
-                hits.append(error)
-                error = next(errors, None)
-            if part is None:
-                if views is None:
-                    views = _Views(rows)
-                if frame is not None and not inside:
-                    _frame_multiply(rows, frame[0])
-                    inside = True
-                _apply_blocks(views, op)
-            else:
-                inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
-            if hits:
-                _apply_errors(rows, n_qubits, gates, end, hits, frame, inside)
+                # The error's run: the basis run or the layer of step t.
+                t, offset = divmod(error[0] - at, period)
+                in_layer = offset >= size
+                stop = 2 * t + in_layer + 1
+                run_end = at + t * period + (period if in_layer else size)
+                hits = []
+                while error is not None and error[0] < run_end:
+                    index, qubits = error[0], error[1].qubits
+                    if index < taken:
+                        raise ValueError(f"error after gate {index} out of gate order")
+                    if qubits[0] not in gates[index].qubits:
+                        raise ValueError(f"error on qubit {qubits[0]} after gate "
+                                         f"{index}, which acts on {gates[index].qubits}")
+                    taken = index
+                    hits.append(error)
+                    error = next(errors, None)
+                inside = _apply_piece(views, n_qubits, piece, half, stop, frame, inside)
+                _apply_errors(rows, n_qubits, gates, run_end, hits, frame, inside)
+                half = stop
+            inside = _apply_piece(views, n_qubits, piece, half, 2 * steps, frame, inside)
+            at = end
+            del piece  # before the next piece's blocks are built
         if error is not None:
             raise ValueError(
                 f"error after gate {error[0]}, past the last of {len(gates)} gates")

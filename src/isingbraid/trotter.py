@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -147,10 +148,14 @@ def extend_trotter_steps(
 
     The Zeeman angles -2 h dt of every hold are computed as one array and
     checked once, before any gate is appended, so the RX gates are built
-    without checking each again; they are turned into Python floats a hold
-    at a time. A site whose angle has the same bits as in the step before,
-    within a hold or across holds and rotations, keeps that step's RX
-    gate. Only the RX gates whose angle changes are new objects; the
+    without checking each again. A site whose angle has the same bits as
+    in the step before, within a hold or across holds and rotations, keeps
+    that step's RX gate. So each site's RX gates are built once per walk,
+    as a column with one row per row of fields: a new gate only where the
+    angle's bits change, each held over the rows after it until the next,
+    and only those angles turned into Python floats. A step's Zeeman gates
+    are the next row of the columns, taken by ``zip`` as the holds are
+    walked. Only the RX gates whose angle changes are new objects; the
     field-free gates are the same objects in every step with equal chain
     length, J, J_C and dt.
     """
@@ -179,23 +184,24 @@ def extend_trotter_steps(
     changed = np.empty(angles.shape, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=changed[1:])
     changed[:1] = True
-    zeeman = [None] * len(sites)
     rx, trusted = GateKind.RX, Gate._trusted
-    start = 0
+    columns = []
+    for q, column, new in zip(sites, angles.T, changed.T):
+        at = np.flatnonzero(new)
+        made = [trusted(rx, q, a) for a in column[at].tolist()]
+        held = np.diff(at, append=len(column)).tolist()
+        columns.append(chain.from_iterable(map(repeat, made, held)))
+    zeeman = zip(*columns)
     for entry in walk:
         if isinstance(entry, Gate):
             gates.append(entry)
             continue
         count, repeats = entry
-        stop = start + count
-        for row, new in zip(angles[start:stop].tolist(), changed[start:stop].tolist()):
-            zeeman = [trusted(rx, q, a) if c else g
-                      for q, a, c, g in zip(sites, row, new, zeeman)]
+        for step in islice(zeeman, count):
             for _ in range(repeats):
                 gates += zz
-                gates += zeeman
+                gates += step
                 gates += coupler
-        start = stop
 
 
 def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:

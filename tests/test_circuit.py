@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +96,21 @@ def test_concat_flattens_parts_and_rejects_empty_list():
     assert c == Circuit(2, tuple(g for part in parts for g in part))
     with pytest.raises(CircuitError, match="at least one"):
         concat([])
+
+
+def test_concat_holds_one_copy_of_the_gates():
+    # The result's tuple is the only array of gate references concat
+    # builds: no list of the gates beside it.
+    part = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))) * 20_000)
+    one_copy = sys.getsizeof(part.gates)
+    tracemalloc.start()
+    try:
+        both = concat([part, part])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert both.gates == part.gates * 2
+    assert peak < 1.5 * 2 * one_copy
 
 
 def test_inverse_is_unitary_inverse():

@@ -336,13 +336,16 @@ def test_trajectories_equal_the_stretch_by_stretch_reference(n_sites, rows):
 
 def _run_spans(gates, n):
     """Each run the executor plans for ``gates``, with the index of its
-    first gate and the index past its last; a stretch of repeated steps as
+    first gate and the index past its last; a piece of repeated steps as
     the runs of each step, its layers as lists of their gates."""
     start = 0
-    for size, part, _ in sv._runs(gates, n):
-        end = start + size
-        yield list(gates[start:end]) if part is None else part, start, end
-        start = end
+    for steps, size, period, part, _, blocks in sv._runs(gates, n):
+        for _ in range(steps):
+            if part is not None:
+                yield part, start, start + size
+            if blocks:
+                yield list(gates[start + size:start + period]), start + size, start + period
+            start += period
 
 
 # Each error on one step's basis run, at every position, on each qubit of
@@ -475,23 +478,22 @@ def test_errors_apply_each_run_once(monkeypatch, n_sites, rows):
     circuit = _eff_braid(n_sites)
     n = circuit.n_qubits
     model = NoiseModel(eps_bitflip=0.1, eps_phase=0.1)
-    # What the executor applies: each basis run's tuple and each layer. An
-    # error is never a tuple, and neither is a lone gate: the braid's
-    # coupler rotations.
+    # What the executor applies: each basis run's tuple and each layer,
+    # half by half of each piece (see ``_apply_piece``). An error is never
+    # a tuple, and neither is a lone gate: the braid's coupler rotations.
     calls = []
-    apply_basis, apply_blocks = sv._apply_basis, sv._apply_blocks
+    apply_piece = sv._apply_piece
 
-    def basis(*args):  # (rows, n_qubits, part, op, frame, inside)
-        if type(args[2]) is tuple:
-            calls.append(args[2])
-        return apply_basis(*args)
+    def spy(views, n_qubits, piece, first, last, frame, inside):
+        part, blocks = piece[3], piece[5]
+        for half in range(first, last):
+            if half % 2 and blocks:
+                calls.append("layer")
+            elif not half % 2 and type(part) is tuple:
+                calls.append(part)
+        return apply_piece(views, n_qubits, piece, first, last, frame, inside)
 
-    def blocks(*args):
-        calls.append("layer")
-        apply_blocks(*args)
-
-    monkeypatch.setattr(sv, "_apply_basis", basis)
-    monkeypatch.setattr(sv, "_apply_blocks", blocks)
+    monkeypatch.setattr(sv, "_apply_piece", spy)
     batch = np.zeros((rows, 1 << n), dtype=complex)
     batch[:, 0] = 1.0
     apply_gates_inplace(batch.copy(), n, circuit.gates)
@@ -592,7 +594,15 @@ def test_draws_hit_each_class_at_its_rate(monkeypatch, model, slots_per_chunk):
         assert abs(count - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (a, kind, count)
 
 
-def test_zero_rates_draw_nothing():
+def test_zero_rates_draw_nothing(monkeypatch):
+    # Zero rates are seen before any error slot is laid out: a zero-noise
+    # trajectory pays no pass over the gates.
+    import isingbraid.noise as noise
+
+    def no_slots(gates):
+        raise AssertionError("error slots laid out for a model of zero rates")
+
+    monkeypatch.setattr(noise, "_slots", no_slots)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     assert list(draw_errors(_MIXED, NoiseModel(), 20, rng)) == []

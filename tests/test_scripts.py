@@ -32,7 +32,7 @@ def test_step_cost_runs_one_round_at_six_sites():
     assert [row[:2] for row in rows[3:5]] == [["6", "7"], ["10", "11"]]
     assert len(rows[3]) == 2 + 2 + 1 + 2
     assert [row[:2] for row in rows[6:8]] == [["linear", "6030"], ["stepped", "6030"]]
-    assert len(rows[6]) == 2 + 2 * 4
+    assert len(rows[6]) == 2 + 2 * 5
     assert lines[-1] == "median (spread) of 1 interleaved round(s)"
 
 

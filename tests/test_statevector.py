@@ -595,15 +595,18 @@ def _check_piece_budget(monkeypatch, n_s):
 def _built_layers(gates, n):
     """The layers whose blocks ``_runs`` builds for ``gates``, in order, a
     lone layer or a piece of a stretch at a time, each as the arguments of
-    its ``_layer_blocks`` call and the blocks: (qubits, kinds, angles of
-    each qubit in each layer, blocks of each layer)."""
+    its ``_layer_blocks`` call and the blocks of each of its layers, a
+    list of (key, block) per layer: (qubits, kinds, angles of each qubit in
+    each layer, blocks of each layer)."""
     built = []
     build = sv._layer_blocks
 
     def spy(qubits, kinds, angles, n_qubits):
-        blocks = build(qubits, kinds, angles, n_qubits)
-        built.append((qubits, kinds, angles, blocks))
-        return blocks
+        parts = build(qubits, kinds, angles, n_qubits)
+        layers = [[(key, stack[t]) for key, stack in blocks]
+                  for count, blocks in parts for t in range(count)]
+        built.append((qubits, kinds, angles, layers))
+        return parts
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sv, "_layer_blocks", spy)
@@ -639,15 +642,19 @@ def _runs_gate_by_gate(gates):
 
 
 def _planned_runs(gates, n):
-    """The runs ``_runs`` plans for ``gates``, each stretch of repeated
-    steps as the runs of its steps: a basis run as the tuple it is given
-    as, a layer as the list of its gates sorted by qubit and a lone gate as
+    """The runs ``_runs`` plans for ``gates``, each piece of repeated steps
+    as the runs of its steps: a basis run as the tuple it is given as, a
+    layer as the list of its gates sorted by qubit and a lone gate as
     itself."""
     runs, start = [], 0
-    for size, part, _ in sv._runs(gates, n):
-        runs.append(sorted(gates[start:start + size], key=lambda g: g.qubits)
-                    if part is None else part)
-        start += size
+    for steps, size, period, part, _, blocks in sv._runs(gates, n):
+        for _ in range(steps):
+            if part is not None:
+                runs.append(part)
+            if blocks:
+                runs.append(sorted(gates[start + size:start + period],
+                                   key=lambda g: g.qubits))
+            start += period
     return runs
 
 
@@ -700,6 +707,15 @@ def test_linear_braid_is_planned_in_hundreds_of_parts_not_a_part_per_run():
     assert list(ir._steps(fresh, 0, len(fresh))) == found
 
 
+def test_linear_braid_plan_yields_a_piece_not_a_step_at_a_time():
+    # The executor takes a piece of steps as one item: a plan that falls
+    # back to yielding each step, or each run, of the 6,030 fails here.
+    gates = _braid(6, "linear").gates
+    pieces = list(sv._runs(gates, 7))
+    assert sum(piece[0] for piece in pieces if piece[3] is not None and piece[5]) > 6000
+    assert len(pieces) < 1000
+
+
 def test_executor_and_depth_walk_share_one_step_finder(monkeypatch):
     # Both find the linear OPT braid's repeated steps by ``circuit._steps``,
     # so one run probes ``_repeated_steps`` about as often as one depth
@@ -716,29 +732,51 @@ def test_executor_and_depth_walk_share_one_step_finder(monkeypatch):
     assert 0 < ran < 100 and abs(ran - walked) <= 5, (ran, walked)
 
 
-def _assert_stretches_change_no_bit(circuit, rows=3, eps=0.0):
-    """Run ``circuit`` as planned and with no repeated step found, every
-    step planned alone, run by run, on the same batch of random states and
-    with the same drawn errors (none for ``eps`` 0), and check the two
-    batches are equal bit for bit. The planner also forms stretches of
-    equal gates that are other objects, so the ones of a rebuild from new
-    ``Gate`` objects change no bit either."""
+def _run_by_run(gates, n, batch, errors=()):
+    """The per-gate reference: the runs of ``gates`` found gate by gate
+    (``_runs_gate_by_gate``), each applied to ``batch`` by its own
+    ``apply_gates_inplace`` call with the errors on its gates, so that no
+    step, piece or stretch is planned across two runs."""
+    start = 0
+    for run_ in _runs_gate_by_gate(gates):
+        stop = start + (1 if type(run_) is Gate else len(run_))
+        own = [(i - start, e, hit) for i, e, hit in errors if start <= i < stop]
+        apply_gates_inplace(batch, n, gates[start:stop], own)
+        start = stop
+
+
+def _assert_stretches_change_no_bit(circuit, rows=3, eps=0.0, errors=None):
+    """Run ``circuit`` as planned, run by run (``_run_by_run``) and with no
+    repeated step found, every step planned alone, on the same batch of
+    random states and with the same errors: ``errors``, or else the ones
+    drawn at ``eps`` (none for 0). Check the three batches are equal bit
+    for bit, and each row to its one-row run with its own errors. The
+    planner also forms stretches of equal gates that are other objects, so
+    the ones of a rebuild from new ``Gate`` objects change no bit either."""
     n, gates = circuit.n_qubits, circuit.gates
     fresh = tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)
-    errors = []
-    if eps:
-        model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
-        errors = list(draw_errors(circuit, model, rows, np.random.default_rng(3)))
-        assert errors
+    if errors is None:
+        errors = []
+        if eps:
+            model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
+            errors = list(draw_errors(circuit, model, rows, np.random.default_rng(3)))
+            assert errors
     batch = np.stack([random_state(n, seed).amplitudes for seed in range(rows)])
-    planned, rebuilt = batch.copy(), batch.copy()
+    planned, rebuilt, by_run = batch.copy(), batch.copy(), batch.copy()
     apply_gates_inplace(planned, n, gates, errors)
     apply_gates_inplace(rebuilt, n, fresh, errors)
+    _run_by_run(gates, n, by_run, errors)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ir, "_repeated_steps", lambda *a: 0)
         assert all(steps <= 1 for *_, steps in ir._steps(gates, 0, len(gates)))
         apply_gates_inplace(batch, n, gates, errors)
-    assert planned.tobytes() == batch.tobytes() == rebuilt.tobytes()
+    assert planned.tobytes() == batch.tobytes() == rebuilt.tobytes() == by_run.tobytes()
+    for r in range(rows if errors else 0):
+        single = batch[r:r + 1].copy()
+        single[0] = random_state(n, r).amplitudes
+        apply_gates_inplace(single, n, gates,
+                            [(i, e, [0]) for i, e, hit in errors if r in hit])
+        assert single[0].tobytes() == planned[r].tobytes(), r
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-4])
@@ -748,12 +786,62 @@ def test_stretches_change_no_bit_of_the_linear_opt_braid(eps):
     _assert_stretches_change_no_bit(circuit, eps=eps)
 
 
-# N_s = 12 runs its layers in the S frame.
+def test_stretches_change_no_bit_of_the_stepped_opt_braid():
+    _assert_stretches_change_no_bit(_braid(6, "stepped"))
+
+
+# N_s = 12 and 14 run their layers in the S frame.
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
 def test_stretches_change_no_bit_of_the_stepped_eff_braid_in_the_frame(eps):
     circuit = _eff_braid(12, "stepped")
     assert circuit.n_qubits >= sv._REAL_QUBITS
     _assert_stretches_change_no_bit(circuit, rows=2, eps=eps)
+
+
+@pytest.mark.parametrize("n_s, update_mode", [(12, "linear"), (14, "stepped")])
+def test_stretches_change_no_bit_of_the_eff_braid_in_the_frame(n_s, update_mode):
+    _assert_stretches_change_no_bit(_eff_braid(n_s, update_mode), rows=2)
+
+
+def test_errors_inside_pieces_change_no_bit(monkeypatch):
+    # Errors on the first step of a piece, on a middle step's basis run and
+    # its layer, on the piece's last layer and on a lone basis run, a row
+    # each, and all of them on one more row: the piece loop stops after
+    # each error's run, takes the error and goes on from the next half of
+    # the piece.
+    circuit = _eff_braid(6, "linear")
+    gates, n = circuit.gates, circuit.n_qubits
+    at, spans = 0, []
+    for piece in sv._runs(gates, n):
+        spans.append((at, piece))
+        at += piece[0] * piece[2]
+    start, (steps, size, period, *_) = next(
+        (at, piece) for at, piece in spans if piece[0] > 2 and piece[1])
+    lone = next(at for at, piece in spans if piece[0] == 1 and piece[1] > 1)
+    middle = start + steps // 2 * period
+    last = start + steps * period - 1
+    # (gate index, kind); each error lies on the last qubit of its gate.
+    places = [(start + size, GateKind.X), (middle + 1, GateKind.X),
+              (middle + size + 1, GateKind.Z), (last, GateKind.Z), (lone, GateKind.X)]
+    rows = len(places) + 1
+    errors = sorted((k, Gate(kind, gates[k].qubits[-1:]), [r, rows - 1])
+                    for r, (k, kind) in enumerate(places))
+    halves = []
+    apply_piece = sv._apply_piece
+
+    def spy(views, n_qubits, piece, first, last, frame, inside):
+        halves.append((first, last, 2 * piece[0]))
+        return apply_piece(views, n_qubits, piece, first, last, frame, inside)
+
+    monkeypatch.setattr(sv, "_apply_piece", spy)
+    _assert_stretches_change_no_bit(circuit, rows=rows, errors=errors)
+    monkeypatch.undo()
+    # The planned run stopped inside a piece after a basis run and after a
+    # layer, and went on from the half after each.
+    planned = halves[:len(spans) + len(places)]
+    assert any(last % 2 and last < whole for first, last, whole in planned)
+    assert any(first % 2 for first, last, whole in planned)
+    assert any(0 < last < whole and not last % 2 for first, last, whole in planned)
 
 
 def test_coupler_rotation_cuts_a_stretch_without_changing_a_bit():

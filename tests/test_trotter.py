@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingbraid.analysis import (
     _diagonal_and_flips,
@@ -18,6 +19,7 @@ from isingbraid.analysis import (
 from isingbraid.circuit import Circuit, CircuitError, Gate, GateKind, depth
 from isingbraid.trotter import (
     ChainConfig,
+    _step_layout,
     extend_trotter_steps,
     first_layer_pairs,
     second_layer_pairs,
@@ -203,6 +205,58 @@ def test_steps_share_an_rx_gate_exactly_when_its_angle_bits_repeat():
     for x, y in zip(steps, steps[1:]):
         assert [a is b for a, b in zip(x, y)] == [
             a.angle.hex() == b.angle.hex() for a, b in zip(x, y)]
+
+
+def _row_rule(cfg, walk, dt):
+    """The gates of ``walk`` built a row of fields at a time: a site's RX
+    gate is a new object where its angle's bits differ from the step
+    before, else the gate of the step before."""
+    zz, sites, coupler = _step_layout(cfg.chain_len, cfg.J, cfg.J_C, dt)
+    gates, held = [], [None] * len(sites)
+    for entry in walk:
+        if isinstance(entry, Gate):
+            gates.append(entry)
+            continue
+        fields, repeats = entry
+        for row in fields.tolist():
+            angles = [h * -2.0 * dt for h in row]
+            held = [g if g is not None and g.angle.hex() == a.hex()
+                    else Gate(GateKind.RX, q, a)
+                    for q, a, g in zip(sites, angles, held)]
+            for _ in range(repeats):
+                gates += [*zz, *held, *coupler]
+    return gates
+
+
+def _sharing(gates):
+    """Each gate's position as the first position that holds its object."""
+    first = {}
+    return [first.setdefault(id(g), k) for k, g in enumerate(gates)]
+
+
+# Few field values, so that sites hold their angles across steps, holds
+# and rotations; 0.0 and -0.0 give angles of the same value but not the
+# same bits.
+_FIELDS = st.sampled_from([0.0, -0.0, 0.5, 1.25, 3.0])
+_HOLD = st.tuples(st.lists(st.lists(_FIELDS, min_size=6, max_size=6),
+                           min_size=1, max_size=4),
+                  st.integers(1, 3))
+_ROTATION = st.floats(-3.0, 3.0).map(
+    lambda a: Gate(GateKind.RY, (CFG6.coupler_qubit,), a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(_HOLD, _ROTATION), max_size=6))
+def test_column_built_steps_equal_the_row_rule_gate_for_gate(entries):
+    # Stepped holds (one row, repeated) and linear ones (a row per step).
+    walk = [(np.array(e[0]), e[1]) if isinstance(e, tuple) else e for e in entries]
+    gates = []
+    extend_trotter_steps(gates, CFG6, walk, DT)
+    expected = _row_rule(CFG6, walk, DT)
+    assert gates == expected
+    assert ([None if g.angle is None else g.angle.hex() for g in gates]
+            == [None if g.angle is None else g.angle.hex() for g in expected])
+    assert _sharing(gates) == _sharing(expected)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
