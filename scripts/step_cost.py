@@ -171,19 +171,18 @@ class OracleCase:
 
     def count_products(self) -> int:
         """H·v products of one ``exact_evolve``: the terms of each expansion
-        but T_0, counted from the Bessel coefficients it asks for."""
-        bessel, terms = analysis._bessel_j, []
+        but T_0, counted from the coefficients each expansion is given."""
+        expand, terms = analysis._chebyshev_expm, []
 
-        def counted(x):
-            j = bessel(x)
-            terms.append(j.size - 1)
-            return j
+        def counted(*args):
+            terms.append(args[-1].size - 1)
+            return expand(*args)
 
-        analysis._bessel_j = counted
+        analysis._chebyshev_expm = counted
         try:
             exact_evolve(self.schedule, self.params, self.state)
         finally:
-            analysis._bessel_j = bessel
+            analysis._chebyshev_expm = expand
         return sum(terms)
 
     def measure(self) -> dict[str, float]:

@@ -8,15 +8,16 @@ oracle, ``exact_evolve``, follows the field schedule by the same walk
 (``schedule.walk_schedule``) as the gate compiler. It is matrix-free: it
 applies exp(-i H t) to the state by a Chebyshev expansion, whose spectral
 interval comes from Gershgorin's bound and whose Bessel coefficients from
-Miller's backward recurrence, and never builds H. The vectors of the
-expansion's three-term recurrence are written in place, block by block,
-into one work array allocated once per call, and each block's terms are
-summed by one product. Its register is bounded by what it allocates, not
-by the dense cap: every input is checked, and its peak bytes estimated,
-before anything of the register's size is allocated.
+Miller's backward recurrence, built once per distinct argument, and never
+builds H. The vectors of the expansion's three-term recurrence are written
+in place, block by block, into one work array allocated once per call, and
+each block's terms are summed by one product. Its register is bounded by
+what it allocates, not by the dense cap: every input is checked, and its
+peak bytes estimated, before anything of the register's size is allocated.
 """
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -312,11 +313,11 @@ def _block_rows(n_qubits: int) -> int:
     return max(1, CHEBYSHEV_BLOCK_BYTES // (16 << n_qubits) - 2)
 
 
-def _evolve_bytes(n_qubits: int, bessel: int, holds: list[int]) -> int:
+def _evolve_bytes(n_qubits: int, args: Collection[float], holds: list[int]) -> int:
     """An upper estimate of the peak bytes ``exact_evolve`` allocates on a
     register of ``n_qubits`` qubits for a walk whose holds have ``holds``
-    rows of fields, and whose largest Bessel recurrence takes ``bessel``
-    bytes (``_bessel_bytes``).
+    rows of fields, and whose steps take the distinct Chebyshev arguments
+    ``args``.
 
     Per amplitude: d (8 bytes), the flips (8 a site), the gather of one
     product (16 a site), the B + 2 rows of the work array and seven more
@@ -324,27 +325,46 @@ def _evolve_bytes(n_qubits: int, bessel: int, holds: list[int]) -> int:
     one term). Per row of fields: its values, r and x, kept for the call
     (8 a site and 16), and 512 bytes a hold for the objects that keep
     them; the scaled copies of the widest hold's rows while it runs (24 a
-    site). Beyond those: the Bessel recurrence and the coefficients formed
-    from it, five times its bytes, and 64 KiB for the call's smaller
-    objects."""
+    site). Per distinct argument x: its coefficient vector, kept for the
+    call (16 bytes for each of at most ``_miller_start(x) + 1`` orders),
+    and 256 bytes for the objects that keep it. Beyond those: the largest
+    Bessel recurrence (``_bessel_bytes``) and the coefficients formed from
+    it, five times its bytes; a view, 128 bytes, of each row of the work
+    array that the longest expansion uses; and 64 KiB for the call's
+    smaller objects."""
     sites = n_qubits - 1
-    per_amplitude = 8 + 24 * sites + 16 * (_block_rows(n_qubits) + 2) + 112
+    block = _block_rows(n_qubits)
+    per_amplitude = 8 + 24 * sites + 16 * (block + 2) + 112
     rows = (8 * sites + 16) * sum(holds) + 24 * sites * max(holds, default=0)
-    return ((per_amplitude << n_qubits) + rows + 512 * len(holds) + 6 * bessel
+    kept = sum(16 * (_miller_start(x) + 1) + 256 for x in args)
+    expansion = max((6 * _bessel_bytes(x) + 128 * min(block + 2, _miller_start(x) + 1)
+                     for x in args), default=0)
+    return ((per_amplitude << n_qubits) + rows + 512 * len(holds) + kept + expansion
             + (64 << 10))
+
+
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """The coefficients of the expansion of exp(-i x A) (``_chebyshev_expm``):
+    J_0(x), then 2 (-i)^k J_k(x) for k >= 1, from ``_bessel_j``."""
+    j = _bessel_j(x)
+    coef = 2.0 * j * _POWERS_OF_MINUS_I[np.arange(j.size) % 4]
+    coef[0] = j[0]
+    return coef
 
 
 def _chebyshev_expm(
     work: np.ndarray,
+    rows: list[np.ndarray],
     v: np.ndarray,
     d2: np.ndarray,
     h2: np.ndarray,
     flips: np.ndarray,
-    x: float,
+    coef: np.ndarray,
 ) -> np.ndarray:
     """exp(-i x A) v for the Hermitian A = (diag(d) - sum_n h_n X_n) / r,
     whose spectrum lies in [-1, 1]; d2 = 2 d / r and h2 = 2 h / r
-    (complex), so 2 A u = d2 u - h2 @ u[flips].
+    (complex), so 2 A u = d2 u - h2 @ u[flips]. ``coef`` holds the
+    coefficients of x (``_chebyshev_coefficients``).
 
     The Chebyshev expansion of Tal-Ezer & Kosloff (1984):
     exp(-i x A) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(A), with the
@@ -353,13 +373,11 @@ def _chebyshev_expm(
     ``work`` holds B + 2 vectors: rows 0 and 1 the two that start a block,
     rows 2 .. B + 1 the next B of the recurrence, written in place, whose
     terms are then summed by one product with their coefficients; the
-    block's last two rows start the next block.
+    block's last two rows start the next block. ``rows`` are views of the
+    first rows of ``work``, at least as many as this expansion writes.
     """
-    j = _bessel_j(x)
-    coef = 2.0 * j * _POWERS_OF_MINUS_I[np.arange(j.size) % 4]
-    coef[0] = j[0]
     work[0] = v
-    av = work[1]
+    av = rows[1]
     np.multiply(d2, v, out=av)
     av -= h2 @ v[flips]
     av *= 0.5
@@ -369,10 +387,12 @@ def _chebyshev_expm(
         if k > 2:
             work[:2] = work[block:]
         m = min(block, coef.size - k)
-        for prev, cur, nxt in zip(work, work[1:], work[2:m + 2]):
+        prev, cur = rows[0], rows[1]
+        for nxt in rows[2:m + 2]:
             np.multiply(d2, cur, out=nxt)
             nxt -= h2 @ cur[flips]
             nxt -= prev
+            prev, cur = cur, nxt
         out += coef[k:k + m] @ work[2:m + 2]
     return out
 
@@ -390,7 +410,10 @@ def exact_evolve(
     fields of each walked hold (``_chebyshev_expm``):
     t is the row's repeat count times dt, so dt for a ``linear`` step and
     the whole hold for a ``stepped`` one, at whose fields H is constant.
-    Each coupler rotation is one RY gate. H is never
+    The coefficients of each distinct argument x = r t are built once per
+    call (``_chebyshev_coefficients``) and kept: each extend/contract
+    update keeps sum |h|, so the EFF braid's 276 steps take 2 distinct
+    arguments. Each coupler rotation is one RY gate. H is never
     built: its field-free diagonal d and the site flips are built once per
     call, and H v = d v - sum_n h_n v[flip_n] costs O(N_s 2**n). By
     Gershgorin's bound H lies in [-r, r], r = max |d| + sum_n |h_n|, taken
@@ -403,7 +426,8 @@ def exact_evolve(
     scaled by 2 / r once (h made complex), so a term of the recurrence is
     a multiply, a gather-and-product and two subtractions in place, into
     a row of one ``(B + 2, 2**n)`` work array allocated once per call
-    (B from ``_block_rows``, independent of the number of terms).
+    (B from ``_block_rows``, independent of the number of terms), through
+    views made once per call of the rows the longest expansion uses.
 
     Everything is checked before anything of the register's size is
     allocated: the register (``check_register``), every field set of the
@@ -411,11 +435,13 @@ def exact_evolve(
     x = r * repeats * dt (each finite, with a Bessel recurrence,
     ``_bessel_bytes``, that fits in ``CHEBYSHEV_BLOCK_BYTES``, which holds
     x up to about 2.6e5), and then the call's estimated peak
-    (``_evolve_bytes``), which must not pass the bytes of the largest
+    (``_evolve_bytes``, which counts the kept coefficient vectors and the
+    row views), which must not pass the bytes of the largest
     state the engine holds, 16 * 2**MAX_QUBITS. That admits N_s = 18
     (about 300 MiB) and rejects N_s = 20 (about 1.3 GiB). The walk is kept
     with each hold's radii and arguments, so the schedule is walked and
-    checked once.
+    checked once, and the distinct arguments are known before anything is
+    allocated.
     """
     n = params.N_s + 1
     check_register(n)
@@ -423,13 +449,13 @@ def exact_evolve(
         raise ValueError("register mismatch")
     cfg = chain_config(params, initial_fields(params))
     d_max = sum(abs(c) for _, c in zz_terms(cfg))
-    entries, holds, bessel = [], [], 0
+    entries, holds, args = [], [], set()
     for item in walk_schedule(params, schedule):
         if not isinstance(item, RotateCoupler):
-            rows, repeats = item
+            fields, repeats = item
             # A huge field overflows to inf here, which the check below rejects.
             with np.errstate(over="ignore"):
-                radii = d_max + np.abs(rows).sum(axis=1)
+                radii = d_max + np.abs(fields).sum(axis=1)
                 xs = radii * repeats * params.dt
             if (not np.isfinite(xs).all()
                     or _bessel_bytes(xs.max()) > CHEBYSHEV_BLOCK_BYTES):
@@ -438,18 +464,20 @@ def exact_evolve(
                     f"Bessel recurrence fits in {CHEBYSHEV_BLOCK_BYTES} bytes for "
                     f"every step of a hold, got {xs.max()}"
                 )
-            bessel = max(bessel, _bessel_bytes(xs.max()))
-            holds.append(len(rows))
-            item = (rows, radii, xs)
+            holds.append(len(fields))
+            args.update(xs.tolist())
+            item = (fields, radii, xs)
         entries.append(item)
-    need = _evolve_bytes(n, bessel, holds)
+    need = _evolve_bytes(n, args, holds)
     if need > 16 << MAX_QUBITS:
         raise ValueError(
             f"exact evolution of {n} qubits would need about {need} bytes, more "
             f"than the {16 << MAX_QUBITS} of the largest state the engine holds"
         )
     d, flips = _diagonal_and_flips(cfg)
+    coefs = {x: _chebyshev_coefficients(x) for x in args}
     work = np.empty((_block_rows(n) + 2, 1 << n), dtype=complex)
+    rows = list(work[:max((c.size for c in coefs.values()), default=0)])
     amps = initial.amplitudes.copy()
     for item in entries:
         if isinstance(item, RotateCoupler):
@@ -457,8 +485,8 @@ def exact_evolve(
                 amps, n, Gate(GateKind.RY, (params.coupler_qubit,), item.angle)
             )
             continue
-        rows, radii, xs = item
-        scaled = (rows * (2.0 / radii)[:, None]).astype(complex)
+        fields, radii, xs = item
+        scaled = (fields * (2.0 / radii)[:, None]).astype(complex)
         for r, x, h2 in zip(radii.tolist(), xs.tolist(), scaled):
-            amps = _chebyshev_expm(work, amps, d * (2.0 / r), h2, flips, x)
+            amps = _chebyshev_expm(work, rows, amps, d * (2.0 / r), h2, flips, coefs[x])
     return QuantumState(n, amps)

@@ -38,7 +38,7 @@ _BASIS_KINDS = (GateKind.CNOT, GateKind.RZ, GateKind.X, GateKind.Z)
 _MIXING_KINDS = (GateKind.RX, GateKind.RY, GateKind.H)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A single gate acting on 1 or 2 register qubits.
 
@@ -84,13 +84,13 @@ class Gate:
                  angle: float | None = None) -> "Gate":
         """A gate whose fields are already checked (``qubits`` a tuple of
         valid indices, ``angle`` a finite float exactly for the rotation
-        kinds), built without checking them again."""
-        # Attribute by attribute, as ``__init__`` does: filling ``__dict__``
-        # directly is faster but gives each gate a full dict of its own.
+        kinds), built without checking them again. Its three slots are set
+        through their descriptors, which the frozen ``__setattr__`` does
+        not guard."""
         gate = object.__new__(cls)
-        object.__setattr__(gate, "kind", kind)
-        object.__setattr__(gate, "qubits", qubits)
-        object.__setattr__(gate, "angle", angle)
+        _set_kind(gate, kind)
+        _set_qubits(gate, qubits)
+        _set_angle(gate, angle)
         return gate
 
     @property
@@ -104,6 +104,10 @@ class Gate:
         return self
 
 
+# The slots' own setters, which ``Gate._trusted`` calls.
+_set_kind = Gate.kind.__set__
+_set_qubits = Gate.qubits.__set__
+_set_angle = Gate.angle.__set__
 _QUBITS = operator.attrgetter("qubits")
 
 

@@ -12,13 +12,13 @@ fully resolved parameter set so defaults are never silent.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis
 from .analysis import MAX_DENSE_QUBITS
@@ -234,7 +234,9 @@ def cmd_sweep(cfg: dict[str, str], out_path: str | None, seed: int | None,
     # The pool starts all its workers at once, so never more than points.
     workers = min(jobs, len(work))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Read from the package here: its first read imports the process
+        # pool and multiprocessing, which no other command needs.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, work))
     else:
         rows = [_sweep_point(w) for w in work]

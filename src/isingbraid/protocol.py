@@ -378,7 +378,8 @@ class ScenarioRun:
 
     @cached_property
     def prepared_circuit(self) -> Circuit:
-        """Initialization followed by evolution: the circuit that is simulated."""
+        """Initialization followed by evolution, as one circuit: the one
+        whose gate positions the noise trajectories index."""
         return concat([self.init_circuit, self.evolution_circuit])
 
     @cached_property
@@ -394,8 +395,11 @@ class ScenarioRun:
 
     @cached_property
     def final_state(self) -> QuantumState:
-        """The noiseless state after evolution, simulated on first read."""
-        return run(zero_state(self.params.n_qubits), self.prepared_circuit)
+        """The noiseless state after evolution, simulated on first read:
+        the initialization circuit and then the evolution, in two runs, so
+        ``prepared_circuit`` is not built."""
+        initialized = run(zero_state(self.params.n_qubits), self.init_circuit)
+        return run(initialized, self.evolution_circuit)
 
     def structure(self) -> dict:
         """Depths, gate counts and Trotter steps: the report values that

@@ -138,29 +138,37 @@ def walk_schedule(params: ProtocolParams, schedule: FieldSchedule):
     A ``stepped`` hold is one row, the event's fields, repeated for every
     Trotter step of the hold; a ``linear`` hold is one row per step, at
     fields interpolated from the previous hold's towards the event's, each
-    taken once. Every hold must give one field per chain site; that is
+    taken once. The rows of every linear hold are computed in one array
+    pass, each element as prev + (m / n) * (target - prev) for step m of
+    the hold's n, and each hold's entry is a view of them. Every hold must
+    give one field per chain site and last at least one step; that is
     checked for the whole schedule by the call itself, which raises before
     it returns the generator of entries.
     """
-    for event in schedule.events:
-        if not isinstance(event, RotateCoupler) and len(event.fields) != params.N_s:
+    holds = [e for e in schedule.events if not isinstance(e, RotateCoupler)]
+    for event in holds:
+        if len(event.fields) != params.N_s:
             raise ValueError(
                 f"need {params.N_s} field values, got {len(event.fields)}"
             )
+    steps = [steps_per_hold(params, e.hold) for e in holds]
+    if params.update_mode == "linear":
+        n = np.array(steps, dtype=int)
+        targets = np.array([e.fields for e in holds], dtype=float).reshape(-1, params.N_s)
+        prevs = np.vstack([initial_fields(params), targets])[:-1]
+        ends = n.cumsum()
+        m = np.arange(1, n.sum() + 1) - np.repeat(ends - n, n)
+        rows = np.repeat(targets - prevs, n, axis=0)
+        rows *= (m / np.repeat(n, n))[:, None]
+        rows += np.repeat(prevs, n, axis=0)
+        walked = [(rows[end - k:end], 1) for end, k in zip(ends.tolist(), steps)]
+    else:
+        walked = [(np.asarray(e.fields, dtype=float)[None, :], k)
+                  for e, k in zip(holds, steps)]
 
     def entries():
-        prev = np.asarray(initial_fields(params), dtype=float)
+        hold_entries = iter(walked)
         for event in schedule.events:
-            if isinstance(event, RotateCoupler):
-                yield event
-                continue
-            n_steps = steps_per_hold(params, event.hold)
-            target = np.asarray(event.fields, dtype=float)
-            if params.update_mode == "linear":
-                m = np.arange(1, n_steps + 1)
-                yield prev + (m / n_steps)[:, None] * (target - prev), 1
-            else:
-                yield target[None, :], n_steps
-            prev = target
+            yield event if isinstance(event, RotateCoupler) else next(hold_entries)
 
     return entries()

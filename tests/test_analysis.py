@@ -34,6 +34,7 @@ from isingbraid.schedule import (
     SetFields,
     build_field_schedule,
     chain_config,
+    count_trotter_steps,
     initial_fields,
     walk_schedule,
 )
@@ -206,8 +207,8 @@ def test_exact_evolve_rejects_oversized_register(monkeypatch):
     # N_s = 20 would need about 1.3 GiB, more than the 1 GiB of the largest
     # state the engine holds; N_s = 18 needs about 300 MiB and is admitted.
     big = replace(OPT, N_s=20)
-    need = analysis._evolve_bytes(big.n_qubits, 0, [])
-    assert need > 16 << MAX_QUBITS >= analysis._evolve_bytes(19, 0, [])
+    need = analysis._evolve_bytes(big.n_qubits, (), [])
+    assert need > 16 << MAX_QUBITS >= analysis._evolve_bytes(19, (), [])
     with pytest.raises(ValueError, match=f"would need about {need} bytes"):
         exact_evolve(FieldSchedule(()), big, zero_state(big.n_qubits))
     with pytest.raises(ValueError, match="register mismatch"):
@@ -332,6 +333,26 @@ def test_exact_evolve_at_ten_sites_matches_a_sparse_reference(mode):
             h = sparse_hamiltonian(p, fields)
             amps = expm_multiply(-1j * repeats * p.dt * h, amps)
     assert np.abs(out.amplitudes - amps).max() <= 1e-10
+
+
+# Each extend/contract update keeps the sum of the fields, and so the
+# argument x = r * dt of every step, up to its last bits: the EFF braid's
+# 276 steps take 2 distinct arguments and the OPT braid's 6,030 take 4.
+@pytest.mark.parametrize("p, distinct", [(EFF, 2), (OPT, 4)], ids=["eff", "opt"])
+def test_exact_evolve_expands_each_distinct_argument_once(monkeypatch, p, distinct):
+    p = replace(p, update_mode="linear")
+    sched = build_field_schedule(p, include_rotation=True)
+    args = []
+    bessel = analysis._bessel_j
+
+    def counted(x):
+        args.append(x)
+        return bessel(x)
+
+    monkeypatch.setattr(analysis, "_bessel_j", counted)
+    exact_evolve(sched, p, zero_state(p.n_qubits))
+    assert len(args) == len(set(args)) == distinct
+    assert count_trotter_steps(p, sched) > 100 * distinct
 
 
 # The first events of the EFF braid, the whole braid (276 rows of fields in

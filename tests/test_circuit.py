@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import tracemalloc
 
@@ -57,6 +58,22 @@ def test_gate_stores_real_angles_as_float():
     for bad in (1j, np.complex128(0.3), "0.3"):
         with pytest.raises(CircuitError, match="real angle"):
             Gate(GateKind.RY, (0,), bad)
+
+
+@pytest.mark.parametrize("kind, qubits, angle", [
+    (GateKind.RX, (2,), 0.3), (GateKind.RZ, (0,), -0.0), (GateKind.CNOT, (1, 0), None),
+    (GateKind.H, (4,), None)])
+def test_trusted_gate_is_the_checked_one(kind, qubits, angle):
+    checked, trusted = Gate(kind, qubits, angle), Gate._trusted(kind, qubits, angle)
+    for g in (checked, trusted):
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(AttributeError):
+            g.angle = 1.0
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert (trusted.kind, trusted.qubits, trusted.angle) == (kind, qubits, angle)
+    copy = pickle.loads(pickle.dumps(trusted))
+    assert copy == checked and hash(copy) == hash(checked)
+    assert pickle.dumps(trusted) == pickle.dumps(checked)
 
 
 def test_circuit_rejects_out_of_range_gate():

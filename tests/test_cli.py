@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -301,7 +302,7 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, capsys, monkeypatch)
         def map(self, fn, work):
             return map(fn, work)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cfg = write_cfg(tmp_path, SWEEP_CFG)  # two values
     argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"),
             "--depth-only"]
@@ -326,7 +327,7 @@ def test_sweep_checks_every_point_before_compiling(tmp_path, capsys, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("started before every point was checked")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(cli, "compile_scenario", refuse)
     monkeypatch.setattr(protocol, "compile_scenario", refuse)
     cfg = write_cfg(tmp_path, FAST_CFG + f"axis = {axis}\nvalues = {values}\n")

@@ -697,6 +697,18 @@ def test_noisy_fidelity_batches_stay_within_row_budget(monkeypatch):
     assert again == first
 
 
+def test_batch_rows_are_pinned():
+    import isingbraid.noise as noise
+
+    # The batch size depends on the executor's byte caps (through
+    # ``batch_rows_within``), and it decides how a run's trajectories are
+    # split, and so which errors a seed draws for them.
+    assert (noise.batch_rows(7), noise.batch_rows(11)) == (3944, 246), (
+        "the full batch size changed: this re-splits the trajectories of any "
+        "run with more than one batch, so the same seed draws other errors; "
+        "record the change and its new values")
+
+
 def test_full_batch_peaks_within_the_batch_budget(monkeypatch):
     import tracemalloc
 

@@ -405,6 +405,27 @@ def test_walk_schedule_entries_per_mode():
         prev = target
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("mode", ["stepped", "linear"])
+def test_walk_rows_are_the_per_hold_formula_bit_for_bit(scenario, mode):
+    eff, _, rotate, _ = resolve_scenario(replace(OPT, update_mode=mode), scenario)
+    sched = build_field_schedule(eff, include_rotation=rotate)
+    holds = [e for e in sched.events if isinstance(e, SetFields)]
+    walked = [e for e in walk_schedule(eff, sched) if not isinstance(e, RotateCoupler)]
+    prev = np.asarray(initial_fields(eff), dtype=float)
+    for (rows, repeats), event in zip(walked, holds, strict=True):
+        n = steps_per_hold(eff, event.hold)
+        target = np.asarray(event.fields, dtype=float)
+        if mode == "linear":
+            m = np.arange(1, n + 1)
+            expected, times = prev + (m / n)[:, None] * (target - prev), 1
+        else:
+            expected, times = target[None, :], n
+        assert repeats == times and rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+        prev = target
+
+
 def _gate_bits(gates):
     """Gates as comparable tuples, each angle by its exact bits."""
     return [(g.kind, g.qubits, None if g.angle is None else g.angle.hex())
@@ -494,6 +515,15 @@ def test_compile_scenario_builds_dense_vectors_on_first_read():
     assert "final_state" not in vars(run_) and "target_chain" not in vars(run_)
     assert run_.final_state is run_.final_state
     assert "final_state" in vars(run_)
+
+
+@pytest.mark.parametrize("mode", ["stepped", "linear"])
+def test_final_state_runs_without_building_the_prepared_circuit(mode):
+    run_ = compile_scenario(replace(OPT, update_mode=mode), "braid", LogicalLabel.ALL_UP)
+    final = run_.final_state.amplitudes
+    assert "prepared_circuit" not in vars(run_)
+    joined = run(zero_state(run_.params.n_qubits), run_.prepared_circuit)
+    assert final.tobytes() == joined.amplitudes.tobytes()
 
 
 def test_empty_schedule_gives_empty_circuit():
