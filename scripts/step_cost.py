@@ -49,7 +49,9 @@ every measurement of every table once, so a drift of the machine's speed
 reaches all of them alike. Each time is printed as the median over the
 rounds and, in brackets, its spread (largest minus smallest). BLAS runs on
 one thread unless OPENBLAS_NUM_THREADS is already set, as in perfbench's
-workers.
+workers. The first line gives the environment the times were taken in:
+the usable cores, the Python, numpy and BLAS versions, and
+OPENBLAS_NUM_THREADS.
 
     PYTHONPATH=src python scripts/step_cost.py [--sizes 6 10 14 18]
         [--rounds 5] [--updates 22]
@@ -58,6 +60,7 @@ workers.
 import argparse
 import math
 import os
+import platform
 import statistics
 import sys
 import time
@@ -219,6 +222,21 @@ class BraidCase:
         }
 
 
+def environment() -> str:
+    """The usable cores, the Python, numpy and BLAS versions, and the BLAS
+    thread count, as one line. numpy before 1.25 does not report its BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return (f"cores {cores}, Python {platform.python_version()}, "
+            f"numpy {np.__version__}, BLAS {blas}, "
+            f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
+
+
 def summary(values: list[float], width: int, digits: int) -> str:
     """The median and, in brackets, the spread of ``values``."""
     spread = max(values) - min(values)
@@ -253,6 +271,7 @@ def main(argv=None) -> int:
                 values.setdefault(key, []).append(value)
     rows = iter(zip(cases, samples))
 
+    print(environment())
     print(f"{'N_s':>4} {'qubits':>6} {'steady ms/step':>18} "
           f"{'oracle ms/step':>18} {'max |diff|':>11} {'layer ms':>18} "
           f"{'map ms':>18}")

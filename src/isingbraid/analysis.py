@@ -313,13 +313,15 @@ def _block_rows(n_qubits: int) -> int:
     return max(1, CHEBYSHEV_BLOCK_BYTES // (16 << n_qubits) - 2)
 
 
-def _evolve_bytes(n_qubits: int, args: Collection[float], holds: list[int]) -> int:
+def _evolve_bytes(n_qubits: int, args: Collection[float], holds: list[int],
+                  radii: int) -> int:
     """An upper estimate of the peak bytes ``exact_evolve`` allocates on a
     register of ``n_qubits`` qubits for a walk whose holds have ``holds``
     rows of fields, and whose steps take the distinct Chebyshev arguments
-    ``args``.
+    ``args`` and ``radii`` distinct radii r.
 
-    Per amplitude: d (8 bytes), the flips (8 a site), the gather of one
+    Per amplitude: d (8 bytes) and d scaled by 2 / r for each distinct r
+    (8 each), the flips (8 a site), the gather of one
     product (16 a site), the B + 2 rows of the work array and seven more
     complex vectors (the state, the expansion's sum and the temporaries of
     one term). Per row of fields: its values, r and x, kept for the call
@@ -334,7 +336,7 @@ def _evolve_bytes(n_qubits: int, args: Collection[float], holds: list[int]) -> i
     smaller objects."""
     sites = n_qubits - 1
     block = _block_rows(n_qubits)
-    per_amplitude = 8 + 24 * sites + 16 * (block + 2) + 112
+    per_amplitude = 8 * (1 + radii) + 24 * sites + 16 * (block + 2) + 112
     rows = (8 * sites + 16) * sum(holds) + 24 * sites * max(holds, default=0)
     kept = sum(16 * (_miller_start(x) + 1) + 256 for x in args)
     expansion = max((6 * _bessel_bytes(x) + 128 * min(block + 2, _miller_start(x) + 1)
@@ -422,8 +424,9 @@ def exact_evolve(
     c Z...Z of ``zz_terms``, exactly: every c is at most 0, and the all-up
     basis state reaches the sum. The interval is centred on 0 with no
     loss: flipping every other site of each chain, and the coupler where
-    needed, negates d, so d's range is symmetric. Each row's d and h are
-    scaled by 2 / r once (h made complex), so a term of the recurrence is
+    needed, negates d, so d's range is symmetric. Each row's h is scaled
+    by 2 / r once (made complex), and d once per call for each distinct r,
+    of which the braids have 2 (EFF) or 4 (OPT); so a term of the recurrence is
     a multiply, a gather-and-product and two subtractions in place, into
     a row of one ``(B + 2, 2**n)`` work array allocated once per call
     (B from ``_block_rows``, independent of the number of terms), through
@@ -435,13 +438,13 @@ def exact_evolve(
     x = r * repeats * dt (each finite, with a Bessel recurrence,
     ``_bessel_bytes``, that fits in ``CHEBYSHEV_BLOCK_BYTES``, which holds
     x up to about 2.6e5), and then the call's estimated peak
-    (``_evolve_bytes``, which counts the kept coefficient vectors and the
-    row views), which must not pass the bytes of the largest
+    (``_evolve_bytes``, which counts the kept coefficient vectors, the
+    scaled copies of d and the row views), which must not pass the bytes of the largest
     state the engine holds, 16 * 2**MAX_QUBITS. That admits N_s = 18
     (about 300 MiB) and rejects N_s = 20 (about 1.3 GiB). The walk is kept
     with each hold's radii and arguments, so the schedule is walked and
-    checked once, and the distinct arguments are known before anything is
-    allocated.
+    checked once, and the distinct arguments and radii are known before
+    anything is allocated.
     """
     n = params.N_s + 1
     check_register(n)
@@ -449,7 +452,7 @@ def exact_evolve(
         raise ValueError("register mismatch")
     cfg = chain_config(params, initial_fields(params))
     d_max = sum(abs(c) for _, c in zz_terms(cfg))
-    entries, holds, args = [], [], set()
+    entries, holds, args, distinct = [], [], set(), set()
     for item in walk_schedule(params, schedule):
         if not isinstance(item, RotateCoupler):
             fields, repeats = item
@@ -466,9 +469,10 @@ def exact_evolve(
                 )
             holds.append(len(fields))
             args.update(xs.tolist())
+            distinct.update(radii.tolist())
             item = (fields, radii, xs)
         entries.append(item)
-    need = _evolve_bytes(n, args, holds)
+    need = _evolve_bytes(n, args, holds, len(distinct))
     if need > 16 << MAX_QUBITS:
         raise ValueError(
             f"exact evolution of {n} qubits would need about {need} bytes, more "
@@ -476,6 +480,7 @@ def exact_evolve(
         )
     d, flips = _diagonal_and_flips(cfg)
     coefs = {x: _chebyshev_coefficients(x) for x in args}
+    d2 = {r: d * (2.0 / r) for r in distinct}
     work = np.empty((_block_rows(n) + 2, 1 << n), dtype=complex)
     rows = list(work[:max((c.size for c in coefs.values()), default=0)])
     amps = initial.amplitudes.copy()
@@ -488,5 +493,5 @@ def exact_evolve(
         fields, radii, xs = item
         scaled = (fields * (2.0 / radii)[:, None]).astype(complex)
         for r, x, h2 in zip(radii.tolist(), xs.tolist(), scaled):
-            amps = _chebyshev_expm(work, rows, amps, d * (2.0 / r), h2, flips, coefs[x])
+            amps = _chebyshev_expm(work, rows, amps, d2[r], h2, flips, coefs[x])
     return QuantumState(n, amps)

@@ -12,9 +12,7 @@ fully resolved parameter set so defaults are never silent.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
-import hashlib
 import json
 import math
 import re
@@ -132,6 +130,8 @@ def derive_seed(master: int, axis_value: str, scenario: str) -> int:
     Keyed on the formatted axis value (not its list position) so permuting
     the sweep list permutes rows without changing their contents.
     """
+    import hashlib  # here, like concurrent.futures: only sweeps need it
+
     digest = hashlib.sha256(f"{master}:{axis_value}:{scenario}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -234,8 +234,11 @@ def cmd_sweep(cfg: dict[str, str], out_path: str | None, seed: int | None,
     # The pool starts all its workers at once, so never more than points.
     workers = min(jobs, len(work))
     if workers > 1:
-        # Read from the package here: its first read imports the process
-        # pool and multiprocessing, which no other command needs.
+        # Imported here, not with the module: concurrent.futures imports
+        # logging, and the process pool multiprocessing, which no other
+        # command needs.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, work))
     else:

@@ -39,6 +39,7 @@ from .protocol import (
 from .statevector import (
     QuantumState,
     SampleCounts,
+    _aligned_empty,
     apply_gates_inplace,
     batch_rows_within,
     check_register,
@@ -184,7 +185,7 @@ def run_trajectories(
         raise ValueError(f"rows must be >= 1, got {rows}")
     if circuit.n_qubits != initial.n_qubits:
         raise ValueError("register mismatch")
-    amps = np.empty((rows, initial.amplitudes.size), dtype=complex)
+    amps = _aligned_empty((rows, initial.amplitudes.size))
     amps[:] = initial.amplitudes
     errors = draw_errors(circuit, model, rows, rng)
     apply_gates_inplace(amps, initial.n_qubits, circuit.gates, errors)

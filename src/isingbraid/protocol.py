@@ -49,7 +49,7 @@ from .schedule import (
     updates_per_shift,
     walk_schedule,
 )
-from .trotter import extend_trotter_steps
+from .trotter import trotter_steps
 
 SCENARIOS = ("translate_no_coupler", "translate_with_coupler", "braid")
 COUPLER_PREPS = ("RX_half_pi", "H", "RY_half_pi")
@@ -229,20 +229,20 @@ def build_protocol_circuit(
 ) -> Circuit:
     """Compile the schedule into the full evolution circuit (no init/readout).
 
-    The whole walk of ``walk_schedule`` goes to one ``extend_trotter_steps``
-    call, which appends each hold's Trotter steps, each row of fields
-    repeated as often as the entry says, to one flat gate list, with the
-    Zeeman angles of the whole walk computed once; each coupler rotation
-    event appends a single RY on the coupler qubit. Each step reuses the RX
-    gates of the step before wherever their angle is unchanged.
+    The whole walk of ``walk_schedule`` goes to one ``trotter_steps``
+    call, which gives each hold's Trotter steps, each row of fields
+    repeated as often as the entry says, with the Zeeman angles of the
+    whole walk computed once; each coupler rotation event gives a single
+    RY on the coupler qubit. Each step reuses the RX gates of the step
+    before wherever their angle is unchanged. The gate tuple is built
+    straight from the steps, at its size, with no list of the gates beside
+    it.
     """
     cfg = chain_config(params, initial_fields(params))
     walk = (Gate(GateKind.RY, (params.coupler_qubit,), item.angle)
             if isinstance(item, RotateCoupler) else item
             for item in walk_schedule(params, schedule))
-    gates: list[Gate] = []
-    extend_trotter_steps(gates, cfg, walk, params.dt)
-    return Circuit._trusted(params.n_qubits, tuple(gates))
+    return Circuit._trusted(params.n_qubits, tuple(trotter_steps(cfg, walk, params.dt)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -60,6 +61,12 @@ _BLOCK_BYTES = 128 << 10
 # ``_PIECE_MAPS`` keeps: 340 maps of a 7-qubit register, five of a 13-qubit
 # one.
 _PIECE_BYTES = 1 << 20
+# Bytes to which the executor aligns the batches it allocates: a cache
+# line. malloc aligns to 16 bytes, at an offset from a line that depends on
+# what the process allocated before; the layer products of a 15-qubit
+# state ran about 10% slower with the batch and its scratch buffer 16, 32
+# or 48 bytes past a line than on one.
+_ALIGN = 64
 # i**k for k mod 4.
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 # The column that turns a row into the pair (row, -row).
@@ -139,6 +146,15 @@ class SampleCounts:
     def __post_init__(self) -> None:
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to total shots")
+
+
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised complex array of ``shape`` whose data starts on an
+    ``_ALIGN``-byte boundary."""
+    nbytes = 16 * math.prod(shape)
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + nbytes].view(complex).reshape(shape)
 
 
 def zero_state(n: int) -> QuantumState:
@@ -297,16 +313,18 @@ def _basis_map(n_qubits: int, gates: Sequence[Gate]):
     return src.reshape(-1), phase.reshape(-1)
 
 
-def _layer_matrices(kinds: Sequence[GateKind], angles) -> np.ndarray:
+def _layer_matrices(kinds: Sequence[GateKind], angles: np.ndarray) -> np.ndarray:
     """The 2x2 matrices of k layers of RX, RY and H gates, as one
-    ``(len(kinds), 2, 2, k)`` array, the layers last: ``kinds`` gives the
-    kind of each gate of a layer and ``angles``, a ``(len(kinds), k)``
-    array, its angle in each layer (any value for H)."""
+    ``(len(kinds) + 1, 2, 2, k)`` array, the layers last: ``kinds`` gives
+    the kind of each gate of a layer and ``angles``, a ``(len(kinds), k)``
+    array, its angle in each layer (any value for H). The last matrix is
+    the identity, the factor of a qubit that no gate of the layer acts on."""
     half = np.multiply(angles, 0.5)
     c, s = np.cos(half), np.sin(half)
-    m = np.zeros((len(kinds), 2, 2, half.shape[1]), dtype=complex)
-    m.real[:, 0, 0] = m.real[:, 1, 1] = c
-    m.imag[:, 0, 1] = m.imag[:, 1, 0] = -s
+    m = np.zeros((len(kinds) + 1, 2, 2, half.shape[1]), dtype=complex)
+    m.real[:-1, 0, 0] = m.real[:-1, 1, 1] = c
+    m.imag[:-1, 0, 1] = m.imag[:-1, 1, 0] = -s
+    m.real[-1, 0, 0] = m.real[-1, 1, 1] = 1.0
     for j, kind in enumerate(kinds):
         if kind is GateKind.RY:
             m[j, 0, 1] = -s[j]
@@ -339,16 +357,20 @@ def _frame(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _block_plan(qubits: tuple[int, ...], n_qubits: int):
     """Split a layer on the sorted ``qubits`` into blocks of at most
-    ``_BLOCK_QUBITS`` adjacent qubits. Returns the blocks, each as (lowest
-    qubit, width, slice of the layer's gates, offsets of those gates in the
-    block or None when they fill it), and the bytes of their matrices."""
+    ``_BLOCK_QUBITS`` adjacent qubits. Returns the lowest qubit of each
+    block, in order, with the blocks grouped by width, each group as
+    (width, places of its blocks in that order, factors), ``factors`` the
+    read-only ``(blocks, width)`` array of the gate of the layer on each
+    qubit of each block, from its lowest qubit up, ``len(qubits)`` where
+    no gate acts (see ``_layer_matrices``); and the bytes of the blocks'
+    matrices."""
     if qubits[-1] >= n_qubits:
         raise ValueError(f"gate on {qubits[-1:]} out of range for {n_qubits} qubits")
     # A block never spans the whole register: the lo == 0 product then has
     # at least two rows even for a one-row batch, and a one-row product
     # would go through a different BLAS kernel than a batch's.
     span = min(_BLOCK_QUBITS, n_qubits - 1)
-    blocks, nbytes = [], 0
+    los, widths, nbytes = [], {}, 0
     b, count = 0, len(qubits)
     while b < count:
         lo = qubits[b]
@@ -356,15 +378,25 @@ def _block_plan(qubits: tuple[int, ...], n_qubits: int):
         while e < count and qubits[e] < lo + span:
             e += 1
         width = qubits[e - 1] - lo + 1
-        offsets = None if e - b == width else [q - lo for q in qubits[b:e]]
-        blocks.append((lo, width, slice(b, e), offsets))
+        factors = [count] * width
+        for g in range(b, e):
+            factors[qubits[g] - lo] = g
+        places, rows = widths.setdefault(width, ([], []))
+        places.append(len(los))
+        rows.append(factors)
+        los.append(lo)
         nbytes += 16 << (2 * width)
         b = e
-    return tuple(blocks), nbytes
+    groups = []
+    for width, (places, rows) in widths.items():
+        factors = np.array(rows)
+        factors.flags.writeable = False
+        groups.append((width, tuple(places), factors))
+    return (tuple(los), tuple(groups)), nbytes
 
 
-def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
-                  n_qubits: int) -> list:
+def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind],
+                  angles: np.ndarray, n_qubits: int) -> list:
     """The dense blocks of k layers on the sorted ``qubits``, each gate of
     a layer with its kind of ``kinds``, and with its angle in each layer
     from the ``(len(qubits), k)`` array ``angles``: the layers of a piece
@@ -377,15 +409,16 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
     others; it then ends where any position changes.
 
     The 2x2 matrices are built by one ``_layer_matrices`` call, and the
-    Kronecker products of each block position by broadcast products over
-    all k layers at once, the factor of the highest qubit first, with the
-    layers as the last axis so each product runs along them. Adding 0.0 to
-    a product of two factors or more makes each of its zeros +0.0, as a
-    sum of products starting from zero does, so the signs of exact zeros
-    in the rows do not depend on how the products were formed. Each stack
-    is then laid out layers first, each block a C-contiguous matrix; the
-    stack at qubit 0 is given transposed, each block the right operand of
-    its product.
+    Kronecker products of all block positions of one width by one pass of
+    broadcast products over those positions and all k layers at once, the
+    factor of the highest qubit first, with the layers as the last axis so
+    each product runs along them. A qubit of a block that no gate acts on
+    takes the identity. Adding 0.0 to a product of two factors or more
+    makes each of its zeros +0.0, as a sum of products starting from zero
+    does, so the signs of exact zeros in the rows do not depend on how the
+    products were formed. Each stack is then laid out layers first, each
+    block a C-contiguous matrix; the stack at qubit 0 is given transposed,
+    each block the right operand of its product.
 
     On registers of ``_REAL_QUBITS`` or more the blocks act on rows in the
     frame S = diag(1, i) on every qubit from ``_BLOCK_QUBITS`` up (see
@@ -393,46 +426,51 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind], angles,
     S M conj(S), its off-diagonals times -i and i, which is exact; RX(t)
     becomes the real RY(t). A block above qubit 0 is real when all of its
     factors are, decided layer by layer, and is then applied in real
-    arithmetic. The block at qubit 0 lies below the frame and stays
-    complex: it is one product whose row count grows with the batch, and a
-    real product of that shape rounds differently for different row
-    counts, which would make a row's bits depend on its batch.
+    arithmetic. The products of a width are formed in real arithmetic when
+    every block of that width is real in every layer; otherwise in complex
+    arithmetic, and a real block keeps the real parts, which are the real
+    products: each imaginary part is a zero times a factor, and the zeros'
+    signs are made +0.0 as above. The block at qubit 0 lies below the
+    frame and stays complex: it is one product whose row count grows with
+    the batch, and a real product of that shape rounds differently for
+    different row counts, which would make a row's bits depend on its
+    batch.
     """
     framed = n_qubits >= _REAL_QUBITS
-    plan, _ = _block_plan(qubits, n_qubits)
+    (los, groups), _ = _block_plan(qubits, n_qubits)
     mats = _layer_matrices(kinds, angles)
     count = mats.shape[3]
     if framed:
-        inside = [q >= _BLOCK_QUBITS for q in qubits]
+        inside = [q >= _BLOCK_QUBITS for q in qubits] + [False]
         mats[inside, 0, 1] *= -1j
         mats[inside, 1, 0] *= 1j
-    positions = []
-    for lo, width, gates, offsets in plan:
-        if offsets is None:
-            factors = mats[gates]
-        else:
-            # Qubits of the span that no gate of the layer touches.
-            factors = np.zeros((width, 2, 2, count), dtype=complex)
-            factors[:, 0, 0] = factors[:, 1, 1] = 1.0
-            factors[offsets] = mats[gates]
-        mixed = None
-        if framed and lo:
-            real = ~factors.imag.any(axis=(0, 1, 2))
+    positions = [None] * len(los)
+    for width, places, index in groups:
+        factors = mats[index]
+        real = None
+        if framed:
+            # Whether each block is real in each layer; qubit 0's is not.
+            real = ~factors.imag.any(axis=(1, 2, 3))
+            real[[not los[b] for b in places]] = False
             if real.all():
                 factors = factors.real
-            elif real.any():
-                mixed = real
-        blocks = factors[width - 1]
+        blocks = factors[:, width - 1]
         for w in range(width - 2, -1, -1):
-            dim = 2 * len(blocks)
-            blocks = (blocks[:, None, :, None]
-                      * factors[w, None, :, None]).reshape(dim, dim, count)
+            dim = 2 * blocks.shape[1]
+            blocks = (blocks[:, :, None, :, None]
+                      * factors[:, w, None, :, None]).reshape(-1, dim, dim, count)
         if width > 1:
             blocks += 0.0
-        dim = 1 << width
-        key = (lo, dim, blocks.dtype != complex)
-        blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1))
-        positions.append((key, blocks if lo else blocks.transpose(0, 2, 1), mixed))
+        for p, b in enumerate(places):
+            stack, mixed = blocks[p], None
+            if real is not None and los[b]:
+                if real[p].all():
+                    stack = stack.real
+                elif real[p].any():
+                    mixed = real[p]
+            key = (los[b], 1 << width, stack.dtype != complex)
+            stack = np.ascontiguousarray(stack.transpose(2, 0, 1))
+            positions[b] = (key, stack if los[b] else stack.transpose(0, 2, 1), mixed)
     changes = [real[1:] != real[:-1] for _, _, real in positions if real is not None]
     if not changes:
         return [(count, tuple((key, stack) for key, stack, _ in positions))]
@@ -457,7 +495,7 @@ class _Views(dict):
     def __init__(self, rows: np.ndarray) -> None:
         super().__init__()
         self.rows = rows
-        self.scratch = np.empty_like(rows)
+        self.scratch = _aligned_empty(rows.shape)
 
     def __missing__(self, key):
         lo, dim, real = key
@@ -539,9 +577,12 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
     ``_steps`` checks a stretch's layers by their qubits only: a piece
     takes the kinds of its first step's layer and ends before the first
     step whose kinds differ, read from the same strided columns of the
-    steps as the angles. A position whose gate stays the same costs one
-    compare and no read, and a compiled circuit's shared gates make that
-    compare an identity check. A step whose layer holds a basis gate is no
+    steps as the angles. The angles of a piece go into one (gates of the
+    layer x steps) float array, which ``_layer_blocks`` takes. A position
+    whose gate stays the same costs one compare and one fill of its row,
+    and a compiled circuit's shared gates make that compare an identity
+    check; a position whose gate changes has its angles read once, into
+    its row. A step whose layer holds a basis gate is no
     step of a stretch, and the runs from it on are found anew.
 
     Every layer is checked against the register before its blocks are
@@ -558,7 +599,7 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
                 continue
             if not steps and gates[i].kind in _MIXING_KINDS:
                 layer = sorted(gates[i:j], key=_QUBITS)
-                angles = [[0.0 if g.angle is None else g.angle] for g in layer]
+                angles = np.array([[0.0 if g.angle is None else g.angle] for g in layer])
                 [(_, blocks)] = _layer_blocks(tuple(g.qubits[0] for g in layer),
                                               tuple(map(_KIND, layer)), angles, n_qubits)
                 yield 1, 0, j - i, None, None, blocks
@@ -582,22 +623,19 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
                     start = i + done * period
                     break
                 size = min(most, steps - done)
-                columns = []
-                for at, gate in zip(places, first):
+                angles = np.empty((len(first), size))
+                for row, at, gate in zip(angles, places, first):
                     column = tuple(gates[at:at + size * period:period])
-                    if _leading(column, gate) < size:
-                        size = _leading(tuple(map(_KIND, column)), gate.kind)
-                        columns.append(column)
-                    else:
-                        columns.append(None)
-                angles = [[0.0] * size if gate.kind is GateKind.H
-                          else [gate.angle] * size if column is None
-                          else list(map(_ANGLE, column[:size]))
-                          for gate, column in zip(first, columns)]
+                    if _leading(column, gate) == size:
+                        row.fill(0.0 if gate.angle is None else gate.angle)
+                        continue
+                    size = _leading(tuple(map(_KIND, column)), gate.kind)
+                    row[:size] = (0.0 if gate.angle is None
+                                  else list(map(_ANGLE, column[:size])))
                 # No name here keeps a piece's blocks while the next are built.
                 yield from ((layers, j - i, period, last_run, last_map, blocks)
-                            for layers, blocks in _layer_blocks(qubits, kinds, angles,
-                                                                n_qubits))
+                            for layers, blocks in _layer_blocks(
+                                qubits, kinds, angles[:, :size], n_qubits))
                 done += size
             if start < count:
                 break
@@ -628,23 +666,42 @@ def _apply_basis(rows, n_qubits: int, part, op, frame, inside: bool) -> bool:
     return False
 
 
+def _permute(rows, n_qubits: int, part, op, frame) -> None:
+    """Apply the permuting basis run ``part`` by its map ``op`` to the
+    batch ``rows``, held in the S frame ``frame`` (None below
+    ``_REAL_QUBITS``): the rows leave it for the run and enter it again
+    after."""
+    _apply_basis(rows, n_qubits, part, op, frame, frame is not None)
+    if frame is not None:
+        _frame_multiply(rows, frame[0])
+
+
 def _apply_piece(views: _Views, n_qubits: int, piece, first: int, last: int,
                  frame, inside: bool) -> bool:
     """Apply the halves ``first`` to ``last`` of a piece of ``_runs`` to
     the batch of ``views``: half 2t is the basis run or lone gate of step
     t, half 2t + 1 its layer. ``inside`` tells whether the rows are in the
     S frame ``frame`` (see ``_apply_basis``); returns whether they are in
-    it after the halves. The rows enter the frame before a layer.
+    it after the halves.
 
-    Each block position's views of the rows and of the scratch buffer are
-    resolved once per call, and the halves then run in one loop. A layer's
-    blocks are applied by one fixed sequence of products, the rows and the
-    scratch buffer taking turns as input and output, so a layer gives the
-    same bits whatever runs before or after it and however many rows the
-    batch has. A complex block is applied by a complex product, a real one
-    by a real product on the real and imaginary parts. The blocks of
-    ``_layer_blocks`` expect a register of ``_REAL_QUBITS`` or more to be
-    in its S frame.
+    The operands of the layers' products are made once per call: each
+    block position's views of the rows and of the scratch buffer, paired
+    with its block in each step. The loop then takes one turn per step:
+    the step's basis run, by its phase when the run is diagonal, and the
+    products of its layer. Only a layer whose basis run is not among the
+    halves (the first, after an error's run) and a basis run whose layer
+    is not (the last, before an error's run) are applied outside the
+    loop. A lone layer has no basis run. The rows enter the frame before
+    the halves. A diagonal run is applied in it (see ``_apply_basis``); a
+    permuting one leaves it and enters it again after (``_permute``).
+
+    A layer's blocks are applied by one fixed sequence of products, the
+    rows and the scratch buffer taking turns as input and output, so a
+    layer gives the same bits whatever runs before or after it and however
+    many rows the batch has. A complex block is applied by a complex
+    product, a real one by a real product on the real and imaginary parts.
+    The blocks of ``_layer_blocks`` expect a register of ``_REAL_QUBITS``
+    or more to be in its S frame.
     """
     _, _, _, part, op, blocks = piece
     rows = views.rows
@@ -652,31 +709,41 @@ def _apply_piece(views: _Views, n_qubits: int, piece, first: int, last: int,
         if first == 0 < last:
             inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
         return inside
+    if part is None:
+        first |= 1
+    if first >= last:
+        return inside
+    if frame is not None and not inside:
+        _frame_multiply(rows, frame[0])
+        inside = True
+    if op is not None and op[0] is None:
+        basis, args = np.multiply, (op[1], rows, rows)
+    else:  # never called for a lone layer
+        basis, args = _permute, (rows, n_qubits, part, op, frame)
+    # Each position's products, as (left operand, right operand, output)
+    # in each step, and then each step's products.
     products = []
     for p, (key, stack) in enumerate(blocks):
-        pair = views[key]
-        products.append((stack, *(pair[::-1] if p % 2 else pair), key[0] != 0))
-    back = len(products) % 2
-    phase = op[1] if op is not None and op[0] is None else None
-    matmul = np.matmul
-    for half in range(first, last):
-        step = half >> 1
-        if not half & 1:
-            if phase is not None:
-                np.multiply(phase, rows, rows)
-            elif part is not None:
-                inside = _apply_basis(rows, n_qubits, part, op, frame, inside)
-            continue
-        if frame is not None and not inside:
-            _frame_multiply(rows, frame[0])
-            inside = True
-        for stack, src, dst, left in products:
-            if left:
-                matmul(stack[step], src, out=dst)
-            else:
-                matmul(src, stack[step], out=dst)
-        if back:
-            rows[...] = views.scratch
+        src, dst = views[key][::-1] if p % 2 else views[key]
+        mats = stack[first >> 1:(last + 1) >> 1]
+        products.append(zip(mats, repeat(src), repeat(dst)) if key[0]
+                        else zip(repeat(src), mats, repeat(dst)))
+    steps = zip(*products)
+    matmul, copyto, scratch = np.matmul, np.copyto, views.scratch
+    copy = len(blocks) % 2
+    if first & 1:
+        for a, b, out in next(steps):
+            matmul(a, b, out)
+        if copy:
+            copyto(rows, scratch)
+    for step in islice(steps, (last >> 1) - ((first + 1) >> 1)):
+        basis(*args)
+        for a, b, out in step:
+            matmul(a, b, out)
+        if copy:
+            copyto(rows, scratch)
+    if last & 1:
+        basis(*args)
     return inside
 
 
@@ -752,9 +819,10 @@ def apply_gates_inplace(
 
     On registers of ``_REAL_QUBITS`` or more the layers act in the
     register's S frame (see ``_layer_blocks``). The rows enter it before a
-    layer and stay in it across diagonal basis runs, which commute with it,
-    so a call of Trotter steps enters it once. They leave it before a
-    permuting basis run or a lone gate and at the end of the call, a failed
+    piece with layers and stay in it across diagonal basis runs, which
+    commute with it, so a call of Trotter steps enters it once. They leave
+    it for a permuting basis run (inside a piece, to enter it again after,
+    see ``_permute``) or a lone gate and at the end of the call, a failed
     check included. Where the frame is entered and left does not change a
     bit of the result (see ``_apply_basis``).
     """
@@ -818,9 +886,10 @@ def run(state: QuantumState, circuit: Circuit) -> QuantumState:
         raise ValueError(
             f"register mismatch: state {state.n_qubits}, circuit {circuit.n_qubits}"
         )
-    out = state.copy()
-    apply_gates_inplace(out.amplitudes.reshape(1, -1), out.n_qubits, circuit.gates)
-    return out
+    amps = _aligned_empty(state.amplitudes.shape)
+    amps[:] = state.amplitudes
+    apply_gates_inplace(amps.reshape(1, -1), state.n_qubits, circuit.gates)
+    return QuantumState(state.n_qubits, amps)
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:

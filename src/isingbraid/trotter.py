@@ -10,13 +10,20 @@ summands is the first-order step.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
+from operator import mul
 
 import numpy as np
 
 from .circuit import Circuit, CircuitError, Gate, GateKind
+
+# Most gates of the object table from which ``trotter_steps`` assembles a
+# run of steps: 16 KiB of references, and about as much again in the row
+# lists taken from it.
+_TABLE_GATES = 2048
 
 
 @dataclass(frozen=True)
@@ -132,38 +139,41 @@ def _step_layout(
     return tuple(zz), sites, tuple(coupler)
 
 
-def extend_trotter_steps(
-    gates: list[Gate],
-    cfg: ChainConfig,
-    holds,
-    dt: float,
-) -> None:
-    """Append first-order steps to ``gates``, each ZZ layer 1, ZZ layer 2,
+def trotter_steps(cfg: ChainConfig, holds, dt: float) -> "_Gates":
+    """The gates of first-order steps, each ZZ layer 1, ZZ layer 2,
     Zeeman, coupler term, for each entry of ``holds`` in order, as
-    ``walk_schedule`` walks a schedule: a hold (fields, repeats) appends
+    ``walk_schedule`` walks a schedule: a hold (fields, repeats) gives
     ``repeats`` steps at each row of ``fields``, a ``(k, n_sites)`` array of
     transverse fields that stands in for ``cfg.fields``; a ``Gate`` entry
-    (a coupler rotation) is appended as it is. ``cfg`` gives the layout and
-    the couplings.
+    (a coupler rotation) is given as it is. ``cfg`` gives the layout and
+    the couplings. Returns the gates as an iterable of known length, so
+    that ``tuple`` of it allocates the gate tuple once, at its size, and
+    no list of the gates is built beside it.
 
-    The Zeeman angles -2 h dt of every hold are computed as one array and
-    checked once, before any gate is appended, so the RX gates are built
-    without checking each again. A site whose angle has the same bits as
-    in the step before, within a hold or across holds and rotations, keeps
-    that step's RX gate. So each site's RX gates are built once per walk,
-    as a column with one row per row of fields: a new gate only where the
-    angle's bits change, each held over the rows after it until the next,
-    and only those angles turned into Python floats. A step's Zeeman gates
-    are the next row of the columns, taken by ``zip`` as the holds are
-    walked. Only the RX gates whose angle changes are new objects; the
-    field-free gates are the same objects in every step with equal chain
-    length, J, J_C and dt.
+    The whole walk is checked before the gates are returned: the Zeeman
+    angles -2 h dt of every hold are computed as one array and checked
+    once, so the RX gates are built without checking each again. A site
+    whose angle has the same bits as in the step before, within a hold or
+    across holds and rotations, keeps that step's RX gate. So the RX gates
+    are built once per walk, all at once (``Gate._trusted_many``): a new
+    gate only where a site's angle's bits change, held over the rows after
+    it until the next. Only the RX gates whose angle changes are new
+    objects; the field-free gates are the same objects in every step with
+    equal chain length, J, J_C and dt.
+
+    The steps are assembled from an object table of up to
+    ``_TABLE_GATES`` gates, one row per row of fields and one column per
+    gate of a step, a run of rows at a time and across holds, cut at each
+    rotation: the field-free gates are broadcast into their columns, and
+    each RX column takes the gate held at each row. A table's steps are
+    handed over as one list, or a list per row when the rows repeat, not
+    one step at a time.
     """
     zz, sites, coupler = _step_layout(cfg.chain_len, cfg.J, cfg.J_C, dt)
-    walk, rows = [], []
+    rows, count, steps, walk = [], 0, 0, []
     for entry in holds:
         if isinstance(entry, Gate):
-            walk.append(entry)
+            walk.append((count, entry))
             continue
         fields, repeats = entry
         fields = np.asarray(fields, dtype=float)
@@ -172,7 +182,9 @@ def extend_trotter_steps(
                 f"need {len(sites)} field values per step, got shape {fields.shape}"
             )
         rows.append(fields)
-        walk.append((len(fields), repeats))
+        walk.append((count, repeats))
+        count += len(fields)
+        steps += len(fields) * repeats
     angles = np.concatenate(rows) if rows else np.empty((0, len(sites)))
     del rows
     angles *= -2.0
@@ -184,29 +196,85 @@ def extend_trotter_steps(
     changed = np.empty(angles.shape, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=changed[1:])
     changed[:1] = True
-    rx, trusted = GateKind.RX, Gate._trusted
-    columns = []
-    for q, column, new in zip(sites, angles.T, changed.T):
-        at = np.flatnonzero(new)
-        made = [trusted(rx, q, a) for a in column[at].tolist()]
-        held = np.diff(at, append=len(column)).tolist()
-        columns.append(chain.from_iterable(map(repeat, made, held)))
-    zeeman = zip(*columns)
-    for entry in walk:
+    # The new RX gates site by site, each site's in row order.
+    by_site = changed.T
+    made = Gate._trusted_many(GateKind.RX,
+                              map(sites.__getitem__, np.nonzero(by_site)[0].tolist()),
+                              angles.T[by_site].tolist())
+    made = np.fromiter(made, dtype=object, count=len(made))
+    return _Gates(zz, coupler, changed, made, walk, steps)
+
+
+class _Gates:
+    """The gates of the ``steps`` Trotter steps and the rotations of a walk
+    (``trotter_steps``), in order: iterating assembles them
+    (``_assemble``), and ``len`` gives their number."""
+
+    def __init__(self, zz: tuple[Gate, ...], coupler: tuple[Gate, ...],
+                 changed: np.ndarray, made: np.ndarray, walk: list, steps: int):
+        self._parts = (zz, coupler, changed, made, walk)
+        period = len(zz) + changed.shape[1] + len(coupler)
+        self._size = steps * period + sum(isinstance(e, Gate) for _, e in walk)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Gate]:
+        return chain.from_iterable(_assemble(*self._parts))
+
+
+def _assemble(zz: tuple[Gate, ...], coupler: tuple[Gate, ...], changed: np.ndarray,
+              made: np.ndarray, walk: list):
+    """The steps of ``trotter_steps``: ``changed`` tells where each site's
+    angle changes from row to row and ``made`` holds the new RX gates site
+    by site, each site's in row order, so the gate a site holds at a row
+    is found by a running count of its changes. ``walk`` gives, in order,
+    each rotation gate and each hold's repeat count, each with the number
+    of rows before it.
+
+    A table ends at each rotation and where the repeat count changes, and
+    holds at most ``_TABLE_GATES`` gates. A table of rows taken once is
+    given as one list; one of repeated rows a list per row, the row that
+    many times over."""
+    count, sites = changed.shape
+    period = len(zz) + sites + len(coupler)
+    rx = slice(len(zz), len(zz) + sites)
+    step = np.empty(period, dtype=object)
+    step[:rx.start] = zz
+    step[rx.stop:] = coupler
+    size = max(1, _TABLE_GATES // period)  # rows of a table
+    # Holds that repeat their rows as often as the hold before them go on
+    # with its tables.
+    kept, repeats = [], None
+    for row, entry in walk:
         if isinstance(entry, Gate):
-            gates.append(entry)
-            continue
-        count, repeats = entry
-        for step in islice(zeeman, count):
-            for _ in range(repeats):
-                gates += zz
-                gates += step
-                gates += coupler
+            kept.append((row, entry))
+        elif entry != repeats:
+            kept.append((row, entry))
+            repeats = entry
+    # Each site's gate in ``made`` at the row before the table: one before
+    # its first, as every site's angle changes at row 0.
+    new = changed.sum(axis=0)
+    held = np.cumsum(new) - new - 1
+    for (first, entry), end in zip(kept, [row for row, _ in kept[1:]] + [count]):
+        if isinstance(entry, Gate):
+            yield (entry,)
+        else:
+            repeats = entry
+        for a in range(first, end, size):
+            ids = np.cumsum(changed[a:min(a + size, end)], axis=0, dtype=np.intp)
+            ids += held
+            held = ids[-1]
+            table = np.empty((len(ids), period), dtype=object)
+            table[:] = step
+            table[:, rx] = made[ids]
+            if repeats == 1:
+                yield table.ravel().tolist()
+            else:
+                yield from map(mul, table.tolist(), repeat(repeats))
 
 
 def trotter_step_circuit(cfg: ChainConfig, dt: float) -> Circuit:
     """One first-order step at ``cfg.fields``: ZZ layer 1, ZZ layer 2,
-    Zeeman, coupler term (see ``extend_trotter_steps``)."""
-    gates: list[Gate] = []
-    extend_trotter_steps(gates, cfg, [((cfg.fields,), 1)], dt)
-    return Circuit._trusted(cfg.n_qubits, tuple(gates))
+    Zeeman, coupler term (see ``trotter_steps``)."""
+    return Circuit._trusted(cfg.n_qubits, tuple(trotter_steps(cfg, [((cfg.fields,), 1)], dt)))

@@ -207,8 +207,8 @@ def test_exact_evolve_rejects_oversized_register(monkeypatch):
     # N_s = 20 would need about 1.3 GiB, more than the 1 GiB of the largest
     # state the engine holds; N_s = 18 needs about 300 MiB and is admitted.
     big = replace(OPT, N_s=20)
-    need = analysis._evolve_bytes(big.n_qubits, (), [])
-    assert need > 16 << MAX_QUBITS >= analysis._evolve_bytes(19, (), [])
+    need = analysis._evolve_bytes(big.n_qubits, (), [], 0)
+    assert need > 16 << MAX_QUBITS >= analysis._evolve_bytes(19, (), [], 0)
     with pytest.raises(ValueError, match=f"would need about {need} bytes"):
         exact_evolve(FieldSchedule(()), big, zero_state(big.n_qubits))
     with pytest.raises(ValueError, match="register mismatch"):
@@ -374,8 +374,8 @@ def test_exact_evolve_peaks_within_its_estimate(monkeypatch, n_s, mode, events,
     estimates = []
     estimate = analysis._evolve_bytes
 
-    def recorded(n_qubits, bessel, holds):
-        estimates.append(estimate(n_qubits, bessel, holds))
+    def recorded(*args):
+        estimates.append(estimate(*args))
         return estimates[-1]
 
     monkeypatch.setattr(analysis, "_evolve_bytes", recorded)
@@ -388,7 +388,8 @@ def test_exact_evolve_peaks_within_its_estimate(monkeypatch, n_s, mode, events,
         tracemalloc.stop()
     [need] = estimates
     assert peak <= need
-    # And not far above: the peak is 0.90-0.99 of it in these cases.
+    # And not far above: the peak is 0.886-0.963 of it in these cases,
+    # the long stepped hold the lowest.
     assert need <= 1.25 * peak
 
 

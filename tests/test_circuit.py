@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 import sys
@@ -74,6 +75,24 @@ def test_trusted_gate_is_the_checked_one(kind, qubits, angle):
     copy = pickle.loads(pickle.dumps(trusted))
     assert copy == checked and hash(copy) == hash(checked)
     assert pickle.dumps(trusted) == pickle.dumps(checked)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_trusted_gates_in_bulk_leave_the_collector_as_found(collecting):
+    qubits, angles = [(2,), (0,), (2,)], [0.3, -0.0, 0.3]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        gates = Gate._trusted_many(GateKind.RX, qubits, angles)
+        assert gc.isenabled() is collecting
+        with pytest.raises(ZeroDivisionError):
+            # The collector comes back on when the qubits fail to come.
+            Gate._trusted_many(GateKind.RX, ((1 // q,) for q in [0]), angles)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert gates == [Gate(GateKind.RX, q, a) for q, a in zip(qubits, angles)]
+    assert [g.angle.hex() for g in gates] == [a.hex() for a in angles]
 
 
 def test_circuit_rejects_out_of_range_gate():
@@ -351,6 +370,34 @@ def test_depth_walk_skips_the_repeated_steps_of_the_opt_braid(monkeypatch):
     assert (structure["depth_total"], structure["depth_evolution_only"]) == (54276, 54273)
     # 138,693 evolution gates; a gate-by-gate walk hands them all over.
     assert 0 < sum(walked) < 2000
+
+
+@pytest.mark.parametrize("scenario", ["translate_no_coupler", "translate_with_coupler",
+                                      "braid"])
+@pytest.mark.parametrize("init", ["ALL_UP", "L0"])
+def test_depth_walk_hands_each_gate_over_once(monkeypatch, scenario, init):
+    # The body is walked onto both frontiers at once. In translate_no_coupler
+    # (J_C = 0, no coupler preparation) no gate touches the coupler, and
+    # the chains' frontiers shift by different amounts, so frontiers
+    # walked apart would never meet: 216,008 gates were handed over there.
+    from isingbraid import circuit
+    from isingbraid.protocol import LogicalLabel, ProtocolParams, compile_scenario
+
+    run_ = compile_scenario(ProtocolParams(update_mode="linear"), scenario,
+                            LogicalLabel(init))
+    parts = (run_.init_circuit, run_.evolution_circuit, run_.readout_circuit)
+    handed = []
+    walk = circuit._walk
+
+    def counted(frontiers, gates, start, stop):
+        handed.append(stop - start)
+        return walk(frontiers, gates, start, stop)
+
+    monkeypatch.setattr(circuit, "_walk", counted)
+    structure = run_.structure()
+    assert sum(handed) == sum(map(len, parts))
+    assert structure["depth_total"] == _reference_depth(concat(parts))
+    assert structure["depth_evolution_only"] == _reference_depth(run_.evolution_circuit)
 
 
 def test_one_walk_rejects_mismatched_registers():

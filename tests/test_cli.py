@@ -1,6 +1,10 @@
 import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,20 @@ def test_derive_seed_stable_and_distinct():
     assert a != derive_seed(1, "0.25", "braid")
     assert a != derive_seed(1, "0.2", "translate_with_coupler")
     assert a != derive_seed(2, "0.2", "braid")
+
+
+def test_import_leaves_the_sweep_modules_out():
+    # Only a sweep needs the process pool and hashlib; concurrent.futures
+    # imports logging, so the module imports none of them. A fresh
+    # interpreter, since this one has imported them for other tests.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, isingbraid.cli; "
+            "print(*(m in sys.modules for m in ('concurrent.futures', 'hashlib')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_missing_config_file_is_exit_2(capsys):

@@ -42,10 +42,17 @@ def _runtime_imports(path):
     return found
 
 
-def test_no_import_inside_a_function():
+# The imports a function may make: the standard modules only a sweep needs,
+# which ``import isingbraid.cli`` (every ``run`` and every perfbench
+# worker) leaves out; concurrent.futures imports logging. No package
+# module is imported inside a function.
+ALLOWED = [("cli.py", "derive_seed"), ("cli.py", "cmd_sweep")]
+
+
+def test_no_import_inside_a_function_but_the_sweep_modules():
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _imports_in_functions(path)]
-    assert found == []
+    assert found == ALLOWED
 
 
 def test_runtime_import_graph_has_no_cycle():

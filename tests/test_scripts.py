@@ -1,6 +1,7 @@
 """Smoke tests of the scripts: each runs end to end on a small case, so that
 a change to the library cannot leave a script broken."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +23,12 @@ def run_script(name: str, *args: str) -> list[str]:
 
 
 def test_step_cost_runs_one_round_at_six_sites():
-    lines = run_script("step_cost.py", "--sizes", "6", "--rounds", "1",
-                       "--updates", "12")
+    env, *lines = run_script("step_cost.py", "--sizes", "6", "--rounds", "1",
+                             "--updates", "12")
+    # The environment first: cores, versions and BLAS threads.
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "1")
+    assert re.fullmatch(r"cores [1-9]\d*, Python 3\.\d+\.\d+\S*, numpy \d+\.\d+\S*, "
+                        rf"BLAS .+, OPENBLAS_NUM_THREADS={threads}", env), env
     rows = [line.split() for line in lines if line.strip()]
     # One row per size in the first two tables, one per update mode in the
     # third, each time as its median and its spread.

@@ -223,6 +223,34 @@ def test_run_then_inverse_restores_state():
     assert fidelity(back, s) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_executor_batches_start_on_a_cache_line(monkeypatch):
+    # The batch that run and run_trajectories evolve and the scratch buffer
+    # beside it start on a cache line, wherever malloc would place them.
+    from isingbraid.noise import NoiseModel, run_trajectories
+
+    n = 7
+    gates = tuple(Gate(GateKind.RX, (q,), 0.1 * q + 0.3) for q in range(n)) * 2
+    scratch = []
+    views = sv._Views.__init__
+
+    def recorded(self, rows):
+        views(self, rows)
+        scratch.append(self.scratch)
+
+    monkeypatch.setattr(sv._Views, "__init__", recorded)
+    state = random_state(n, 2)
+    for _ in range(4):
+        out = run(state, Circuit(n, gates))
+        rows = run_trajectories(Circuit(n, gates), state, NoiseModel(), 3,
+                                np.random.default_rng(1))
+        assert out.amplitudes.ctypes.data % sv._ALIGN == 0
+        assert rows.ctypes.data % sv._ALIGN == 0 and rows.shape == (3, 1 << n)
+        assert rows.flags.c_contiguous and rows.dtype == complex
+        assert np.array_equal(rows[0], out.amplitudes)
+    assert len(scratch) == 8
+    assert all(s.ctypes.data % sv._ALIGN == 0 for s in scratch)
+
+
 def test_fidelity_basics():
     plus = apply_gate(zero_state(1), Gate(GateKind.H, (0,)))
     one = apply_gate(zero_state(1), Gate(GateKind.X, (0,)))
@@ -944,6 +972,28 @@ def test_stretch_of_real_and_complex_layers_in_the_frame_changes_no_bit():
     _assert_stretches_change_no_bit(Circuit(n, gates))
 
 
+@pytest.mark.parametrize("eps", [0.0, 5e-2])
+def test_stretch_with_a_permuting_run_in_the_frame_changes_no_bit(eps):
+    # An X in each step's basis run makes it a permutation: in the S frame
+    # the rows leave the frame for it and enter it again before the layer,
+    # in every turn of the piece loop, and errors cut the pieces into
+    # halves.
+    n = sv._REAL_QUBITS
+    g = Gate
+    run_ = (g(GateKind.CNOT, (0, 5)), g(GateKind.X, (7,)), g(GateKind.RZ, (5,), 0.3),
+            g(GateKind.CNOT, (0, 5)))
+    gates = sum((run_ + tuple(g(GateKind.RX, (q,), 0.2 * k + 0.1 * q) for q in range(n))
+                 for k in range(12)), ())
+    assert [steps for *_, steps in ir._steps(gates, 0, len(gates))] == [12]
+    state = random_state(n, 3)
+    expected = state.amplitudes.copy()
+    for gate in gates:
+        apply_gate_inplace(expected, n, gate)
+    assert np.allclose(run(state, Circuit(n, gates)).amplitudes, expected,
+                       rtol=0, atol=1e-12)
+    _assert_stretches_change_no_bit(Circuit(n, gates), eps=eps)
+
+
 def test_piece_budget_cuts_a_stretch_without_changing_a_bit(monkeypatch):
     circuit = _braid(6, "linear", T=0.6)
     gates = circuit.gates
@@ -1077,6 +1127,62 @@ def _assert_rejected_before_any_row_changes(gates):
     with pytest.raises(ValueError, match="out of range"):
         apply_gates_inplace(rows, 2, gates)
     assert np.array_equal(rows, before)
+
+
+def _layer_blocks_by_layer(qubits, kinds, angles, n):
+    """Each layer's blocks from one ``_layer_blocks`` call over all the
+    layers of ``angles``, as (key, the block's bytes) per position."""
+    return [[(key, stack[t].tobytes()) for key, stack in blocks]
+            for count, blocks in sv._layer_blocks(qubits, kinds, angles, n)
+            for t in range(count)]
+
+
+_KINDS = {"X": GateKind.RX, "Y": GateKind.RY, "H": GateKind.H}
+
+
+@pytest.mark.parametrize("n, qubits, kinds", [
+    # The Zeeman layer of a step at N_s = 6: two blocks of three qubits.
+    (7, (0, 1, 2, 4, 5, 6), "XYHXXY"),
+    # Idle qubits inside blocks of widths 4, 3 and 1.
+    (10, (0, 2, 3, 4, 6, 9), "XHYXYX"),
+    # In the S frame, blocks of four and three qubits: the layer of a step
+    # at N_s = 14, RX blocks real in every layer, a real block of four
+    # beside qubit 0's complex one, and an RY block real in some layers.
+    (15, tuple(q for q in range(15) if q != 7), "XYHX" "XXX" "XXXX" "XYX"),
+    # In the frame with idle qubits, blocks of widths 4, 2, 4 and 1.
+    (13, (0, 1, 3, 4, 5, 8, 10, 11, 12), "HXY" "XX" "YXX" "X"),
+])
+def test_blocks_of_a_piece_equal_each_layer_built_alone(n, qubits, kinds):
+    kinds = tuple(_KINDS[k] for k in kinds)
+    count = 11
+    angles = np.random.default_rng(n).uniform(-4.0, 4.0, size=(len(qubits), count))
+    # RY(0) is real in the frame and RY(1) is not, so an RY block is real
+    # in some layers and complex in others, and the piece comes in parts.
+    # A gate that holds its angle, and one whose angle is -0.0.
+    angles[[k is GateKind.RY for k in kinds], ::3] = 0.0
+    angles[1] = angles[1, 0]
+    angles[-1] = -0.0
+    piece = _layer_blocks_by_layer(qubits, kinds, angles, n)
+    alone = [_layer_blocks_by_layer(qubits, kinds, angles[:, t:t + 1], n)[0]
+             for t in range(count)]
+    assert piece == alone
+    parts = sv._layer_blocks(qubits, kinds, angles, n)
+    assert (len(parts) > 1) == (n >= sv._REAL_QUBITS)
+
+
+def test_real_block_is_the_same_built_with_complex_blocks_of_its_width():
+    # In the frame, an RX block of four qubits above qubit 0 is real. Built
+    # alone its products are real; beside qubit 0's complex block of the
+    # same width they are complex, and the block keeps their real parts.
+    n, rng = 15, np.random.default_rng(5)
+    angles = rng.uniform(-4.0, 4.0, size=(8, 6))
+    rx = (GateKind.RX,) * 4
+    [(_, [(key, alone)])] = sv._layer_blocks((8, 9, 10, 11), rx, angles[4:], n)
+    [(_, [(low, _), (beside, block)])] = sv._layer_blocks(
+        (0, 1, 2, 3, 8, 9, 10, 11), rx + rx, angles, n)
+    assert key == beside == (8, 16, True) and low == (0, 16, False)
+    assert alone.dtype == block.dtype == np.float64
+    assert alone.tobytes() == block.tobytes()
 
 
 def test_out_of_range_gate_in_basis_run_raises():

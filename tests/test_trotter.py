@@ -16,14 +16,15 @@ from isingbraid.analysis import (
     operator_norm,
     pauli_string,
 )
+from isingbraid import trotter
 from isingbraid.circuit import Circuit, CircuitError, Gate, GateKind, depth
 from isingbraid.trotter import (
     ChainConfig,
     _step_layout,
-    extend_trotter_steps,
     first_layer_pairs,
     second_layer_pairs,
     trotter_step_circuit,
+    trotter_steps,
     zz_terms,
 )
 
@@ -168,8 +169,7 @@ def test_step_equals_concat_of_its_summands(J_C):
 def test_extended_steps_repeat_the_step_circuit():
     rows = ((0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.5, 1.0, 1.5, 2.0, 2.5, 3.5))
     head = Gate(GateKind.H, (0,))
-    gates = [head]
-    extend_trotter_steps(gates, CFG6, [(np.array(rows), 3)], DT)
+    gates = [head, *trotter_steps(CFG6, [(np.array(rows), 3)], DT)]
     steps = [trotter_step_circuit(replace(CFG6, fields=f), DT).gates for f in rows]
     assert gates == [head, *steps[0] * 3, *steps[1] * 3]
     rx = [g for g in steps[1] if g.kind is GateKind.RX]
@@ -186,11 +186,11 @@ def test_steps_share_an_rx_gate_exactly_when_its_angle_bits_repeat():
         (0.5, 1.1, -0.0, 2.0, 2.6, 3.0),
         (0.5, 1.1, 0.0, 2.0, 2.6, 3.0),
     ])
-    gates = []
     # Two holds, a coupler rotation between them: the second hold goes on
     # from the RX gates of the step before it.
     rotation = Gate(GateKind.RY, (CFG6.coupler_qubit,), 0.5)
-    extend_trotter_steps(gates, CFG6, [(rows[:2], 1), rotation, (rows[2:], 1)], DT)
+    walk = [(rows[:2], 1), rotation, (rows[2:], 1)]
+    gates = list(trotter_steps(CFG6, walk, DT))
     assert gates.count(rotation) == 1
     rx = [g for g in gates if g.kind is GateKind.RX]
     steps = [rx[k:k + 6] for k in range(0, len(rx), 6)]
@@ -246,12 +246,16 @@ _ROTATION = st.floats(-3.0, 3.0).map(
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.one_of(_HOLD, _ROTATION), max_size=6))
-def test_column_built_steps_equal_the_row_rule_gate_for_gate(entries):
-    # Stepped holds (one row, repeated) and linear ones (a row per step).
+@given(st.lists(st.one_of(_HOLD, _ROTATION), max_size=6),
+       st.sampled_from([1, 2, 3, trotter._TABLE_GATES]))
+def test_column_built_steps_equal_the_row_rule_gate_for_gate(entries, table_rows):
+    # Stepped holds (one row, repeated) and linear ones (a row per step),
+    # assembled from tables of 1, 2 or 3 rows, which cut holds apart, or
+    # of the default size.
     walk = [(np.array(e[0]), e[1]) if isinstance(e, tuple) else e for e in entries]
-    gates = []
-    extend_trotter_steps(gates, CFG6, walk, DT)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trotter, "_TABLE_GATES", table_rows * 23)
+        gates = list(trotter_steps(CFG6, walk, DT))
     expected = _row_rule(CFG6, walk, DT)
     assert gates == expected
     assert ([None if g.angle is None else g.angle.hex() for g in gates]
@@ -266,18 +270,16 @@ def test_step_rejects_non_finite_fields(bad):
         trotter_step_circuit(cfg, DT)
 
 
-def test_extend_steps_rejects_wrong_field_count():
-    gates = []
+def test_steps_reject_wrong_field_count():
     with pytest.raises(CircuitError, match="need 6 field values"):
-        extend_trotter_steps(gates, CFG6, [([(1.0,)], 1)], DT)
+        trotter_steps(CFG6, [([(1.0,)], 1)], DT)
     # One step's fields are a row of a 2-D array, not a 1-D one.
     with pytest.raises(CircuitError, match=r"got shape \(6,\)"):
-        extend_trotter_steps(gates, CFG6, [(CFG6.fields, 1)], DT)
-    # A walk is checked whole before any of its gates is appended.
+        trotter_steps(CFG6, [(CFG6.fields, 1)], DT)
+    # A walk is checked whole by the call, before any step is given.
     walk = [([CFG6.fields], 2), Gate(GateKind.RY, (3,), 0.5), ([(1.0,)], 1)]
     with pytest.raises(CircuitError, match="need 6 field values"):
-        extend_trotter_steps(gates, CFG6, walk, DT)
-    assert gates == []
+        trotter_steps(CFG6, walk, DT)
 
 
 def test_step_zz_angles_follow_dt():
