@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 
 from . import analysis
 from .analysis import MAX_DENSE_QUBITS
@@ -291,7 +292,10 @@ def cmd_export(cfg: dict[str, str], out_path: str | None, seed: int | None) -> i
 # Entry point
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="isingbraid",
         description="Ising-chain exchange protocol simulator",

@@ -400,13 +400,10 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind],
     """The dense blocks of k layers on the sorted ``qubits``, each gate of
     a layer with its kind of ``kinds``, and with its angle in each layer
     from the ``(len(qubits), k)`` array ``angles``: the layers of a piece
-    of a stretch of repeated steps, or one layer. The result lists the k
-    layers in parts of consecutive layers, each (count, blocks): ``blocks``
-    holds one (key, stack) per block position, as the piece loop
-    (``_apply_piece``) takes them, ``stack[t]`` the block of the part's
-    layer t; a key is (lowest qubit, dimension, real). A part is all k
-    layers unless a block position is real in some of them and complex in
-    others; it then ends where any position changes.
+    of a stretch of repeated steps, or one layer. The result holds one
+    (key, stack) per block position, as the piece loop (``_apply_piece``)
+    takes them, ``stack[t]`` the block of layer t; a key is (lowest qubit,
+    dimension, real).
 
     The 2x2 matrices are built by one ``_layer_matrices`` call, and the
     Kronecker products of all block positions of one width by one pass of
@@ -424,17 +421,18 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind],
     frame S = diag(1, i) on every qubit from ``_BLOCK_QUBITS`` up (see
     ``_frame``). Each factor M on such a qubit is taken into the frame as
     S M conj(S), its off-diagonals times -i and i, which is exact; RX(t)
-    becomes the real RY(t). A block above qubit 0 is real when all of its
-    factors are, decided layer by layer, and is then applied in real
-    arithmetic. The products of a width are formed in real arithmetic when
-    every block of that width is real in every layer; otherwise in complex
-    arithmetic, and a real block keeps the real parts, which are the real
-    products: each imaginary part is a zero times a factor, and the zeros'
-    signs are made +0.0 as above. The block at qubit 0 lies below the
-    frame and stays complex: it is one product whose row count grows with
-    the batch, and a real product of that shape rounds differently for
-    different row counts, which would make a row's bits depend on its
-    batch.
+    becomes the real RY(t). So a block is real, and is applied in real
+    arithmetic, when its lowest qubit is ``_BLOCK_QUBITS`` or more and
+    every gate in it is an RX (an idle qubit's identity is real); this is
+    decided from the kinds, whatever the angles, and so holds for every
+    layer of a piece. Every other block is complex. The products of a width are formed in real arithmetic when
+    every block of that width is real; otherwise in complex arithmetic,
+    and a real block keeps the real parts, which are the real products:
+    each imaginary part is a zero times a factor, and the zeros' signs are
+    made +0.0 as above. The block at qubit 0 lies below the frame and stays
+    complex: it is one product whose row count grows with the batch, and a
+    real product of that shape rounds differently for different row
+    counts, which would make a row's bits depend on its batch.
     """
     framed = n_qubits >= _REAL_QUBITS
     (los, groups), _ = _block_plan(qubits, n_qubits)
@@ -444,16 +442,15 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind],
         inside = [q >= _BLOCK_QUBITS for q in qubits] + [False]
         mats[inside, 0, 1] *= -1j
         mats[inside, 1, 0] *= 1j
+    # Whether each factor is an RX or the identity of an idle qubit.
+    rx = np.array([kind is GateKind.RX for kind in kinds] + [True])
     positions = [None] * len(los)
     for width, places, index in groups:
         factors = mats[index]
-        real = None
-        if framed:
-            # Whether each block is real in each layer; qubit 0's is not.
-            real = ~factors.imag.any(axis=(1, 2, 3))
-            real[[not los[b] for b in places]] = False
-            if real.all():
-                factors = factors.real
+        real = [framed and los[b] >= _BLOCK_QUBITS and bool(rx[row].all())
+                for b, row in zip(places, index)]
+        if all(real):
+            factors = factors.real
         blocks = factors[:, width - 1]
         for w in range(width - 2, -1, -1):
             dim = 2 * blocks.shape[1]
@@ -462,26 +459,11 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind],
         if width > 1:
             blocks += 0.0
         for p, b in enumerate(places):
-            stack, mixed = blocks[p], None
-            if real is not None and los[b]:
-                if real[p].all():
-                    stack = stack.real
-                elif real[p].any():
-                    mixed = real[p]
-            key = (los[b], 1 << width, stack.dtype != complex)
-            stack = np.ascontiguousarray(stack.transpose(2, 0, 1))
-            positions[b] = (key, stack if los[b] else stack.transpose(0, 2, 1), mixed)
-    changes = [real[1:] != real[:-1] for _, _, real in positions if real is not None]
-    if not changes:
-        return [(count, tuple((key, stack) for key, stack, _ in positions))]
-    bounds = [0, *(np.flatnonzero(np.any(changes, axis=0)) + 1).tolist(), count]
-    parts = []
-    for a, b in zip(bounds, bounds[1:]):
-        parts.append((b - a, tuple(
-            ((key[0], key[1], True), stack[a:b].real.copy())
-            if real is not None and real[a] else (key, stack[a:b])
-            for key, stack, real in positions)))
-    return parts
+            stack = np.ascontiguousarray(
+                (blocks[p].real if real[p] else blocks[p]).transpose(2, 0, 1))
+            positions[b] = ((los[b], 1 << width, real[p]),
+                            stack if los[b] else stack.transpose(0, 2, 1))
+    return positions
 
 
 class _Views(dict):
@@ -600,9 +582,9 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
             if not steps and gates[i].kind in _MIXING_KINDS:
                 layer = sorted(gates[i:j], key=_QUBITS)
                 angles = np.array([[0.0 if g.angle is None else g.angle] for g in layer])
-                [(_, blocks)] = _layer_blocks(tuple(g.qubits[0] for g in layer),
-                                              tuple(map(_KIND, layer)), angles, n_qubits)
-                yield 1, 0, j - i, None, None, blocks
+                yield 1, 0, j - i, None, None, _layer_blocks(
+                    tuple(g.qubits[0] for g in layer), tuple(map(_KIND, layer)),
+                    angles, n_qubits)
                 continue
             run = tuple(gates[i:j])
             if run != last_run:
@@ -633,9 +615,8 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
                     row[:size] = (0.0 if gate.angle is None
                                   else list(map(_ANGLE, column[:size])))
                 # No name here keeps a piece's blocks while the next are built.
-                yield from ((layers, j - i, period, last_run, last_map, blocks)
-                            for layers, blocks in _layer_blocks(
-                                qubits, kinds, angles[:, :size], n_qubits))
+                yield size, j - i, period, last_run, last_map, _layer_blocks(
+                    qubits, kinds, angles[:, :size], n_qubits)
                 done += size
             if start < count:
                 break

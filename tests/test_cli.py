@@ -14,6 +14,7 @@ from isingbraid.cli import (
     ConfigError,
     derive_seed,
     main,
+    make_parser,
     parse_config,
     parse_number,
 )
@@ -81,6 +82,10 @@ def test_import_leaves_the_sweep_modules_out():
                           timeout=60, env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False"]
+
+
+def test_parser_is_built_once_per_process():
+    assert make_parser() is make_parser()
 
 
 def test_missing_config_file_is_exit_2(capsys):

@@ -630,11 +630,11 @@ def _built_layers(gates, n):
     build = sv._layer_blocks
 
     def spy(qubits, kinds, angles, n_qubits):
-        parts = build(qubits, kinds, angles, n_qubits)
+        blocks = build(qubits, kinds, angles, n_qubits)
         layers = [[(key, stack[t]) for key, stack in blocks]
-                  for count, blocks in parts for t in range(count)]
+                  for t in range(angles.shape[1])]
         built.append((qubits, kinds, angles, layers))
-        return parts
+        return blocks
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sv, "_layer_blocks", spy)
@@ -950,8 +950,8 @@ def test_stretch_ends_at_a_step_whose_run_or_layer_differs(change):
 
 
 def test_stretch_of_real_and_complex_layers_in_the_frame_changes_no_bit():
-    # RY layers in the S frame: a block above qubit 0 is complex, unless
-    # every angle is zero, so every other step of the stretch is real.
+    # RY layers in the S frame, every other one at angle zero: an RY block
+    # is complex whatever its angles, so every step of the stretch is.
     n = sv._REAL_QUBITS
     g = Gate
     ladder = (g(GateKind.CNOT, (0, 1)), g(GateKind.RZ, (1,), 0.3),
@@ -962,7 +962,7 @@ def test_stretch_of_real_and_complex_layers_in_the_frame_changes_no_bit():
     assert len(angles[0]) == 6
     real = [[block.dtype == np.float64 for (lo, _, _), block in step if lo]
             for step in steps]
-    assert real == [[False, False], [True, True]] * 3
+    assert real == [[False, False]] * 6
     state = random_state(n, 3)
     expected = state.amplitudes.copy()
     for gate in gates:
@@ -1132,9 +1132,9 @@ def _assert_rejected_before_any_row_changes(gates):
 def _layer_blocks_by_layer(qubits, kinds, angles, n):
     """Each layer's blocks from one ``_layer_blocks`` call over all the
     layers of ``angles``, as (key, the block's bytes) per position."""
+    blocks = sv._layer_blocks(qubits, kinds, angles, n)
     return [[(key, stack[t].tobytes()) for key, stack in blocks]
-            for count, blocks in sv._layer_blocks(qubits, kinds, angles, n)
-            for t in range(count)]
+            for t in range(angles.shape[1])]
 
 
 _KINDS = {"X": GateKind.RX, "Y": GateKind.RY, "H": GateKind.H}
@@ -1147,7 +1147,7 @@ _KINDS = {"X": GateKind.RX, "Y": GateKind.RY, "H": GateKind.H}
     (10, (0, 2, 3, 4, 6, 9), "XHYXYX"),
     # In the S frame, blocks of four and three qubits: the layer of a step
     # at N_s = 14, RX blocks real in every layer, a real block of four
-    # beside qubit 0's complex one, and an RY block real in some layers.
+    # beside qubit 0's complex one, and an RY block, complex at every angle.
     (15, tuple(q for q in range(15) if q != 7), "XYHX" "XXX" "XXXX" "XYX"),
     # In the frame with idle qubits, blocks of widths 4, 2, 4 and 1.
     (13, (0, 1, 3, 4, 5, 8, 10, 11, 12), "HXY" "XX" "YXX" "X"),
@@ -1156,9 +1156,9 @@ def test_blocks_of_a_piece_equal_each_layer_built_alone(n, qubits, kinds):
     kinds = tuple(_KINDS[k] for k in kinds)
     count = 11
     angles = np.random.default_rng(n).uniform(-4.0, 4.0, size=(len(qubits), count))
-    # RY(0) is real in the frame and RY(1) is not, so an RY block is real
-    # in some layers and complex in others, and the piece comes in parts.
-    # A gate that holds its angle, and one whose angle is -0.0.
+    # RY(0) columns, whose factors are real in the frame, in an RY block,
+    # which is complex at every angle. A gate that holds its angle, and one
+    # whose angle is -0.0.
     angles[[k is GateKind.RY for k in kinds], ::3] = 0.0
     angles[1] = angles[1, 0]
     angles[-1] = -0.0
@@ -1166,8 +1166,6 @@ def test_blocks_of_a_piece_equal_each_layer_built_alone(n, qubits, kinds):
     alone = [_layer_blocks_by_layer(qubits, kinds, angles[:, t:t + 1], n)[0]
              for t in range(count)]
     assert piece == alone
-    parts = sv._layer_blocks(qubits, kinds, angles, n)
-    assert (len(parts) > 1) == (n >= sv._REAL_QUBITS)
 
 
 def test_real_block_is_the_same_built_with_complex_blocks_of_its_width():
@@ -1177,12 +1175,41 @@ def test_real_block_is_the_same_built_with_complex_blocks_of_its_width():
     n, rng = 15, np.random.default_rng(5)
     angles = rng.uniform(-4.0, 4.0, size=(8, 6))
     rx = (GateKind.RX,) * 4
-    [(_, [(key, alone)])] = sv._layer_blocks((8, 9, 10, 11), rx, angles[4:], n)
-    [(_, [(low, _), (beside, block)])] = sv._layer_blocks(
+    [(key, alone)] = sv._layer_blocks((8, 9, 10, 11), rx, angles[4:], n)
+    [(low, _), (beside, block)] = sv._layer_blocks(
         (0, 1, 2, 3, 8, 9, 10, 11), rx + rx, angles, n)
     assert key == beside == (8, 16, True) and low == (0, 16, False)
     assert alone.dtype == block.dtype == np.float64
     assert alone.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("qubits, kinds, real", [
+    # Qubit 0's block, an all-RX block at _BLOCK_QUBITS and a block with
+    # an RY, on few enough qubits to be checked below the threshold too.
+    (tuple(range(11)), "XXXX" "XXXX" "YXX", [False, True, False]),
+    # An all-RX block whose lowest qubit is 1, an all-RX block with an idle
+    # qubit, and a block with an H.
+    ((1, 2, 3, 4, 5, 7, 9, 10, 11), "XXXX" "XX" "HXX", [False, True, False]),
+    # An all-RX block whose lowest qubit is 3, an RY block and an H block.
+    ((3, 4, 5, 6, 7, 8, 11), "XXXX" "YY" "H", [False, False, False]),
+])
+def test_a_block_is_real_by_its_gates_not_its_angles(qubits, kinds, real):
+    # In the S frame a block is real when its lowest qubit is
+    # _BLOCK_QUBITS or more and each of its gates is an RX; below the
+    # frame's threshold every block is complex. RY(0) and RY(-0.0) are
+    # real in the frame, and their blocks are complex all the same.
+    kinds = tuple(_KINDS[k] for k in kinds)
+    rng = np.random.default_rng(3)
+    draws = (rng.uniform(-4.0, 4.0, size=(len(qubits), 3)),
+             np.zeros((len(qubits), 2)), np.full((len(qubits), 1), -0.0))
+    for n in (sv._REAL_QUBITS, sv._REAL_QUBITS + 2, sv._REAL_QUBITS - 1):
+        if qubits[-1] >= n:
+            continue
+        # One set of keys, whatever the angles.
+        [keys] = {tuple(key for key, _ in sv._layer_blocks(qubits, kinds, angles, n))
+                  for angles in draws}
+        expected = real if n >= sv._REAL_QUBITS else [False] * len(real)
+        assert [r for _, _, r in keys] == expected, n
 
 
 def test_out_of_range_gate_in_basis_run_raises():
