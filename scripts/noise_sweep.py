@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the per-gate Pauli error rate and record mean trajectory fidelity.
 
-Writes a small CSV: eps,mean_fidelity,stderr,trajectories. Each point's
+Runs the EFF braid at ``--n-sites`` chain sites (6 by default) and writes a
+small CSV: eps,mean_fidelity,stderr,trajectories. Each point's
 wall-clock seconds go to stdout only, so the CSV stays deterministic for a
 seed.
 """
@@ -20,11 +21,16 @@ def main():
     ap.add_argument("--trajectories", type=int, default=200)
     ap.add_argument("--out", default="fidelity_vs_eps.csv")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--n-sites", type=int, default=6,
+                    help="chain sites N_s, an even count >= 6")
     args = ap.parse_args()
 
     # efficient (shallow-circuit) parameter row keeps this tractable
-    params = ProtocolParams(dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2,
-                            update_mode="linear")
+    try:
+        params = ProtocolParams(N_s=args.n_sites, dt=0.7, h_para=1.5, dh=0.1,
+                                Gamma=math.pi / 2, update_mode="linear")
+    except ValueError as e:
+        ap.error(f"--n-sites {args.n_sites}: {e}")
     rows = []
     for tok in args.eps.split(","):
         eps = float(tok)

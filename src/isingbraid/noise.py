@@ -18,6 +18,14 @@ equals the one-row batch of its errors, and a single trajectory
 (``run_noisy``) is that one-row batch. The errors are drawn as the
 executor reaches them, one chunk of error slots at a time, and a draw
 costs about as much as the errors it yields.
+
+Every row of a batch starts as ``initial``, so the executor runs one
+shared row for all the trajectories no error has hit yet: a trajectory
+forks from it, into a row of its own, after the run of its first error
+(see ``statevector._Slots``). At the end the rows go back into their
+order, and every trajectory never hit gets the shared row. At the paper's
+rates, about 1e-6 per gate, a batch of 200 trajectories of the EFF braid
+runs three rows on average at N_s = 6 and six at N_s = 10.
 """
 from __future__ import annotations
 

@@ -469,15 +469,22 @@ def _layer_blocks(qubits: tuple[int, ...], kinds: Sequence[GateKind],
 class _Views(dict):
     """The views of a C-contiguous batch ``rows`` and of a scratch buffer
     of its shape that the blocks of each key of ``_layer_blocks``
-    multiply, made on first use and kept for one executor call: ``(-1,
-    dim)`` at qubit 0, ``(-1, dim, 2**lo)`` for a complex block above it,
-    and for a real block the real and imaginary parts of the batch as
-    twice as many real columns, ``(-1, dim, 2 << lo)``."""
+    multiply, made on first use and kept while the executor runs the same
+    leading rows of the batch (``resize``): ``(-1, dim)`` at qubit 0,
+    ``(-1, dim, 2**lo)`` for a complex block above it, and for a real
+    block the real and imaginary parts of the batch as twice as many real
+    columns, ``(-1, dim, 2 << lo)``."""
 
     def __init__(self, rows: np.ndarray) -> None:
         super().__init__()
-        self.rows = rows
-        self.scratch = _aligned_empty(rows.shape)
+        self.batch = self.rows = rows
+        self.buffer = self.scratch = _aligned_empty(rows.shape)
+
+    def resize(self, count: int) -> None:
+        """Run the first ``count`` rows of the batch and of the buffer."""
+        if count != len(self.rows):
+            self.clear()
+            self.rows, self.scratch = self.batch[:count], self.buffer[:count]
 
     def __missing__(self, key):
         lo, dim, real = key
@@ -760,6 +767,64 @@ def _apply_errors(rows, n_qubits: int, gates: Sequence[Gate], end: int, hits,
             rows[hit] = sub
 
 
+class _Slots:
+    """Which slot of a batch holds each of its rows, so that the executor
+    runs only the rows that differ: the leading ``active`` slots.
+
+    Rows that start byte-equal to row 0 share it: slot 0, the shared row,
+    stands for all of them, and the other rows are packed into the slots
+    after it. When an error first hits a sharing row (``place``, after the
+    error's run), the shared row, which takes no error, is copied into the
+    next free slot, and the row takes its errors there; the last sharing
+    row to be hit takes the shared slot itself, so the slots never
+    outnumber the rows. ``finish`` puts the rows back in their order and
+    gives every row never hit the shared row. A batch of one row, or with
+    no other row equal to row 0, keeps each row in its own slot.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.active = len(rows)
+        self.slot_of = None  # each row in its own slot
+        if len(rows) < 2:
+            return
+        words = rows.view(np.uint64)
+        others = ((words[1:] != words[0]).any(axis=1)).nonzero()[0] + 1
+        self.clean = len(rows) - len(others)
+        if self.clean < 2:
+            return
+        self.slot_of = np.full(len(rows), -1)
+        for slot, r in enumerate(others.tolist(), 1):
+            if slot < r:
+                rows[slot] = rows[r]
+        self.slot_of[others] = np.arange(1, len(others) + 1)
+        self.active = len(others) + 1
+
+    def place(self, hits: list) -> list:
+        """The ``hits`` of a run, (gate index, error gate, rows it hits),
+        with each row given by its slot; the sharing rows among them fork
+        from the shared row, which holds the run."""
+        slot_of = self.slot_of
+        if slot_of is None:
+            return hits
+        rows, placed = self.rows, []
+        for index, error, hit in hits:
+            slots = slot_of[hit]
+            for k in (slots < 0).nonzero()[0].tolist() if self.clean else ():
+                self.clean -= 1
+                slot = slots[k] = slot_of[hit[k]] = self.active if self.clean else 0
+                if slot:
+                    rows[slot] = rows[0]
+                    self.active += 1
+            placed.append((index, error, slots))
+        return placed
+
+    def finish(self) -> None:
+        """Put the rows back in their order: one copy of the batch."""
+        if self.slot_of is not None:
+            self.rows[:] = self.rows[np.maximum(self.slot_of, 0)]
+
+
 def apply_gates_inplace(
     rows: np.ndarray,
     n_qubits: int,
@@ -783,9 +848,9 @@ def apply_gates_inplace(
     (``_apply_piece``), through views of the rows and of one scratch buffer
     made once per call (``_Views``); a lone layer, basis run or gate is a
     piece of one step. A run and its errors are checked in full before any
-    row changes: an error on a qubit its gate does not act on raises
-    ValueError then, and one past the last gate or out of gate order when
-    the runs reach it.
+    row changes: an error on a qubit its gate does not act on, or whose
+    rows are not distinct rows of the batch, raises ValueError then, and
+    one past the last gate or out of gate order when the runs reach it.
 
     Errors do not change the runs: every run is applied whole to every row,
     and then each error of the run to the rows it hits, conjugated through
@@ -798,6 +863,19 @@ def apply_gates_inplace(
     Every row's bits are those of a one-row batch with its own errors,
     whatever the other rows draw.
 
+    So rows that start byte-equal to row 0 stay equal until their first
+    error, and they share one row (``_Slots``): the executor runs a packed
+    prefix of the batch, the shared row first, then the rows that started
+    different and the rows an error has hit. When an error first hits a
+    sharing row, the shared row, which holds the run and takes no error,
+    is copied into the next free slot after that error's run, and the row
+    takes its errors there; the last sharing row to be hit takes the
+    shared slot itself. At the end, a failed check included, the rows go
+    back into their order and every row never hit gets the shared row, by
+    one copy of the batch made after the scratch buffer is freed. A batch
+    of trajectories thus runs one row until its first error, and the rows
+    hit since. A one-row batch makes no compare.
+
     On registers of ``_REAL_QUBITS`` or more the layers act in the
     register's S frame (see ``_layer_blocks``). The rows enter it before a
     piece with layers and stay in it across diagonal basis runs, which
@@ -807,7 +885,9 @@ def apply_gates_inplace(
     check included. Where the frame is entered and left does not change a
     bit of the result (see ``_apply_basis``).
     """
+    slots = _Slots(rows)
     views = _Views(rows)
+    views.resize(slots.active)
     frame = _frame(n_qubits - _BLOCK_QUBITS) if n_qubits >= _REAL_QUBITS else None
     inside = False
     errors = iter(errors)
@@ -833,11 +913,19 @@ def apply_gates_inplace(
                     if qubits[0] not in gates[index].qubits:
                         raise ValueError(f"error on qubit {qubits[0]} after gate "
                                          f"{index}, which acts on {gates[index].qubits}")
+                    hit = np.asarray(error[2])
+                    listed = hit.tolist()
+                    if len(set(listed)) < len(listed) or listed and not (
+                            0 <= min(listed) <= max(listed) < len(rows)):
+                        raise ValueError(f"error after gate {index} hits rows {listed}: "
+                                         f"each of the {len(rows)} rows at most once")
                     taken = index
-                    hits.append(error)
+                    hits.append((index, error[1], hit))
                     error = next(errors, None)
                 inside = _apply_piece(views, n_qubits, piece, half, stop, frame, inside)
-                _apply_errors(rows, n_qubits, gates, run_end, hits, frame, inside)
+                hits = slots.place(hits)
+                views.resize(slots.active)
+                _apply_errors(views.rows, n_qubits, gates, run_end, hits, frame, inside)
                 half = stop
             inside = _apply_piece(views, n_qubits, piece, half, 2 * steps, frame, inside)
             at = end
@@ -847,7 +935,10 @@ def apply_gates_inplace(
                 f"error after gate {error[0]}, past the last of {len(gates)} gates")
     finally:
         if inside:
-            _frame_multiply(rows, frame[1])
+            _frame_multiply(views.rows, frame[1])
+        # The scratch buffer is freed before the rows go back in order.
+        del views
+        slots.finish()
 
 
 def batch_rows_within(nbytes: int, n_qubits: int) -> int:
@@ -856,8 +947,10 @@ def batch_rows_within(nbytes: int, n_qubits: int) -> int:
     of the rows an error hits (every row, at worst) and the permuted copy
     of them that the error's map takes, or the per-gate kernel's
     temporaries of the same size. A basis run's own permuted copy is freed
-    before its errors are taken. Beside them, a piece's block matrices
-    (``_BLOCK_BYTES``) and the error maps (``_PIECE_BYTES``)."""
+    before its errors are taken, and the scratch buffer before the copy that
+    puts shared rows back in order (``_Slots.finish``). Beside them, a
+    piece's block matrices (``_BLOCK_BYTES``) and the error maps
+    (``_PIECE_BYTES``)."""
     return max(1, (nbytes - _BLOCK_BYTES - _PIECE_BYTES) // (4 * (16 << n_qubits)))
 
 

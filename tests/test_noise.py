@@ -334,6 +334,67 @@ def test_trajectories_equal_the_stretch_by_stretch_reference(n_sites, rows):
     np.testing.assert_allclose(one.amplitudes, ref[0], rtol=0, atol=1e-12)
 
 
+# Rows that start equal share one row until their first error, and each
+# row still has the bits of its own errors run alone: at N_s = 6 with some
+# trajectories never hit; at N_s = 12, in the S frame, with row 0 hit
+# first and the last row that shares taking the shared row; and at a rate
+# where every row is hit within the first run or two.
+@pytest.mark.parametrize("n_sites, rows, eps, seed", [
+    (6, 20, 1e-4, 1), (12, 3, 3e-5, 1), (6, 20, 5e-2, 0)])
+def test_shared_rows_equal_their_own_errors_run(n_sites, rows, eps, seed):
+    circuit = _eff_braid(n_sites)
+    initial = zero_state(circuit.n_qubits)
+    model = NoiseModel(eps_bitflip=eps, eps_phase=eps)
+    batch = run_trajectories(circuit, initial, model, rows, np.random.default_rng(seed))
+    errors = list(draw_errors(circuit, model, rows, np.random.default_rng(seed)))
+    hit = {r for _, _, h in errors for r in h}
+    if eps == 1e-4:
+        assert 0 < len(hit) < rows
+    else:
+        assert len(hit) == rows
+    if n_sites == 12:
+        assert errors[0][2].tolist() == [0]
+    for r in range(rows):
+        own = _own_errors_run(circuit, initial, errors, r)
+        assert batch[r].tobytes() == own.tobytes(), r
+
+
+def test_the_executor_runs_the_shared_row_and_the_rows_hit(monkeypatch):
+    import isingbraid.noise as noise
+
+    circuit = _eff_braid(6)
+    initial = zero_state(circuit.n_qubits)
+    one = run(initial, circuit).amplitudes
+    # The rows of each piece the executor runs, with the trajectories that
+    # the errors drawn before it hit.
+    calls, hit = [], set()
+    apply_piece, draw = sv._apply_piece, noise.draw_errors
+
+    def spy(views, *args):
+        calls.append((len(views.rows), len(hit)))
+        return apply_piece(views, *args)
+
+    def drawn(*args):
+        for index, error, rows in draw(*args):
+            hit.update(rows.tolist())
+            yield index, error, rows
+
+    monkeypatch.setattr(sv, "_apply_piece", spy)
+    monkeypatch.setattr(noise, "draw_errors", drawn)
+    # Without noise, 200 trajectories run one row.
+    batch = run_trajectories(circuit, initial, NoiseModel(), 200, np.random.default_rng(0))
+    assert calls and {count for count, _ in calls} == {1}
+    assert all(row.tobytes() == one.tobytes() for row in batch)
+    # With noise, the rows run never fall, and never outnumber the shared
+    # row and the trajectories hit so far.
+    calls.clear()
+    model = NoiseModel(eps_bitflip=1e-4, eps_phase=1e-4)
+    run_trajectories(circuit, initial, model, 20, np.random.default_rng(1))
+    counts = [count for count, _ in calls]
+    assert counts == sorted(counts) and counts[0] == 1 < counts[-1] < 20
+    assert all(count <= 1 + seen for count, seen in calls)
+
+
 def _run_spans(gates, n):
     """Each run the executor plans for ``gates``, with the index of its
     first gate and the index past its last; a piece of repeated steps as

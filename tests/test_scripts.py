@@ -1,5 +1,6 @@
 """Smoke tests of the scripts: each runs end to end on a small case, so that
 a change to the library cannot leave a script broken."""
+import math
 import os
 import re
 import subprocess
@@ -8,16 +9,22 @@ from pathlib import Path
 
 import pytest
 
+from isingbraid.protocol import LogicalLabel, ProtocolParams, run_scenario
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> list[str]:
+def script_result(name: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    done = script_result(name, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -58,6 +65,22 @@ def test_noise_sweep_writes_one_row_per_eps(tmp_path):
     assert float(cells[0][2]) == 0.0
     assert 0.0 <= float(cells[1][1]) < float(cells[0][1])
     assert 0.0 <= float(cells[2][1]) < float(cells[0][1])
+    # --n-sites picks the chain: N_s = 4 is rejected before anything runs
+    # or is written, and at N_s = 8 the noiseless point is that size's EFF
+    # braid.
+    small = tmp_path / "small.csv"
+    done = script_result("noise_sweep.py", "--n-sites", "4", "--out", str(small))
+    assert done.returncode == 2 and not small.exists()
+    assert "--n-sites 4: N_s must be an even count >= 6" in done.stderr
+    wide = tmp_path / "wide.csv"
+    run_script("noise_sweep.py", "--n-sites", "8", "--eps", "0", "--trajectories", "3",
+               "--out", str(wide))
+    [row] = _csv_rows(wide)
+    params = ProtocolParams(N_s=8, dt=0.7, h_para=1.5, dh=0.1, Gamma=math.pi / 2,
+                            update_mode="linear")
+    exact = run_scenario(params, "braid", LogicalLabel.ALL_UP).exact_fidelity
+    assert float(row["mean_fidelity"]) == pytest.approx(exact, abs=1e-12)
+    assert (row["stderr"], row["trajectories"]) == ("0", "3")
 
 
 def _csv_rows(path):

@@ -1041,7 +1041,7 @@ def test_plan_of_repeated_pieces_matches_gate_by_gate(pieces):
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=16), st.data())
 def test_each_row_equals_its_one_row_run_and_the_gate_level_reference(pieces, data):
     gates = _gates_of_pieces(pieces)
-    rows = 3
+    rows = 4
     after = sorted(data.draw(st.lists(st.integers(0, len(gates) - 1), max_size=6)))
     # Each error on a qubit of its own gate, as the noise model draws them.
     errors = [(i, Gate(data.draw(st.sampled_from([GateKind.X, GateKind.Z])),
@@ -1050,6 +1050,9 @@ def test_each_row_equals_its_one_row_run_and_the_gate_level_reference(pieces, da
                                   max_size=rows, unique=True).map(sorted)))
               for i in after]
     batch = np.stack([random_state(3, seed).amplitudes for seed in range(rows)])
+    # Rows that start equal to row 0 share it until their first error.
+    shared = data.draw(st.lists(st.booleans(), min_size=rows - 1, max_size=rows - 1))
+    batch[1:][shared] = batch[0]
     expected = batch.copy()
     for k, gate in enumerate(gates):
         apply_gate_inplace(expected.reshape(-1), 3, gate)
@@ -1068,6 +1071,81 @@ def test_each_row_equals_its_one_row_run_and_the_gate_level_reference(pieces, da
     for r in range(rows):
         assert batch[r].tobytes() == own[r].tobytes()
     assert np.allclose(batch, expected, rtol=0, atol=1e-12)
+
+
+def _batch(n, start, rows=4):
+    """``rows`` rows of random states: all a copy of row 0 (``shared``),
+    all but row 2 a copy of it (``mixed``), or each its own (``distinct``)."""
+    batch = np.stack([random_state(n, seed).amplitudes for seed in range(rows)])
+    copies = {"shared": range(1, rows), "mixed": [1, 3], "distinct": []}[start]
+    batch[list(copies)] = batch[0]
+    return batch
+
+
+# The errors on ``_gates_of_pieces([2, 0, 2, 0, 2, 0, 2])`` of four rows:
+# layers at gates 0, 6, 12 and 18 (RX on 0, RY on 2, H on 1), and a
+# CNOT(0, 1), RZ(1), CNOT(0, 1) run at 3, 9 and 15, each error on a qubit
+# of its gate.
+_SHARING_CASES = {
+    # Row 0 forks first; rows 1 and 3, the last two that share, are hit
+    # together: row 1 forks and row 3 takes the shared row.
+    "row_0_first": [(1, GateKind.X, 2, [0]), (4, GateKind.Z, 1, [2]),
+                    (9, GateKind.X, 0, [1, 3]), (11, GateKind.Z, 1, [3, 0])],
+    # Rows 1 and 2 fork from one run, at two of its gates; row 3 is never
+    # hit.
+    "two_in_one_run": [(3, GateKind.X, 1, [1]), (4, GateKind.Z, 1, [2]),
+                       (12, GateKind.X, 0, [0, 1, 2])],
+    # Row 3, the last that shares, takes the shared row after a layer, and
+    # is hit again with a forked row.
+    "last_shared_row": [(0, GateKind.Z, 0, [0, 1]), (2, GateKind.X, 1, [2]),
+                        (7, GateKind.Z, 2, [3]), (15, GateKind.X, 1, [3, 1])],
+    "every_row_at_once": [(1, GateKind.Z, 2, [0, 1, 2, 3]), (9, GateKind.X, 1, [2])],
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("start", ["shared", "mixed", "distinct"])
+@pytest.mark.parametrize("case", list(_SHARING_CASES))
+def test_rows_that_start_equal_share_one_row_until_their_first_error(start, case):
+    gates = _gates_of_pieces([2, 0, 2, 0, 2, 0, 2])
+    errors = [(k, Gate(kind, (q,)), hit) for k, kind, q, hit in _SHARING_CASES[case]]
+    batch = _batch(3, start)
+    expected = batch.copy()
+    for k, gate in enumerate(gates):
+        apply_gate_inplace(expected.reshape(-1), 3, gate)
+        for index, error, hit in errors:
+            if index == k:
+                for r in hit:
+                    apply_gate_inplace(expected[r], 3, error)
+    own = []
+    for r, row in enumerate(batch):
+        single = row.copy().reshape(1, -1)
+        apply_gates_inplace(single, 3, gates,
+                            [(i, e, [0]) for i, e, hit in errors if r in hit])
+        own.append(single[0])
+    apply_gates_inplace(batch, 3, gates, errors)
+    # Each row, shared, forked or its own, has the bits of its own errors
+    # run alone, back in its place.
+    for r in range(len(batch)):
+        assert batch[r].tobytes() == own[r].tobytes(), r
+    np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("start", ["shared", "mixed", "distinct"])
+@pytest.mark.parametrize("hit", [[-1], [1, 4], [2, 0, 2]],
+                         ids=["negative", "past_the_batch", "twice"])
+def test_error_rows_outside_the_batch_or_listed_twice_are_rejected_before_any_row_changes(
+        start, hit):
+    gates = (Gate(GateKind.RX, (0,), 0.3), Gate(GateKind.RY, (1,), 0.2),
+             Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RZ, (1,), 0.4))
+    rows = _batch(2, start)
+    before = rows.copy()
+    # A valid error on the same run first, and a valid one after.
+    errors = [(0, Gate(GateKind.Z, (0,)), [1]), (1, Gate(GateKind.X, (1,)), hit),
+              (3, Gate(GateKind.X, (1,)), [0])]
+    with pytest.raises(ValueError, match="each of the 4 rows at most once"):
+        apply_gates_inplace(rows, 2, gates, errors)
+    assert rows.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 5, sv._REAL_QUBITS])
